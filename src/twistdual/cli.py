@@ -69,6 +69,8 @@ def _load_form(rd, q_exp, q_tau, form_file):
             rd = _load_datum(None, str(Path(form_file).parent / ref))
         try:
             return rd, QForm.from_dict(rd, raw)
+        except KeyError as exc:
+            raise click.UsageError(f"form file lacks {exc}") from None
         except ValueError as exc:
             raise DomainError(str(exc)) from None
     if rd is None:
@@ -218,8 +220,11 @@ def quantum_pair_cmd(group, rd_file, level, gram_file):
             raise click.UsageError("N must be positive")
         b = [[x / level for x in row] for row in qf.normalized_killing_gram(rd)]
     else:
-        raw = json.loads(Path(gram_file).read_text())
-        b = [[Fraction(n, d) for n, d in row] for row in raw["gram"]]
+        try:
+            raw = json.loads(Path(gram_file).read_text())
+            b = [[Fraction(n, d) for n, d in row] for row in raw["gram"]]
+        except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise click.UsageError(f"cannot load gram file: {exc}") from None
     try:
         pair = dg.quantum_dual_pair(rd, b)
     except ValueError as exc:
@@ -342,7 +347,12 @@ def incidence(rank, a_text, b_text):
     def parse(text):
         if rank == 1:
             return [(int(x),) for x in text.split(",")]
-        return [_vector(part) for part in text.split(";")]
+        points = [_vector(part) for part in text.split(";")]
+        for v in points:
+            if len(v) != rank:
+                raise click.UsageError(
+                    f"coweight {','.join(map(str, v))} has length {len(v)}, not --rank {rank}")
+        return points
     try:
         a = gc.ComponentIndex.of(parse(a_text))
         b = gc.ComponentIndex.of(parse(b_text))

@@ -117,9 +117,10 @@ class QForm:
         self.g0 = _as_gram(gram_rational, rd.rank, "gram_rational")
         self.g1 = _as_gram(gram_transcendental, rd.rank, "gram_transcendental")
         for i in range(rd.num_simple):
-            w = rd.reflection_coweight(i)
+            alpha = rd.simple_roots.row(i)
+            cov = rd.simple_coroots.row(i)
             for g, label in ((self.g0, "rational"), (self.g1, "transcendental")):
-                if _conjugate(g, w) != g:
+                if not _reflection_invariant(g, alpha, cov):
                     raise InvarianceError(
                         f"{label} Gram is not invariant under simple reflection {i}")
 
@@ -173,14 +174,16 @@ class QForm:
         return f"QForm({self.rd!r}, g0={self.g0}, g1={self.g1})"
 
 
-def _conjugate(g, w: IntMatrix):
-    n = w.rows
-    wd = w.data
-    return tuple(
-        tuple(
-            sum(wd[a][i] * g[a][b] * wd[b][j] for a in range(n) for b in range(n))
-            for j in range(n))
-        for i in range(n))
+def _reflection_invariant(g, alpha, cov):
+    """Whether s^T g s = g for the reflection s = 1 - cov alpha^T.
+
+    Expanding, s^T g s = g - alpha u^T - u alpha^T + q alpha alpha^T with
+    u = g cov and q = cov^T g cov; applying the difference to cov, where
+    <alpha, cov> = 2, shows it vanishes iff u = (q/2) alpha.
+    """
+    u = _gram_vec(g, cov)
+    half_q = dot(cov, u) / 2
+    return all(x == half_q * a for x, a in zip(u, alpha))
 
 
 def qform_from_gram(rd, gram_rational=None, gram_transcendental=None) -> QForm:

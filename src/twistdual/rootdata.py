@@ -2,8 +2,9 @@
 
 A root datum is realized concretely: weights and coweights both live in
 Z^rank with the standard dot pairing, and the datum is the pair of simple
-root / simple coroot matrices.  Construction validates the axioms, which
-includes enumerating the Weyl group, so invalid data fail early.
+root / simple coroot matrices.  Construction validates the axioms: an exact
+finite-type test of the Cartan matrix, then the closure of the root system,
+so invalid data fail early.  The Weyl group is enumerated only on demand.
 """
 
 from __future__ import annotations
@@ -112,9 +113,9 @@ class RootDatum:
                 raise RootDatumError("simple coroots are linearly dependent")
 
     def _validate_system(self):
-        # Forces enumeration of the Weyl group and the root system; both
-        # raise if closure exceeds the configured bound.
-        self.weyl_group()
+        # The finite-type test bounds the root-orbit closure that follows,
+        # so an infinite-type Cartan matrix never starts it.
+        _check_finite_type(self.cartan_matrix)
         pairs = self.root_pairs
         roots = [p[0] for p in pairs]
         root_set = set(roots)
@@ -151,10 +152,6 @@ class RootDatum:
             cols=n,
         )
 
-    def reflection_weight(self, i):
-        """Matrix of s_i on the weight lattice: x -> x - <x, coroot_i> alpha_i."""
-        return self.reflection_coweight(i).transpose()
-
     def reflect_coweight(self, i, v):
         return vec_sub(v, vec_scale(dot(self.simple_roots.row(i), v),
                                     self.simple_coroots.row(i)))
@@ -165,6 +162,7 @@ class RootDatum:
 
     @cached_property
     def _weyl(self):
+        # Built on demand only; `weyl_bound` caps the enumeration.
         gens = [self.reflection_coweight(i) for i in range(self.num_simple)]
         ident = IntMatrix.identity(self.rank)
         seen = {ident.data: ident}
@@ -188,10 +186,6 @@ class RootDatum:
 
     def weyl_group(self) -> WeylGroup:
         return self._weyl
-
-    def weyl_weight_matrices(self):
-        """The same group acting on the weight lattice (transposed elements)."""
-        return tuple(m.transpose() for m in self._weyl.elements)
 
     @cached_property
     def root_pairs(self):
@@ -290,16 +284,6 @@ class RootDatum:
         if self.coweight_leq(mu, lam):
             return Dominance.GREATER_EQUAL
         return Dominance.INCOMPARABLE
-
-    def dominant_representative(self, v):
-        """The dominant element of the Weyl orbit of the coweight v."""
-        v = tuple(v)
-        while True:
-            i = next((i for i in range(self.num_simple)
-                      if dot(self.simple_roots.row(i), v) < 0), None)
-            if i is None:
-                return v
-            v = self.reflect_coweight(i, v)
 
     def antidominant_representative(self, v):
         """w_0 applied to the dominant representative: the antidominant element."""
@@ -453,6 +437,51 @@ class RootDatum:
     def __repr__(self):
         label = self.name or f"rank-{self.rank} datum"
         return f"RootDatum({label})"
+
+
+def _check_finite_type(cartan):
+    """Raise unless the Cartan matrix is of finite type.
+
+    A generalized Cartan matrix is of finite type iff it is symmetrizable
+    and its symmetrization is positive definite (Kac, *Infinite-dimensional
+    Lie algebras*, Ch. 4).  The symmetrizer d solves d_j a_ij = d_i a_ji
+    along the edges of the Cartan graph, so that (a_ij d_j) is symmetric;
+    a cycle that forces two values of some d_j makes the matrix
+    non-symmetrizable.  Definiteness is read off the Fraction pivots of
+    symmetric Gaussian elimination (Sylvester's criterion).
+    """
+    s = len(cartan)
+    d = [None] * s
+    for start in range(s):
+        if d[start] is not None:
+            continue
+        d[start] = Fraction(1)
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(s):
+                if j == i or cartan[i][j] == 0:
+                    continue
+                dj = d[i] * cartan[j][i] / cartan[i][j]
+                if d[j] is None:
+                    d[j] = dj
+                    stack.append(j)
+                elif d[j] != dj:
+                    raise RootDatumError(
+                        "Cartan matrix is not symmetrizable; "
+                        "datum is not of finite type")
+    m = [[cartan[i][j] * d[j] for j in range(s)] for i in range(s)]
+    for k in range(s):
+        pivot = m[k][k]
+        if pivot <= 0:
+            raise RootDatumError(
+                "symmetrized Cartan matrix is not positive definite; "
+                "datum is not of finite type")
+        for i in range(k + 1, s):
+            f = m[i][k] / pivot
+            if f:
+                for j in range(k + 1, s):
+                    m[i][j] -= f * m[k][j]
 
 
 def _rational_rank(rows):

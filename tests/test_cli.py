@@ -179,3 +179,34 @@ class TestErrors:
             "name": "broken"}))
         res = run("validate", "--rd-file", str(f))
         assert res.exit_code == 1
+
+
+class TestMalformedInput:
+    """Malformed input exits 2 with one `Error:` line and no traceback."""
+
+    @staticmethod
+    def assert_usage_error(res):
+        assert res.exit_code == 2
+        assert isinstance(res.exception, (SystemExit, type(None)))
+        errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1
+
+    def test_quantum_pair_malformed_gram_json(self, tmp_path):
+        f = tmp_path / "bad_gram.json"
+        f.write_text('{"gram": [[1, 2]')
+        self.assert_usage_error(run("quantum-pair", "--group", "SL2", "--gram-file", str(f)))
+
+    def test_form_file_without_transcendental_gram(self, tmp_path):
+        (tmp_path / "sl2.json").write_text(json.dumps({
+            "rank": 1, "simple_roots": [[2]], "simple_coroots": [[1]]}))
+        form = tmp_path / "form.json"
+        form.write_text(json.dumps({"root_datum": "sl2.json",
+                                    "gram_rational": [[[1, 3]]]}))
+        res = run("dual", "--form-file", str(form))
+        self.assert_usage_error(res)
+        assert "gram_transcendental" in res.output
+
+    def test_incidence_vector_length_must_match_rank(self):
+        res = run("incidence", "--rank", "2", "--a", "1", "--b", "1")
+        self.assert_usage_error(res)
+        assert "--rank 2" in res.output

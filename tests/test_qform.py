@@ -116,6 +116,65 @@ class TestQFormConstruction:
                     assert q.kappa(wl, wm) == q.kappa(lam, mu)
 
 
+def _conjugate(g, w):
+    """w^T g w, the reference for QForm's rank-one invariance test."""
+    n = w.rows
+    wd = w.data
+    return tuple(
+        tuple(
+            sum(wd[a][i] * g[a][b] * wd[b][j] for a in range(n) for b in range(n))
+            for j in range(n))
+        for i in range(n))
+
+
+class TestInvarianceAgainstConjugation:
+    LABELS = ("SL2", "SL3", "SL4", "PGL2", "PGL3", "PGL4", "GL1", "GL2", "GL3",
+              "Sp4", "G2", "torus2", "SL2xG2", "GL2xSp4")
+
+    @staticmethod
+    def _grams(rd, rng):
+        n = rd.rank
+
+        def random_symmetric():
+            g = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    g[i][j] = g[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+            return tuple(map(tuple, g))
+
+        even, _ = minimal_even_gram(rd)
+        yield even
+        for _ in range(6):
+            g = random_symmetric()
+            yield g
+            # its Weyl average is invariant; nudging one entry usually breaks it
+            conj = [_conjugate(g, w) for w in rd.weyl_group().elements]
+            avg = [[sum(c[i][j] for c in conj) for j in range(n)] for i in range(n)]
+            yield tuple(map(tuple, avg))
+            i, j = rng.randrange(n), rng.randrange(n)
+            avg[i][j] += 1
+            avg[j][i] = avg[i][j]
+            yield tuple(map(tuple, avg))
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_same_verdict_as_conjugation(self, label):
+        rd = standard(label)
+        rng = random.Random(f"invariance/{label}")
+        reflections = [rd.reflection_coweight(i) for i in range(rd.num_simple)]
+        verdicts = set()
+        for g in self._grams(rd, rng):
+            invariant = all(_conjugate(g, w) == g for w in reflections)
+            verdicts.add(invariant)
+            for slot in ({"gram_rational": g}, {"gram_transcendental": g}):
+                if invariant:
+                    QForm(rd, **slot)
+                else:
+                    with pytest.raises(InvarianceError):
+                        QForm(rd, **slot)
+        # on a torus or in rank one every symmetric Gram is invariant
+        assert verdicts == ({True, False} if rd.num_simple and rd.rank > 1 else {True})
+
+
 class TestKernel:
     def test_pgl2_order3(self):
         q = qform_from_gram(PGL2, [[Fraction(2, 3)]])

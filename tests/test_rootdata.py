@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -75,6 +76,75 @@ class TestValidation:
         with pytest.raises(RootDatumError):
             RootDatum([[2, 0], [2, 0]], [[1, 0], [1, 0]], rank=2)
 
+    # Each datum below passes the Cartan-matrix checks and must be rejected
+    # by the finite-type test, before any closure starts.
+    @pytest.mark.parametrize("roots,coroots,reason", [
+        # affine A1 in rank 3
+        ([[2, -2, 0], [-2, 2, 1]], [[1, 0, 0], [0, 1, 0]], "not positive definite"),
+        # hyperbolic rank 2: a_01 a_10 = 5 > 4
+        ([[2, -1], [-5, 2]], [[1, 0], [0, 1]], "not positive definite"),
+        # 3-cycle with a_01 a_12 a_20 = -1 but a_10 a_21 a_02 = -2
+        ([[2, -1, -1, 1, 0, 0], [-2, 2, -1, 0, 1, 0], [-1, -1, 2, 0, 0, 1]],
+         [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]],
+         "not symmetrizable"),
+    ], ids=["affine-A1", "hyperbolic", "non-symmetrizable"])
+    def test_infinite_type_rejected_by_finite_type_test(self, roots, coroots, reason):
+        with pytest.raises(RootDatumError, match=reason):
+            RootDatum(roots, coroots)
+
+
+def _reflection_closure_size(cartan, bound):
+    """Order of the group generated by the simple reflections in simple-root
+    coordinates, s_i(alpha_j) = alpha_j - a_ji alpha_i; None past `bound`."""
+    s = len(cartan)
+    ident = tuple(tuple(int(r == c) for c in range(s)) for r in range(s))
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for i in range(s):
+                # s_i m differs from m in row i alone
+                row = tuple(m[i][c] - sum(cartan[j][i] * m[j][c] for j in range(s))
+                            for c in range(s))
+                prod = m[:i] + (row,) + m[i + 1:]
+                if prod not in seen:
+                    seen.add(prod)
+                    nxt.append(prod)
+            if len(seen) > bound:
+                return None
+        frontier = nxt
+    return len(seen)
+
+
+def test_finite_type_test_matches_weyl_closure_exhaustively():
+    """Every rank-2 and rank-3 generalized Cartan matrix with off-diagonal
+    entries in {0,-1,-2,-3}, realised in rank 2s with roots (row_i(A), e_i)
+    and coroots (e_i, 0): accepted iff its Weyl group stays within 100
+    elements (the largest finite rank-3 one has 48)."""
+    checked = accepted = 0
+    for s in (2, 3):
+        pairs = list(itertools.combinations(range(s), 2))
+        entry_pairs = [(0, 0)] + [(a, b) for a in (-1, -2, -3) for b in (-1, -2, -3)]
+        for choice in itertools.product(entry_pairs, repeat=len(pairs)):
+            cartan = [[2 if i == j else 0 for j in range(s)] for i in range(s)]
+            for (i, j), (a, b) in zip(pairs, choice):
+                cartan[i][j], cartan[j][i] = a, b
+            units = [[int(i == k) for k in range(s)] for i in range(s)]
+            roots = [cartan[i] + units[i] for i in range(s)]
+            coroots = [units[i] + [0] * s for i in range(s)]
+            order = _reflection_closure_size(cartan, 100)
+            checked += 1
+            if order is None:
+                with pytest.raises(RootDatumError, match="not of finite type"):
+                    RootDatum(roots, coroots)
+            else:
+                rd = RootDatum(roots, coroots)
+                assert rd.cartan_matrix == tuple(map(tuple, cartan))
+                assert rd.weyl_group().order == order
+                accepted += 1
+    assert checked == 10 + 1000
+    assert 0 < accepted < checked
+
 
 class TestWeylGroup:
     @pytest.mark.parametrize("name,order", [
@@ -87,6 +157,12 @@ class TestWeylGroup:
     def test_sl_n_matches_factorial(self):
         for n in (2, 3, 4, 5):
             assert standard(f"SL{n}").weyl_group().order == math.factorial(n)
+
+    def test_closure_is_lazy(self):
+        rd = standard("SL6")
+        assert "_weyl" not in rd.__dict__
+        assert rd.weyl_group().order == 720
+        assert "_weyl" in rd.__dict__
 
     def test_reflections_are_involutions(self):
         rd = standard("G2")
