@@ -14,7 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .dualgroup import TwistedDual, twisted_dual
-from .qform import QForm, braiding_signs, kernel
+from .lattice import outer_sum
+from .qform import QForm, _gram_pair, braiding_signs, kernel
 from .rootdata import RootDatum, dot, vec_add, vec_sub
 
 
@@ -63,28 +64,6 @@ class Character:
                          for w, m in self.multiplicities)
 
 
-def _positive_roots_weight_side(rd: RootDatum):
-    """Positive (root, coroot) pairs; roots live on the weight side."""
-    return rd.positive_root_pairs
-
-
-def _weight_form(rd: RootDatum):
-    """W-invariant inner product on the weight side: sum over coroots of
-    the squared pairing.  Positive definite on the root span, which is all
-    Freudenthal needs; the normalization drops out of the recursion."""
-    n = rd.rank
-    g = [[0] * n for _ in range(n)]
-    for _, cobeta in rd.root_pairs:
-        for a in range(n):
-            for b in range(n):
-                g[a][b] += cobeta[a] * cobeta[b]
-    return tuple(tuple(row) for row in g)
-
-
-def _form_pair(g, x, y):
-    return sum(g[a][b] * x[a] * y[b] for a in range(len(x)) for b in range(len(x)))
-
-
 def irreducible_character(rd: RootDatum, highest, crosscheck=None) -> Character:
     """Weight multiplicities of the irreducible with the given highest
     weight, by Freudenthal's recursion.
@@ -95,11 +74,14 @@ def irreducible_character(rd: RootDatum, highest, crosscheck=None) -> Character:
     highest = tuple(int(x) for x in highest)
     if not rd.is_dominant_weight(highest):
         raise CharacterError(f"{highest} is not dominant")
-    pos = _positive_roots_weight_side(rd)
-    g = _weight_form(rd)
+    pos = rd.positive_root_pairs
+    # W-invariant inner product on the weight side, the sum over coroots of
+    # the squared pairing: positive definite on the root span, which is all
+    # Freudenthal needs; the normalization drops out of the recursion.
+    g = outer_sum((cobeta for _, cobeta in rd.root_pairs), rd.rank).data
     rho = rd.rho
     lam_rho = tuple(Fraction(x) + r for x, r in zip(highest, rho))
-    norm_top = _form_pair(g, lam_rho, lam_rho)
+    norm_top = _gram_pair(g, lam_rho, lam_rho)
 
     mults = {highest: 1}
     layer = [highest]
@@ -119,14 +101,14 @@ def irreducible_character(rd: RootDatum, highest, crosscheck=None) -> Character:
                     up = tuple(m + k * b for m, b in zip(mu, beta))
                     m_up = mults.get(up, 0)
                     if m_up:
-                        rhs += 2 * m_up * _form_pair(g, up, beta)
+                        rhs += 2 * m_up * _gram_pair(g, up, beta)
                     if not rd.weight_leq(up, highest):
                         break
                     k += 1
             if rhs == 0:
                 continue
             mu_rho = tuple(Fraction(x) + r for x, r in zip(mu, rho))
-            denom = norm_top - _form_pair(g, mu_rho, mu_rho)
+            denom = norm_top - _gram_pair(g, mu_rho, mu_rho)
             if denom == 0:
                 raise CharacterError(f"vanishing Freudenthal denominator at {mu}")
             m = rhs / denom

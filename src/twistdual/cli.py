@@ -49,8 +49,10 @@ def _load_datum(group, rd_file):
         if group is not None:
             return rdmod.standard(group)
         raw = json.loads(Path(rd_file).read_text())
+        if not isinstance(raw, dict):
+            raise click.UsageError("root datum file must hold a JSON object")
         return rdmod.RootDatum.from_dict(raw)
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise click.UsageError(f"cannot load root datum: {exc}") from None
     except ValueError as exc:
         raise DomainError(str(exc)) from None
@@ -62,15 +64,19 @@ def _load_form(rd, q_exp, q_tau, form_file):
             raw = json.loads(Path(form_file).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise click.UsageError(f"cannot load form file: {exc}") from None
+        if not isinstance(raw, dict):
+            raise click.UsageError("form file must hold a JSON object")
         if rd is None:
             ref = raw.get("root_datum")
-            if ref is None:
+            if not isinstance(ref, str):
                 raise click.UsageError("form file does not name a root_datum")
             rd = _load_datum(None, str(Path(form_file).parent / ref))
         try:
             return rd, QForm.from_dict(rd, raw)
         except KeyError as exc:
             raise click.UsageError(f"form file lacks {exc}") from None
+        except TypeError as exc:
+            raise click.UsageError(f"bad form file: {exc}") from None
         except ValueError as exc:
             raise DomainError(str(exc)) from None
     if rd is None:
@@ -410,7 +416,7 @@ def validate(group, rd_file):
     click.echo(f"rank: {rd.rank}")
     click.echo(f"simple roots: {rd.num_simple}")
     click.echo(f"roots: {len(rd.root_pairs)}")
-    click.echo(f"weyl order: {rd.weyl_group().order}")
+    click.echo(f"weyl order: {rd.weyl_order()}")
     click.echo(f"pi1: {rd.pi1().describe()}")
     click.echo("OK")
 

@@ -48,7 +48,7 @@ class TwistedDual:
     def to_dict(self):
         d = self.datum.to_dict()
         d["weight_sublattice"] = [list(r) for r in self.basis.data]
-        d["multipliers"] = [m if m is not None else None for m in self.multipliers]
+        d["multipliers"] = list(self.multipliers)
         d["dropped"] = list(self.dropped)
         return d
 

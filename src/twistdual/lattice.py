@@ -80,24 +80,18 @@ class IntMatrix:
     def det(self):
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        mat = [[Fraction(x) for x in row] for row in self.data]
-        n = self.rows
-        det = Fraction(1)
-        for c in range(n):
-            piv = next((i for i in range(c, n) if mat[i][c] != 0), None)
-            if piv is None:
-                return 0
-            if piv != c:
-                mat[c], mat[piv] = mat[piv], mat[c]
-                det = -det
-            det *= mat[c][c]
-            inv = 1 / mat[c][c]
-            for i in range(c + 1, n):
-                f = mat[i][c] * inv
-                if f:
-                    mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
+        rows = [[Fraction(x) for x in row] for row in self.data]
+        _, pivots, sign = _eliminate(rows, self.cols)
+        if len(pivots) < self.rows:
+            return 0
+        det = sign * math.prod(p for _, p in pivots)
         assert det.denominator == 1
         return int(det)
+
+    def rank(self):
+        """Rank over Q: the number of pivots."""
+        rows = [[Fraction(x) for x in row] for row in self.data]
+        return len(_eliminate(rows, self.cols)[1])
 
     def is_unimodular(self):
         return self.rows == self.cols and abs(self.det()) == 1
@@ -209,7 +203,7 @@ def invariant_factor_list(m: IntMatrix):
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     """Exact inverse of a unimodular integer matrix."""
-    inv = invert_rational([[Fraction(x) for x in row] for row in m.data])
+    inv = invert_rational(m.data)
     out = []
     for row in inv:
         for x in row:
@@ -289,16 +283,6 @@ class Sublattice:
             q, r = divmod(v[c], row[c])
             if r:
                 return None
-            coeffs.append(q)
-            v = [x - q * y for x, y in zip(v, row)]
-        return tuple(coeffs) if not any(v) else None
-
-    def rational_coefficients(self, v):
-        """Rational coordinates of v in the basis, or None if outside the span."""
-        v = [Fraction(x) for x in v]
-        coeffs = []
-        for row, c in zip(self.basis.data, self._pivots()):
-            q = v[c] / row[c]
             coeffs.append(q)
             v = [x - q * y for x, y in zip(v, row)]
         return tuple(coeffs) if not any(v) else None
@@ -533,22 +517,56 @@ def solve_integer(a: IntMatrix, b):
 # -- rational helpers ------------------------------------------------------
 
 
+def _eliminate(rows, width):
+    """Gauss-Jordan reduction of `rows`, lists of Fractions changed in
+    place, on their first `width` columns.
+
+    Returns (rows, pivots, sign): the reduced rows, whose pivot entries are
+    1; one (column, value) per pivot, in row order, with the value it had
+    before its row was scaled; and the sign (-1)^(row swaps).
+    """
+    pivots = []
+    sign = 1
+    r = 0
+    for c in range(width):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        p = rows[r][c]
+        inv = 1 / p
+        rows[r] = top = [x * inv for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [x - f * y for x, y in zip(row, top)]
+        pivots.append((c, p))
+        r += 1
+    return rows, pivots, sign
+
+
+def outer_sum(vectors, dim) -> IntMatrix:
+    """The Gram matrix sum of v v^T over integer vectors of length dim."""
+    k = [[0] * dim for _ in range(dim)]
+    for v in vectors:
+        for a, va in enumerate(v):
+            if va:
+                row = k[a]
+                for b, vb in enumerate(v):
+                    row[b] += va * vb
+    return IntMatrix(k, cols=dim)
+
+
 def invert_rational(mat):
     """Inverse of a square matrix of Fractions (lists of lists)."""
     n = len(mat)
     work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
             for i, row in enumerate(mat)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        work[c], work[piv] = work[piv], work[c]
-        inv = 1 / work[c][c]
-        work[c] = [x * inv for x in work[c]]
-        for i in range(n):
-            if i != c and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
+    work, pivots, _ = _eliminate(work, n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
     return [row[n:] for row in work]
 
 
@@ -559,32 +577,16 @@ def solve_left_rational(rows, target):
     """
     if not rows:
         return () if not any(target) else None
-    ncols = len(rows[0])
-    # eliminate on the transposed system
-    aug = [[Fraction(rows[i][j]) for i in range(len(rows))] + [Fraction(target[j])]
-           for j in range(ncols)]
     nvars = len(rows)
-    pivots = []
-    r = 0
-    for c in range(nvars):
-        piv = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
+    # eliminate on the transposed system [rows^T | target]
+    aug = [[Fraction(row[j]) for row in rows] + [Fraction(target[j])]
+           for j in range(len(rows[0]))]
+    aug, pivots, _ = _eliminate(aug, nvars)
+    if any(row[nvars] for row in aug[len(pivots):]):
+        return None
     sol = [Fraction(0)] * nvars
-    for row_idx, c in enumerate(pivots):
-        sol[c] = aug[row_idx][nvars]
-    for i in range(r, len(aug)):
-        if aug[i][nvars] != 0:
-            return None
+    for row, (c, _) in zip(aug, pivots):
+        sol[c] = row[nvars]
     return tuple(sol)
 
 

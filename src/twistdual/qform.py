@@ -26,6 +26,7 @@ from .lattice import (
     intersect,
     invert_rational,
     kernel_mod,
+    outer_sum,
     saturation,
 )
 from .rootdata import RootDatum, dot
@@ -134,12 +135,6 @@ class QForm:
         return Exponent(_gram_pair(self.g0, lam, mu),
                         _gram_pair(self.g1, lam, mu))
 
-    def is_value_trivial_on(self, vectors):
-        """Whether Q and kappa vanish identically on the span of `vectors`."""
-        vectors = list(vectors)
-        return all(self.q(v).is_zero() for v in vectors) and all(
-            self.kappa(v, w).is_zero() for v in vectors for w in vectors)
-
     def tensor(self, other: "QForm") -> "QForm":
         if other.rd is not self.rd and other.rd != self.rd:
             raise ValueError("forms live on different root data")
@@ -163,8 +158,16 @@ class QForm:
 
     @classmethod
     def from_dict(cls, rd, d):
-        dec = lambda g: [[Fraction(n, den) for n, den in row] for row in g]
-        return cls(rd, dec(d["gram_rational"]), dec(d["gram_transcendental"]))
+        """Inverse of `to_dict`; TypeError when a Gram entry is not a
+        [numerator, denominator] pair of integers."""
+        grams = (d["gram_rational"], d["gram_transcendental"])
+        try:
+            g0, g1 = ([[Fraction(n, den) for n, den in row] for row in g]
+                      for g in grams)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise TypeError(
+                f"Gram entries must be [numerator, denominator] pairs: {exc}") from None
+        return cls(rd, g0, g1)
 
     def __eq__(self, other):
         return (isinstance(other, QForm) and self.rd == other.rd
@@ -255,27 +258,17 @@ def det_form(rd: RootDatum, weights) -> DetForm:
                 f"weight multiset is not closed under simple reflection {i}",
                 stacklevel=2)
             break
-    n = rd.rank
-    k = [[0] * n for _ in range(n)]
-    for lam in weights:
-        for a in range(n):
-            for b in range(n):
-                k[a][b] += lam[a] * lam[b]
-    is_sf = all(x % 2 == 0 for row in k for x in row)
-    zeta = tuple(Fraction(sum(w[j] for w in weights), 2) for j in range(n))
-    return DetForm(IntMatrix(k, cols=n), is_sf, zeta)
+    k = outer_sum(weights, rd.rank)
+    is_sf = all(x % 2 == 0 for row in k.data for x in row)
+    zeta = tuple(Fraction(sum(w[j] for w in weights), 2) for j in range(rd.rank))
+    return DetForm(k, is_sf, zeta)
 
 
 def killing_matrix(rd: RootDatum, component_index) -> IntMatrix:
     """Gram of the component's Killing-type form: sum of beta beta^T over
     the roots beta of one irreducible component."""
-    n = rd.rank
-    k = [[0] * n for _ in range(n)]
-    for beta, _ in rd.component_root_pairs(component_index):
-        for a in range(n):
-            for b in range(n):
-                k[a][b] += beta[a] * beta[b]
-    return IntMatrix(k, cols=n)
+    return outer_sum((beta for beta, _ in rd.component_root_pairs(component_index)),
+                     rd.rank)
 
 
 def killing_qform(rd: RootDatum, component_index, a: Exponent) -> QForm:
@@ -414,13 +407,8 @@ def half_forms_qform(rd: RootDatum) -> QForm:
     """The parity form Q(lam) = (-1)^{<2 rho, lam>}, realized by half the
     adjoint Killing Gram; its bilinear form is trivial."""
     n = rd.rank
-    k = [[0] * n for _ in range(n)]
-    for beta, _ in rd.root_pairs:
-        for a in range(n):
-            for b in range(n):
-                k[a][b] += beta[a] * beta[b]
-    g0 = [[Fraction(x, 2) for x in row] for row in k]
-    form = QForm(rd, g0)
+    k = outer_sum((beta for beta, _ in rd.root_pairs), n)
+    form = QForm(rd, [[Fraction(x, 2) for x in row] for row in k.data])
     # adjoint K is even, so kappa is integral: assert on the unit vectors
     for i in range(n):
         e_i = (0,) * i + (1,) + (0,) * (n - i - 1)
@@ -512,23 +500,13 @@ class CartanDatum:
 
     @classmethod
     def standard(cls, rd: RootDatum, scale=1):
-        """Minimal positive symmetrizers, times an overall integer scale."""
-        s = rd.num_simple
-        ratios = [Fraction(0)] * s
-        for comp in rd.components:
-            ratios[comp[0]] = Fraction(1)
-            queue = [comp[0]]
-            while queue:
-                i = queue.pop()
-                for j in comp:
-                    if ratios[j] == 0 and rd.cartan_matrix[i][j] != 0:
-                        # symmetry f_i c_ij = f_j c_ji
-                        ratios[j] = ratios[i] * Fraction(rd.cartan_matrix[i][j],
-                                                         rd.cartan_matrix[j][i])
-                        queue.append(j)
-        den = common_denominator([r for r in ratios if r]) if s else 1
-        f = [int(r * den) * scale for r in ratios]
-        return cls(rd, tuple(f))
+        """Minimal positive symmetrizers, times an overall integer scale.
+
+        f_i c_ij = f_j c_ji makes f proportional to 1/d on each component,
+        for d the datum's symmetrizer."""
+        ratios = [1 / d for d in rd.symmetrizer]
+        den = common_denominator(ratios)
+        return cls(rd, tuple(int(r * den) * scale for r in ratios))
 
     def bilinear_gram(self):
         """Rational Gram B on coweights with coroot_i^T B coroot_j = i.j;

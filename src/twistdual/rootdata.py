@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -19,6 +20,7 @@ from .lattice import (
     FGAbelianGroup,
     IntMatrix,
     Sublattice,
+    outer_sum,
     quotient_group,
     solve_left_rational,
 )
@@ -64,9 +66,6 @@ class WeylGroup:
     def order(self):
         return len(self.elements)
 
-    def signs(self):
-        return tuple(m.det() for m in self.elements)
-
 
 class RootDatum:
     def __init__(self, simple_roots, simple_coroots, rank=None, name=None,
@@ -106,16 +105,15 @@ class RootDatum:
                 if (cartan[i][j] == 0) != (cartan[j][i] == 0):
                     raise RootDatumError(
                         f"asymmetric orthogonality between simples {i} and {j}")
-        if s:
-            if _rational_rank(self.simple_roots.data) != s:
-                raise RootDatumError("simple roots are linearly dependent")
-            if _rational_rank(self.simple_coroots.data) != s:
-                raise RootDatumError("simple coroots are linearly dependent")
+        if self.simple_roots.rank() != s:
+            raise RootDatumError("simple roots are linearly dependent")
+        if self.simple_coroots.rank() != s:
+            raise RootDatumError("simple coroots are linearly dependent")
 
     def _validate_system(self):
         # The finite-type test bounds the root-orbit closure that follows,
         # so an infinite-type Cartan matrix never starts it.
-        _check_finite_type(self.cartan_matrix)
+        _check_finite_type(self.cartan_matrix, self.symmetrizer)
         pairs = self.root_pairs
         roots = [p[0] for p in pairs]
         root_set = set(roots)
@@ -140,6 +138,44 @@ class RootDatum:
                   for j in range(self.num_simple))
             for i in range(self.num_simple)
         )
+
+    @cached_property
+    def _cartan_walk(self):
+        # One walk of the Cartan graph gives its components and the
+        # symmetrizer: d solves d_j a_ij = d_i a_ji along each edge, and a
+        # cycle that forces two values of some d_j makes the Cartan matrix
+        # non-symmetrizable, hence not of finite type.
+        cartan = self.cartan_matrix
+        s = self.num_simple
+        d = [None] * s
+        comps = []
+        for start in range(s):
+            if d[start] is not None:
+                continue
+            d[start] = Fraction(1)
+            stack, comp = [start], []
+            while stack:
+                i = stack.pop()
+                comp.append(i)
+                for j in range(s):
+                    if j == i or cartan[i][j] == 0:
+                        continue
+                    dj = d[i] * cartan[j][i] / cartan[i][j]
+                    if d[j] is None:
+                        d[j] = dj
+                        stack.append(j)
+                    elif d[j] != dj:
+                        raise RootDatumError(
+                            "Cartan matrix is not symmetrizable; "
+                            "datum is not of finite type")
+            comps.append(tuple(sorted(comp)))
+        return tuple(d), tuple(comps)
+
+    @property
+    def symmetrizer(self):
+        """Rationals d with (a_ij d_j) symmetric, d = 1 on the first index
+        of each component of the Cartan graph."""
+        return self._cartan_walk[0]
 
     def reflection_coweight(self, i):
         """Matrix of s_i on the coweight lattice: x -> x - <alpha_i, x> coroot_i."""
@@ -186,6 +222,21 @@ class RootDatum:
 
     def weyl_group(self) -> WeylGroup:
         return self._weyl
+
+    def weyl_order(self):
+        """|W| from the root heights, without enumerating W.
+
+        |W| is the product of (e + 1) over the exponents e, and by Kostant
+        the number of exponents >= k is the number of positive roots of
+        height k; both hold component by component, so for any datum.
+        """
+        heights = Counter(
+            sum(solve_left_rational(self.simple_roots.data, beta))
+            for beta, _ in self.positive_root_pairs)
+        order = 1
+        for k, n in heights.items():
+            order *= (k + 1) ** (n - heights[k + 1])
+        return int(order)
 
     @cached_property
     def root_pairs(self):
@@ -318,26 +369,10 @@ class RootDatum:
 
     # -- components and Coxeter data ----------------------------------------
 
-    @cached_property
+    @property
     def components(self):
         """Connected components of the Cartan graph, as index tuples."""
-        s = self.num_simple
-        seen = [False] * s
-        comps = []
-        for start in range(s):
-            if seen[start]:
-                continue
-            stack, comp = [start], []
-            seen[start] = True
-            while stack:
-                i = stack.pop()
-                comp.append(i)
-                for j in range(s):
-                    if not seen[j] and self.cartan_matrix[i][j] != 0:
-                        seen[j] = True
-                        stack.append(j)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+        return self._cartan_walk[1]
 
     def is_irreducible(self):
         return len(self.components) == 1
@@ -359,14 +394,10 @@ class RootDatum:
         dominant = [(b, cb) for b, cb in self.root_pairs
                     if self.is_dominant_weight(b)]
         for beta, cobeta in dominant:
-            if all(self._cone_leq_rational(vec_sub(beta, other), self.simple_roots.data)
+            if all(self._cone_leq(vec_sub(beta, other), self.simple_roots.data)
                    for other, _ in self.root_pairs):
                 return beta, cobeta
         raise RootDatumError("no highest root found")
-
-    def _cone_leq_rational(self, diff, generators):
-        coeffs = solve_left_rational(generators, diff)
-        return coeffs is not None and all(c >= 0 for c in coeffs)
 
     def dual_coxeter_and_iota(self):
         """Dual Coxeter number and the normalized sum-over-roots map.
@@ -380,18 +411,8 @@ class RootDatum:
         if pairing.denominator != 1:
             raise RootDatumError("<rho, theta_coroot> is not an integer")
         h = 1 + int(pairing)
-        n = self.rank
-        k = [[0] * n for _ in range(n)]
-        for beta, _ in self.root_pairs:
-            for a in range(n):
-                for b in range(n):
-                    k[a][b] += beta[a] * beta[b]
-        j = [[Fraction(k[a][b], 2 * h) for b in range(n)] for a in range(n)]
-        # sanity: (1/2) sum <beta, lam>^2 = h <iota(lam), lam> as quadratic forms
-        for a in range(n):
-            for b in range(n):
-                assert Fraction(k[a][b], 2) == h * j[a][b]
-        return h, tuple(tuple(row) for row in j)
+        k = outer_sum((beta for beta, _ in self.root_pairs), self.rank)
+        return h, tuple(tuple(Fraction(x, 2 * h) for x in row) for row in k.data)
 
     def iota_pairing(self, lam, mu):
         """The normalized pairing (lam, mu) = <iota(lam), mu> on coweights."""
@@ -439,37 +460,16 @@ class RootDatum:
         return f"RootDatum({label})"
 
 
-def _check_finite_type(cartan):
-    """Raise unless the Cartan matrix is of finite type.
+def _check_finite_type(cartan, d):
+    """Raise unless the Cartan matrix, with symmetrizer d, is of finite type.
 
     A generalized Cartan matrix is of finite type iff it is symmetrizable
-    and its symmetrization is positive definite (Kac, *Infinite-dimensional
-    Lie algebras*, Ch. 4).  The symmetrizer d solves d_j a_ij = d_i a_ji
-    along the edges of the Cartan graph, so that (a_ij d_j) is symmetric;
-    a cycle that forces two values of some d_j makes the matrix
-    non-symmetrizable.  Definiteness is read off the Fraction pivots of
-    symmetric Gaussian elimination (Sylvester's criterion).
+    and its symmetrization (a_ij d_j) is positive definite (Kac,
+    *Infinite-dimensional Lie algebras*, Ch. 4).  Definiteness is read off
+    the Fraction pivots of symmetric Gaussian elimination, taken in order
+    without row swaps (Sylvester's criterion).
     """
     s = len(cartan)
-    d = [None] * s
-    for start in range(s):
-        if d[start] is not None:
-            continue
-        d[start] = Fraction(1)
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(s):
-                if j == i or cartan[i][j] == 0:
-                    continue
-                dj = d[i] * cartan[j][i] / cartan[i][j]
-                if d[j] is None:
-                    d[j] = dj
-                    stack.append(j)
-                elif d[j] != dj:
-                    raise RootDatumError(
-                        "Cartan matrix is not symmetrizable; "
-                        "datum is not of finite type")
     m = [[cartan[i][j] * d[j] for j in range(s)] for i in range(s)]
     for k in range(s):
         pivot = m[k][k]
@@ -482,27 +482,6 @@ def _check_finite_type(cartan):
             if f:
                 for j in range(k + 1, s):
                     m[i][j] -= f * m[k][j]
-
-
-def _rational_rank(rows):
-    mat = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        r += 1
-        rank += 1
-    return rank
 
 
 # -- standard groups ----------------------------------------------------------

@@ -210,3 +210,33 @@ class TestMalformedInput:
         res = run("incidence", "--rank", "2", "--a", "1", "--b", "1")
         self.assert_usage_error(res)
         assert "--rank 2" in res.output
+
+    def test_form_file_holding_a_list(self, tmp_path):
+        form = tmp_path / "form.json"
+        form.write_text("[1, 2]")
+        res = run("dual", "--form-file", str(form))
+        self.assert_usage_error(res)
+        assert "JSON object" in res.output
+
+    def test_form_file_naming_a_datum_by_a_number(self, tmp_path):
+        form = tmp_path / "form.json"
+        form.write_text(json.dumps({"root_datum": 5, "gram_rational": [[[1, 1]]],
+                                    "gram_transcendental": [[[0, 1]]]}))
+        res = run("dual", "--form-file", str(form))
+        self.assert_usage_error(res)
+        assert "root_datum" in res.output
+
+    def test_form_file_with_malformed_gram_entries(self, tmp_path):
+        form = tmp_path / "form.json"
+        form.write_text(json.dumps({"gram_rational": [[1]],
+                                    "gram_transcendental": [[[0, 1]]]}))
+        res = run("dual", "--group", "SL2", "--form-file", str(form))
+        self.assert_usage_error(res)
+        assert "[numerator, denominator]" in res.output
+
+    def test_root_datum_file_holding_a_list(self, tmp_path):
+        f = tmp_path / "rd.json"
+        f.write_text("[[2], [1]]")
+        res = run("validate", "--rd-file", str(f))
+        self.assert_usage_error(res)
+        assert "JSON object" in res.output

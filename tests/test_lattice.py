@@ -1,4 +1,5 @@
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -257,6 +258,87 @@ class TestHelpers:
         with pytest.raises(ValueError):
             invert_rational([[Fraction(1), Fraction(1)],
                              [Fraction(1), Fraction(1)]])
+
+
+@pytest.fixture
+def props():
+    """Hypothesis, sympy and random integer matrices up to 6x6."""
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+
+    def matrices(rows, cols):
+        return st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
+                        min_size=rows, max_size=rows)
+
+    return types.SimpleNamespace(
+        given=hypothesis.given,
+        settings=hypothesis.settings(max_examples=150, deadline=None),
+        st=st,
+        sympy=sympy,
+        square=st.integers(1, 6).flatmap(lambda n: matrices(n, n)),
+        rect=st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+            lambda rc: matrices(*rc)),
+    )
+
+
+class TestEliminationProperties:
+    """det, rank, invert_rational and solve_left_rational share one
+    Gauss-Jordan routine; each is checked against sympy."""
+
+    def test_det_matches_sympy(self, props):
+        @props.settings
+        @props.given(props.square)
+        def check(a):
+            assert IntMatrix(a).det() == props.sympy.Matrix(a).det()
+        check()
+
+    def test_rank_matches_sympy(self, props):
+        @props.settings
+        @props.given(props.rect)
+        def check(a):
+            assert IntMatrix(a).rank() == props.sympy.Matrix(a).rank()
+        check()
+
+    def test_inverse_or_singular(self, props):
+        @props.settings
+        @props.given(props.square)
+        def check(a):
+            n = len(a)
+            if props.sympy.Matrix(a).det() == 0:
+                with pytest.raises(ValueError):
+                    invert_rational(a)
+                return
+            inv = invert_rational(a)
+            prod = [[sum(inv[i][k] * a[k][j] for k in range(n)) for j in range(n)]
+                    for i in range(n)]
+            assert prod == [[int(i == j) for j in range(n)] for i in range(n)]
+        check()
+
+    def test_left_solve_reproduces_target_or_is_inconsistent(self, props):
+        st = props.st
+
+        @props.settings
+        @props.given(props.rect, st.data())
+        def check(rows, data):
+            cols = len(rows[0])
+            if data.draw(st.booleans()):
+                # a target in the row span, so consistent systems come up often
+                coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows),
+                                            max_size=len(rows)))
+                target = [sum(c * row[j] for c, row in zip(coeffs, rows))
+                          for j in range(cols)]
+            else:
+                target = data.draw(st.lists(st.integers(-3, 3), min_size=cols,
+                                            max_size=cols))
+            sol = solve_left_rational(rows, target)
+            if sol is None:
+                system = props.sympy.Matrix(rows).T
+                assert system.rank() < system.row_join(props.sympy.Matrix(target)).rank()
+            else:
+                assert [sum(x * row[j] for x, row in zip(sol, rows))
+                        for j in range(cols)] == target
+        check()
 
 
 class TestFGAbelianGroup:

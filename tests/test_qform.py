@@ -20,6 +20,7 @@ from twistdual.qform import (
     half_forms_qform,
     invariant_gram_basis,
     kernel,
+    killing_matrix,
     killing_qform,
     minimal_even_gram,
     normalized_killing_gram,
@@ -438,6 +439,13 @@ class TestCartanDatum:
         assert CartanDatum.standard(SP4).f == (2, 1)
         assert CartanDatum.standard(SP4, scale=2).f == (4, 2)
 
+    @pytest.mark.parametrize("label,f", [
+        ("G2", (3, 1)), ("PGL3", (1, 1)), ("GL2xT2", (1,)),
+        ("SL2xG2", (3, 3, 1)), ("Sp4xG2xSL3", (6, 3, 6, 2, 6, 6)),
+    ])
+    def test_standard_values_more_labels(self, label, f):
+        assert CartanDatum.standard(standard(label)).f == f
+
     def test_diagonal_even_positive(self):
         for rd in (SL3, SP4, G2):
             cd = CartanDatum.standard(rd)
@@ -480,6 +488,19 @@ class TestGramHelpers:
                 lengths.append(sum(g[a][b] * cor[a] * cor[b]
                                    for a in range(rd.rank) for b in range(rd.rank)))
             assert min(lengths) == 2
+
+    @pytest.mark.parametrize("label", ["SL2xG2", "SL3xSp4", "GL3"])
+    def test_component_killing_sums_to_half_forms(self, label):
+        # both are sums of beta beta^T, over all roots once split by component
+        rd = standard(label)
+        total = [[0] * rd.rank for _ in range(rd.rank)]
+        for ci in range(len(rd.components)):
+            k = killing_matrix(rd, ci)
+            for a in range(rd.rank):
+                for b in range(rd.rank):
+                    total[a][b] += k.data[a][b]
+        g0 = half_forms_qform(rd).g0
+        assert total == [[2 * x for x in row] for row in g0]
 
     def test_minimal_even_gram_pgl2(self):
         g, m = minimal_even_gram(PGL2)

@@ -158,6 +158,19 @@ class TestWeylGroup:
         for n in (2, 3, 4, 5):
             assert standard(f"SL{n}").weyl_group().order == math.factorial(n)
 
+    @pytest.mark.parametrize("name", [
+        "SL2", "SL3", "SL4", "SL5", "SL6", "PGL3", "GL1", "GL3", "Sp4", "G2",
+        "torus2", "Sp4xSp4", "SL3xSp4xSL2", "GL2xT2", "SL2xG2",
+    ])
+    def test_order_from_root_heights(self, name):
+        rd = standard(name)
+        assert rd.weyl_order() == rd.weyl_group().order
+
+    def test_order_from_root_heights_is_lazy(self):
+        rd = standard("SL9")
+        assert rd.weyl_order() == math.factorial(9)
+        assert "_weyl" not in rd.__dict__
+
     def test_closure_is_lazy(self):
         rd = standard("SL6")
         assert "_weyl" not in rd.__dict__
