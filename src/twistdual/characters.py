@@ -1,8 +1,12 @@
 """Character-level oracle for dual groups.
 
-Weight multiplicities by Freudenthal's recursion (cross-checked against a
-Weyl alternating-sum brute force in small rank), tensor decomposition by
-highest-weight extraction, and the numeric predictions for convolution:
+Weight multiplicities by Freudenthal's recursion, run in integers: doubled
+vectors 2 mu + 2 rho against the integer Gram of the coroots, and each
+weight's root coordinates below the highest weight carried from layer to
+layer so that root strings end without a dominance test (cross-checked
+against a Weyl alternating-sum brute force in small rank).  Tensor
+decomposition by highest-weight extraction, each constituent's character
+computed once, and the numeric predictions for convolution:
 highest-weight multiplicity one, the dominance bound, and fiber-dimension
 arithmetic.
 """
@@ -15,7 +19,7 @@ from functools import lru_cache
 
 from .dualgroup import TwistedDual, twisted_dual
 from .lattice import outer_sum
-from .qform import QForm, _gram_pair, braiding_signs, kernel
+from .qform import QForm, braiding_signs, kernel
 from .rootdata import RootDatum, dot, vec_add, vec_sub
 
 
@@ -66,7 +70,7 @@ class Character:
 
 def irreducible_character(rd: RootDatum, highest, crosscheck=None) -> Character:
     """Weight multiplicities of the irreducible with the given highest
-    weight, by Freudenthal's recursion.
+    weight, by Freudenthal's recursion in integers.
 
     For data with at most two simple roots the result is checked against
     the Weyl alternating-sum brute force (pass crosscheck=False to skip).
@@ -74,49 +78,60 @@ def irreducible_character(rd: RootDatum, highest, crosscheck=None) -> Character:
     highest = tuple(int(x) for x in highest)
     if not rd.is_dominant_weight(highest):
         raise CharacterError(f"{highest} is not dominant")
-    pos = rd.positive_root_pairs
     # W-invariant inner product on the weight side, the sum over coroots of
     # the squared pairing: positive definite on the root span, which is all
     # Freudenthal needs; the normalization drops out of the recursion.
-    g = outer_sum((cobeta for _, cobeta in rd.root_pairs), rd.rank).data
-    rho = rd.rho
-    lam_rho = tuple(Fraction(x) + r for x, r in zip(highest, rho))
-    norm_top = _gram_pair(g, lam_rho, lam_rho)
+    g = outer_sum((cobeta for _, cobeta in rd.root_pairs), rd.rank)
+    # per positive root: beta, its root coordinates, g beta and |beta|^2
+    roots = []
+    for beta, _ in rd.positive_root_pairs:
+        g_beta = g.mul_vec(beta)
+        roots.append((beta, rd.root_coordinates(beta), g_beta, dot(beta, g_beta)))
+    simple = [rd.simple_roots.row(i) for i in range(rd.num_simple)]
+    two_rho = rd.two_rho
 
+    def norm(mu):
+        # |2 mu + 2 rho|^2 in g
+        v = tuple(2 * m + r for m, r in zip(mu, two_rho))
+        return dot(v, g.mul_vec(v))
+
+    norm_top = norm(highest)
+    # (|lam + rho|^2 - |mu + rho|^2) m(mu)
+    #     = 2 sum_{beta > 0, k >= 1} m(mu + k beta) (mu + k beta, beta),
+    # times 4 on both sides to stay in integers.  A weight's depth is the
+    # root coordinates of highest - mu, so mu + k beta lies below the
+    # highest weight while depth - k * coordinates(beta) stays >= 0.
     mults = {highest: 1}
-    layer = [highest]
+    layer = {highest: (0,) * rd.num_simple}
     while layer:
-        candidates = set()
-        for mu in layer:
-            for i in range(rd.num_simple):
-                candidates.add(vec_sub(mu, rd.simple_roots.row(i)))
-        next_layer = []
-        for mu in sorted(candidates):
-            if mu in mults:
-                continue
-            rhs = Fraction(0)
-            for beta, _ in pos:
-                k = 1
-                while True:
-                    up = tuple(m + k * b for m, b in zip(mu, beta))
-                    m_up = mults.get(up, 0)
+        candidates = {}
+        for mu, depth in layer.items():
+            for i, alpha in enumerate(simple):
+                candidates[vec_sub(mu, alpha)] = depth[:i] + (depth[i] + 1,) + depth[i + 1:]
+        next_layer = {}
+        for mu, depth in candidates.items():
+            rhs = 0
+            for beta, coords, g_beta, beta_sq in roots:
+                steps = min(d // c for d, c in zip(depth, coords) if c)
+                mu_beta = dot(mu, g_beta)
+                for k in range(1, steps + 1):
+                    m_up = mults.get(tuple(m + k * b for m, b in zip(mu, beta)))
                     if m_up:
-                        rhs += 2 * m_up * _gram_pair(g, up, beta)
-                    if not rd.weight_leq(up, highest):
-                        break
-                    k += 1
+                        rhs += m_up * (mu_beta + k * beta_sq)
             if rhs == 0:
                 continue
-            mu_rho = tuple(Fraction(x) + r for x, r in zip(mu, rho))
-            denom = norm_top - _gram_pair(g, mu_rho, mu_rho)
+            denom = norm_top - norm(mu)
             if denom == 0:
                 raise CharacterError(f"vanishing Freudenthal denominator at {mu}")
-            m = rhs / denom
-            if m.denominator != 1 or m < 0:
-                raise CharacterError(f"non-integral multiplicity {m} at {mu}")
+            m, r = divmod(8 * rhs, denom)
+            if r:
+                raise CharacterError(
+                    f"non-integral multiplicity {Fraction(8 * rhs, denom)} at {mu}")
+            if m < 0:
+                raise CharacterError(f"negative multiplicity {m} at {mu}")
             if m:
-                mults[mu] = int(m)
-                next_layer.append(mu)
+                mults[mu] = m
+                next_layer[mu] = depth
         layer = next_layer
 
     char = Character.build(rd, mults, highest=highest)
@@ -131,39 +146,27 @@ def irreducible_character(rd: RootDatum, highest, crosscheck=None) -> Character:
     return char
 
 
-def _root_coeffs(rd: RootDatum, v):
-    """Coordinates of v in the simple-root basis, or None outside the span."""
-    from .lattice import solve_left_rational
-    return solve_left_rational(rd.simple_roots.data, v)
-
-
 def kostant_partition(rd: RootDatum, v) -> int:
     """Number of ways to write v as a nonnegative integer sum of positive
     roots (the independent counting oracle behind the Weyl sum)."""
-    coeffs = _root_coeffs(rd, v)
-    if coeffs is None or any(c.denominator != 1 or c < 0 for c in coeffs):
+    target = rd.root_coordinates(v)
+    if target is None or any(c < 0 for c in target):
         return 0
-    target = tuple(int(c) for c in coeffs)
-    pos = []
-    for beta, _ in rd.positive_root_pairs:
-        c = tuple(int(x) for x in _root_coeffs(rd, beta))
-        pos.append(c)
-    pos.sort(reverse=True)
+    # Only the roots of height >= 2 are enumerated: what they leave, if
+    # nonnegative, is a sum of simple roots in exactly one way.
+    coords = [rd.root_coordinates(beta) for beta, _ in rd.positive_root_pairs]
+    pos = sorted((c for c in coords if sum(c) > 1), reverse=True)
 
     @lru_cache(maxsize=None)
     def count(remaining, idx):
-        if not any(remaining):
-            return 1
         if idx == len(pos):
-            return 0
+            return 1
         total = 0
         step = pos[idx]
-        k = 0
         cur = remaining
         while all(x >= 0 for x in cur):
             total += count(cur, idx + 1)
             cur = tuple(x - s for x, s in zip(cur, step))
-            k += 1
         return total
 
     out = count(target, 0)
@@ -176,18 +179,18 @@ def weyl_multiplicity(rd: RootDatum, highest, weight) -> int:
     the Weyl group of Kostant partition counts."""
     highest = tuple(int(x) for x in highest)
     weight = tuple(int(x) for x in weight)
-    rho = rd.rho
-    lam_rho = tuple(Fraction(x) + r for x, r in zip(highest, rho))
+    two_rho = rd.two_rho
+    two_lam_rho = tuple(2 * x + r for x, r in zip(highest, two_rho))
     total = 0
     for w in rd.weyl_group().elements:
-        sign = w.det()
-        wt = w.transpose()  # action on the weight side
-        moved = tuple(sum(wt.data[a][b] * lam_rho[b] for b in range(rd.rank))
-                      for a in range(rd.rank))
-        arg = tuple(moved[a] - rho[a] - weight[a] for a in range(rd.rank))
-        if any(x.denominator != 1 for x in arg):
+        # 2 (w(lam + rho) - rho - weight); w acts on weights by its transpose
+        arg = tuple(sum(w.data[b][a] * two_lam_rho[b] for b in range(rd.rank))
+                    - two_rho[a] - 2 * weight[a] for a in range(rd.rank))
+        if any(x % 2 for x in arg):
             continue
-        total += sign * kostant_partition(rd, tuple(int(x) for x in arg))
+        count = kostant_partition(rd, tuple(x // 2 for x in arg))
+        if count:
+            total += w.det() * count
     return total
 
 
@@ -224,6 +227,7 @@ def tensor_decompose(c1: Character, c2: Character):
     for _, cobeta in rd.positive_root_pairs:
         rho_check = [a + b for a, b in zip(rho_check, cobeta)]
     out = {}
+    pieces = {}
     while remaining:
         top = max(remaining, key=lambda w: (dot(w, rho_check), w))
         if not rd.is_dominant_weight(top):
@@ -231,8 +235,8 @@ def tensor_decompose(c1: Character, c2: Character):
         mult = remaining[top]
         if mult < 0:
             raise CharacterError(f"negative multiplicity at {top}")
-        piece = irreducible_character(rd, top, crosscheck=False)
-        for w, m in piece.multiplicities:
+        pieces[top] = irreducible_character(rd, top, crosscheck=False)
+        for w, m in pieces[top].multiplicities:
             left = remaining.get(w, 0) - mult * m
             if left < 0:
                 raise CharacterError(f"inconsistent product at {w}")
@@ -244,7 +248,7 @@ def tensor_decompose(c1: Character, c2: Character):
     # the constituents must reassemble the product exactly
     rebuilt = {}
     for top, mult in out.items():
-        for w, m in irreducible_character(rd, top, crosscheck=False).multiplicities:
+        for w, m in pieces[top].multiplicities:
             rebuilt[w] = rebuilt.get(w, 0) + mult * m
     assert rebuilt == product
     return out

@@ -20,7 +20,7 @@ from . import dualgroup as dg
 from . import grcomb as gc
 from . import qform as qf
 from . import rootdata as rdmod
-from .lattice import Sublattice
+from .lattice import NonIntegerEntryError, Sublattice
 from .qform import Exponent, QForm
 
 
@@ -52,7 +52,8 @@ def _load_datum(group, rd_file):
         if not isinstance(raw, dict):
             raise click.UsageError("root datum file must hold a JSON object")
         return rdmod.RootDatum.from_dict(raw)
-    except (OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, NonIntegerEntryError,
+            json.JSONDecodeError) as exc:
         raise click.UsageError(f"cannot load root datum: {exc}") from None
     except ValueError as exc:
         raise DomainError(str(exc)) from None
@@ -167,7 +168,10 @@ def dual(group, rd_file, q_exp, q_tau, form_file, mode, emit):
     click.echo(f"mode: {mode}")
     _echo_dual(td)
     if emit:
-        Path(emit).write_text(json.dumps(td.to_dict(), indent=2) + "\n")
+        try:
+            Path(emit).write_text(json.dumps(td.to_dict(), indent=2) + "\n")
+        except OSError as exc:
+            raise click.UsageError(f"cannot write --emit file: {exc}") from None
 
 
 @main.command("langlands")
@@ -429,6 +433,8 @@ def validate(group, rd_file):
 def verify_forms(group, rd_file, samples, seed, coord_bound):
     """Spot-check the form laws and the divisor ledger on random forms."""
     rd = _load_datum(group, rd_file)
+    if rd.rank == 0:
+        raise click.UsageError("verify-forms needs a datum of rank >= 1")
     basis = qf.invariant_gram_basis(rd)
     rng = random.Random(seed)
 

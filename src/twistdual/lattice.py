@@ -13,13 +13,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+class NonIntegerEntryError(ValueError):
+    """A matrix entry is not an integer."""
+
+
 class IntMatrix:
     """Immutable integer matrix stored as a tuple of row tuples."""
 
     __slots__ = ("data", "rows", "cols")
 
     def __init__(self, data, cols=None):
-        rows = tuple(tuple(int(x) for x in row) for row in data)
+        rows = tuple(_int_row(row) for row in data)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -108,6 +112,18 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.data]!r})"
+
+
+def _int_row(row):
+    row = tuple(row)
+    try:
+        ints = tuple(map(int, row))
+    except (OverflowError, ValueError) as exc:
+        raise NonIntegerEntryError(f"matrix entry is not an integer: {exc}") from None
+    if ints != row:
+        bad = next(x for x, y in zip(row, ints) if x != y)
+        raise NonIntegerEntryError(f"matrix entry {bad!r} is not an integer")
+    return ints
 
 
 def _identity_list(n):
@@ -557,6 +573,27 @@ def outer_sum(vectors, dim) -> IntMatrix:
                 for b, vb in enumerate(v):
                     row[b] += va * vb
     return IntMatrix(k, cols=dim)
+
+
+def integral_left_inverse(rows, width):
+    """Integer coordinates against linearly independent integer rows.
+
+    Returns (pivots, inverse, den): the pivot columns P of the rows, and
+    the integer matrix `inverse` with inverse / den the inverse of the
+    minor rows[:, P], stored by columns, so that the coefficients of a
+    vector v in the span are x_i = (v[P] . inverse[i]) / den.
+    """
+    s = len(rows)
+    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(s)]
+            for i, row in enumerate(rows)]
+    work, pivots, _ = _eliminate(work, width)
+    if len(pivots) < s:
+        raise ValueError("rows are linearly dependent")
+    # the row operations that reduce the rows invert their pivot minor
+    inv = [row[width:] for row in work]
+    den = common_denominator(x for row in inv for x in row)
+    cols = tuple(tuple(int(inv[j][i] * den) for j in range(s)) for i in range(s))
+    return tuple(c for c, _ in pivots), cols, den
 
 
 def invert_rational(mat):

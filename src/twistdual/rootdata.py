@@ -20,9 +20,9 @@ from .lattice import (
     FGAbelianGroup,
     IntMatrix,
     Sublattice,
+    integral_left_inverse,
     outer_sum,
     quotient_group,
-    solve_left_rational,
 )
 
 
@@ -230,13 +230,12 @@ class RootDatum:
         the number of exponents >= k is the number of positive roots of
         height k; both hold component by component, so for any datum.
         """
-        heights = Counter(
-            sum(solve_left_rational(self.simple_roots.data, beta))
-            for beta, _ in self.positive_root_pairs)
+        heights = Counter(sum(self.root_coordinates(beta))
+                          for beta, _ in self.positive_root_pairs)
         order = 1
         for k, n in heights.items():
             order *= (k + 1) ** (n - heights[k + 1])
-        return int(order)
+        return order
 
     @cached_property
     def root_pairs(self):
@@ -267,9 +266,10 @@ class RootDatum:
     def positive_root_pairs(self):
         out = []
         for beta, cobeta in self.root_pairs:
-            coeffs = solve_left_rational(self.simple_roots.data, beta)
+            coeffs = self.root_coordinates(beta)
             if coeffs is None:
-                raise RootDatumError(f"root {beta} outside the simple-root span")
+                raise RootDatumError(
+                    f"root {beta} is not an integer sum of simple roots")
             if all(c >= 0 for c in coeffs):
                 out.append((beta, cobeta))
         if 2 * len(out) != len(self.root_pairs):
@@ -308,23 +308,36 @@ class RootDatum:
         return all(dot(v, self.simple_coroots.row(i)) >= 0
                    for i in range(self.num_simple))
 
-    def _cone_leq(self, diff, generators):
-        coeffs = solve_left_rational(generators, diff)
-        if coeffs is None:
-            return False
-        return all(c.denominator == 1 and c >= 0 for c in coeffs)
+    # -- integer coordinates -------------------------------------------------
+
+    @cached_property
+    def _root_chart(self):
+        return integral_left_inverse(self.simple_roots.data, self.rank)
+
+    @cached_property
+    def _coroot_chart(self):
+        return integral_left_inverse(self.simple_coroots.data, self.rank)
+
+    def root_coordinates(self, v):
+        """Integer coefficients of v in the simple roots, or None when v is
+        outside their span or the coefficients are not integers."""
+        return _coordinates(self.simple_roots.data, self._root_chart, v)
+
+    def coroot_coordinates(self, v):
+        """Integer coefficients of v in the simple coroots, or None."""
+        return _coordinates(self.simple_coroots.data, self._coroot_chart, v)
+
+    @staticmethod
+    def _cone_leq(coeffs):
+        return coeffs is not None and all(c >= 0 for c in coeffs)
 
     def coweight_leq(self, lam, mu):
         """lam <= mu iff mu - lam is a nonnegative integer sum of simple coroots."""
-        if self.num_simple == 0:
-            return tuple(lam) == tuple(mu)
-        return self._cone_leq(vec_sub(mu, lam), self.simple_coroots.data)
+        return self._cone_leq(self.coroot_coordinates(vec_sub(mu, lam)))
 
     def weight_leq(self, lam, mu):
         """Dominance on the weight side, against the simple roots."""
-        if self.num_simple == 0:
-            return tuple(lam) == tuple(mu)
-        return self._cone_leq(vec_sub(mu, lam), self.simple_roots.data)
+        return self._cone_leq(self.root_coordinates(vec_sub(mu, lam)))
 
     def dominance(self, lam, mu) -> Dominance:
         lam, mu = tuple(lam), tuple(mu)
@@ -378,14 +391,10 @@ class RootDatum:
         return len(self.components) == 1
 
     def component_root_pairs(self, component_index):
-        comp = self.components[component_index]
-        gens = [self.simple_roots.row(i) for i in comp]
-        out = []
-        for beta, cobeta in self.root_pairs:
-            coeffs = solve_left_rational(gens, beta)
-            if coeffs is not None:
-                out.append((beta, cobeta))
-        return tuple(out)
+        comp = set(self.components[component_index])
+        return tuple((beta, cobeta) for beta, cobeta in self.root_pairs
+                     if all(i in comp for i, c in
+                            enumerate(self.root_coordinates(beta)) if c))
 
     def highest_root(self):
         """The dominant root that dominates every other root."""
@@ -394,8 +403,7 @@ class RootDatum:
         dominant = [(b, cb) for b, cb in self.root_pairs
                     if self.is_dominant_weight(b)]
         for beta, cobeta in dominant:
-            if all(self._cone_leq(vec_sub(beta, other), self.simple_roots.data)
-                   for other, _ in self.root_pairs):
+            if all(self.weight_leq(other, beta) for other, _ in self.root_pairs):
                 return beta, cobeta
         raise RootDatumError("no highest root found")
 
@@ -458,6 +466,24 @@ class RootDatum:
     def __repr__(self):
         label = self.name or f"rank-{self.rank} datum"
         return f"RootDatum({label})"
+
+
+def _coordinates(rows, chart, v):
+    """Integer x with sum_i x_i rows[i] = v, or None; `chart` is the
+    rows' `integral_left_inverse`."""
+    pivots, inverse, den = chart
+    vp = [v[p] for p in pivots]
+    out = []
+    for col in inverse:
+        x, r = divmod(sum(a * b for a, b in zip(vp, col)), den)
+        if r:
+            return None
+        out.append(x)
+    # x matches v on the pivot columns; the others decide whether v is in the span
+    for j, vj in enumerate(v):
+        if j not in pivots and sum(x * row[j] for x, row in zip(out, rows)) != vj:
+            return None
+    return tuple(out)
 
 
 def _check_finite_type(cartan, d):

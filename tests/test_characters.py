@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,6 +22,11 @@ SL2 = standard("SL2")
 SL3 = standard("SL3")
 SP4 = standard("Sp4")
 PGL2 = standard("PGL2")
+
+RANK_ONE = ("SL2", "PGL2", "GL1", "T1")
+RANK_AT_MOST_TWO = (RANK_ONE + ("SL3", "PGL3", "GL2", "Sp4", "G2", "T2")
+                    + tuple(f"{a}x{b}" for i, a in enumerate(RANK_ONE)
+                            for b in RANK_ONE[i:]))
 
 
 class TestIrreducibleCharacter:
@@ -62,6 +68,33 @@ class TestIrreducibleCharacter:
             c = irreducible_character(rd, hw, crosscheck=False)
             for w, m in c.multiplicities:
                 assert weyl_multiplicity(rd, hw, w) == m
+
+    @pytest.mark.parametrize("name", RANK_AT_MOST_TWO)
+    def test_integer_freudenthal_matches_weyl_sum(self, name):
+        # every dominant highest weight with entries in [-3, 3]; equal
+        # multiplicities on the support and equal dimensions leave no
+        # weight out
+        rd = standard(name)
+        for hw in itertools.product(range(-3, 4), repeat=rd.rank):
+            if not rd.is_dominant_weight(hw):
+                continue
+            c = irreducible_character(rd, hw, crosscheck=False)
+            for w, m in c.multiplicities:
+                assert weyl_multiplicity(rd, hw, w) == m, (name, hw, w)
+            assert c.dim() == weyl_dim(rd, hw)
+
+    @pytest.mark.parametrize("name", ["SL4", "GL3", "PGL4", "SL3xSL2"])
+    def test_integer_freudenthal_matches_weyl_dim(self, name):
+        rd = standard(name)
+        for hw in itertools.product(range(-2, 3), repeat=rd.rank):
+            if rd.is_dominant_weight(hw):
+                assert irreducible_character(rd, hw).dim() == weyl_dim(rd, hw), hw
+
+    def test_sl5_two_rho(self):
+        rd = standard("SL5")
+        c = irreducible_character(rd, rd.two_rho)
+        assert c.dim() == weyl_dim(rd, rd.two_rho) == 3 ** 10
+        assert c.as_dict()[(0, 0, 0, 0)] == 219
 
     def test_invariants_enforced(self):
         with pytest.raises(CharacterError):

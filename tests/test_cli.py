@@ -240,3 +240,21 @@ class TestMalformedInput:
         res = run("validate", "--rd-file", str(f))
         self.assert_usage_error(res)
         assert "JSON object" in res.output
+
+    def test_root_datum_file_with_a_fractional_entry(self, tmp_path):
+        f = tmp_path / "rd.json"
+        f.write_text(json.dumps({"rank": 1, "simple_roots": [[2.5]],
+                                 "simple_coroots": [[1]]}))
+        res = run("validate", "--rd-file", str(f))
+        self.assert_usage_error(res)
+        assert "2.5" in res.output
+
+    def test_dual_emit_into_a_missing_directory(self, tmp_path):
+        res = run("dual", "--group", "SL2", "--emit", str(tmp_path / "missing" / "x.json"))
+        self.assert_usage_error(res)
+        assert "--emit" in res.output
+
+    def test_verify_forms_on_rank_zero(self):
+        res = run("verify-forms", "--group", "torus0")
+        self.assert_usage_error(res)
+        assert "rank" in res.output

@@ -254,6 +254,14 @@ class TestHelpers:
         assert sol == (Fraction(2), Fraction(1))
         assert solve_left_rational([(1, 0)], (0, 1)) is None
 
+    @pytest.mark.parametrize("entry", [2.5, Fraction(1, 2), "3", float("inf")])
+    def test_non_integer_entries_rejected(self, entry):
+        with pytest.raises(ValueError):
+            IntMatrix([[1, entry]])
+
+    def test_integral_entries_of_other_types_accepted(self):
+        assert IntMatrix([[2.0, Fraction(4, 2)]]).data == ((2, 2),)
+
     def test_invert_rational_singular(self):
         with pytest.raises(ValueError):
             invert_rational([[Fraction(1), Fraction(1)],

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from twistdual.lattice import IntMatrix
+from twistdual.lattice import IntMatrix, inverse_unimodular, solve_left_rational
 from twistdual.rootdata import (
     Dominance,
     RootDatum,
@@ -227,6 +227,73 @@ class TestDominance:
         # difference 1 = (1/2) coroot: rational but not integral
         assert not rd.coweight_leq((0,), (1,))
         assert rd.coweight_leq((0,), (2,))
+
+
+def _rebased(rd, moves):
+    """rd in the basis U of Z^rank, the product of the transvections
+    (i, j, c): roots R U and coroots R' U^{-T}, so every pairing is kept."""
+    n = rd.rank
+    u = IntMatrix.identity(n)
+    for i, j, c in moves:
+        t = [[int(a == b) for b in range(n)] for a in range(n)]
+        t[i % n][j % n] += c if i % n != j % n else 0
+        u = u @ IntMatrix(t, cols=n)
+    return RootDatum(rd.simple_roots @ u, rd.simple_coroots @ inverse_unimodular(u).transpose(),
+                     rank=n)
+
+
+class TestRootCoordinates:
+    """root_coordinates / coroot_coordinates against solve_left_rational."""
+
+    LABELS = ("SL3", "Sp4", "G2", "GL3", "SL2xT1")
+
+    def test_matches_rational_solve(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        data = {name: standard(name) for name in self.LABELS}
+        moves = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                   st.integers(-2, 2)), max_size=6)
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(st.sampled_from(self.LABELS), moves, st.booleans(), st.data())
+        def check(name, basis_moves, coroot_side, draw):
+            rd = _rebased(data[name], basis_moves)
+            rows = (rd.simple_coroots if coroot_side else rd.simple_roots).data
+            kind = draw.draw(st.sampled_from(("span", "lattice", "fraction")))
+            if kind == "span":
+                # an integer combination of the rows
+                coeffs = draw.draw(st.lists(st.integers(-4, 4), min_size=len(rows),
+                                            max_size=len(rows)))
+                v = tuple(sum(c * row[j] for c, row in zip(coeffs, rows))
+                          for j in range(rd.rank))
+            elif kind == "lattice":
+                # any lattice point: often outside the span or non-integral
+                v = tuple(draw.draw(st.lists(st.integers(-5, 5), min_size=rd.rank,
+                                             max_size=rd.rank)))
+            else:
+                # a span point plus a small shift off the integer combinations
+                coeffs = draw.draw(st.lists(st.integers(-4, 4), min_size=len(rows),
+                                            max_size=len(rows)))
+                shift = draw.draw(st.integers(0, rd.rank - 1))
+                v = tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) + (j == shift)
+                          for j in range(rd.rank))
+            sol = solve_left_rational(rows, v)
+            expected = (None if sol is None or any(x.denominator != 1 for x in sol)
+                        else tuple(int(x) for x in sol))
+            got = rd.coroot_coordinates(v) if coroot_side else rd.root_coordinates(v)
+            assert got == expected
+
+        check()
+
+    def test_each_outcome_occurs(self):
+        sp4 = standard("Sp4")
+        assert sp4.root_coordinates((1, 1)) == (1, 1)
+        assert sp4.root_coordinates((0, 1)) is None      # coefficients (0, 1/2)
+        gl3 = standard("GL3")
+        assert gl3.coroot_coordinates((1, 0, -1)) == (1, 1)
+        assert gl3.coroot_coordinates((1, 0, 0)) is None  # outside the span
+        assert standard("T2").root_coordinates((0, 0)) == ()
+        assert standard("T2").root_coordinates((0, 1)) is None
 
 
 class TestPi1:
