@@ -36,11 +36,10 @@ class Character:
     highest: tuple | None
 
     @classmethod
-    def build(cls, rd, mults, highest=None, check=True):
+    def build(cls, rd, mults, highest=None):
         items = tuple(sorted((tuple(w), int(m)) for w, m in mults.items() if m))
         char = cls(rd, items, tuple(highest) if highest is not None else None)
-        if check:
-            char._check_invariants()
+        char._check_invariants()
         return char
 
     def _check_invariants(self):

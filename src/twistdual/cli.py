@@ -20,7 +20,7 @@ from . import dualgroup as dg
 from . import grcomb as gc
 from . import qform as qf
 from . import rootdata as rdmod
-from .lattice import NonIntegerEntryError, Sublattice
+from .lattice import MalformedMatrixError, Sublattice
 from .qform import Exponent, QForm
 
 
@@ -52,7 +52,7 @@ def _load_datum(group, rd_file):
         if not isinstance(raw, dict):
             raise click.UsageError("root datum file must hold a JSON object")
         return rdmod.RootDatum.from_dict(raw)
-    except (OSError, KeyError, TypeError, NonIntegerEntryError,
+    except (OSError, KeyError, TypeError, MalformedMatrixError,
             json.JSONDecodeError) as exc:
         raise click.UsageError(f"cannot load root datum: {exc}") from None
     except ValueError as exc:

@@ -165,8 +165,7 @@ def fl_dual(rd: RootDatum, d: int, big_n: int) -> TwistedDual:
         raise ValueError("d and N must be positive")
     _, j = rd.dual_coxeter_and_iota()
     den = common_denominator([x for row in j for x in row])
-    j_int = IntMatrix([[int(x * den) for x in row] for row in j], cols=rd.rank)
-    scaled = IntMatrix([[d * x for x in row] for row in j_int.data], cols=rd.rank)
+    scaled = IntMatrix([[int(d * den * x) for x in row] for row in j], cols=rd.rank)
     lattice = kernel_mod(scaled, den * big_n)
     multipliers = []
     for i in range(rd.num_simple):
@@ -281,25 +280,21 @@ class IsoResult:
 
 
 def _matches_full_root_data(p: IntMatrix, d1: RootDatum, d2: RootDatum):
-    """p maps d1 weights to d2 weights; check it carries the set of
-    (root, coroot) pairs of d1 bijectively onto that of d2."""
-    try:
-        p_inv_t = invert_rational([[Fraction(x) for x in row] for row in p.data])
-    except ValueError:
+    """p, unimodular, maps d1 weights to d2 weights; check it carries the
+    set of (root, coroot) pairs of d1 bijectively onto that of d2.
+
+    The coroot of p beta in d2 must be p^-T beta_coroot, that is, its
+    pullback by p^T must be the coroot of beta; p is injective, so the
+    images are distinct and the root counts decide surjectivity."""
+    coroots2 = dict(d2.root_pairs)
+    if len(d1.root_pairs) != len(coroots2):
         return False
-    pairs2 = set(d2.root_pairs)
-    images = set()
+    pt = p.transpose()
     for beta, cobeta in d1.root_pairs:
-        img_root = p.mul_vec(beta)
-        img_cor = tuple(sum(p_inv_t[a][c] * cobeta[a] for a in range(p.rows))
-                        for c in range(p.rows))
-        if any(x.denominator != 1 for x in img_cor):
+        gamma = coroots2.get(p.mul_vec(beta))
+        if gamma is None or pt.mul_vec(gamma) != cobeta:
             return False
-        img_cor = tuple(int(x) for x in img_cor)
-        if (img_root, img_cor) not in pairs2:
-            return False
-        images.add((img_root, img_cor))
-    return len(images) == len(pairs2)
+    return True
 
 
 def isomorphic(d1: RootDatum, d2: RootDatum, search_budget=20000) -> IsoResult:

@@ -1,9 +1,11 @@
 """Exact integer and rational linear algebra on lattices.
 
 Everything here is pure and exact: matrices are immutable, entries are
-arbitrary-precision Python ints (or Fractions for the rational helpers),
-and no floating point appears anywhere.  Sublattices are kept in row
-Hermite normal form so that equality of sublattices is equality of data.
+arbitrary-precision Python ints, and no floating point appears anywhere.
+Determinants, ranks and inverses come from one fraction-free elimination
+on integer rows; only `invert_rational` returns Fractions, built at its
+output.  Sublattices are kept in row Hermite normal form so that equality
+of sublattices is equality of data.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-class NonIntegerEntryError(ValueError):
-    """A matrix entry is not an integer."""
+class MalformedMatrixError(ValueError):
+    """Matrix data of the wrong shape or with a non-integer entry."""
 
 
 class IntMatrix:
@@ -27,12 +29,12 @@ class IntMatrix:
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows in matrix")
+                raise MalformedMatrixError("ragged rows in matrix")
             if cols is not None and cols != width:
-                raise ValueError("explicit column count disagrees with data")
+                raise MalformedMatrixError("explicit column count disagrees with data")
         else:
-            if cols is None:
-                raise ValueError("empty matrix needs an explicit column count")
+            if cols is None or cols < 0:
+                raise MalformedMatrixError("empty matrix needs a column count >= 0")
             width = cols
         object.__setattr__(self, "data", rows)
         object.__setattr__(self, "rows", len(rows))
@@ -84,18 +86,12 @@ class IntMatrix:
     def det(self):
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        rows = [[Fraction(x) for x in row] for row in self.data]
-        _, pivots, sign = _eliminate(rows, self.cols)
-        if len(pivots) < self.rows:
-            return 0
-        det = sign * math.prod(p for _, p in pivots)
-        assert det.denominator == 1
-        return int(det)
+        _, pivots, sign, den = _eliminate([list(r) for r in self.data], self.cols)
+        return sign * den if len(pivots) == self.rows else 0
 
     def rank(self):
         """Rank over Q: the number of pivots."""
-        rows = [[Fraction(x) for x in row] for row in self.data]
-        return len(_eliminate(rows, self.cols)[1])
+        return len(_eliminate([list(r) for r in self.data], self.cols)[1])
 
     def is_unimodular(self):
         return self.rows == self.cols and abs(self.det()) == 1
@@ -119,10 +115,10 @@ def _int_row(row):
     try:
         ints = tuple(map(int, row))
     except (OverflowError, ValueError) as exc:
-        raise NonIntegerEntryError(f"matrix entry is not an integer: {exc}") from None
+        raise MalformedMatrixError(f"matrix entry is not an integer: {exc}") from None
     if ints != row:
         bad = next(x for x, y in zip(row, ints) if x != y)
-        raise NonIntegerEntryError(f"matrix entry {bad!r} is not an integer")
+        raise MalformedMatrixError(f"matrix entry {bad!r} is not an integer")
     return ints
 
 
@@ -211,22 +207,13 @@ def smith_normal_form(m: IntMatrix):
     )
 
 
-def invariant_factor_list(m: IntMatrix):
-    """Diagonal of the Smith form, without the unit transforms."""
-    _, d, _ = smith_normal_form(m)
-    return [d.data[i][i] for i in range(min(m.rows, m.cols))]
-
-
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     """Exact inverse of a unimodular integer matrix."""
-    inv = invert_rational(m.data)
-    out = []
-    for row in inv:
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-        out.append([int(x) for x in row])
-    return IntMatrix(out, cols=m.cols)
+    n = m.cols
+    work, pivots, _, den = _eliminate(_augment(m.data), n)
+    if m.rows != n or len(pivots) < n or abs(den) != 1:
+        raise ValueError("matrix is not unimodular")
+    return IntMatrix([[den * x for x in row[n:]] for row in work], cols=n)
 
 
 def _hermite_rows(rows, ncols):
@@ -345,9 +332,10 @@ def saturation(s: Sublattice) -> Sublattice:
 
 def quotient_group(s: Sublattice) -> "FGAbelianGroup":
     """Invariant factors of Z^ambient / s."""
-    factors = invariant_factor_list(s.basis) if s.rank else []
+    _, d, _ = smith_normal_form(s.basis)
+    factors = [d.data[i][i] for i in range(s.rank)]
     free = s.ambient_rank - s.rank
-    return FGAbelianGroup.from_factors(list(factors) + [0] * free)
+    return FGAbelianGroup.from_factors(factors + [0] * free)
 
 
 def intersect(s1: Sublattice, s2: Sublattice) -> Sublattice:
@@ -420,10 +408,6 @@ class FGAbelianGroup:
     def free(cls, rank):
         return cls((0,) * rank)
 
-    @classmethod
-    def cyclic(cls, n):
-        return cls.from_factors([n])
-
     @property
     def free_rank(self):
         return sum(1 for f in self.invariant_factors if f == 0)
@@ -454,9 +438,6 @@ class FGAbelianGroup:
 
     def scale(self, k, v):
         return self.reduce_element([k * a for a in v])
-
-    def zero_element(self):
-        return (0,) * self.num_generators
 
     def elements(self):
         """All elements; only valid for finite groups."""
@@ -530,19 +511,25 @@ def solve_integer(a: IntMatrix, b):
     return particular, basis
 
 
-# -- rational helpers ------------------------------------------------------
+# -- elimination -------------------------------------------------------------
 
 
 def _eliminate(rows, width):
-    """Gauss-Jordan reduction of `rows`, lists of Fractions changed in
-    place, on their first `width` columns.
+    """Fraction-free Gauss-Jordan reduction of `rows`, lists of ints
+    changed in place, on their first `width` columns (Bareiss, Math. Comp.
+    22, 1968).
 
-    Returns (rows, pivots, sign): the reduced rows, whose pivot entries are
-    1; one (column, value) per pivot, in row order, with the value it had
-    before its row was scaled; and the sign (-1)^(row swaps).
+    Each pivot step replaces every other row by (p * row - row[c] * top) /
+    prev, for p the new pivot and prev the one before; the division is
+    exact, since every entry stays a minor of the input.  Returns (rows,
+    pivots, sign, den): the rows, equal to den times the reduced echelon
+    form; the pivot columns, in row order; the sign (-1)^(row swaps); and
+    den, the last pivot, which is sign times the determinant of the pivot
+    minor (1 when there is no pivot).
     """
     pivots = []
     sign = 1
+    prev = 1
     r = 0
     for c in range(width):
         piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
@@ -551,16 +538,22 @@ def _eliminate(rows, width):
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
             sign = -sign
-        p = rows[r][c]
-        inv = 1 / p
-        rows[r] = top = [x * inv for x in rows[r]]
+        top = rows[r]
+        p = top[c]
         for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                rows[i] = [x - f * y for x, y in zip(row, top)]
-        pivots.append((c, p))
+            if i != r:
+                f = row[c]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        pivots.append(c)
+        prev = p
         r += 1
-    return rows, pivots, sign
+    return rows, pivots, sign, prev
+
+
+def _augment(rows):
+    """[rows | I] as lists of ints."""
+    return [list(row) + [int(i == j) for j in range(len(rows))]
+            for i, row in enumerate(rows)]
 
 
 def outer_sum(vectors, dim) -> IntMatrix:
@@ -584,47 +577,28 @@ def integral_left_inverse(rows, width):
     vector v in the span are x_i = (v[P] . inverse[i]) / den.
     """
     s = len(rows)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(s)]
-            for i, row in enumerate(rows)]
-    work, pivots, _ = _eliminate(work, width)
+    work, pivots, _, den = _eliminate(_augment(rows), width)
     if len(pivots) < s:
         raise ValueError("rows are linearly dependent")
     # the row operations that reduce the rows invert their pivot minor
-    inv = [row[width:] for row in work]
-    den = common_denominator(x for row in inv for x in row)
-    cols = tuple(tuple(int(inv[j][i] * den) for j in range(s)) for i in range(s))
-    return tuple(c for c, _ in pivots), cols, den
+    cols = tuple(tuple(work[j][width + i] for j in range(s)) for i in range(s))
+    return tuple(pivots), cols, den
 
 
 def invert_rational(mat):
-    """Inverse of a square matrix of Fractions (lists of lists)."""
+    """Inverse of a square matrix of ints or Fractions, as lists of
+    Fractions.
+
+    The input is scaled to integers by one common denominator d, so the
+    inverse is d times the integer inverse block over its determinant.
+    """
     n = len(mat)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(mat)]
-    work, pivots, _ = _eliminate(work, n)
+    d = common_denominator(x for row in mat for x in row)
+    scaled = [[x.numerator * (d // x.denominator) for x in row] for row in mat]
+    work, pivots, _, den = _eliminate(_augment(scaled), n)
     if len(pivots) < n:
         raise ValueError("matrix is singular")
-    return [row[n:] for row in work]
-
-
-def solve_left_rational(rows, target):
-    """Fractions x with sum_i x_i * rows[i] = target, or None if inconsistent.
-
-    When the rows are linearly independent the solution is unique.
-    """
-    if not rows:
-        return () if not any(target) else None
-    nvars = len(rows)
-    # eliminate on the transposed system [rows^T | target]
-    aug = [[Fraction(row[j]) for row in rows] + [Fraction(target[j])]
-           for j in range(len(rows[0]))]
-    aug, pivots, _ = _eliminate(aug, nvars)
-    if any(row[nvars] for row in aug[len(pivots):]):
-        return None
-    sol = [Fraction(0)] * nvars
-    for row, (c, _) in zip(aug, pivots):
-        sol[c] = row[nvars]
-    return tuple(sol)
+    return [[Fraction(d * x, den) for x in row[n:]] for row in work]
 
 
 def common_denominator(fractions):

@@ -20,10 +20,15 @@ from .lattice import (
     FGAbelianGroup,
     IntMatrix,
     Sublattice,
+    common_denominator,
     integral_left_inverse,
     outer_sum,
     quotient_group,
 )
+
+
+# the most Weyl-group elements `weyl_group()` enumerates
+WEYL_BOUND = 1_000_000
 
 
 class RootDatumError(ValueError):
@@ -68,8 +73,7 @@ class WeylGroup:
 
 
 class RootDatum:
-    def __init__(self, simple_roots, simple_coroots, rank=None, name=None,
-                 weyl_bound=1_000_000):
+    def __init__(self, simple_roots, simple_coroots, rank=None, name=None):
         if not isinstance(simple_roots, IntMatrix):
             simple_roots = IntMatrix(simple_roots, cols=rank)
         if not isinstance(simple_coroots, IntMatrix):
@@ -82,7 +86,6 @@ class RootDatum:
         self.simple_coroots = simple_coroots
         self.rank = simple_roots.cols
         self.name = name
-        self.weyl_bound = weyl_bound
         self._validate_cartan()
         self._validate_system()
 
@@ -198,7 +201,7 @@ class RootDatum:
 
     @cached_property
     def _weyl(self):
-        # Built on demand only; `weyl_bound` caps the enumeration.
+        # Built on demand only; WEYL_BOUND caps the enumeration.
         gens = [self.reflection_coweight(i) for i in range(self.num_simple)]
         ident = IntMatrix.identity(self.rank)
         seen = {ident.data: ident}
@@ -211,10 +214,10 @@ class RootDatum:
                     if prod.data not in seen:
                         seen[prod.data] = prod
                         nxt.append(prod)
-            if len(seen) > self.weyl_bound:
+            if len(seen) > WEYL_BOUND:
                 raise RootDatumError(
-                    f"Weyl closure exceeded {self.weyl_bound} elements; "
-                    "datum is not of finite type")
+                    f"Weyl group has more than {WEYL_BOUND} elements, too many "
+                    "to enumerate; weyl_order() gives its order")
             frontier = nxt
         elements = tuple(sorted(seen.values(), key=lambda m: m.data))
         gen_idx = tuple(elements.index(g) for g in gens)
@@ -290,9 +293,6 @@ class RootDatum:
 
     def coroot_lattice(self) -> Sublattice:
         return Sublattice.from_rows(self.rank, self.simple_coroots.data)
-
-    def root_lattice(self) -> Sublattice:
-        return Sublattice.from_rows(self.rank, self.simple_roots.data)
 
     def pi1(self) -> FGAbelianGroup:
         """Component group of the grassmannian: coweights modulo coroots."""
@@ -414,6 +414,10 @@ class RootDatum:
         root theta, and J is the rational matrix of
         lam -> (1/2h) sum_beta <beta, lam> beta from coweights to weights.
         """
+        return self._coxeter_iota
+
+    @cached_property
+    def _coxeter_iota(self):
         theta, theta_cov = self.highest_root()
         pairing = dot(self.rho, theta_cov)
         if pairing.denominator != 1:
@@ -424,7 +428,7 @@ class RootDatum:
 
     def iota_pairing(self, lam, mu):
         """The normalized pairing (lam, mu) = <iota(lam), mu> on coweights."""
-        _, j = self.dual_coxeter_and_iota()
+        _, j = self._coxeter_iota
         return sum(j[a][b] * lam[b] * mu[a] for a in range(self.rank)
                    for b in range(self.rank))
 
@@ -492,22 +496,17 @@ def _check_finite_type(cartan, d):
     A generalized Cartan matrix is of finite type iff it is symmetrizable
     and its symmetrization (a_ij d_j) is positive definite (Kac,
     *Infinite-dimensional Lie algebras*, Ch. 4).  Definiteness is read off
-    the Fraction pivots of symmetric Gaussian elimination, taken in order
-    without row swaps (Sylvester's criterion).
+    the leading principal minors (Sylvester's criterion), each an integer
+    determinant of the symmetrization scaled by the common denominator of d.
     """
-    s = len(cartan)
-    m = [[cartan[i][j] * d[j] for j in range(s)] for i in range(s)]
-    for k in range(s):
-        pivot = m[k][k]
-        if pivot <= 0:
+    den = common_denominator(d)
+    m = [[a * x.numerator * (den // x.denominator) for a, x in zip(row, d)]
+         for row in cartan]
+    for k in range(1, len(m) + 1):
+        if IntMatrix([row[:k] for row in m[:k]], cols=k).det() <= 0:
             raise RootDatumError(
                 "symmetrized Cartan matrix is not positive definite; "
                 "datum is not of finite type")
-        for i in range(k + 1, s):
-            f = m[i][k] / pivot
-            if f:
-                for j in range(k + 1, s):
-                    m[i][j] -= f * m[k][j]
 
 
 # -- standard groups ----------------------------------------------------------

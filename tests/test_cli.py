@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from twistdual.cli import main
@@ -248,6 +249,20 @@ class TestMalformedInput:
         res = run("validate", "--rd-file", str(f))
         self.assert_usage_error(res)
         assert "2.5" in res.output
+
+    @pytest.mark.parametrize("rank,roots,coroots,message", [
+        (2, [[1, 2], [1]], [[1, 0], [0, 1]], "ragged rows"),
+        (3, [[2, -1], [-1, 2]], [[1, 0], [0, 1]], "column count"),
+        (-1, [], [], "column count >= 0"),
+    ])
+    def test_root_datum_file_of_the_wrong_shape(self, tmp_path, rank, roots, coroots,
+                                                message):
+        f = tmp_path / "rd.json"
+        f.write_text(json.dumps({"rank": rank, "simple_roots": roots,
+                                 "simple_coroots": coroots}))
+        res = run("validate", "--rd-file", str(f))
+        self.assert_usage_error(res)
+        assert message in res.output
 
     def test_dual_emit_into_a_missing_directory(self, tmp_path):
         res = run("dual", "--group", "SL2", "--emit", str(tmp_path / "missing" / "x.json"))

@@ -16,6 +16,7 @@ from twistdual.qform import (
 )
 from twistdual.dualgroup import (
     PaperContractViolation,
+    _matches_full_root_data,
     fl_dual,
     isomorphic,
     langlands_dual,
@@ -24,7 +25,7 @@ from twistdual.dualgroup import (
     rank1_table,
     twisted_dual,
 )
-from twistdual.rootdata import standard
+from twistdual.rootdata import RootDatum, standard
 
 SL2 = standard("SL2")
 PGL2 = standard("PGL2")
@@ -282,3 +283,11 @@ class TestIsomorphic:
 
     def test_different_weyl_types(self):
         assert isomorphic(SP4, standard("SL3")).status == "none"
+
+    def test_a_map_must_carry_the_coroots_too(self):
+        # equal roots, coroots differing by a shear of the coweights
+        d1 = RootDatum([[2, 0]], [[1, 0]], rank=2)
+        d2 = RootDatum([[2, 0]], [[1, 1]], rank=2)
+        assert not _matches_full_root_data(IntMatrix.identity(2), d1, d2)
+        assert _matches_full_root_data(IntMatrix([[1, -1], [0, 1]]), d1, d2)
+        assert isomorphic(d1, d2).status == "iso"

@@ -18,8 +18,9 @@ from twistdual.lattice import (
     saturation,
     smith_normal_form,
     solve_integer,
-    solve_left_rational,
 )
+
+from fraction_oracle import solve_left_rational
 
 
 def snf_diag(m):
@@ -270,14 +271,17 @@ class TestHelpers:
 
 @pytest.fixture
 def props():
-    """Hypothesis, sympy and random integer matrices up to 6x6."""
+    """Hypothesis, sympy and random integer matrices up to 6x6, with entries
+    in [-3, 3] (singular ones come up often) or up to 10^6 in size (the
+    exact divisions of the elimination meet large minors)."""
     hypothesis = pytest.importorskip("hypothesis")
     sympy = pytest.importorskip("sympy")
     st = hypothesis.strategies
 
     def matrices(rows, cols):
-        return st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
-                        min_size=rows, max_size=rows)
+        return st.sampled_from((3, 10**6)).flatmap(lambda bound: st.lists(
+            st.lists(st.integers(-bound, bound), min_size=cols, max_size=cols),
+            min_size=rows, max_size=rows))
 
     return types.SimpleNamespace(
         given=hypothesis.given,
@@ -291,8 +295,9 @@ def props():
 
 
 class TestEliminationProperties:
-    """det, rank, invert_rational and solve_left_rational share one
-    Gauss-Jordan routine; each is checked against sympy."""
+    """det, rank, invert_rational and inverse_unimodular share one
+    fraction-free elimination; each is checked against sympy, and the
+    Fraction left solve of the test oracle against sympy too."""
 
     def test_det_matches_sympy(self, props):
         @props.settings
@@ -310,9 +315,11 @@ class TestEliminationProperties:
 
     def test_inverse_or_singular(self, props):
         @props.settings
-        @props.given(props.square)
-        def check(a):
+        @props.given(props.square, props.st.integers(1, 7))
+        def check(a, den):
             n = len(a)
+            # a / den, so that the scaling by a common denominator is exercised
+            a = [[Fraction(x, den) for x in row] for row in a]
             if props.sympy.Matrix(a).det() == 0:
                 with pytest.raises(ValueError):
                     invert_rational(a)
@@ -321,6 +328,31 @@ class TestEliminationProperties:
             prod = [[sum(inv[i][k] * a[k][j] for k in range(n)) for j in range(n)]
                     for i in range(n)]
             assert prod == [[int(i == j) for j in range(n)] for i in range(n)]
+        check()
+
+    def test_unimodular_inverse_or_rejection(self, props):
+        st = props.st
+        transvection = st.tuples(st.integers(0, 5), st.integers(0, 5),
+                                 st.integers(-10**6, 10**6))
+
+        @props.settings
+        @props.given(st.integers(1, 6), st.lists(transvection, max_size=8),
+                     st.integers(-3, 3))
+        def check(n, moves, scale):
+            # a product of transvections is unimodular; scaling a row by
+            # `scale` keeps it so only for scale = +-1
+            m = IntMatrix.identity(n)
+            for i, j, c in moves:
+                t = [[int(a == b) for b in range(n)] for a in range(n)]
+                if i % n != j % n:
+                    t[i % n][j % n] = c
+                m = m @ IntMatrix(t, cols=n)
+            m = IntMatrix([[scale * x for x in m.row(0)], *m.data[1:]], cols=n)
+            if abs(scale) != 1:
+                with pytest.raises(ValueError):
+                    inverse_unimodular(m)
+                return
+            assert m @ inverse_unimodular(m) == IntMatrix.identity(n)
         check()
 
     def test_left_solve_reproduces_target_or_is_inconsistent(self, props):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from twistdual.lattice import IntMatrix, inverse_unimodular, solve_left_rational
+from twistdual.lattice import IntMatrix, inverse_unimodular
 from twistdual.rootdata import (
     Dominance,
     RootDatum,
@@ -14,6 +14,8 @@ from twistdual.rootdata import (
     standard,
     vec_add,
 )
+
+from fraction_oracle import solve_left_rational
 
 
 class TestStandard:
@@ -70,7 +72,7 @@ class TestValidation:
         roots = [[2, -2], [-2, 2]]
         coroots = [[1, -1], [-1, 1]]
         with pytest.raises(RootDatumError):
-            RootDatum(roots, coroots, rank=2, weyl_bound=500)
+            RootDatum(roots, coroots, rank=2)
 
     def test_dependent_roots(self):
         with pytest.raises(RootDatumError):
@@ -363,6 +365,10 @@ class TestCoxeterData:
     def test_sl2_pairing_value(self):
         rd = standard("SL2")
         assert rd.iota_pairing((1,), (1,)) == 2
+
+    def test_computed_once_per_datum(self):
+        rd = standard("G2")
+        assert rd.dual_coxeter_and_iota() is rd.dual_coxeter_and_iota()
 
     def test_reducible_rejected(self):
         with pytest.raises(ValueError):
