@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .dualgroup import TwistedDual, twisted_dual
 from .lattice import outer_sum
-from .qform import QForm, braiding_signs, kernel
+from .qform import QForm, braiding_signs
 from .rootdata import RootDatum, dot, vec_add, vec_sub
 
 
@@ -283,14 +283,13 @@ def satake_prediction(q: QForm, lam, mu) -> SatakeReport:
     rd = q.rd
     lam = tuple(int(x) for x in lam)
     mu = tuple(int(x) for x in mu)
-    lattice = kernel(q, "full")
+    dual = twisted_dual(rd, q, "full")
     for v in (lam, mu):
-        if not lattice.contains(v):
+        if not dual.weight_sublattice.contains(v):
             raise CharacterError(
                 f"{v} is outside the dual weight lattice")
         if not rd.is_dominant_coweight(v):
             raise CharacterError(f"{v} is not dominant")
-    dual = twisted_dual(rd, q, "full")
     lam_c = dual.weight_sublattice.coefficients(lam)
     mu_c = dual.weight_sublattice.coefficients(mu)
     c1 = irreducible_character(dual.datum, lam_c, crosscheck=False)

@@ -55,8 +55,6 @@ def _load_datum(group, rd_file):
     except (OSError, KeyError, TypeError, MalformedMatrixError,
             json.JSONDecodeError) as exc:
         raise click.UsageError(f"cannot load root datum: {exc}") from None
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
 
 
 def _load_form(rd, q_exp, q_tau, form_file):
@@ -78,8 +76,6 @@ def _load_form(rd, q_exp, q_tau, form_file):
             raise click.UsageError(f"form file lacks {exc}") from None
         except TypeError as exc:
             raise click.UsageError(f"bad form file: {exc}") from None
-        except ValueError as exc:
-            raise DomainError(str(exc)) from None
     if rd is None:
         raise click.UsageError("a root datum is required")
     a = _fraction(q_exp) if q_exp else Fraction(0)
@@ -87,10 +83,7 @@ def _load_form(rd, q_exp, q_tau, form_file):
     gram, _ = qf.minimal_even_gram(rd)
     g0 = [[x * a for x in row] for row in gram]
     g1 = [[x * b for x in row] for row in gram]
-    try:
-        return rd, QForm(rd, g0, g1)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
+    return rd, QForm(rd, g0, g1)
 
 
 def _lattice_str(lat: Sublattice):
@@ -132,7 +125,17 @@ def _echo_dual(td: dg.TwistedDual):
     click.echo(f"dual type: {_classify(td.datum)}")
 
 
-@click.group()
+class _Main(click.Group):
+    """Maps a `ValueError` escaping any command to a domain error."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise DomainError(str(exc)) from None
+
+
+@click.group(cls=_Main)
 def main():
     """Twisted dual root data from invariant quadratic forms."""
 
@@ -160,10 +163,7 @@ def dual(group, rd_file, q_exp, q_tau, form_file, mode, emit):
     """Twisted dual of an invariant form."""
     rd = _load_datum(group, rd_file) if (group or rd_file) else None
     rd, form = _load_form(rd, q_exp, q_tau, form_file)
-    try:
-        td = dg.twisted_dual(rd, form, mode)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
+    td = dg.twisted_dual(rd, form, mode)
     click.echo(f"group: {rd.name or 'custom'}")
     click.echo(f"mode: {mode}")
     _echo_dual(td)
@@ -191,10 +191,7 @@ def langlands_cmd(group, rd_file):
 def fl_dual_cmd(group, rd_file, d, big_n):
     """Finkelberg-Lysenko dual at level N with twisting integer d."""
     rd = _load_datum(group, rd_file)
-    try:
-        td = dg.fl_dual(rd, d, big_n)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
+    td = dg.fl_dual(rd, d, big_n)
     click.echo(f"group: {rd.name or 'custom'}  d: {d}  N: {big_n}")
     _echo_dual(td)
 
@@ -206,12 +203,9 @@ def fl_dual_cmd(group, rd_file, d, big_n):
 def lusztig_dual_cmd(group, rd_file, order, f_values):
     """Lusztig's dual datum at a root of unity of order l."""
     rd = _load_datum(group, rd_file)
-    try:
-        cd = (qf.CartanDatum(rd, _vector(f_values)) if f_values
-              else qf.CartanDatum.standard(rd))
-        td = dg.lusztig_dual(cd, order)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
+    cd = (qf.CartanDatum(rd, _vector(f_values)) if f_values
+          else qf.CartanDatum.standard(rd))
+    td = dg.lusztig_dual(cd, order)
     click.echo(f"group: {rd.name or 'custom'}  f: {list(cd.f)}  l: {order}")
     _echo_dual(td)
 
@@ -232,13 +226,10 @@ def quantum_pair_cmd(group, rd_file, level, gram_file):
     else:
         try:
             raw = json.loads(Path(gram_file).read_text())
-            b = [[Fraction(n, d) for n, d in row] for row in raw["gram"]]
-        except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            b = qf.decode_gram(raw["gram"])
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise click.UsageError(f"cannot load gram file: {exc}") from None
-    try:
-        pair = dg.quantum_dual_pair(rd, b)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
+    pair = dg.quantum_dual_pair(rd, b)
     click.echo(f"group: {rd.name or 'custom'}")
     click.echo("left:")
     _echo_dual(pair.left)
@@ -296,15 +287,12 @@ def _build_for_compare(kind, rd, params):
 def compare(first, second, group, rd_file, d, big_n, order, q_exp, q_tau):
     """Build two dual constructions and report AGREE / DISAGREE / UNDECIDED."""
     rd = _load_datum(group, rd_file)
-    try:
-        params = {"d": d, "big_n": big_n, "order": order,
-                  "q_exp": q_exp, "q_tau": q_tau, "other": second}
-        left = _build_for_compare(first, rd, params)
-        params["other"] = first
-        right = _build_for_compare(second, rd, params)
-        result = dg.isomorphic(left.datum, right.datum)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
+    params = {"d": d, "big_n": big_n, "order": order,
+              "q_exp": q_exp, "q_tau": q_tau, "other": second}
+    left = _build_for_compare(first, rd, params)
+    params["other"] = first
+    right = _build_for_compare(second, rd, params)
+    result = dg.isomorphic(left.datum, right.datum)
     if result.status == "iso":
         click.echo("AGREE")
         click.echo("witness: " + json.dumps([list(r) for r in result.weight_map.data]))
@@ -324,11 +312,7 @@ def compare(first, second, group, rd_file, d, big_n, order, q_exp, q_tau):
 def weights(group, rd_file, hw):
     """Weight multiplicities of an irreducible, as a sorted table."""
     rd = _load_datum(group, rd_file)
-    try:
-        char = ch.irreducible_character(rd, _vector(hw))
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
-    click.echo(char.table())
+    click.echo(ch.irreducible_character(rd, _vector(hw)).table())
 
 
 @main.command()
@@ -338,12 +322,9 @@ def weights(group, rd_file, hw):
 def tensor(group, rd_file, hw1, hw2):
     """Tensor decomposition of two irreducibles."""
     rd = _load_datum(group, rd_file)
-    try:
-        c1 = ch.irreducible_character(rd, _vector(hw1))
-        c2 = ch.irreducible_character(rd, _vector(hw2))
-        pieces = ch.tensor_decompose(c1, c2)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
+    c1 = ch.irreducible_character(rd, _vector(hw1))
+    c2 = ch.irreducible_character(rd, _vector(hw2))
+    pieces = ch.tensor_decompose(c1, c2)
     for w, m in sorted(pieces.items()):
         click.echo(f"{','.join(str(x) for x in w)}: {m}")
 
@@ -382,10 +363,7 @@ def incidence(rank, a_text, b_text):
 @click.option("--p", type=int, default=1, show_default=True)
 def rank1_table_cmd(r0, p):
     """Kernels of the rank-one form of order r0, in adjoint coordinates."""
-    try:
-        t = dg.rank1_table(r0, p)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
+    t = dg.rank1_table(r0, p)
     click.echo(f"r0: {t.r0}  p: {t.p}  case: {t.case}")
     click.echo(f"PGL2 kernel: {_lattice_str(t.adjoint_kernel)}")
     click.echo(f"SL2 kernel:  {_lattice_str(t.simply_connected_kernel)}")
@@ -427,9 +405,9 @@ def validate(group, rd_file):
 
 @main.command("verify-forms")
 @_with_group
-@click.option("--samples", type=int, default=25, show_default=True)
+@click.option("--samples", type=click.IntRange(min=0), default=25, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--coord-bound", type=int, default=5, show_default=True)
+@click.option("--coord-bound", type=click.IntRange(min=0), default=5, show_default=True)
 def verify_forms(group, rd_file, samples, seed, coord_bound):
     """Spot-check the form laws and the divisor ledger on random forms."""
     rd = _load_datum(group, rd_file)

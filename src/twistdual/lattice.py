@@ -25,6 +25,8 @@ class IntMatrix:
     __slots__ = ("data", "rows", "cols")
 
     def __init__(self, data, cols=None):
+        if cols is not None and type(cols) is not int:
+            raise MalformedMatrixError(f"column count {cols!r} is not an integer")
         rows = tuple(_int_row(row) for row in data)
         if rows:
             width = len(rows[0])
@@ -116,8 +118,8 @@ def _int_row(row):
         ints = tuple(map(int, row))
     except (OverflowError, ValueError) as exc:
         raise MalformedMatrixError(f"matrix entry is not an integer: {exc}") from None
-    if ints != row:
-        bad = next(x for x, y in zip(row, ints) if x != y)
+    if ints != row or bool in map(type, row):
+        bad = next(x for x, y in zip(row, ints) if x != y or type(x) is bool)
         raise MalformedMatrixError(f"matrix entry {bad!r} is not an integer")
     return ints
 

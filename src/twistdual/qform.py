@@ -2,13 +2,16 @@
 
 Values live in the group Q/Z + Q*tau for a fixed formal irrational tau,
 written additively as exponents: the element (a, b) denotes the number
-e^{2 pi i (a + b tau)}.  A form is represented by a pair of symmetric
-rational Gram matrices (G0, G1) with the convention
+e^{2 pi i (a + b tau)}.  A form is given by a pair of symmetric rational
+Gram matrices (G0, G1) with the convention
 
     Q(lam)       = (1/2) lam^T (G0 + tau G1) lam
     kappa(lam,mu) =       lam^T (G0 + tau G1) mu
 
-so kappa is automatically the bilinear form defined by Q.
+so kappa is automatically the bilinear form defined by Q.  It is stored
+as integer Grams over one denominator, G0 = N0 / den and G1 = N1 / den
+with den the least common denominator of both, so that invariance, the
+values and the kernel are all computed on integers.
 """
 
 from __future__ import annotations
@@ -90,67 +93,83 @@ class Exponent:
 
 
 def _as_gram(rows, rank, what):
+    """A symmetric rational Gram as integer numerators over their lcd."""
     if rows is None:
-        return tuple(tuple(Fraction(0) for _ in range(rank)) for _ in range(rank))
-    mat = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        return [[0] * rank for _ in range(rank)], 1
+    mat = [[Fraction(x) for x in row] for row in rows]
     if len(mat) != rank or any(len(r) != rank for r in mat):
         raise ShapeError(f"{what} must be {rank}x{rank}")
+    den = common_denominator(x for row in mat for x in row)
+    nums = [[x.numerator * (den // x.denominator) for x in row] for row in mat]
     for i in range(rank):
-        for j in range(rank):
-            if mat[i][j] != mat[j][i]:
+        for j in range(i + 1, rank):
+            if nums[i][j] != nums[j][i]:
                 raise ShapeError(f"{what} is not symmetric at ({i},{j})")
-    return mat
+    return nums, den
 
 
-def _gram_vec(g, v):
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in g)
+def decode_gram(rows):
+    """A Gram given as [numerator, denominator] pairs of integers, as
+    Fractions; TypeError on any other entry, booleans included."""
+    try:
+        if any(type(x) is bool for row in rows for pair in row for x in pair):
+            raise TypeError("a boolean is not an integer")
+        return [[Fraction(n, den) for n, den in row] for row in rows]
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise TypeError(
+            f"Gram entries must be [numerator, denominator] pairs: {exc}") from None
 
 
-def _gram_pair(g, v, w):
-    return sum(v[a] * g[a][b] * w[b] for a in range(len(v)) for b in range(len(w)))
+def _over(n, den):
+    return tuple(tuple(Fraction(x, den) for x in row) for row in n.data)
 
 
 class QForm:
-    """A W-invariant quadratic form given by rational Gram matrices."""
+    """A W-invariant quadratic form: integer Grams n0, n1 over one positive
+    denominator den, so that G0 = n0 / den and G1 = n1 / den."""
+
+    # read-only views: G0 and G1 as rows of Fractions
+    g0 = property(lambda self: _over(self.n0, self.den))
+    g1 = property(lambda self: _over(self.n1, self.den))
 
     def __init__(self, rd: RootDatum, gram_rational=None, gram_transcendental=None):
         self.rd = rd
-        self.g0 = _as_gram(gram_rational, rd.rank, "gram_rational")
-        self.g1 = _as_gram(gram_transcendental, rd.rank, "gram_transcendental")
+        n0, d0 = _as_gram(gram_rational, rd.rank, "gram_rational")
+        n1, d1 = _as_gram(gram_transcendental, rd.rank, "gram_transcendental")
+        self.den = math.lcm(d0, d1)
+        self.n0, self.n1 = (IntMatrix([[x * (self.den // d) for x in row] for row in n],
+                                      cols=rd.rank) for n, d in ((n0, d0), (n1, d1)))
         for i in range(rd.num_simple):
             alpha = rd.simple_roots.row(i)
             cov = rd.simple_coroots.row(i)
-            for g, label in ((self.g0, "rational"), (self.g1, "transcendental")):
-                if not _reflection_invariant(g, alpha, cov):
+            for n, label in ((self.n0, "rational"), (self.n1, "transcendental")):
+                if not _reflection_invariant(n, alpha, cov):
                     raise InvarianceError(
                         f"{label} Gram is not invariant under simple reflection {i}")
 
+    def _pairing(self, lam, mu, den):
+        return Exponent(Fraction(dot(lam, self.n0.mul_vec(mu)), den),
+                        Fraction(dot(lam, self.n1.mul_vec(mu)), den))
+
     def q(self, lam):
         """Q(lam) as an Exponent."""
-        return Exponent(_gram_pair(self.g0, lam, lam) / 2,
-                        _gram_pair(self.g1, lam, lam) / 2)
+        return self._pairing(lam, lam, 2 * self.den)
 
     def kappa(self, lam, mu):
         """kappa(lam, mu) as an Exponent."""
-        return Exponent(_gram_pair(self.g0, lam, mu),
-                        _gram_pair(self.g1, lam, mu))
+        return self._pairing(lam, mu, self.den)
 
     def tensor(self, other: "QForm") -> "QForm":
         if other.rd is not self.rd and other.rd != self.rd:
             raise ValueError("forms live on different root data")
-        g0 = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.g0, other.g0)]
-        g1 = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.g1, other.g1)]
-        return QForm(self.rd, g0, g1)
+        return QForm(self.rd, *([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(g, h)]
+                                for g, h in ((self.g0, other.g0), (self.g1, other.g1))))
 
     def inverse(self) -> "QForm":
-        return QForm(self.rd,
-                     [[-x for x in row] for row in self.g0],
-                     [[-x for x in row] for row in self.g1])
+        return QForm(self.rd, *([[-x for x in r] for r in g] for g in (self.g0, self.g1)))
 
     def is_gram_zero(self):
-        zero = Fraction(0)
-        return all(x == zero for row in self.g0 for x in row) and \
-            all(x == zero for row in self.g1 for x in row)
+        return not any(x for row in self.n0.data + self.n1.data for x in row)
 
     def to_dict(self):
         enc = lambda g: [[[x.numerator, x.denominator] for x in row] for row in g]
@@ -161,32 +180,26 @@ class QForm:
         """Inverse of `to_dict`; TypeError when a Gram entry is not a
         [numerator, denominator] pair of integers."""
         grams = (d["gram_rational"], d["gram_transcendental"])
-        try:
-            g0, g1 = ([[Fraction(n, den) for n, den in row] for row in g]
-                      for g in grams)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise TypeError(
-                f"Gram entries must be [numerator, denominator] pairs: {exc}") from None
-        return cls(rd, g0, g1)
+        return cls(rd, *map(decode_gram, grams))
 
     def __eq__(self, other):
         return (isinstance(other, QForm) and self.rd == other.rd
-                and self.g0 == other.g0 and self.g1 == other.g1)
+                and (self.n0, self.n1, self.den) == (other.n0, other.n1, other.den))
 
     def __repr__(self):
         return f"QForm({self.rd!r}, g0={self.g0}, g1={self.g1})"
 
 
-def _reflection_invariant(g, alpha, cov):
-    """Whether s^T g s = g for the reflection s = 1 - cov alpha^T.
+def _reflection_invariant(n, alpha, cov):
+    """Whether s^T n s = n for the reflection s = 1 - cov alpha^T.
 
-    Expanding, s^T g s = g - alpha u^T - u alpha^T + q alpha alpha^T with
-    u = g cov and q = cov^T g cov; applying the difference to cov, where
-    <alpha, cov> = 2, shows it vanishes iff u = (q/2) alpha.
+    Expanding, s^T n s = n - alpha u^T - u alpha^T + q alpha alpha^T with
+    u = n cov and q = cov^T n cov; applying the difference to cov, where
+    <alpha, cov> = 2, shows it vanishes iff 2 u = q alpha.
     """
-    u = _gram_vec(g, cov)
-    half_q = dot(cov, u) / 2
-    return all(x == half_q * a for x, a in zip(u, alpha))
+    u = n.mul_vec(cov)
+    q = dot(cov, u)
+    return all(2 * x == q * a for x, a in zip(u, alpha))
 
 
 def qform_from_gram(rd, gram_rational=None, gram_transcendental=None) -> QForm:
@@ -200,29 +213,13 @@ def trivial_qform(rd) -> QForm:
 def kernel(q: QForm, mode="full") -> Sublattice:
     """Kernel of kappa: coweights pairing trivially with the whole lattice
     ("full") or with every coroot ("coroot")."""
-    rd = q.rd
     if mode == "full":
-        rows0 = q.g0
-        rows1 = q.g1
+        m0, m1 = q.n0, q.n1
     elif mode == "coroot":
-        cors = [rd.simple_coroots.row(i) for i in range(rd.num_simple)]
-        rows0 = [_gram_vec(q.g0, c) for c in cors]
-        rows1 = [_gram_vec(q.g1, c) for c in cors]
+        m0, m1 = q.rd.simple_coroots @ q.n0, q.rd.simple_coroots @ q.n1
     else:
         raise ValueError(f"unknown kernel mode {mode!r}")
-    out = Sublattice.full(rd.rank)
-    if rows0:
-        den = common_denominator([x for row in rows0 for x in row])
-        m0 = IntMatrix([[int(x * den) for x in row] for row in rows0], cols=rd.rank)
-        out = intersect(out, kernel_mod(m0, den) if den > 1 else Sublattice.full(rd.rank))
-    if rows1:
-        m1_rows = []
-        for row in rows1:
-            den = common_denominator(list(row))
-            m1_rows.append([int(x * den) for x in row])
-        m1 = IntMatrix(m1_rows, cols=rd.rank)
-        out = intersect(out, kernel_mod(m1, None))
-    return out
+    return intersect(kernel_mod(m0, q.den), kernel_mod(m1, None))
 
 
 # -- determinant forms --------------------------------------------------------
@@ -288,14 +285,6 @@ def component_killing_value(rd: RootDatum, component_index, lam):
     return int(val)
 
 
-def _short_simple_coroot(rd, component_index):
-    """Index of a simple coroot of minimal Killing length in the component."""
-    k = killing_matrix(rd, component_index)
-    comp = rd.components[component_index]
-    return min(comp, key=lambda i: (dot(k.mul_vec(rd.simple_coroots.row(i)),
-                                        rd.simple_coroots.row(i)), i))
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """Result of factoring a form into Killing parts and a residual that
@@ -320,70 +309,58 @@ def decompose_integer_form(q: QForm) -> Decomposition:
     rd = q.rd
     sat = saturation(rd.coroot_lattice())
     coeffs = []
-    g0 = [list(row) for row in q.g0]
-    g1 = [list(row) for row in q.g1]
-    for ci in range(len(rd.components)):
-        idx = _short_simple_coroot(rd, ci)
-        cor = rd.simple_coroots.row(idx)
-        m = component_killing_value(rd, ci, cor)
-        if m == 0:
-            coeffs.append(Exponent.zero())
-            continue
-        target = q.q(cor)
+    form = residual = (q.n0.data, q.n1.data, q.den)
+    for ci, comp in enumerate(rd.components):
         kmat = killing_matrix(rd, ci)
+        # m = Q_i >= 4 on a short simple coroot, the first one on ties
+        m, _, cor = min((dot(kmat.mul_vec(c), c) // 2, i, c)
+                        for i, c in zip(comp, map(rd.simple_coroots.row, comp)))
+        target = q.q(cor)
         # saturated basis vectors meeting this component
-        comp_vectors = [v for v in sat.basis.data
-                        if kmat.mul_vec(v) != (0,) * rd.rank]
-        choice = None
-        for kk in range(m):
-            a = Exponent((target.rational + kk) / m, target.tau / m)
-            if _killing_residual_ok(q, kmat, a, comp_vectors):
-                choice = a
-                break
+        comp_vectors = [v for v in sat.basis.data if any(kmat.mul_vec(v))]
+        roots = (Exponent((target.rational + kk) / m, target.tau / m) for kk in range(m))
+        fits = (a for a in roots
+                if not _vanishing_failure(*_less_killing(form, a, kmat), comp_vectors))
+        choice = next(fits, None)
         if choice is None:
             return Decomposition(
                 False, (), None,
                 f"no Killing coefficient fits component {ci} "
                 f"(short coroot {cor}, Q value {target})")
         coeffs.append(choice)
-        for r in range(rd.rank):
-            for c in range(rd.rank):
-                g0[r][c] -= choice.rational * kmat.data[r][c]
-                g1[r][c] -= choice.tau * kmat.data[r][c]
-    residual = QForm(rd, g0, g1)
+        residual = _less_killing(residual, choice, kmat)
     # residual must be trivial on the saturated coroot lattice, against
     # everything for kappa and on itself for Q
-    for v in sat.basis.data:
-        if not residual.q(v).is_zero():
-            return Decomposition(False, tuple(coeffs), residual,
-                                 f"residual Q is nonzero on {v}")
-        for j in range(rd.rank):
-            e = (0,) * j + (1,) + (0,) * (rd.rank - j - 1)
-            if not residual.kappa(v, e).is_zero():
-                return Decomposition(False, tuple(coeffs), residual,
-                                     f"residual kappa is nonzero on ({v}, e_{j})")
+    why = _vanishing_failure(*residual, sat.basis.data)
+    n0, n1, den = residual
+    residual = QForm(rd, *([[Fraction(x, den) for x in r] for r in n] for n in (n0, n1)))
+    if why:
+        return Decomposition(False, tuple(coeffs), residual, f"residual {why}")
     return Decomposition(True, tuple(coeffs), residual)
 
 
-def _killing_residual_ok(q, kmat, a, comp_vectors):
-    rank = q.rd.rank
-    for v in comp_vectors:
-        kv = kmat.mul_vec(v)
-        # kappa_res(v, e_j) = (G0 - a K)v etc. must vanish in the exponent group
-        for j in range(rank):
-            rat = sum(q.g0[j][b] * v[b] for b in range(rank)) - a.rational * kv[j]
-            if rat.denominator != 1:
-                return False
-            tau = sum(q.g1[j][b] * v[b] for b in range(rank)) - a.tau * kv[j]
-            if tau != 0:
-                return False
-        qrat = _gram_pair(q.g0, v, v) / 2 - a.rational * Fraction(dot(kv, v), 2)
-        if qrat.denominator != 1:
-            return False
-        qtau = _gram_pair(q.g1, v, v) / 2 - a.tau * Fraction(dot(kv, v), 2)
-        if qtau != 0:
-            return False
-    return True
+def _less_killing(form, a, kmat):
+    """The form (n0 + tau n1) / den, given as (n0, n1, den), less a times
+    the Killing Gram kmat, in the same format."""
+    n0, n1, den = form
+    s = math.lcm(a.rational.denominator, a.tau.denominator)
+    return tuple([[s * x - c.numerator * (s // c.denominator) * den * k
+                   for x, k in zip(row, krow)] for row, krow in zip(n, kmat.data)]
+                 for n, c in ((n0, a.rational), (n1, a.tau))) + (den * s,)
+
+
+def _vanishing_failure(n0, n1, den, vectors):
+    """Why Q or kappa(v, .) of the form (n0 + tau n1) / den does not vanish
+    on some v of `vectors`; None when both vanish on all of them."""
+    for v in vectors:
+        u0 = [dot(row, v) for row in n0]
+        u1 = [dot(row, v) for row in n1]
+        if dot(u0, v) % (2 * den) or dot(u1, v):
+            return f"Q is nonzero on {v}"
+        for j, (x0, x1) in enumerate(zip(u0, u1)):
+            if x0 % den or x1:
+                return f"kappa is nonzero on ({v}, e_{j})"
+    return None
 
 
 # -- defect, half-forms, braiding ---------------------------------------------
@@ -406,15 +383,10 @@ def epsilon_defect(q: QForm, coroot, lam) -> Exponent:
 def half_forms_qform(rd: RootDatum) -> QForm:
     """The parity form Q(lam) = (-1)^{<2 rho, lam>}, realized by half the
     adjoint Killing Gram; its bilinear form is trivial."""
-    n = rd.rank
-    k = outer_sum((beta for beta, _ in rd.root_pairs), n)
+    k = outer_sum((beta for beta, _ in rd.root_pairs), rd.rank)
     form = QForm(rd, [[Fraction(x, 2) for x in row] for row in k.data])
-    # adjoint K is even, so kappa is integral: assert on the unit vectors
-    for i in range(n):
-        e_i = (0,) * i + (1,) + (0,) * (n - i - 1)
-        for j in range(n):
-            e_j = (0,) * j + (1,) + (0,) * (n - j - 1)
-            assert form.kappa(e_i, e_j).is_zero()
+    # adjoint K is even, so kappa is integral
+    assert all(x % form.den == 0 for row in form.n0.data for x in row)
     return form
 
 
@@ -591,10 +563,6 @@ def minimal_even_gram(rd: RootDatum):
     that is integral with even diagonal (so (1/2) lam^T G lam is an
     integer-valued form)."""
     g = normalized_killing_gram(rd)
-    n = rd.rank
-    dens = [g[a][b].denominator for a in range(n) for b in range(n)]
-    dens += [(g[a][a] / 2).denominator for a in range(n)]
-    m = 1
-    for d in dens:
-        m = m * d // math.gcd(m, d)
+    m = common_denominator([x for row in g for x in row]
+                           + [g[a][a] / 2 for a in range(rd.rank)])
     return tuple(tuple(x * m for x in row) for row in g), m

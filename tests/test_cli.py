@@ -273,3 +273,40 @@ class TestMalformedInput:
         res = run("verify-forms", "--group", "torus0")
         self.assert_usage_error(res)
         assert "rank" in res.output
+
+    def test_root_datum_file_with_a_boolean_rank(self, tmp_path):
+        f = tmp_path / "rd.json"
+        f.write_text(json.dumps({"rank": True, "simple_roots": [[2]],
+                                 "simple_coroots": [[1]]}))
+        res = run("validate", "--rd-file", str(f))
+        self.assert_usage_error(res)
+        assert "True" in res.output
+
+    def test_root_datum_file_with_a_boolean_entry(self, tmp_path):
+        f = tmp_path / "rd.json"
+        f.write_text(json.dumps({"rank": 1, "simple_roots": [[True]],
+                                 "simple_coroots": [[1]]}))
+        res = run("validate", "--rd-file", str(f))
+        self.assert_usage_error(res)
+        assert "True" in res.output
+
+    def test_form_file_with_a_boolean_numerator(self, tmp_path):
+        form = tmp_path / "form.json"
+        form.write_text(json.dumps({"gram_rational": [[[True, 3]]],
+                                    "gram_transcendental": [[[0, 1]]]}))
+        res = run("dual", "--group", "SL2", "--form-file", str(form))
+        self.assert_usage_error(res)
+        assert "boolean" in res.output
+
+    def test_gram_file_with_a_boolean_numerator(self, tmp_path):
+        f = tmp_path / "gram.json"
+        f.write_text(json.dumps({"gram": [[[True, 1]]]}))
+        res = run("quantum-pair", "--group", "SL2", "--gram-file", str(f))
+        self.assert_usage_error(res)
+        assert "boolean" in res.output
+
+    @pytest.mark.parametrize("option,value", [("--coord-bound", "-1"), ("--samples", "-3")])
+    def test_verify_forms_negative_counts(self, option, value):
+        res = run("verify-forms", "--group", "SL2", option, value)
+        self.assert_usage_error(res)
+        assert option in res.output

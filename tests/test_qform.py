@@ -1,3 +1,5 @@
+import functools
+import math
 import random
 from fractions import Fraction
 
@@ -28,6 +30,7 @@ from twistdual.qform import (
     trivial_qform,
 )
 from twistdual.rootdata import dot, standard, vec_add
+from test_rootdata import _rebased
 
 SL2 = standard("SL2")
 PGL2 = standard("PGL2")
@@ -210,6 +213,84 @@ class TestKernel:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             kernel(trivial_qform(SL2), "sideways")
+
+
+@functools.lru_cache(maxsize=None)
+def _rebased_with_basis(label, moves):
+    """standard(label) rebased by the transvections `moves`, and its
+    invariant Gram basis."""
+    rd = _rebased(standard(label), moves)
+    return rd, invariant_gram_basis(rd)
+
+
+def _fraction_value(g, lam, mu, den):
+    return sum(lam[a] * g[a][b] * mu[b]
+               for a in range(len(lam)) for b in range(len(mu))) / den
+
+
+class TestIntegerFormProperty:
+    """The integer Grams over one denominator against the Fraction Grams
+    passed to the constructor: values, kernels and round trips."""
+
+    LABELS = ("SL2", "PGL2", "GL2", "SL3", "Sp4", "G2", "SL2xT1")
+    BOX = 4
+
+    def _check(self, rd, g0, g1, lam, mu):
+        q = QForm(rd, g0, g1)
+        n = rd.rank
+        frac = lambda g: tuple(tuple(Fraction(x) for x in row) for row in g)
+        f0, f1 = frac(g0), frac(g1)
+        assert (q.g0, q.g1) == (f0, f1)
+        assert q.den == math.lcm(*(x.denominator for row in f0 + f1 for x in row))
+        back = QForm.from_dict(rd, q.to_dict())
+        assert back == q and (back.g0, back.g1) == (f0, f1)
+        assert q.q(lam) == Exponent(_fraction_value(f0, lam, lam, 2),
+                                    _fraction_value(f1, lam, lam, 2))
+        assert q.kappa(lam, mu) == Exponent(_fraction_value(f0, lam, mu, 1),
+                                            _fraction_value(f1, lam, mu, 1))
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        coroots = list(rd.simple_coroots.data)
+        box = [()]
+        for _ in range(n):
+            box = [v + (x,) for v in box for x in range(-self.BOX, self.BOX + 1)]
+        for mode, tests in (("full", units), ("coroot", coroots)):
+            lattice = kernel(q, mode)
+            # t^T g0 and t^T g1 for each vector t that v must pair with
+            rows = [[[_fraction_value(f, t, e, 1) for e in units] for f in (f0, f1)]
+                    for t in tests]
+            for v in box:
+                member = all(dot(r0, v).denominator == 1 and dot(r1, v) == 0
+                             for r0, r1 in rows)
+                assert lattice.contains(v) == member, (mode, v)
+
+    def test_against_fraction_grams(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        moves = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1),
+                                   st.integers(-2, 2)), max_size=4).map(tuple)
+        ratios = st.tuples(st.integers(-3, 3), st.integers(1, 3))
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(st.sampled_from(self.LABELS), moves, st.data())
+        def check(label, basis_moves, data):
+            rd, basis = _rebased_with_basis(label, basis_moves)
+
+            def gram(nonzero):
+                coeffs = data.draw(st.lists(ratios, min_size=len(basis),
+                                            max_size=len(basis)))
+                hypothesis.assume(not nonzero or any(a for a, _ in coeffs))
+                return [[sum(Fraction(a, b) * g[i][j] for (a, b), g in zip(coeffs, basis))
+                         for j in range(rd.rank)] for i in range(rd.rank)]
+
+            point = st.lists(st.integers(-self.BOX, self.BOX), min_size=rd.rank,
+                             max_size=rd.rank).map(tuple)
+            g0, g1 = gram(False), gram(True)
+            lam, mu = data.draw(point), data.draw(point)
+            self._check(rd, g0, g1, lam, mu)
+            # with no transcendental part the kernel is cut out by den alone
+            self._check(rd, g0, [[0] * rd.rank for _ in range(rd.rank)], lam, mu)
+
+        check()
 
 
 class TestDetForm:
