@@ -42,6 +42,14 @@ def _vector(text):
         raise click.UsageError(f"bad integer vector {text!r}: {exc}") from None
 
 
+def _weight(rd, text, flag):
+    """A weight given by `flag`, of the datum's rank."""
+    v = _vector(text)
+    if len(v) != rd.rank:
+        raise click.UsageError(f"{flag} {text} has length {len(v)}, not the rank {rd.rank}")
+    return v
+
+
 def _load_datum(group, rd_file):
     if (group is None) == (rd_file is None):
         raise click.UsageError("give exactly one of --group or --rd-file")
@@ -312,7 +320,7 @@ def compare(first, second, group, rd_file, d, big_n, order, q_exp, q_tau):
 def weights(group, rd_file, hw):
     """Weight multiplicities of an irreducible, as a sorted table."""
     rd = _load_datum(group, rd_file)
-    click.echo(ch.irreducible_character(rd, _vector(hw)).table())
+    click.echo(ch.irreducible_character(rd, _weight(rd, hw, "--hw")).table())
 
 
 @main.command()
@@ -322,8 +330,8 @@ def weights(group, rd_file, hw):
 def tensor(group, rd_file, hw1, hw2):
     """Tensor decomposition of two irreducibles."""
     rd = _load_datum(group, rd_file)
-    c1 = ch.irreducible_character(rd, _vector(hw1))
-    c2 = ch.irreducible_character(rd, _vector(hw2))
+    c1 = ch.irreducible_character(rd, _weight(rd, hw1, "--a"))
+    c2 = ch.irreducible_character(rd, _weight(rd, hw2, "--b"))
     pieces = ch.tensor_decompose(c1, c2)
     for w, m in sorted(pieces.items()):
         click.echo(f"{','.join(str(x) for x in w)}: {m}")

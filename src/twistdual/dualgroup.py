@@ -5,7 +5,9 @@ lattice = kernel of the bilinear form, roots = order-scaled coroots), the
 Finkelberg-Lysenko normalization, Lusztig's quantum-group datum, and the
 quantum-Langlands pairing of a nondegenerate form with its inverse on the
 Langlands dual side.  `isomorphic` certifies agreement between any two
-root data by exhaustive base matching plus a bounded lattice search.
+root data: per matching of simple indices that keeps the Cartan matrix,
+two Smith forms computed once per pair pin the weight map in closed form,
+and only a glued centre leaves a bounded search over one k x k block.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ from .lattice import (
     IntMatrix,
     Sublattice,
     common_denominator,
+    integral_left_inverse,
+    inverse_unimodular,
     invert_rational,
     kernel_mod,
-    solve_integer,
+    smith_normal_form,
 )
 from .qform import CartanDatum, QForm, kernel, trivial_qform
 from .rootdata import RootDatum, dot, vec_scale
@@ -268,6 +272,9 @@ def quantum_dual_pair(rd: RootDatum, b) -> QuantumPair:
 
 # -- isomorphism search ---------------------------------------------------------
 
+# the most weight maps `isomorphic` tries per matching when the centre is glued
+SEARCH_BUDGET = 20000
+
 
 @dataclass(frozen=True)
 class IsoResult:
@@ -297,84 +304,93 @@ def _matches_full_root_data(p: IntMatrix, d1: RootDatum, d2: RootDatum):
     return True
 
 
-def isomorphic(d1: RootDatum, d2: RootDatum, search_budget=20000) -> IsoResult:
-    """Search for an isomorphism of root data.
+def _divided(rows, divisors):
+    """Each row divided by its divisor, or None when a quotient is not
+    integral."""
+    if any(x % dv for row, dv in zip(rows, divisors) for x in row):
+        return None
+    return [[x // dv for x in row] for row, dv in zip(rows, divisors)]
 
-    Tries every simple-root matching with equal Cartan matrices; each gives
-    a linear system over Z for the weight map, solved exactly.  When the
-    solution space has free directions (central directions of the data),
-    unimodularity is sought by a bounded coefficient search; exceeding the
-    budget yields "undecided" rather than a wrong "none".
+
+def _near(center):
+    """Integer matrices around `center`, in shells of growing sup distance."""
+    k = len(center)
+    for radius in itertools.count():
+        for t in itertools.product(range(-radius, radius + 1), repeat=k * k):
+            if radius in map(abs, t):
+                yield [[center[r][c] + t[r * k + c] for c in range(k)] for r in range(k)]
+
+
+def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
+    """Decide whether two root data are isomorphic.
+
+    An isomorphism P of weight lattices can be taken to map a base to a
+    base, so it is sought per matching pi of simple indices that keeps the
+    Cartan matrix and each index's pair of gcds (of the root's and of the
+    coroot's entries): P alpha1_i = alpha2_pi(i), P^T coroot2_pi(i) =
+    coroot1_i.  Two Smith forms, U C2 V = [D | 0] of d2's simple coroots
+    and U' A1 V' = [D' | 0] of d1's simple roots, computed once, pin all
+    but a k x k block N of V^-1 P V'^-T = [[X, Y], [K, N]], k = rank -
+    #simple: the coroot equations give X and Y (D must divide them) and
+    the root equations give K (D' must divide it).  X pairs d1's coroots
+    with a basis of its saturated root lattice, so it is invertible, and
+    det P = +-det X det(N - E) with E = K X^-1 Y.  Hence N is unique when
+    k <= 1 (N = E +- 1/det X) and can be E + I when det X = +-1; only a
+    glued centre (k >= 2, |det X| > 1) leaves a search over N around E,
+    where exhausting SEARCH_BUDGET yields "undecided" rather than a wrong
+    "none".
     """
     if d1.rank != d2.rank or d1.num_simple != d2.num_simple:
         return IsoResult("none", None, None)
     n, s = d1.rank, d1.num_simple
-    if d1.pi1() != d2.pi1():
+    k = n - s
+    # a unimodular map keeps the gcd of the entries of each root and coroot
+    gcds1, gcds2 = ([(math.gcd(*a), math.gcd(*c)) for a, c in
+                     zip(d.simple_roots.data, d.simple_coroots.data)] for d in (d1, d2))
+    if d1.pi1() != d2.pi1() or sorted(gcds1) != sorted(gcds2):
         return IsoResult("none", None, None)
     if s == 0:
         return IsoResult("iso", IntMatrix.identity(n), ())
+    u2, dc, v2 = smith_normal_form(d2.simple_coroots)
+    u1, da, v1 = smith_normal_form(d1.simple_roots)
+    v2_inv, v1_t = inverse_unimodular(v2), v1.transpose()
+    # row i: d1's coroot i against V'^-T, so that U C1 gives X | Y directly
+    coroots1 = (d1.simple_coroots @ inverse_unimodular(v1).transpose()).data
+    # row j: the last k coordinates of V^-1 alpha2_j
+    roots2 = [v2_inv.mul_vec(d2.simple_roots.row(j))[s:] for j in range(s)]
     undecided = False
     for perm in itertools.permutations(range(s)):
-        ok = all(d1.cartan_matrix[i][j] == d2.cartan_matrix[perm[i]][perm[j]]
-                 for i in range(s) for j in range(s))
-        if not ok:
+        if any(gcds1[i] != gcds2[perm[i]]
+               or any(d1.cartan_matrix[i][j] != d2.cartan_matrix[perm[i]][perm[j]]
+                      for j in range(s)) for i in range(s)):
             continue
-        # linear constraints on P (n x n, row-major unknowns):
-        #   P alpha1_i = alpha2_perm(i)  and  coroot2_perm(i)^T P = coroot1_i^T
-        rows = []
-        rhs = []
-        for i in range(s):
-            a1 = d1.simple_roots.row(i)
-            a2 = d2.simple_roots.row(perm[i])
-            for r in range(n):
-                row = [0] * (n * n)
-                for c in range(n):
-                    row[r * n + c] = a1[c]
-                rows.append(row)
-                rhs.append(a2[r])
-            c1 = d1.simple_coroots.row(i)
-            c2 = d2.simple_coroots.row(perm[i])
-            for c in range(n):
-                row = [0] * (n * n)
-                for r in range(n):
-                    row[r * n + c] = c2[r]
-                rows.append(row)
-                rhs.append(c1[c])
-        system = IntMatrix(rows, cols=n * n)
-        solved = solve_integer(system, rhs)
-        if solved is None:
+        back = sorted(range(s), key=perm.__getitem__)
+        top = _divided((u2 @ IntMatrix([coroots1[i] for i in back], cols=n)).data,
+                       [dc.data[r][r] for r in range(s)])
+        k_t = _divided((u1 @ IntMatrix([roots2[j] for j in perm], cols=k)).data,
+                       [da.data[r][r] for r in range(s)])
+        if top is None or k_t is None:
             continue
-        particular, homogeneous = solved
-
-        def as_matrix(vec):
-            return IntMatrix([vec[r * n:(r + 1) * n] for r in range(n)], cols=n)
-
-        if not homogeneous:
-            p = as_matrix(list(particular))
+        k_rows = [list(col) for col in zip(*k_t)]
+        # F = den E = K (den X^-1) Y, with den X^-1 stored by columns
+        _, inv_cols, den = integral_left_inverse([row[:s] for row in top], s)
+        f = (IntMatrix(k_rows, cols=s) @ IntMatrix(inv_cols, cols=s).transpose()
+             @ IntMatrix([row[s:] for row in top], cols=k)).data
+        if den < 0:
+            f, den = [[-z for z in row] for row in f], -den
+        if k == 0 or den == 1:
+            candidates = [[[z + (r == c) for c, z in enumerate(row)]
+                           for r, row in enumerate(f)]]
+        elif k == 1:
+            candidates = [[[(f[0][0] + e) // den]] for e in (1, -1)
+                          if (f[0][0] + e) % den == 0]
+        else:
+            undecided = True
+            candidates = itertools.islice(
+                _near([[(2 * z + den) // (2 * den) for z in row] for row in f]),
+                SEARCH_BUDGET)
+        for nb in candidates:
+            p = v2 @ IntMatrix(top + [a + b for a, b in zip(k_rows, nb)], cols=n) @ v1_t
             if p.is_unimodular() and _matches_full_root_data(p, d1, d2):
                 return IsoResult("iso", p, perm)
-            continue
-        found = None
-        tried = 0
-        radius = 0
-        while tried <= search_budget and found is None:
-            coeff_box = [t for t in itertools.product(
-                range(-radius, radius + 1), repeat=len(homogeneous))
-                if max((abs(x) for x in t), default=0) == radius]
-            for t in coeff_box:
-                tried += 1
-                if tried > search_budget:
-                    break
-                vec = list(particular)
-                for coeff, h in zip(t, homogeneous):
-                    if coeff:
-                        vec = [x + coeff * y for x, y in zip(vec, h)]
-                p = as_matrix(vec)
-                if p.is_unimodular() and _matches_full_root_data(p, d1, d2):
-                    found = p
-                    break
-            radius += 1
-        if found is not None:
-            return IsoResult("iso", found, perm)
-        undecided = True
     return IsoResult("undecided" if undecided else "none", None, None)

@@ -482,37 +482,6 @@ class LatticeHom:
         return self.target.reduce_element(acc)
 
 
-def solve_integer(a: IntMatrix, b):
-    """All integer solutions of a x = b.
-
-    Returns (particular, homogeneous_basis) or None when unsolvable;
-    homogeneous_basis is a list of integer vectors spanning the solution
-    lattice of a x = 0.
-    """
-    if len(b) != a.rows:
-        raise ValueError("rhs length mismatch")
-    u, d, v = smith_normal_form(a)
-    ub = u.mul_vec(b)
-    y = [0] * a.cols
-    for i in range(a.rows):
-        di = d.data[i][i] if i < min(a.rows, a.cols) else 0
-        if di == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            q, r = divmod(ub[i], di)
-            if r:
-                return None
-            y[i] = q
-    particular = v.mul_vec(y)
-    basis = []
-    for j in range(a.cols):
-        dj = d.data[j][j] if j < min(a.rows, a.cols) else 0
-        if dj == 0:
-            basis.append(v.column(j))
-    return particular, basis
-
-
 # -- elimination -------------------------------------------------------------
 
 

@@ -212,6 +212,17 @@ class TestMalformedInput:
         self.assert_usage_error(res)
         assert "--rank 2" in res.output
 
+    @pytest.mark.parametrize("args, flag", [
+        (("weights", "--group", "SL2", "--hw", "1,2"), "--hw 1,2"),
+        (("weights", "--group", "SL3", "--hw", "1"), "--hw 1"),
+        (("tensor", "--group", "SL2", "--a", "1,0", "--b", "1"), "--a 1,0"),
+        (("tensor", "--group", "SL2", "--a", "1", "--b", "1,0"), "--b 1,0"),
+    ])
+    def test_weight_length_must_match_rank(self, args, flag):
+        res = run(*args)
+        self.assert_usage_error(res)
+        assert flag in res.output and "rank" in res.output
+
     def test_form_file_holding_a_list(self, tmp_path):
         form = tmp_path / "form.json"
         form.write_text("[1, 2]")

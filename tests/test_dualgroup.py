@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from test_rootdata import _rebased, _transvections
+from twistdual import dualgroup
 from twistdual.lattice import IntMatrix
 from twistdual.qform import (
     CartanDatum,
@@ -277,9 +279,11 @@ class TestIsomorphic:
             assert td.multipliers == (1,) * rd.num_simple
             assert isomorphic(td.datum, langlands_dual(rd).datum).agrees()
 
-    def test_budget_exhaustion_is_undecided(self):
-        r = isomorphic(GL2, GL2, search_budget=0)
-        assert r.status == "undecided"
+    def test_budget_exhaustion_is_undecided(self, monkeypatch):
+        # GL2 x T1 glues its centre (|det X| = 2 with k = 2), so it searches
+        monkeypatch.setattr(dualgroup, "SEARCH_BUDGET", 0)
+        gl2t1 = standard("GL2xT1")
+        assert isomorphic(gl2t1, gl2t1).status == "undecided"
 
     def test_different_weyl_types(self):
         assert isomorphic(SP4, standard("SL3")).status == "none"
@@ -291,3 +295,109 @@ class TestIsomorphic:
         assert not _matches_full_root_data(IntMatrix.identity(2), d1, d2)
         assert _matches_full_root_data(IntMatrix([[1, -1], [0, 1]]), d1, d2)
         assert isomorphic(d1, d2).status == "iso"
+
+
+def _so4_power(k):
+    """SO4^k, SO4 = (SL2 x SL2) / diagonal mu_2 with roots = coroots =
+    (1, 1), (1, -1) in each block."""
+    rows = [[0] * (2 * b) + r + [0] * (2 * (k - b - 1))
+            for b in range(k) for r in ([1, 1], [1, -1])]
+    return RootDatum(rows, rows, rank=2 * k)
+
+
+def _assert_witness(res, d1, d2):
+    """An "iso" answer whose map is unimodular (by sympy) and carries the
+    simple roots and coroots by its permutation."""
+    sympy = pytest.importorskip("sympy")
+    assert res.status == "iso"
+    p, perm = res.weight_map, res.permutation
+    assert abs(sympy.Matrix(p.data).det()) == 1
+    for i in range(d1.num_simple):
+        assert p.mul_vec(d1.simple_roots.row(i)) == d2.simple_roots.row(perm[i])
+        assert p.transpose().mul_vec(d2.simple_coroots.row(perm[i])) == \
+            d1.simple_coroots.row(i)
+
+
+class TestIsomorphicUnderRebasing:
+    """isomorphic on data and duals written in other bases of Z^rank: GL_n(Z)
+    changes of basis by up to 12 transvections with |c| <= 3."""
+
+    ISO = {"GL2xT2": standard("GL2xT2"), "SL2xT1": standard("SL2xT1"),
+           "Sp4xT1": standard("Sp4xT1"), "GL2xGL2": standard("GL2xGL2"),
+           "GL3xT1": standard("GL3xT1"), "SO4xSO4": _so4_power(2)}
+    NONE = [(standard(f"SL{n}"), standard(f"PGL{n}")) for n in (2, 3, 4)] + [
+        (_so4_power(k), standard("x".join(["SL2xPGL2"] * k))) for k in (1, 2, 3)]
+
+    @staticmethod
+    def _moves(st, indices=8):
+        return st.lists(st.tuples(st.integers(0, indices - 1), st.integers(0, indices - 1),
+                                  st.sampled_from((-3, -2, -1, 1, 2, 3))), max_size=12)
+
+    def test_rebased_datum_is_isomorphic(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=120, deadline=None)
+        @hypothesis.given(st.sampled_from(sorted(self.ISO)), self._moves(st), self._moves(st))
+        def check(label, moves1, moves2):
+            d1, d2 = (_rebased(self.ISO[label], m) for m in (moves1, moves2))
+            _assert_witness(isomorphic(d1, d2), d1, d2)
+
+        check()
+
+    def test_rebased_non_isomorphic_pairs(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=40, deadline=None)
+        @hypothesis.given(st.integers(0, len(self.NONE) - 1), self._moves(st),
+                          self._moves(st))
+        def check(index, moves1, moves2):
+            a, b = self.NONE[index]
+            assert isomorphic(_rebased(a, moves1), _rebased(b, moves2)).status == "none"
+
+        check()
+
+    def test_twisted_dual_of_rebased_form(self):
+        # (datum, form) in the basis U: coweights lam U^-T, so Grams U^T g U
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        data = {rd.name: (rd, invariant_gram_basis(rd))
+                for rd in (SL2, PGL2, GL2, SL3, SP4, G2, standard("SL2xT1"))}
+        ratios = st.tuples(st.integers(-3, 3), st.integers(1, 4))
+
+        @hypothesis.settings(max_examples=80, deadline=None)
+        @hypothesis.given(st.sampled_from(sorted(data)), self._moves(st, 2),
+                          st.sampled_from(("full", "coroot")), st.data())
+        def check(label, moves, mode, draw):
+            rd, basis = data[label]
+            n = rd.rank
+
+            def gram():
+                coeffs = draw.draw(st.lists(ratios, min_size=len(basis), max_size=len(basis)))
+                return [[sum(Fraction(a, b) * g[i][j] for (a, b), g in zip(coeffs, basis))
+                         for j in range(n)] for i in range(n)]
+
+            g0, g1 = gram(), (gram() if draw.draw(st.booleans()) else None)
+            u = _transvections(n, moves).data
+            move = lambda g: g and [[sum(u[a][i] * g[a][b] * u[b][j] for a in range(n)
+                                         for b in range(n)) for j in range(n)]
+                                    for i in range(n)]
+            rebased = _rebased(rd, moves)
+            first = twisted_dual(rd, QForm(rd, g0, g1), mode).datum
+            second = twisted_dual(rebased, QForm(rebased, move(g0), move(g1)), mode).datum
+            _assert_witness(isomorphic(first, second), first, second)
+
+        check()
+
+    def test_closed_forms_never_search(self, monkeypatch):
+        # k = 1 for each: N = E +- 1/det X is pinned, so no budget is needed
+        monkeypatch.setattr(dualgroup, "SEARCH_BUDGET", 0)
+        rng = random.Random(23)
+        for label in ("GL2", "SL2xT1", "Sp4xT1"):
+            rd = standard(label)
+            for _ in range(8):
+                moves = [(rng.randrange(rd.rank), rng.randrange(rd.rank),
+                          rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(12)]
+                rebased = _rebased(rd, moves)
+                _assert_witness(isomorphic(rd, rebased), rd, rebased)

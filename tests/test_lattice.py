@@ -17,7 +17,6 @@ from twistdual.lattice import (
     quotient_group,
     saturation,
     smith_normal_form,
-    solve_integer,
 )
 
 from fraction_oracle import solve_left_rational
@@ -229,25 +228,6 @@ class TestHelpers:
         assert (m @ inv) == IntMatrix.identity(2)
         with pytest.raises(ValueError):
             inverse_unimodular(IntMatrix([[2, 0], [0, 1]]))
-
-    def test_solve_integer(self):
-        rng = random.Random(17)
-        for _ in range(50):
-            rows, cols = rng.randint(1, 3), rng.randint(1, 3)
-            a = IntMatrix([[rng.randint(-4, 4) for _ in range(cols)]
-                           for _ in range(rows)])
-            x0 = [rng.randint(-3, 3) for _ in range(cols)]
-            b = a.mul_vec(x0)
-            sol = solve_integer(a, b)
-            assert sol is not None
-            particular, basis = sol
-            assert a.mul_vec(particular) == tuple(b)
-            for h in basis:
-                assert a.mul_vec(h) == (0,) * rows
-
-    def test_solve_integer_unsolvable(self):
-        a = IntMatrix([[2]])
-        assert solve_integer(a, (1,)) is None
 
     def test_solve_left_rational(self):
         rows = [(1, 2), (0, 3)]

@@ -231,15 +231,22 @@ class TestDominance:
         assert rd.coweight_leq((0,), (2,))
 
 
-def _rebased(rd, moves):
-    """rd in the basis U of Z^rank, the product of the transvections
-    (i, j, c): roots R U and coroots R' U^{-T}, so every pairing is kept."""
-    n = rd.rank
+def _transvections(n, moves):
+    """The product U of the transvections (i, j, c) of Z^n, indices mod n;
+    a move with i = j mod n is the identity."""
     u = IntMatrix.identity(n)
     for i, j, c in moves:
         t = [[int(a == b) for b in range(n)] for a in range(n)]
         t[i % n][j % n] += c if i % n != j % n else 0
         u = u @ IntMatrix(t, cols=n)
+    return u
+
+
+def _rebased(rd, moves):
+    """rd in the basis U = _transvections(rank, moves): roots R U and
+    coroots R' U^{-T}, so every pairing is kept."""
+    n = rd.rank
+    u = _transvections(n, moves)
     return RootDatum(rd.simple_roots @ u, rd.simple_coroots @ inverse_unimodular(u).transpose(),
                      rank=n)
 
