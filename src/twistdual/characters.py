@@ -198,15 +198,15 @@ def weyl_dim(rd: RootDatum, highest) -> int:
     highest = tuple(int(x) for x in highest)
     if not rd.is_dominant_weight(highest):
         raise CharacterError(f"{highest} is not dominant")
-    rho = rd.rho
-    num = Fraction(1)
-    den = Fraction(1)
+    # prod <lam + rho, beta^v> / prod <rho, beta^v>, both doubled
+    two_lam_rho = tuple(2 * h + r for h, r in zip(highest, rd.two_rho))
+    num = den = 1
     for _, cobeta in rd.positive_root_pairs:
-        num *= sum((Fraction(h) + r) * c for h, r, c in zip(highest, rho, cobeta))
-        den *= sum(r * c for r, c in zip(rho, cobeta))
-    out = num / den
-    assert out.denominator == 1
-    return int(out)
+        num *= dot(two_lam_rho, cobeta)
+        den *= dot(rd.two_rho, cobeta)
+    out, rem = divmod(num, den)
+    assert rem == 0
+    return out
 
 
 def tensor_decompose(c1: Character, c2: Character):

@@ -148,6 +148,9 @@ def main():
     """Twisted dual root data from invariant quadratic forms."""
 
 
+# orders, levels and twisting integers
+_POSITIVE = click.IntRange(min=1)
+
 _group_opts = [
     click.option("--group", help="standard group label, e.g. SL2, PGL3, Sp4, G2"),
     click.option("--rd-file", type=click.Path(), help="root datum JSON file"),
@@ -194,8 +197,8 @@ def langlands_cmd(group, rd_file):
 
 @main.command("fl-dual")
 @_with_group
-@click.option("--d", type=int, required=True)
-@click.option("--n", "big_n", type=int, required=True, help="the level N")
+@click.option("--d", type=_POSITIVE, required=True)
+@click.option("--n", "big_n", type=_POSITIVE, required=True, help="the level N")
 def fl_dual_cmd(group, rd_file, d, big_n):
     """Finkelberg-Lysenko dual at level N with twisting integer d."""
     rd = _load_datum(group, rd_file)
@@ -206,13 +209,19 @@ def fl_dual_cmd(group, rd_file, d, big_n):
 
 @main.command("lusztig-dual")
 @_with_group
-@click.option("--l", "order", type=int, required=True)
+@click.option("--l", "order", type=_POSITIVE, required=True)
 @click.option("--f", "f_values", help="comma list overriding the standard symmetrizers")
 def lusztig_dual_cmd(group, rd_file, order, f_values):
     """Lusztig's dual datum at a root of unity of order l."""
     rd = _load_datum(group, rd_file)
-    cd = (qf.CartanDatum(rd, _vector(f_values)) if f_values
-          else qf.CartanDatum.standard(rd))
+    if f_values:
+        f = _vector(f_values)
+        if len(f) != rd.num_simple or min(f) < 1:
+            raise click.UsageError(
+                f"--f {f_values} must give {rd.num_simple} positive integers")
+        cd = qf.CartanDatum(rd, f)
+    else:
+        cd = qf.CartanDatum.standard(rd)
     td = dg.lusztig_dual(cd, order)
     click.echo(f"group: {rd.name or 'custom'}  f: {list(cd.f)}  l: {order}")
     _echo_dual(td)
@@ -220,7 +229,7 @@ def lusztig_dual_cmd(group, rd_file, order, f_values):
 
 @main.command("quantum-pair")
 @_with_group
-@click.option("--n", "level", type=int, help="b = (1/N) normalized Killing")
+@click.option("--n", "level", type=_POSITIVE, help="b = (1/N) normalized Killing")
 @click.option("--gram-file", type=click.Path(), help="explicit rational Gram JSON")
 def quantum_pair_cmd(group, rd_file, level, gram_file):
     """Both sides of the quantum-Langlands comparison, with the lattice map."""
@@ -228,8 +237,6 @@ def quantum_pair_cmd(group, rd_file, level, gram_file):
     if (level is None) == (gram_file is None):
         raise click.UsageError("give exactly one of --n or --gram-file")
     if level is not None:
-        if level < 1:
-            raise click.UsageError("N must be positive")
         b = [[x / level for x in row] for row in qf.normalized_killing_gram(rd)]
     else:
         try:
@@ -287,9 +294,9 @@ def _build_for_compare(kind, rd, params):
 @click.argument("first", type=click.Choice(_KINDS))
 @click.argument("second", type=click.Choice(_KINDS))
 @_with_group
-@click.option("--d", type=int)
-@click.option("--n", "big_n", type=int)
-@click.option("--l", "order", type=int)
+@click.option("--d", type=_POSITIVE)
+@click.option("--n", "big_n", type=_POSITIVE)
+@click.option("--l", "order", type=_POSITIVE)
 @click.option("--q-exp")
 @click.option("--q-tau")
 def compare(first, second, group, rd_file, d, big_n, order, q_exp, q_tau):
@@ -367,7 +374,7 @@ def incidence(rank, a_text, b_text):
 
 
 @main.command("rank1-table")
-@click.option("--r0", type=int, required=True)
+@click.option("--r0", type=_POSITIVE, required=True)
 @click.option("--p", type=int, default=1, show_default=True)
 def rank1_table_cmd(r0, p):
     """Kernels of the rank-one form of order r0, in adjoint coordinates."""

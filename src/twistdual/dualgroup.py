@@ -20,10 +20,8 @@ from fractions import Fraction
 from .lattice import (
     IntMatrix,
     Sublattice,
-    common_denominator,
     integral_left_inverse,
     inverse_unimodular,
-    invert_rational,
     kernel_mod,
     smith_normal_form,
 )
@@ -84,15 +82,11 @@ def _assemble_dual(rd: RootDatum, weight_lattice: Sublattice, multipliers,
             raise PaperContractViolation(
                 f"{r} * coroot_{i} = {scaled} does not lie in the dual weight lattice")
         new_roots.append(coords)
-        alpha = rd.simple_roots.row(i)
-        func = []
-        for b in basis.data:
-            val = Fraction(dot(alpha, b), r)
-            if val.denominator != 1:
-                raise PaperContractViolation(
-                    f"alpha_{i}/{r} is not integral on the dual weight lattice")
-            func.append(int(val))
-        new_coroots.append(func)
+        pairings = [dot(rd.simple_roots.row(i), b) for b in basis.data]
+        if any(x % r for x in pairings):
+            raise PaperContractViolation(
+                f"alpha_{i}/{r} is not integral on the dual weight lattice")
+        new_coroots.append([x // r for x in pairings])
     datum = RootDatum(
         IntMatrix(new_roots, cols=k),
         IntMatrix(new_coroots, cols=k),
@@ -162,21 +156,20 @@ def rank1_table(r0: int, p: int = 1) -> Rank1Table:
 def fl_dual(rd: RootDatum, d: int, big_n: int) -> TwistedDual:
     """The Finkelberg-Lysenko dual: weights are the coweights lam with
     d * iota(lam) divisible by N in the weight lattice; the multiplier of a
-    coroot is the denominator of d (coroot, coroot) / 2N."""
+    coroot is the denominator of d (coroot, coroot) / 2N.
+
+    With iota = K / 2h for the integer Killing Gram K, the lattice is the
+    kernel of d K modulo 2hN, and the multiplier of coroot c is the
+    denominator of d c^T K c / 4hN."""
     if not rd.is_irreducible():
         raise ValueError("this comparison is defined for irreducible root systems")
     if d < 1 or big_n < 1:
         raise ValueError("d and N must be positive")
-    _, j = rd.dual_coxeter_and_iota()
-    den = common_denominator([x for row in j for x in row])
-    scaled = IntMatrix([[int(d * den * x) for x in row] for row in j], cols=rd.rank)
-    lattice = kernel_mod(scaled, den * big_n)
-    multipliers = []
-    for i in range(rd.num_simple):
-        cor = rd.simple_coroots.row(i)
-        pairing = rd.iota_pairing(cor, cor)
-        frac = Fraction(d) * pairing / (2 * big_n)
-        multipliers.append(frac.denominator)
+    h, k = rd.coxeter_killing
+    m = 4 * h * big_n
+    lattice = kernel_mod(IntMatrix([[d * x for x in row] for row in k.data], cols=rd.rank),
+                         m // 2)
+    multipliers = [m // math.gcd(d * dot(c, k.mul_vec(c)), m) for c in rd.simple_coroots.data]
     label = f"fl({rd.name},{d},{big_n})" if rd.name else None
     return _assemble_dual(rd, lattice, multipliers, name=label)
 
@@ -189,9 +182,7 @@ def lusztig_dual(cd: CartanDatum, order: int) -> TwistedDual:
     rd = cd.rd
     l_i = [order // math.gcd(order, fi) for fi in cd.f]
     if rd.num_simple:
-        big_l = 1
-        for li in l_i:
-            big_l = big_l * li // math.gcd(big_l, li)
+        big_l = math.lcm(*l_i)
         rows = [vec_scale(big_l // l_i[i], rd.simple_roots.row(i))
                 for i in range(rd.num_simple)]
         lattice = kernel_mod(IntMatrix(rows, cols=rd.rank), big_l)
@@ -215,58 +206,36 @@ class QuantumPair:
 def quantum_dual_pair(rd: RootDatum, b) -> QuantumPair:
     """Build both sides of the quantum-Langlands comparison for a
     nondegenerate W-invariant rational Gram b and verify the isomorphism
-    lam -> b(lam, .) between their root data."""
-    b = tuple(tuple(Fraction(x) for x in row) for row in b)
-    n = rd.rank
-    if len(b) != n or any(len(r) != n for r in b):
-        raise ValueError("Gram has the wrong shape")
+    lam -> b(lam, .) between their root data.
+
+    With b = n0 / den as its `QForm` stores it, the right form is b^-1 =
+    den n0^-1, from one integer inverse of n0.  The map must send the left
+    weight lattice onto the right one (a unimodular `iso`, row i the image
+    of basis weight i) and carry the left (root, coroot) pairs onto the
+    right ones, as `isomorphic` checks its witnesses."""
+    left_form = QForm(rd, b)                       # validates shape and W-invariance
+    n0, den = left_form.n0, left_form.den
     try:
-        b_inv = invert_rational([list(r) for r in b])
+        _, inv, det = integral_left_inverse(n0.data, rd.rank)
     except ValueError:
         raise ValueError("the Gram form is degenerate") from None
-    left_form = QForm(rd, b)                      # validates W-invariance
+    # inv is det n0^-1 by columns, which n0's symmetry makes its rows
     l_rd = rd.flip()
-    right_form = QForm(l_rd, b_inv)
+    right_form = QForm(l_rd, [[Fraction(den * x, det) for x in row] for row in inv])
     left = twisted_dual(rd, left_form, "full")
     right = twisted_dual(l_rd, right_form, "full")
-
-    # the map f(lam) = b lam carries the left weight lattice to the right one
     rows = []
     for u in left.basis.data:
-        img = [sum(b[a][c] * u[c] for c in range(n)) for a in range(n)]
-        if any(x.denominator != 1 for x in img):
-            return QuantumPair(left, right, None, False)
-        coords = right.weight_sublattice.coefficients([int(x) for x in img])
+        img = n0.mul_vec(u)                        # den times b u
+        coords = (None if any(x % den for x in img)
+                  else right.weight_sublattice.coefficients([x // den for x in img]))
         if coords is None:
             return QuantumPair(left, right, None, False)
         rows.append(coords)
-    iso = IntMatrix(rows, cols=right.basis.rows) if rows else IntMatrix([], cols=0)
-    if iso.rows != iso.cols or not iso.is_unimodular():
+    iso = IntMatrix(rows, cols=right.basis.rows)
+    if not (iso.is_unimodular()
+            and _matches_full_root_data(iso.transpose(), left.datum, right.datum)):
         return QuantumPair(left, right, None, False)
-
-    # roots must match up to sign, index by index, and dually the coroots
-    live = [i for i in range(rd.num_simple) if i not in left.dropped]
-    if left.dropped != right.dropped:
-        return QuantumPair(left, right, None, False)
-    for pos, i in enumerate(live):
-        src_root = left.root_in_source(pos)           # r_i * coroot_i
-        img = [sum(b[a][c] * src_root[c] for c in range(n)) for a in range(n)]
-        tgt_root = right.root_in_source(pos)
-        plus = tuple(Fraction(x) for x in tgt_root)
-        if tuple(img) != plus and tuple(-x for x in img) != plus:
-            return QuantumPair(left, right, None, False)
-        # dual check: the pullback of the right coroot functional matches
-        sign = 1 if tuple(img) == plus else -1
-        r_left = left.multipliers[i]
-        r_right = right.multipliers[i]
-        alpha = rd.simple_roots.row(i)
-        coroot = rd.simple_coroots.row(i)
-        for u in left.basis.data:
-            lhs = Fraction(dot(alpha, u), r_left)
-            bu = [sum(b[a][c] * u[c] for c in range(n)) for a in range(n)]
-            rhs = sign * Fraction(sum(coroot[a] * bu[a] for a in range(n)), r_right)
-            if lhs != rhs:
-                return QuantumPair(left, right, None, False)
     return QuantumPair(left, right, iso, True)
 
 

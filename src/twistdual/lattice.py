@@ -1,18 +1,18 @@
-"""Exact integer and rational linear algebra on lattices.
+"""Exact integer linear algebra on lattices.
 
 Everything here is pure and exact: matrices are immutable, entries are
 arbitrary-precision Python ints, and no floating point appears anywhere.
 Determinants, ranks and inverses come from one fraction-free elimination
-on integer rows; only `invert_rational` returns Fractions, built at its
-output.  Sublattices are kept in row Hermite normal form so that equality
-of sublattices is equality of data.
+on integer rows; a rational inverse is an integer matrix over an explicit
+denominator (`integral_left_inverse`), so no Fraction is built here.
+Sublattices are kept in row Hermite normal form so that equality of
+sublattices is equality of data.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class MalformedMatrixError(ValueError):
@@ -554,22 +554,6 @@ def integral_left_inverse(rows, width):
     # the row operations that reduce the rows invert their pivot minor
     cols = tuple(tuple(work[j][width + i] for j in range(s)) for i in range(s))
     return tuple(pivots), cols, den
-
-
-def invert_rational(mat):
-    """Inverse of a square matrix of ints or Fractions, as lists of
-    Fractions.
-
-    The input is scaled to integers by one common denominator d, so the
-    inverse is d times the integer inverse block over its determinant.
-    """
-    n = len(mat)
-    d = common_denominator(x for row in mat for x in row)
-    scaled = [[x.numerator * (d // x.denominator) for x in row] for row in mat]
-    work, pivots, _, den = _eliminate(_augment(scaled), n)
-    if len(pivots) < n:
-        raise ValueError("matrix is singular")
-    return [[Fraction(d * x, den) for x in row[n:]] for row in work]
 
 
 def common_denominator(fractions):

@@ -26,8 +26,8 @@ from .lattice import (
     IntMatrix,
     Sublattice,
     common_denominator,
+    integral_left_inverse,
     intersect,
-    invert_rational,
     kernel_mod,
     outer_sum,
     saturation,
@@ -472,39 +472,42 @@ class CartanDatum:
 
     @classmethod
     def standard(cls, rd: RootDatum, scale=1):
-        """Minimal positive symmetrizers, times an overall integer scale.
+        """The least positive symmetrizer of each component, times an
+        overall integer scale.
 
         f_i c_ij = f_j c_ji makes f proportional to 1/d on each component,
-        for d the datum's symmetrizer."""
-        ratios = [1 / d for d in rd.symmetrizer]
-        den = common_denominator(ratios)
-        return cls(rd, tuple(int(r * den) * scale for r in ratios))
+        for d the datum's integer symmetrizer, so the least such f is
+        f_i = lcm(d over i's component) / d_i, whatever the order of the
+        simple roots and whatever the other components."""
+        d = rd.symmetrizer
+        f = [0] * rd.num_simple
+        for comp in rd.components:
+            top = math.lcm(*(d[i] for i in comp))
+            for i in comp:
+                f[i] = top // d[i] * scale
+        return cls(rd, tuple(f))
 
     def bilinear_gram(self):
         """Rational Gram B on coweights with coroot_i^T B coroot_j = i.j;
-        needs the coroots to span, i.e. a semisimple datum."""
+        needs the coroots to span, i.e. a semisimple datum.
+
+        For C the matrix of coroot rows, B = C^-1 T C^-T with T the pairing
+        matrix; the elimination gives den C^-T as an integer matrix, so B
+        is one integer product over den^2."""
         rd = self.rd
         if rd.num_simple != rd.rank:
             raise ValueError("Cartan-datum Gram needs a semisimple root datum")
-        target = [[Fraction(self.pairing(i, j)) for j in range(rd.rank)]
-                  for i in range(rd.rank)]
-        cor = [[Fraction(x) for x in row] for row in rd.simple_coroots.data]
-        corinv = invert_rational(cor)
-        # want C B C^T = target for C the matrix of coroot rows
         n = rd.rank
-        return tuple(
-            tuple(sum(corinv[i][k] * target[k][l] * corinv[j][l]
-                      for k in range(n) for l in range(n))
-                  for j in range(n))
-            for i in range(n))
+        _, m, den = integral_left_inverse(rd.simple_coroots.data, n)
+        m = IntMatrix(m, cols=n)  # den C^-T
+        t = IntMatrix([[self.pairing(i, j) for j in range(n)] for i in range(n)], cols=n)
+        return _over(m.transpose() @ t @ m, den * den)
 
 
-def cartan_qform(cd: CartanDatum, order, numerator=1) -> QForm:
+def cartan_qform(cd: CartanDatum, order) -> QForm:
     """The form q^f for q a primitive `order`-th root of unity: the Gram of
     f divided by the order."""
-    b = cd.bilinear_gram()
-    g0 = [[x * Fraction(numerator, order) for x in row] for row in b]
-    return QForm(cd.rd, g0)
+    return QForm(cd.rd, [[x / order for x in row] for row in cd.bilinear_gram()])
 
 
 # -- standard Gram helpers -----------------------------------------------------

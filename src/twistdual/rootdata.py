@@ -10,6 +10,7 @@ so invalid data fail early.  The Weyl group is enumerated only on demand.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -20,7 +21,6 @@ from .lattice import (
     FGAbelianGroup,
     IntMatrix,
     Sublattice,
-    common_denominator,
     integral_left_inverse,
     outer_sum,
     quotient_group,
@@ -65,7 +65,6 @@ class WeylGroup:
     """Finite Weyl group as matrices acting on the coweight lattice."""
 
     elements: tuple
-    generators: tuple  # indices into `elements` of the simple reflections
 
     @property
     def order(self):
@@ -147,7 +146,8 @@ class RootDatum:
         # One walk of the Cartan graph gives its components and the
         # symmetrizer: d solves d_j a_ij = d_i a_ji along each edge, and a
         # cycle that forces two values of some d_j makes the Cartan matrix
-        # non-symmetrizable, hence not of finite type.
+        # non-symmetrizable, hence not of finite type.  Each component's d
+        # is then scaled to its least positive integers.
         cartan = self.cartan_matrix
         s = self.num_simple
         d = [None] * s
@@ -171,13 +171,16 @@ class RootDatum:
                         raise RootDatumError(
                             "Cartan matrix is not symmetrizable; "
                             "datum is not of finite type")
+            lcd = math.lcm(*(d[i].denominator for i in comp))
+            for i in comp:
+                d[i] = int(d[i] * lcd)
             comps.append(tuple(sorted(comp)))
         return tuple(d), tuple(comps)
 
     @property
     def symmetrizer(self):
-        """Rationals d with (a_ij d_j) symmetric, d = 1 on the first index
-        of each component of the Cartan graph."""
+        """Positive integers d with (a_ij d_j) symmetric, the least such on
+        each component of the Cartan graph."""
         return self._cartan_walk[0]
 
     def reflection_coweight(self, i):
@@ -219,9 +222,7 @@ class RootDatum:
                     f"Weyl group has more than {WEYL_BOUND} elements, too many "
                     "to enumerate; weyl_order() gives its order")
             frontier = nxt
-        elements = tuple(sorted(seen.values(), key=lambda m: m.data))
-        gen_idx = tuple(elements.index(g) for g in gens)
-        return WeylGroup(elements, gen_idx)
+        return WeylGroup(tuple(sorted(seen.values(), key=lambda m: m.data)))
 
     def weyl_group(self) -> WeylGroup:
         return self._weyl
@@ -286,10 +287,6 @@ class RootDatum:
         for beta, _ in self.positive_root_pairs:
             acc = vec_add(acc, beta)
         return acc
-
-    @cached_property
-    def rho(self):
-        return tuple(Fraction(x, 2) for x in self.two_rho)
 
     def coroot_lattice(self) -> Sublattice:
         return Sublattice.from_rows(self.rank, self.simple_coroots.data)
@@ -418,19 +415,24 @@ class RootDatum:
 
     @cached_property
     def _coxeter_iota(self):
-        theta, theta_cov = self.highest_root()
-        pairing = dot(self.rho, theta_cov)
-        if pairing.denominator != 1:
-            raise RootDatumError("<rho, theta_coroot> is not an integer")
-        h = 1 + int(pairing)
-        k = outer_sum((beta for beta, _ in self.root_pairs), self.rank)
+        h, k = self.coxeter_killing
         return h, tuple(tuple(Fraction(x, 2 * h) for x in row) for row in k.data)
+
+    @cached_property
+    def coxeter_killing(self):
+        """(h, K): the dual Coxeter number and the integer Gram K = sum of
+        beta beta^T over all roots, so that J = K / 2h."""
+        _, theta_cov = self.highest_root()
+        two_pairing = dot(self.two_rho, theta_cov)
+        if two_pairing % 2:
+            raise RootDatumError("<rho, theta_coroot> is not an integer")
+        k = outer_sum((beta for beta, _ in self.root_pairs), self.rank)
+        return 1 + two_pairing // 2, k
 
     def iota_pairing(self, lam, mu):
         """The normalized pairing (lam, mu) = <iota(lam), mu> on coweights."""
-        _, j = self._coxeter_iota
-        return sum(j[a][b] * lam[b] * mu[a] for a in range(self.rank)
-                   for b in range(self.rank))
+        h, k = self.coxeter_killing
+        return Fraction(dot(mu, k.mul_vec(lam)), 2 * h)
 
     # -- plumbing -------------------------------------------------------------
 
@@ -497,11 +499,9 @@ def _check_finite_type(cartan, d):
     and its symmetrization (a_ij d_j) is positive definite (Kac,
     *Infinite-dimensional Lie algebras*, Ch. 4).  Definiteness is read off
     the leading principal minors (Sylvester's criterion), each an integer
-    determinant of the symmetrization scaled by the common denominator of d.
+    determinant, since d is integral.
     """
-    den = common_denominator(d)
-    m = [[a * x.numerator * (den // x.denominator) for a, x in zip(row, d)]
-         for row in cartan]
+    m = [[a * x for a, x in zip(row, d)] for row in cartan]
     for k in range(1, len(m) + 1):
         if IntMatrix([row[:k] for row in m[:k]], cols=k).det() <= 0:
             raise RootDatumError(

@@ -316,6 +316,22 @@ class TestMalformedInput:
         self.assert_usage_error(res)
         assert "boolean" in res.output
 
+    @pytest.mark.parametrize("args, flag", [
+        (("fl-dual", "--group", "SL2", "--d", "0", "--n", "2"), "--d"),
+        (("fl-dual", "--group", "SL2", "--d", "1", "--n", "-2"), "--n"),
+        (("lusztig-dual", "--group", "SL2", "--l", "0"), "--l"),
+        (("compare", "fl", "twisted", "--group", "SL2", "--d", "0", "--n", "2"), "--d"),
+        (("compare", "lusztig", "twisted", "--group", "SL2", "--l", "-3"), "--l"),
+        (("rank1-table", "--r0", "0"), "--r0"),
+        (("quantum-pair", "--group", "SL2", "--n", "0"), "--n"),
+        (("lusztig-dual", "--group", "SL3", "--l", "3", "--f", "1"), "--f"),
+        (("lusztig-dual", "--group", "SL3", "--l", "3", "--f", "0,0"), "--f"),
+    ])
+    def test_orders_levels_and_symmetrizers_must_be_positive(self, args, flag):
+        res = run(*args)
+        self.assert_usage_error(res)
+        assert flag in res.output
+
     @pytest.mark.parametrize("option,value", [("--coord-bound", "-1"), ("--samples", "-3")])
     def test_verify_forms_negative_counts(self, option, value):
         res = run("verify-forms", "--group", "SL2", option, value)

@@ -171,6 +171,20 @@ class TestFLDual:
                 tw = twisted_dual(rd, QForm(rd, g0), "full")
                 assert isomorphic(fl.datum, tw.datum).agrees()
 
+    @pytest.mark.parametrize("name", ["SL2", "PGL2", "SL3", "PGL3", "Sp4", "G2", "SL4",
+                                      "PGL4"])
+    def test_equals_twisted_of_scaled_iota(self, name):
+        # not only isomorphic: the same sublattice and the same multipliers
+        rd = standard(name)
+        _, j = rd.dual_coxeter_and_iota()
+        for d in (1, 2, 3):
+            for big_n in range(1, 13):
+                fl = fl_dual(rd, d, big_n)
+                g0 = [[x * Fraction(d, big_n) for x in row] for row in j]
+                tw = twisted_dual(rd, QForm(rd, g0), "full")
+                assert fl.weight_sublattice == tw.weight_sublattice
+                assert fl.multipliers == tw.multipliers
+
 
 class TestLusztigDual:
     def test_a1_order_five(self):
@@ -206,6 +220,16 @@ class TestLusztigDual:
             lz = lusztig_dual(cd, order)
             tw = twisted_dual(rd, cartan_qform(cd, order), "coroot")
             assert isomorphic(lz.datum, tw.datum).agrees()
+
+    @pytest.mark.parametrize("factors", [("SL2", "G2"), ("G2", "SL2"), ("Sp4", "SL3"),
+                                         ("Sp4", "G2", "SL3")])
+    def test_product_multipliers_concatenate(self, factors):
+        # the standard symmetrizer of a product is that of each factor
+        rd = standard("x".join(factors))
+        for order in range(1, 13):
+            parts = (lusztig_dual(CartanDatum.standard(standard(f)), order).multipliers
+                     for f in factors)
+            assert lusztig_dual(CartanDatum.standard(rd), order).multipliers == sum(parts, ())
 
 
 class TestQuantumPair:
@@ -387,6 +411,28 @@ class TestIsomorphicUnderRebasing:
             first = twisted_dual(rd, QForm(rd, g0, g1), mode).datum
             second = twisted_dual(rebased, QForm(rebased, move(g0), move(g1)), mode).datum
             _assert_witness(isomorphic(first, second), first, second)
+
+        check()
+
+    def test_quantum_pair_of_rebased_form(self):
+        # (datum, b) in the basis U: b becomes U^T b U, and the pair still
+        # connects its two sides by a unimodular map
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        data = {rd.name: (rd, normalized_killing_gram(rd)) for rd in (SL2, PGL2, SL3, SP4, G2)}
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(st.sampled_from(sorted(data)), self._moves(st, 2),
+                          st.integers(1, 8))
+        def check(label, moves, level):
+            rd, nk = data[label]
+            n = rd.rank
+            u = _transvections(n, moves).data
+            b = [[sum(u[a][i] * nk[a][c] * u[c][j] for a in range(n) for c in range(n))
+                  / level for j in range(n)] for i in range(n)]
+            pair = quantum_dual_pair(_rebased(rd, moves), b)
+            assert pair.ok
+            assert pair.iso.is_unimodular()
 
         check()
 

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -29,7 +30,7 @@ from twistdual.qform import (
     qform_from_gram,
     trivial_qform,
 )
-from twistdual.rootdata import dot, standard, vec_add
+from twistdual.rootdata import RootDatum, dot, standard, vec_add
 from test_rootdata import _rebased
 
 SL2 = standard("SL2")
@@ -522,10 +523,35 @@ class TestCartanDatum:
 
     @pytest.mark.parametrize("label,f", [
         ("G2", (3, 1)), ("PGL3", (1, 1)), ("GL2xT2", (1,)),
-        ("SL2xG2", (3, 3, 1)), ("Sp4xG2xSL3", (6, 3, 6, 2, 6, 6)),
+        ("SL2xG2", (1, 3, 1)), ("Sp4xG2xSL3", (2, 1, 3, 1, 1, 1)),
     ])
     def test_standard_values_more_labels(self, label, f):
         assert CartanDatum.standard(standard(label)).f == f
+
+    @pytest.mark.parametrize("label", ["SL2xG2", "Sp4xG2", "G2xSp4xSL2"])
+    def test_standard_follows_any_order_of_simple_roots(self, label):
+        # f is least per component: listing the simple roots in another
+        # order, across or within components, permutes f and nothing else
+        rd = standard(label)
+        f = CartanDatum.standard(rd).f
+        for perm in itertools.permutations(range(rd.num_simple)):
+            moved = RootDatum([rd.simple_roots.row(i) for i in perm],
+                              [rd.simple_coroots.row(i) for i in perm], rank=rd.rank)
+            assert CartanDatum.standard(moved).f == tuple(f[i] for i in perm)
+
+    @pytest.mark.parametrize("label", ["SL2", "SL3", "SL4", "SL5", "PGL3", "Sp4", "G2",
+                                       "SL2xG2"])
+    @pytest.mark.parametrize("scale", [1, 2])
+    def test_bilinear_gram_gives_the_pairing(self, label, scale):
+        # C B C^T = (i.j) for C the matrix of simple coroot rows
+        rd = standard(label)
+        cd = CartanDatum.standard(rd, scale)
+        b = cd.bilinear_gram()
+        c = rd.simple_coroots.data
+        n = rd.rank
+        got = [[sum(c[i][a] * b[a][e] * c[j][e] for a in range(n) for e in range(n))
+                for j in range(n)] for i in range(n)]
+        assert got == [[cd.pairing(i, j) for j in range(n)] for i in range(n)]
 
     def test_diagonal_even_positive(self):
         for rd in (SL3, SP4, G2):
