@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .dualgroup import TwistedDual, twisted_dual
-from .lattice import outer_sum
+from .lattice import _int_row, outer_sum
 from .qform import QForm, braiding_signs
 from .rootdata import RootDatum, dot, vec_add, vec_sub
 
@@ -74,7 +74,7 @@ def irreducible_character(rd: RootDatum, highest, crosscheck=None) -> Character:
     For data with at most two simple roots the result is checked against
     the Weyl alternating-sum brute force (pass crosscheck=False to skip).
     """
-    highest = tuple(int(x) for x in highest)
+    highest = _int_row(highest)
     if not rd.is_dominant_weight(highest):
         raise CharacterError(f"{highest} is not dominant")
     # W-invariant inner product on the weight side, the sum over coroots of
@@ -83,9 +83,9 @@ def irreducible_character(rd: RootDatum, highest, crosscheck=None) -> Character:
     g = outer_sum((cobeta for _, cobeta in rd.root_pairs), rd.rank)
     # per positive root: beta, its root coordinates, g beta and |beta|^2
     roots = []
-    for beta, _ in rd.positive_root_pairs:
+    for beta, _, coords in rd.positive_root_table:
         g_beta = g.mul_vec(beta)
-        roots.append((beta, rd.root_coordinates(beta), g_beta, dot(beta, g_beta)))
+        roots.append((beta, coords, g_beta, dot(beta, g_beta)))
     simple = [rd.simple_roots.row(i) for i in range(rd.num_simple)]
     two_rho = rd.two_rho
 
@@ -153,8 +153,7 @@ def kostant_partition(rd: RootDatum, v) -> int:
         return 0
     # Only the roots of height >= 2 are enumerated: what they leave, if
     # nonnegative, is a sum of simple roots in exactly one way.
-    coords = [rd.root_coordinates(beta) for beta, _ in rd.positive_root_pairs]
-    pos = sorted((c for c in coords if sum(c) > 1), reverse=True)
+    pos = sorted((c for _, _, c in rd.positive_root_table if sum(c) > 1), reverse=True)
 
     @lru_cache(maxsize=None)
     def count(remaining, idx):
@@ -176,8 +175,8 @@ def kostant_partition(rd: RootDatum, v) -> int:
 def weyl_multiplicity(rd: RootDatum, highest, weight) -> int:
     """Multiplicity by the Weyl character formula's alternating sum over
     the Weyl group of Kostant partition counts."""
-    highest = tuple(int(x) for x in highest)
-    weight = tuple(int(x) for x in weight)
+    highest = _int_row(highest)
+    weight = _int_row(weight)
     two_rho = rd.two_rho
     two_lam_rho = tuple(2 * x + r for x, r in zip(highest, two_rho))
     total = 0
@@ -195,7 +194,7 @@ def weyl_multiplicity(rd: RootDatum, highest, weight) -> int:
 
 def weyl_dim(rd: RootDatum, highest) -> int:
     """Weyl dimension formula, exact."""
-    highest = tuple(int(x) for x in highest)
+    highest = _int_row(highest)
     if not rd.is_dominant_weight(highest):
         raise CharacterError(f"{highest} is not dominant")
     # prod <lam + rho, beta^v> / prod <rho, beta^v>, both doubled
@@ -281,8 +280,8 @@ def satake_prediction(q: QForm, lam, mu) -> SatakeReport:
     dominant coweights in the dual weight lattice and check the
     convolution predictions."""
     rd = q.rd
-    lam = tuple(int(x) for x in lam)
-    mu = tuple(int(x) for x in mu)
+    lam = _int_row(lam)
+    mu = _int_row(mu)
     dual = twisted_dual(rd, q, "full")
     for v in (lam, mu):
         if not dual.weight_sublattice.contains(v):

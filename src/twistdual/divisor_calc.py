@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .lattice import _int_row
 from .qform import Exponent, QForm
 from .rootdata import vec_add
 
@@ -98,7 +99,7 @@ class DivisorLedger:
 def ledger_for_components(q: QForm, coweights) -> DivisorLedger:
     """The exponent ledger of the component indexed by the given coweights:
     kappa on each pairwise diagonal and Q on each tangent slot."""
-    cws = [tuple(int(x) for x in v) for v in coweights]
+    cws = [_int_row(v) for v in coweights]
     n = len(cws)
     pairwise = {
         frozenset((i, j)): q.kappa(cws[i], cws[j])

@@ -99,8 +99,8 @@ def _assemble_dual(rd: RootDatum, weight_lattice: Sublattice, multipliers,
         basis=basis,
         multipliers=tuple(multipliers),
         dropped=tuple(dropped),
-        new_simple_roots=IntMatrix(new_roots, cols=k),
-        new_simple_coroots=IntMatrix(new_coroots, cols=k),
+        new_simple_roots=datum.simple_roots,
+        new_simple_coroots=datum.simple_coroots,
         datum=datum,
     )
 

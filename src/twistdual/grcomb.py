@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .divisor_calc import Partition
-from .lattice import FGAbelianGroup, LatticeHom
+from .lattice import FGAbelianGroup, LatticeHom, _int_row
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,7 @@ class ComponentIndex:
 
     @classmethod
     def of(cls, coweights):
-        return cls(tuple(tuple(int(x) for x in v) for v in coweights))
+        return cls(tuple(_int_row(v) for v in coweights))
 
     @property
     def n(self):

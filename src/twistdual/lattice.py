@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 
 class MalformedMatrixError(ValueError):
@@ -83,7 +84,7 @@ class IntMatrix:
         """Matrix times column vector, returned as a tuple."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(row[k] * v[k] for k in range(self.cols)) for row in self.data)
+        return tuple(sum(map(mul, row, v)) for row in self.data)
 
     def det(self):
         if self.rows != self.cols:
@@ -113,14 +114,17 @@ class IntMatrix:
 
 
 def _int_row(row):
+    """The entries as a tuple of ints; a MalformedMatrixError (a ValueError)
+    for an entry of another value, such as 1.5, or a bool.  This is the one
+    integrality rule for matrix rows and integer vector arguments."""
     row = tuple(row)
     try:
         ints = tuple(map(int, row))
     except (OverflowError, ValueError) as exc:
-        raise MalformedMatrixError(f"matrix entry is not an integer: {exc}") from None
+        raise MalformedMatrixError(f"entry is not an integer: {exc}") from None
     if ints != row or bool in map(type, row):
         bad = next(x for x, y in zip(row, ints) if x != y or type(x) is bool)
-        raise MalformedMatrixError(f"matrix entry {bad!r} is not an integer")
+        raise MalformedMatrixError(f"entry {bad!r} is not an integer")
     return ints
 
 

@@ -25,6 +25,7 @@ from .lattice import (
     FGAbelianGroup,
     IntMatrix,
     Sublattice,
+    _int_row,
     common_denominator,
     integral_left_inverse,
     intersect,
@@ -247,7 +248,7 @@ class DetForm:
 def det_form(rd: RootDatum, weights) -> DetForm:
     """The pairing K, evaluator R, parity criterion, and half-weight zeta
     attached to a multiset of weight vectors."""
-    weights = [tuple(int(x) for x in w) for w in weights]
+    weights = [_int_row(w) for w in weights]
     for i in range(rd.num_simple):
         reflected = sorted(rd.reflect_weight(i, w) for w in weights)
         if reflected != sorted(weights):
@@ -372,7 +373,7 @@ def epsilon_defect(q: QForm, coroot, lam) -> Exponent:
     Always 2-torsion for a W-invariant form; identically zero for forms
     represented by Gram matrices.
     """
-    coroot = tuple(int(x) for x in coroot)
+    coroot = _int_row(coroot)
     pairs = dict((cb, b) for b, cb in q.rd.root_pairs)
     if coroot not in pairs:
         raise ValueError(f"{coroot} is not a coroot of this datum")
@@ -454,7 +455,7 @@ class CartanDatum:
     f: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "f", tuple(int(x) for x in self.f))
+        object.__setattr__(self, "f", _int_row(self.f))
         if len(self.f) != self.rd.num_simple:
             raise ValueError("need one f value per simple root")
         if any(x <= 0 for x in self.f):

@@ -3,8 +3,12 @@
 A root datum is realized concretely: weights and coweights both live in
 Z^rank with the standard dot pairing, and the datum is the pair of simple
 root / simple coroot matrices.  Construction validates the axioms: an exact
-finite-type test of the Cartan matrix, then the closure of the root system,
-so invalid data fail early.  The Weyl group is enumerated only on demand.
+finite-type test of the Cartan matrix, then one walk of the positive roots
+in Cartan coordinates, from the simple roots by the simple reflections that
+raise the height, so invalid data fail early.  That walk gives one root
+table of (root, coroot, root coordinates) triples, from which the roots,
+the positive roots, the heights and the highest root are read without a
+solve.  The Weyl group is enumerated only on demand.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul, neg
 
 from .lattice import (
     FGAbelianGroup,
@@ -45,7 +50,7 @@ class Dominance(enum.Enum):
 def dot(x, y):
     if len(x) != len(y):
         raise ValueError("length mismatch in pairing")
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(mul, x, y))
 
 
 def vec_add(x, y):
@@ -113,11 +118,10 @@ class RootDatum:
             raise RootDatumError("simple coroots are linearly dependent")
 
     def _validate_system(self):
-        # The finite-type test bounds the root-orbit closure that follows,
-        # so an infinite-type Cartan matrix never starts it.
+        # The finite-type test bounds the root walk that follows, so an
+        # infinite-type Cartan matrix never starts it.
         _check_finite_type(self.cartan_matrix, self.symmetrizer)
-        pairs = self.root_pairs
-        roots = [p[0] for p in pairs]
+        roots = [beta for beta, _, _ in self._root_table]
         root_set = set(roots)
         if len(root_set) != len(roots):
             raise RootDatumError("root/coroot correspondence is inconsistent")
@@ -234,51 +238,86 @@ class RootDatum:
         the number of exponents >= k is the number of positive roots of
         height k; both hold component by component, so for any datum.
         """
-        heights = Counter(sum(self.root_coordinates(beta))
-                          for beta, _ in self.positive_root_pairs)
+        heights = Counter(sum(coords) for _, _, coords in self.positive_root_table)
         order = 1
         for k, n in heights.items():
             order *= (k + 1) ** (n - heights[k + 1])
         return order
 
     @cached_property
-    def root_pairs(self):
-        """All (root, coroot) pairs, as the Weyl orbit of the simple pairs."""
-        seen = {}
-        frontier = []
-        for i in range(self.num_simple):
-            pair = (self.simple_roots.row(i), self.simple_coroots.row(i))
-            seen[pair[0]] = pair[1]
-            frontier.append(pair)
+    def _root_table(self):
+        """(root, coroot, root coordinates) for every root, sorted by root.
+
+        The positive roots are walked in Cartan coordinates c (the root) and
+        c' (its coroot): s_j changes only entry j, by -<beta, coroot_j> =
+        -sum_i c_i a_ij on the root side and by -<alpha_j, beta^v> =
+        -sum_i c'_i a_ji on the coroot side.  From the simple roots s_j is
+        applied only where it raises the height; every positive root that
+        is not simple has a simple reflection that lowers its height
+        (Humphreys, *Introduction to Lie Algebras*, 10.2), so the walk
+        reaches them all.  A coroot is checked on every raising edge and
+        every fixed one (<beta, coroot_j> = 0 must give <alpha_j, beta^v> =
+        0); the lowering edges are the raising ones reversed (s_j^2 = 1)
+        and the negative roots the negatives, so that checks the whole
+        Weyl orbit of the simple pairs.
+        """
+        a = self.cartan_matrix
+        a_cols = tuple(zip(*a))
+        s = self.num_simple
+        simple = [tuple(int(i == j) for j in range(s)) for i in range(s)]
+        coroot_of = dict(zip(simple, simple))
+        frontier = simple
         while frontier:
             nxt = []
-            for beta, cobeta in frontier:
-                for j in range(self.num_simple):
-                    b2 = self.reflect_weight(j, beta)
-                    cb2 = self.reflect_coweight(j, cobeta)
-                    if b2 in seen:
-                        if seen[b2] != cb2:
+            for c in frontier:
+                cv = coroot_of[c]
+                for j in range(s):
+                    p = sum(map(mul, c, a_cols[j]))
+                    if p > 0:
+                        continue
+                    q = sum(map(mul, cv, a[j]))
+                    if p == 0:
+                        if q:
                             raise RootDatumError(
                                 "root/coroot correspondence is inconsistent")
-                    else:
-                        seen[b2] = cb2
-                        nxt.append((b2, cb2))
+                        continue
+                    up = c[:j] + (c[j] - p,) + c[j + 1:]
+                    coup = cv[:j] + (cv[j] - q,) + cv[j + 1:]
+                    known = coroot_of.get(up)
+                    if known is None:
+                        coroot_of[up] = coup
+                        nxt.append(up)
+                    elif known != coup:
+                        raise RootDatumError(
+                            "root/coroot correspondence is inconsistent")
             frontier = nxt
-        return tuple(sorted(seen.items()))
+        root_cols = tuple(zip(*self.simple_roots.data))
+        coroot_cols = tuple(zip(*self.simple_coroots.data))
+        table = []
+        for c, cv in coroot_of.items():
+            beta = tuple(sum(map(mul, c, col)) for col in root_cols)
+            cobeta = tuple(sum(map(mul, cv, col)) for col in coroot_cols)
+            table.append((beta, cobeta, c))
+            table.append(tuple(tuple(map(neg, v)) for v in (beta, cobeta, c)))
+        return tuple(sorted(table))
+
+    @cached_property
+    def root_pairs(self):
+        """All (root, coroot) pairs, sorted by root."""
+        return tuple((beta, cobeta) for beta, cobeta, _ in self._root_table)
+
+    @cached_property
+    def positive_root_table(self):
+        """(root, coroot, root coordinates) for each positive root, in the
+        order of `root_pairs`."""
+        out = tuple(t for t in self._root_table if sum(t[2]) > 0)
+        if 2 * len(out) != len(self._root_table):
+            raise RootDatumError("root system is not symmetric")
+        return out
 
     @cached_property
     def positive_root_pairs(self):
-        out = []
-        for beta, cobeta in self.root_pairs:
-            coeffs = self.root_coordinates(beta)
-            if coeffs is None:
-                raise RootDatumError(
-                    f"root {beta} is not an integer sum of simple roots")
-            if all(c >= 0 for c in coeffs):
-                out.append((beta, cobeta))
-        if 2 * len(out) != len(self.root_pairs):
-            raise RootDatumError("root system is not symmetric")
-        return tuple(out)
+        return tuple((beta, cobeta) for beta, cobeta, _ in self.positive_root_table)
 
     @cached_property
     def two_rho(self):
@@ -389,20 +428,20 @@ class RootDatum:
 
     def component_root_pairs(self, component_index):
         comp = set(self.components[component_index])
-        return tuple((beta, cobeta) for beta, cobeta in self.root_pairs
-                     if all(i in comp for i, c in
-                            enumerate(self.root_coordinates(beta)) if c))
+        return tuple((beta, cobeta) for beta, cobeta, coords in self._root_table
+                     if all(i in comp for i, c in enumerate(coords) if c))
 
     def highest_root(self):
-        """The dominant root that dominates every other root."""
+        """The root that dominates every other root: the positive root of
+        greatest height, checked coordinate-wise against every positive root
+        (a negative root lies below every positive one)."""
         if not self.is_irreducible():
             raise ValueError("highest root requires an irreducible system")
-        dominant = [(b, cb) for b, cb in self.root_pairs
-                    if self.is_dominant_weight(b)]
-        for beta, cobeta in dominant:
-            if all(self.weight_leq(other, beta) for other, _ in self.root_pairs):
-                return beta, cobeta
-        raise RootDatumError("no highest root found")
+        table = self.positive_root_table
+        beta, cobeta, top = max(table, key=lambda t: sum(t[2]))
+        if not all(x >= y for _, _, coords in table for x, y in zip(top, coords)):
+            raise RootDatumError("no highest root found")
+        return beta, cobeta
 
     def dual_coxeter_and_iota(self):
         """Dual Coxeter number and the normalized sum-over-roots map.

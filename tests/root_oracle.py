@@ -1,0 +1,55 @@
+"""The closure of a root system as the orbit of the simple (root, coroot)
+pairs under the simple reflections on full-length vectors, kept apart from
+the library's height-raising walk in Cartan coordinates so that the tests
+check the root table against an independent routine."""
+
+from fraction_oracle import solve_left_rational
+
+
+def _dot(x, y):
+    return sum(a * b for a, b in zip(x, y))
+
+
+def root_pairs(simple_roots, simple_coroots):
+    """All (root, coroot) pairs, sorted by root; ValueError when two walks
+    reach one root with different coroots."""
+    simple = list(zip(map(tuple, simple_roots), map(tuple, simple_coroots)))
+    seen = dict(simple)
+    frontier = simple
+    while frontier:
+        nxt = []
+        for beta, cobeta in frontier:
+            for alpha, coalpha in simple:
+                # s(v) = v - <v, coalpha> alpha on weights, v - <alpha, v> coalpha on coweights
+                p, q = _dot(beta, coalpha), _dot(alpha, cobeta)
+                b2 = tuple(x - p * a for x, a in zip(beta, alpha))
+                cb2 = tuple(x - q * c for x, c in zip(cobeta, coalpha))
+                if b2 not in seen:
+                    seen[b2] = cb2
+                    nxt.append((b2, cb2))
+                elif seen[b2] != cb2:
+                    raise ValueError("root/coroot correspondence is inconsistent")
+        frontier = nxt
+    return tuple(sorted(seen.items()))
+
+
+def root_coordinates(simple_roots, beta):
+    """The integer coefficients of beta in the simple roots, by a Fraction
+    solve."""
+    sol = solve_left_rational([tuple(r) for r in simple_roots], beta)
+    assert sol is not None and all(x.denominator == 1 for x in sol)
+    return tuple(int(x) for x in sol)
+
+
+def positive_root_pairs(pairs, coords):
+    """`coords` maps each root to its `root_coordinates`."""
+    return tuple((b, cb) for b, cb in pairs if all(c >= 0 for c in coords[b]))
+
+
+def highest_root(simple_coroots, pairs, coords):
+    """The dominant root whose coordinates bound every root's from above."""
+    for beta, cobeta in pairs:
+        if all(_dot(beta, cv) >= 0 for cv in simple_coroots) and all(
+                x >= y for c in coords.values() for x, y in zip(coords[beta], c)):
+            return beta, cobeta
+    return None

@@ -247,3 +247,25 @@ class TestBraidingWellDefined:
                 s1, _ = braiding_signs(q, lam, mu)
                 s2, _ = braiding_signs(q, lam2, mu)
                 assert s1 == s2
+
+
+# Vector arguments follow the one integrality rule of IntMatrix: a
+# non-integer or a bool is rejected, not truncated.
+@pytest.mark.parametrize("bad", [1.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("call,expected", [
+    (lambda x: irreducible_character(SL2, (x,)).multiplicities,
+     (((-1,), 1), ((1,), 1))),
+    (lambda x: weyl_multiplicity(SL3, (x, 1), (0, 0)), 2),
+    (lambda x: weyl_multiplicity(SL3, (1, 1), (x, 1)), 1),
+    (lambda x: weyl_dim(SL3, (x, 1)), 8),
+    (lambda x: satake_prediction(trivial_qform(SL2), (x,), (1,)).decomposition,
+     (((0,), 1), ((1,), 1), ((2,), 1))),
+    (lambda x: satake_prediction(trivial_qform(SL2), (1,), (x,)).decomposition,
+     (((0,), 1), ((1,), 1), ((2,), 1))),
+], ids=["irreducible_character", "weyl_multiplicity-highest",
+        "weyl_multiplicity-weight", "weyl_dim", "satake_prediction-lam",
+        "satake_prediction-mu"])
+def test_integer_arguments(call, expected, bad):
+    with pytest.raises(ValueError, match="not an integer"):
+        call(bad)
+    assert call(1) == expected

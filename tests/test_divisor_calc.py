@@ -11,7 +11,13 @@ from twistdual.divisor_calc import (
     verify_bilinearity,
     verify_quadratic,
 )
-from twistdual.qform import Exponent, QForm, invariant_gram_basis, trivial_qform
+from twistdual.qform import (
+    Exponent,
+    QForm,
+    invariant_gram_basis,
+    qform_from_gram,
+    trivial_qform,
+)
 from twistdual.rootdata import standard
 
 SL2 = standard("SL2")
@@ -147,3 +153,14 @@ class TestVerification:
         led4 = ledger_for_components(q, [lam, mu, lam, mu])
         bad4 = led4.with_pairwise(0, 3, led4.pairwise_map()[frozenset((0, 3))] + bump)
         assert not verify_quadratic(q, lam, mu, bad4)
+
+
+@pytest.mark.parametrize("bad", [1.5, True], ids=["float", "bool"])
+def test_ledger_rejects_non_integer_coweights(bad):
+    q = qform_from_gram(PGL2, [[Fraction(2, 3)]])
+    with pytest.raises(ValueError, match="not an integer"):
+        ledger_for_components(q, [(bad,), (2,)])
+    third = Exponent.of(Fraction(1, 3))
+    led = ledger_for_components(q, [(1,), (2,)])
+    assert led.pairwise_map() == {frozenset((0, 1)): third}
+    assert led.tangent_map() == {0: third, 1: third}

@@ -173,3 +173,10 @@ class TestFactSections:
         g = FGAbelianGroup.free(1)
         out = fact_sections(g, 2, Partition.discrete(2))
         assert out.invariant_factors == (0, 0)
+
+
+@pytest.mark.parametrize("bad", [1.5, True], ids=["float", "bool"])
+def test_component_index_rejects_non_integer_coweights(bad):
+    with pytest.raises(ValueError, match="not an integer"):
+        ComponentIndex.of([(bad,), (0,)])
+    assert ComponentIndex.of([(1,), (0,)]).coweights == ((1,), (0,))

@@ -619,3 +619,17 @@ class TestGramHelpers:
         assert len(invariant_gram_basis(GL2)) == 2
         assert len(invariant_gram_basis(SL3)) == 1
         assert len(invariant_gram_basis(standard("torus2"))) == 3
+
+
+# Vector arguments follow the one integrality rule of IntMatrix: a
+# non-integer or a bool is rejected, not truncated.
+@pytest.mark.parametrize("bad", [1.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("call,expected", [
+    (lambda x: det_form(SL2, [(x,), (-1,)]).k_matrix.data, ((2,),)),
+    (lambda x: epsilon_defect(trivial_qform(SL2), (x,), (1,)).is_zero(), True),
+    (lambda x: CartanDatum(SL2, (x,)).f, (1,)),
+], ids=["det_form", "epsilon_defect", "CartanDatum"])
+def test_integer_arguments(call, expected, bad):
+    with pytest.raises(ValueError, match="not an integer"):
+        call(bad)
+    assert call(1) == expected

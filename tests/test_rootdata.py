@@ -15,6 +15,7 @@ from twistdual.rootdata import (
     vec_add,
 )
 
+import root_oracle
 from fraction_oracle import solve_left_rational
 
 
@@ -303,6 +304,92 @@ class TestRootCoordinates:
         assert gl3.coroot_coordinates((1, 0, 0)) is None  # outside the span
         assert standard("T2").root_coordinates((0, 0)) == ()
         assert standard("T2").root_coordinates((0, 1)) is None
+
+
+def _cartan_rows(kind, n):
+    """The Cartan matrix of A_n, D_n or E_n, nodes numbered as in Bourbaki
+    from 0."""
+    edges = {
+        "A": [(i, i + 1) for i in range(n - 1)],
+        "D": [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)],
+        "E": [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, n - 1)],
+    }[kind]
+    a = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        a[i][j] = a[j][i] = -1
+    return a
+
+
+def _from_cartan_rows(kind, n, adjoint):
+    """Simply connected: the roots are the Cartan rows and the coroots unit
+    vectors; adjoint: the roots are unit vectors and the coroots the
+    Cartan columns."""
+    a = _cartan_rows(kind, n)
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    if adjoint:
+        return RootDatum(unit, [list(col) for col in zip(*a)], rank=n)
+    return RootDatum(a, unit, rank=n)
+
+
+def _assert_table_matches_oracle(rd):
+    roots, coroots = rd.simple_roots.data, rd.simple_coroots.data
+    pairs = root_oracle.root_pairs(roots, coroots)
+    coords = {b: root_oracle.root_coordinates(roots, b) for b, _ in pairs}
+    assert rd.root_pairs == pairs
+    assert rd.positive_root_pairs == root_oracle.positive_root_pairs(pairs, coords)
+    if rd.is_irreducible():
+        assert rd.highest_root() == root_oracle.highest_root(coroots, pairs, coords)
+    for beta, _, coords in rd._root_table:
+        assert coords == rd.root_coordinates(beta)
+
+
+class TestRootTable:
+    """The height-raising walk in Cartan coordinates against the orbit of
+    the simple pairs on full-length vectors (`root_oracle`)."""
+
+    LABELS = ("SL2", "SL3", "SL4", "SL5", "SL6", "SL9", "PGL2", "PGL3", "PGL4",
+              "GL1", "GL2", "GL3", "Sp4", "G2", "T2", "torus2", "torus3", "SL2xT1",
+              "SL2xSL2", "SL3xSL2", "Sp4xT1", "SL2xG2", "GL2xT1", "GL2xT2",
+              "GL3xT1", "GL2xGL2", "GL2xSp4", "SL3xSp4", "Sp4xG2", "Sp4xSp4",
+              "G2xSp4xSL2", "SL3xSp4xSL2")
+
+    @pytest.mark.parametrize("name", LABELS)
+    def test_standard(self, name):
+        rd = standard(name)
+        _assert_table_matches_oracle(rd)
+        order = math.factorial(9) if name == "SL9" else rd.weyl_group().order
+        assert rd.weyl_order() == order
+
+    @pytest.mark.parametrize("adjoint", [False, True], ids=["sc", "adj"])
+    @pytest.mark.parametrize("kind,n,roots,order", [
+        ("A", 7, 56, 40320),
+        ("D", 6, 60, 23040),
+        ("E", 6, 72, 51840),
+        ("E", 7, 126, 2903040),
+        ("E", 8, 240, 696729600),
+    ])
+    def test_from_cartan_rows(self, kind, n, roots, order, adjoint):
+        rd = _from_cartan_rows(kind, n, adjoint)
+        assert len(rd.root_pairs) == roots
+        assert rd.weyl_order() == order
+        _assert_table_matches_oracle(rd)
+
+    def test_rebased(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        labels = ("SL3", "PGL3", "Sp4", "G2", "GL3", "SL2xT1", "SL2xG2")
+        data = {name: standard(name) for name in labels}
+        moves = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                   st.integers(-2, 2)), max_size=6)
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(st.sampled_from(labels), moves)
+        def check(name, basis_moves):
+            rd = _rebased(data[name], basis_moves)
+            _assert_table_matches_oracle(rd)
+            assert rd.weyl_order() == data[name].weyl_group().order
+
+        check()
 
 
 class TestPi1:
