@@ -5,17 +5,16 @@ vectors 2 mu + 2 rho against the integer Gram of the coroots, and each
 weight's root coordinates below the highest weight carried from layer to
 layer so that root strings end without a dominance test (cross-checked
 against a Weyl alternating-sum brute force in small rank).  Tensor
-decomposition by highest-weight extraction, each constituent's character
-computed once, and the numeric predictions for convolution:
-highest-weight multiplicity one, the dominance bound, and fiber-dimension
-arithmetic.
+decomposition by the Brauer-Klimyk rule, which needs the weights of one
+factor and only the highest weight of the other, and the numeric
+predictions for convolution: highest-weight multiplicity one, the
+dominance bound, and fiber-dimension arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .dualgroup import TwistedDual, twisted_dual
 from .lattice import _int_row, outer_sum
@@ -151,25 +150,7 @@ def kostant_partition(rd: RootDatum, v) -> int:
     target = rd.root_coordinates(v)
     if target is None or any(c < 0 for c in target):
         return 0
-    # Only the roots of height >= 2 are enumerated: what they leave, if
-    # nonnegative, is a sum of simple roots in exactly one way.
-    pos = sorted((c for _, _, c in rd.positive_root_table if sum(c) > 1), reverse=True)
-
-    @lru_cache(maxsize=None)
-    def count(remaining, idx):
-        if idx == len(pos):
-            return 1
-        total = 0
-        step = pos[idx]
-        cur = remaining
-        while all(x >= 0 for x in cur):
-            total += count(cur, idx + 1)
-            cur = tuple(x - s for x, s in zip(cur, step))
-        return total
-
-    out = count(target, 0)
-    count.cache_clear()
-    return out
+    return rd._partition_count(target)
 
 
 def weyl_multiplicity(rd: RootDatum, highest, weight) -> int:
@@ -208,47 +189,48 @@ def weyl_dim(rd: RootDatum, highest) -> int:
     return out
 
 
-def tensor_decompose(c1: Character, c2: Character):
-    """Constituents of the product character, as a dict highest weight ->
-    multiplicity, by repeated extraction of a maximal weight."""
-    if c1.rd != c2.rd:
-        raise CharacterError("characters live on different root data")
-    rd = c1.rd
-    product = {}
-    for w1, m1 in c1.multiplicities:
-        for w2, m2 in c2.multiplicities:
-            w = vec_add(w1, w2)
-            product[w] = product.get(w, 0) + m1 * m2
-    remaining = dict(product)
-    # strictly positive height functional on the positive cone
-    rho_check = [0] * rd.rank
-    for _, cobeta in rd.positive_root_pairs:
-        rho_check = [a + b for a, b in zip(rho_check, cobeta)]
+def tensor_decompose(c: Character, highest):
+    """Constituents of c tensor V(highest), as a dict highest weight ->
+    multiplicity, by the Brauer-Klimyk rule (Klimyk 1968; Humphreys,
+    *Introduction to Lie Algebras*, 24 ex. 9): each weight w of c adds its
+    multiplicity, with the sign of the Weyl element, at the weight whose
+    shift by rho is the dominant conjugate of w + highest + rho, and
+    nothing when that conjugate lies on a wall.
+
+    The walk runs in doubled coordinates 2 (w + highest) + 2 rho, since
+    rho need not be a weight (PGL2).  Only the weights of c are needed:
+    the other factor enters through its highest weight alone.
+    """
+    rd = c.rd
+    highest = _int_row(highest)
+    if not rd.is_dominant_weight(highest):
+        raise CharacterError(f"{highest} is not dominant")
+    simple = [rd.simple_roots.row(i) for i in range(rd.num_simple)]
+    coroots = [rd.simple_coroots.row(i) for i in range(rd.num_simple)]
+    two_rho = rd.two_rho
+    shift = tuple(2 * h + r for h, r in zip(highest, two_rho))
     out = {}
-    pieces = {}
-    while remaining:
-        top = max(remaining, key=lambda w: (dot(w, rho_check), w))
-        if not rd.is_dominant_weight(top):
-            raise CharacterError(f"maximal weight {top} is not dominant")
-        mult = remaining[top]
-        if mult < 0:
-            raise CharacterError(f"negative multiplicity at {top}")
-        pieces[top] = irreducible_character(rd, top, crosscheck=False)
-        for w, m in pieces[top].multiplicities:
-            left = remaining.get(w, 0) - mult * m
-            if left < 0:
-                raise CharacterError(f"inconsistent product at {w}")
-            if left:
-                remaining[w] = left
-            else:
-                remaining.pop(w, None)
-        out[top] = out.get(top, 0) + mult
-    # the constituents must reassemble the product exactly
-    rebuilt = {}
-    for top, mult in out.items():
-        for w, m in pieces[top].multiplicities:
-            rebuilt[w] = rebuilt.get(w, 0) + mult * m
-    assert rebuilt == product
+    for w, m in c.multiplicities:
+        v = tuple(2 * x + s for x, s in zip(w, shift))
+        sign = 1
+        while True:
+            pairings = [dot(v, cov) for cov in coroots]
+            if 0 in pairings:
+                break   # fixed by a reflection: the alternating sum cancels
+            i = next((i for i, p in enumerate(pairings) if p < 0), None)
+            if i is None:
+                nu = tuple((x - r) // 2 for x, r in zip(v, two_rho))
+                out[nu] = out.get(nu, 0) + sign * m
+                break
+            v = tuple(x - pairings[i] * a for x, a in zip(v, simple[i]))
+            sign = -sign
+    out = {nu: m for nu, m in out.items() if m}
+    for nu, m in out.items():
+        if m < 0:
+            raise CharacterError(f"negative multiplicity {m} at {nu}")
+    # the constituents must account for the whole product
+    if sum(m * weyl_dim(rd, nu) for nu, m in out.items()) != c.dim() * weyl_dim(rd, highest):
+        raise CharacterError("constituent dimensions do not add up to the product")
     return out
 
 
@@ -291,9 +273,10 @@ def satake_prediction(q: QForm, lam, mu) -> SatakeReport:
             raise CharacterError(f"{v} is not dominant")
     lam_c = dual.weight_sublattice.coefficients(lam)
     mu_c = dual.weight_sublattice.coefficients(mu)
-    c1 = irreducible_character(dual.datum, lam_c, crosscheck=False)
-    c2 = irreducible_character(dual.datum, mu_c, crosscheck=False)
-    pieces = tensor_decompose(c1, c2)
+    # the weights of the smaller factor, the highest weight of the other
+    small, large = sorted((lam_c, mu_c), key=lambda v: weyl_dim(dual.datum, v))
+    pieces = tensor_decompose(
+        irreducible_character(dual.datum, small, crosscheck=False), large)
     top_c = vec_add(lam_c, mu_c)
     top_mult = pieces.get(tuple(top_c), 0)
     all_below = all(dual.datum.weight_leq(nu_c, top_c) for nu_c in pieces)

@@ -337,9 +337,10 @@ def weights(group, rd_file, hw):
 def tensor(group, rd_file, hw1, hw2):
     """Tensor decomposition of two irreducibles."""
     rd = _load_datum(group, rd_file)
-    c1 = ch.irreducible_character(rd, _weight(rd, hw1, "--a"))
-    c2 = ch.irreducible_character(rd, _weight(rd, hw2, "--b"))
-    pieces = ch.tensor_decompose(c1, c2)
+    # the weights of the smaller factor, the highest weight of the other
+    small, large = sorted((_weight(rd, hw1, "--a"), _weight(rd, hw2, "--b")),
+                          key=lambda v: ch.weyl_dim(rd, v))
+    pieces = ch.tensor_decompose(ch.irreducible_character(rd, small), large)
     for w, m in sorted(pieces.items()):
         click.echo(f"{','.join(str(x) for x in w)}: {m}")
 

@@ -108,7 +108,19 @@ def _assemble_dual(rd: RootDatum, weight_lattice: Sublattice, multipliers,
 def twisted_dual(rd: RootDatum, q: QForm, mode="full") -> TwistedDual:
     """The twisted dual of an invariant form: weights are the kernel of
     kappa, the root for a coroot is (order of Q on it) times the coroot,
-    coroots with a value of infinite order are dropped."""
+    coroots with a value of infinite order are dropped.
+
+    The dual of q over its own datum is computed once per mode and kept on
+    q.  Another datum, even an equal one under another name, is never
+    served from that memo."""
+    if rd is not q.rd:
+        return _twisted_dual(rd, q, mode)
+    if mode not in q._duals:
+        q._duals[mode] = _twisted_dual(rd, q, mode)
+    return q._duals[mode]
+
+
+def _twisted_dual(rd: RootDatum, q: QForm, mode) -> TwistedDual:
     lattice = kernel(q, mode)
     multipliers = [q.q(rd.simple_coroots.row(i)).order()
                    for i in range(rd.num_simple)]

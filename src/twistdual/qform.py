@@ -140,6 +140,7 @@ class QForm:
         self.den = math.lcm(d0, d1)
         self.n0, self.n1 = (IntMatrix([[x * (self.den // d) for x in row] for row in n],
                                       cols=rd.rank) for n, d in ((n0, d0), (n1, d1)))
+        self._duals = {}   # mode -> TwistedDual over rd, kept by dualgroup.twisted_dual
         for i in range(rd.num_simple):
             alpha = rd.simple_roots.row(i)
             cov = rd.simple_coroots.row(i)

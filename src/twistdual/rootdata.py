@@ -19,7 +19,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import mul, neg
 
 from .lattice import (
@@ -314,6 +314,30 @@ class RootDatum:
         if 2 * len(out) != len(self._root_table):
             raise RootDatumError("root system is not symmetric")
         return out
+
+    @cached_property
+    def _partition_count(self):
+        """Kostant's partition function on root coordinates: the number of
+        ways to write them as a nonnegative sum of positive roots.  One
+        memo per datum, shared by every Weyl-sum term and weight."""
+        # Only the roots of height >= 2 are enumerated: what they leave, if
+        # nonnegative, is a sum of simple roots in exactly one way.
+        pos = sorted((c for _, _, c in self.positive_root_table if sum(c) > 1),
+                     reverse=True)
+
+        @lru_cache(maxsize=None)
+        def count(remaining, idx):
+            if idx == len(pos):
+                return 1
+            total = 0
+            step = pos[idx]
+            cur = remaining
+            while all(x >= 0 for x in cur):
+                total += count(cur, idx + 1)
+                cur = tuple(x - s for x, s in zip(cur, step))
+            return total
+
+        return lambda target: count(target, 0)
 
     @cached_property
     def positive_root_pairs(self):

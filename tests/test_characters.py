@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -16,12 +18,16 @@ from twistdual.characters import (
     weyl_multiplicity,
 )
 from twistdual.qform import braiding_signs, qform_from_gram, trivial_qform
-from twistdual.rootdata import standard, vec_add
+from twistdual.rootdata import RootDatum, dot, standard, vec_add
+
+import character_oracle
 
 SL2 = standard("SL2")
 SL3 = standard("SL3")
 SP4 = standard("Sp4")
 PGL2 = standard("PGL2")
+# SO4 = (SL2 x SL2) / diagonal mu_2, with roots = coroots = (1, 1), (1, -1)
+SO4 = RootDatum([[1, 1], [1, -1]], [[1, 1], [1, -1]], rank=2, name="SO4")
 
 RANK_ONE = ("SL2", "PGL2", "GL1", "T1")
 RANK_AT_MOST_TWO = (RANK_ONE + ("SL3", "PGL3", "GL2", "Sp4", "G2", "T2")
@@ -116,21 +122,30 @@ class TestKostant:
     def test_outside_cone(self):
         assert kostant_partition(SL3, (-2, 1)) == 0
 
+    def test_counts_are_dropped_with_the_datum(self):
+        # one memo per datum, which nothing outside the datum holds
+        rd = standard("G2")
+        assert kostant_partition(rd, rd.two_rho) > 0
+        ref = weakref.ref(rd)
+        del rd
+        gc.collect()
+        assert ref() is None
+
 
 class TestTensor:
     def test_sl2_square(self):
         c1 = irreducible_character(SL2, (1,))
-        assert tensor_decompose(c1, c1) == {(2,): 1, (0,): 1}
+        assert tensor_decompose(c1, c1.highest) == {(2,): 1, (0,): 1}
 
     def test_unit_law(self):
         c = irreducible_character(SP4, (1, 1))
         one = irreducible_character(SP4, (0, 0))
-        assert tensor_decompose(c, one) == {(1, 1): 1}
+        assert tensor_decompose(c, one.highest) == {(1, 1): 1}
 
     def test_sl3_three_times_dual(self):
         v = irreducible_character(SL3, (1, 0))
         w = irreducible_character(SL3, (0, 1))
-        assert tensor_decompose(v, w) == {(1, 1): 1, (0, 0): 1}
+        assert tensor_decompose(v, w.highest) == {(1, 1): 1, (0, 0): 1}
 
     def test_commutative_associative(self):
         rng = random.Random(101)
@@ -138,7 +153,7 @@ class TestTensor:
         chars = [irreducible_character(SL3, h) for h in hws]
         for a in chars:
             for b in chars:
-                assert tensor_decompose(a, b) == tensor_decompose(b, a)
+                assert tensor_decompose(a, b.highest) == tensor_decompose(b, a.highest)
 
         def full(decomp):
             total = {}
@@ -148,8 +163,8 @@ class TestTensor:
             return total
 
         a, b, c = chars
-        ab = full(tensor_decompose(a, b))
-        bc = full(tensor_decompose(b, c))
+        ab = full(tensor_decompose(a, b.highest))
+        bc = full(tensor_decompose(b, c.highest))
         lhs = {}
         for w1, m1 in ab.items():
             for w2, m2 in c.multiplicities:
@@ -171,9 +186,38 @@ class TestTensor:
             h2 = (a2 + b2, b2)
             c1 = irreducible_character(SP4, h1)
             c2 = irreducible_character(SP4, h2)
-            pieces = tensor_decompose(c1, c2)
+            pieces = tensor_decompose(c1, c2.highest)
             assert sum(m * weyl_dim(SP4, hw) for hw, m in pieces.items()) \
                 == c1.dim() * c2.dim()
+
+    @pytest.mark.parametrize("name", ["SL2", "PGL2", "SL3", "PGL3", "Sp4", "G2",
+                                      "GL3", "SO4", "SL2xG2"])
+    def test_brauer_klimyk_matches_extraction(self, name):
+        # every ordered pair of small dominant weights; the grid must reach
+        # a wall term, where w + lam + rho is fixed by a reflection, except
+        # on PGL2, where rho is not a weight and <w + lam + rho, coroot> is
+        # odd
+        rd = SO4 if name == "SO4" else standard(name)
+        hws = [h for h in itertools.product(range(-1, 3), repeat=rd.rank)
+               if rd.is_dominant_weight(h) and weyl_dim(rd, h) <= 15]
+        chars = [irreducible_character(rd, h, crosscheck=False) for h in hws]
+        walls = 0
+        for c in chars:
+            for mu in hws:
+                assert tensor_decompose(c, mu) == character_oracle.tensor_decompose(
+                    c, irreducible_character(rd, mu, crosscheck=False)), (name, c.highest, mu)
+                shift = tuple(2 * h + r for h, r in zip(mu, rd.two_rho))
+                walls += sum(any(dot(vec_add(vec_add(w, w), shift), cobeta) == 0
+                                 for _, cobeta in rd.positive_root_pairs)
+                             for w, _ in c.multiplicities)
+        if name == "PGL2":
+            assert rd.two_rho == (1,) and not walls
+        else:
+            assert walls
+
+    def test_non_dominant_highest_rejected(self):
+        with pytest.raises(CharacterError):
+            tensor_decompose(irreducible_character(SL3, (1, 0)), (-1, 1))
 
 
 class TestFiberDim:
@@ -258,12 +302,15 @@ class TestBraidingWellDefined:
     (lambda x: weyl_multiplicity(SL3, (x, 1), (0, 0)), 2),
     (lambda x: weyl_multiplicity(SL3, (1, 1), (x, 1)), 1),
     (lambda x: weyl_dim(SL3, (x, 1)), 8),
+    (lambda x: tensor_decompose(irreducible_character(SL2, (1,)), (x,)),
+     {(0,): 1, (2,): 1}),
     (lambda x: satake_prediction(trivial_qform(SL2), (x,), (1,)).decomposition,
      (((0,), 1), ((1,), 1), ((2,), 1))),
     (lambda x: satake_prediction(trivial_qform(SL2), (1,), (x,)).decomposition,
      (((0,), 1), ((1,), 1), ((2,), 1))),
 ], ids=["irreducible_character", "weyl_multiplicity-highest",
-        "weyl_multiplicity-weight", "weyl_dim", "satake_prediction-lam",
+        "weyl_multiplicity-weight", "weyl_dim", "tensor_decompose",
+        "satake_prediction-lam",
         "satake_prediction-mu"])
 def test_integer_arguments(call, expected, bad):
     with pytest.raises(ValueError, match="not an integer"):

@@ -127,6 +127,24 @@ class TestOtherVerbs:
         assert res.exit_code == 0
         assert res.output.splitlines() == ["0: 1", "2: 1"]
 
+    # the outputs of the extraction method, pinned; G2 in both orders
+    @pytest.mark.parametrize("group,a,b,lines", [
+        ("SL3", "1,0", "0,1", ["0,0: 1", "1,1: 1"]),
+        ("G2", "1,0", "0,1", ["1,0: 1", "1,1: 1", "2,0: 1"]),
+        ("G2", "0,1", "1,0", ["1,0: 1", "1,1: 1", "2,0: 1"]),
+        ("G2", "1,1", "1,0", ["0,1: 1", "0,2: 1", "1,1: 1", "2,0: 1", "2,1: 1", "3,0: 1"]),
+    ])
+    def test_tensor_outputs(self, group, a, b, lines):
+        res = run("tensor", "--group", group, "--a", a, "--b", b)
+        assert res.exit_code == 0
+        assert res.output.splitlines() == lines
+
+    @pytest.mark.parametrize("a,b", [("1,0", "-1,0"), ("-1,0", "1,0")])
+    def test_tensor_non_dominant(self, a, b):
+        res = run("tensor", "--group", "SL3", "--a", a, "--b", b)
+        assert res.exit_code == 1
+        assert res.output.splitlines() == ["Error: (-1, 0) is not dominant"]
+
     def test_quantum_pair(self):
         res = run("quantum-pair", "--group", "SL2", "--n", "3")
         assert res.exit_code == 0

@@ -100,6 +100,53 @@ class TestTwistedDual:
             twisted_dual(PGL2, bad)
 
 
+class TestDualMemo:
+    """twisted_dual keeps the dual of a form over its own datum, per mode."""
+
+    THIRD = [[Fraction(1, 3), 0], [0, Fraction(1, 3)]]   # kernels differ by mode
+
+    def test_same_form_same_dual(self):
+        q = qform_from_gram(GL2, self.THIRD)
+        for mode in ("full", "coroot"):
+            assert twisted_dual(GL2, q, mode) is twisted_dual(GL2, q, mode)
+
+    def test_modes_do_not_collide(self):
+        q = qform_from_gram(GL2, self.THIRD)
+        full, coroot = twisted_dual(GL2, q, "full"), twisted_dual(GL2, q, "coroot")
+        assert full.basis != coroot.basis
+        # asked in the other order, a fresh form gives the same two duals
+        fresh = qform_from_gram(GL2, self.THIRD)
+        assert twisted_dual(GL2, fresh, "coroot") == coroot
+        assert twisted_dual(GL2, fresh, "full") == full
+
+    def test_other_datum_is_not_served(self):
+        q = qform_from_gram(SL2, [[Fraction(2, 5)]])
+        memo = twisted_dual(SL2, q)
+        # an equal datum under another name gets its own label
+        renamed = RootDatum(SL2.simple_roots, SL2.simple_coroots, name="A1")
+        td = twisted_dual(renamed, q)
+        assert td is not memo and td.source is renamed
+        assert td.datum.name == "dual(A1)"
+        td = twisted_dual(PGL2, q)
+        assert td.source is PGL2 and td != memo
+        assert twisted_dual(SL2, q) is memo
+
+    def test_quantum_pair_sides_unchanged(self):
+        b = [[x / 2 for x in row] for row in normalized_killing_gram(SL3)]
+        pair = quantum_dual_pair(SL3, b)
+        assert pair.ok and pair.iso.data == ((2, -1), (-1, 1))
+        assert pair.left.to_dict() == {
+            "rank": 2, "simple_roots": [[1, 0], [0, 1]],
+            "simple_coroots": [[2, -1], [-1, 2]], "name": "dual(SL3)",
+            "weight_sublattice": [[2, 0], [0, 2]], "multipliers": [2, 2],
+            "dropped": []}
+        assert pair.right.to_dict() == {
+            "rank": 2, "simple_roots": [[2, -1], [-1, 1]],
+            "simple_coroots": [[1, 0], [1, 3]], "name": "dual(flip(SL3))",
+            "weight_sublattice": [[1, 1], [0, 3]], "multipliers": [1, 1],
+            "dropped": []}
+
+
 class TestRank1Table:
     def test_odd_example(self):
         t = rank1_table(3)
