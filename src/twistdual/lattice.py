@@ -313,6 +313,9 @@ def kernel_mod(m: IntMatrix, modulus=None) -> Sublattice:
     """
     if modulus is not None and modulus <= 0:
         raise ValueError("modulus must be positive")
+    if not any(map(any, m.data)):
+        # the zero matrix kills everything, modulo anything
+        return Sublattice.full(m.cols)
     u, d, v = smith_normal_form(m)
     gens = []
     for j in range(m.cols):
@@ -345,9 +348,16 @@ def quotient_group(s: Sublattice) -> "FGAbelianGroup":
 
 
 def intersect(s1: Sublattice, s2: Sublattice) -> Sublattice:
-    """Intersection of two sublattices of the same ambient lattice."""
+    """Intersection of two sublattices of the same ambient lattice.  When
+    one side is all of Z^n the other is returned as it is, already in
+    Hermite form, without a Smith form."""
     if s1.ambient_rank != s2.ambient_rank:
         raise ValueError("ambient rank mismatch")
+    whole = IntMatrix.identity(s1.ambient_rank)
+    if s1.basis == whole:
+        return s2
+    if s2.basis == whole:
+        return s1
     if s1.rank == 0 or s2.rank == 0:
         return Sublattice.zero(s1.ambient_rank)
     n = s1.ambient_rank

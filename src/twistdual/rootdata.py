@@ -5,10 +5,18 @@ Z^rank with the standard dot pairing, and the datum is the pair of simple
 root / simple coroot matrices.  Construction validates the axioms: an exact
 finite-type test of the Cartan matrix, then one walk of the positive roots
 in Cartan coordinates, from the simple roots by the simple reflections that
-raise the height, so invalid data fail early.  That walk gives one root
-table of (root, coroot, root coordinates) triples, from which the roots,
-the positive roots, the heights and the highest root are read without a
-solve.  The Weyl group is enumerated only on demand.
+raise the height, so invalid data fail early.
+
+What depends on the Cartan matrix alone (the symmetrizer, the components
+and the walk's positive (root, coroot) pairs in Cartan coordinates) is one
+record per matrix, `_cartan_system`, memoised for the process in a bounded
+LRU cache: the forms of one group and its changes of basis give many data
+over few Cartan matrices.  An invalid matrix is never cached, so it fails
+on every construction.  Each datum maps the record by its own simple roots
+and coroots into one root table of (root, coroot, root coordinates)
+triples, from which the roots, the positive roots, the heights and the
+highest root are read without a solve.  The Weyl group is enumerated only
+on demand.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul, neg
+from typing import NamedTuple
 
 from .lattice import (
     FGAbelianGroup,
@@ -91,7 +100,10 @@ class RootDatum:
         self.rank = simple_roots.cols
         self.name = name
         self._validate_cartan()
-        self._validate_system()
+        # shared with every datum of this Cartan matrix; raises unless the
+        # matrix is of finite type, before any walk starts
+        self._cartan = _cartan_system(self.cartan_matrix)
+        self._validate_roots()
 
     # -- construction-time validation ------------------------------------
 
@@ -117,10 +129,7 @@ class RootDatum:
         if self.simple_coroots.rank() != s:
             raise RootDatumError("simple coroots are linearly dependent")
 
-    def _validate_system(self):
-        # The finite-type test bounds the root walk that follows, so an
-        # infinite-type Cartan matrix never starts it.
-        _check_finite_type(self.cartan_matrix, self.symmetrizer)
+    def _validate_roots(self):
         roots = [beta for beta, _, _ in self._root_table]
         root_set = set(roots)
         if len(root_set) != len(roots):
@@ -145,47 +154,11 @@ class RootDatum:
             for i in range(self.num_simple)
         )
 
-    @cached_property
-    def _cartan_walk(self):
-        # One walk of the Cartan graph gives its components and the
-        # symmetrizer: d solves d_j a_ij = d_i a_ji along each edge, and a
-        # cycle that forces two values of some d_j makes the Cartan matrix
-        # non-symmetrizable, hence not of finite type.  Each component's d
-        # is then scaled to its least positive integers.
-        cartan = self.cartan_matrix
-        s = self.num_simple
-        d = [None] * s
-        comps = []
-        for start in range(s):
-            if d[start] is not None:
-                continue
-            d[start] = Fraction(1)
-            stack, comp = [start], []
-            while stack:
-                i = stack.pop()
-                comp.append(i)
-                for j in range(s):
-                    if j == i or cartan[i][j] == 0:
-                        continue
-                    dj = d[i] * cartan[j][i] / cartan[i][j]
-                    if d[j] is None:
-                        d[j] = dj
-                        stack.append(j)
-                    elif d[j] != dj:
-                        raise RootDatumError(
-                            "Cartan matrix is not symmetrizable; "
-                            "datum is not of finite type")
-            lcd = math.lcm(*(d[i].denominator for i in comp))
-            for i in comp:
-                d[i] = int(d[i] * lcd)
-            comps.append(tuple(sorted(comp)))
-        return tuple(d), tuple(comps)
-
     @property
     def symmetrizer(self):
         """Positive integers d with (a_ij d_j) symmetric, the least such on
         each component of the Cartan graph."""
-        return self._cartan_walk[0]
+        return self._cartan.symmetrizer
 
     def reflection_coweight(self, i):
         """Matrix of s_i on the coweight lattice: x -> x - <alpha_i, x> coroot_i."""
@@ -246,55 +219,14 @@ class RootDatum:
 
     @cached_property
     def _root_table(self):
-        """(root, coroot, root coordinates) for every root, sorted by root.
-
-        The positive roots are walked in Cartan coordinates c (the root) and
-        c' (its coroot): s_j changes only entry j, by -<beta, coroot_j> =
-        -sum_i c_i a_ij on the root side and by -<alpha_j, beta^v> =
-        -sum_i c'_i a_ji on the coroot side.  From the simple roots s_j is
-        applied only where it raises the height; every positive root that
-        is not simple has a simple reflection that lowers its height
-        (Humphreys, *Introduction to Lie Algebras*, 10.2), so the walk
-        reaches them all.  A coroot is checked on every raising edge and
-        every fixed one (<beta, coroot_j> = 0 must give <alpha_j, beta^v> =
-        0); the lowering edges are the raising ones reversed (s_j^2 = 1)
-        and the negative roots the negatives, so that checks the whole
-        Weyl orbit of the simple pairs.
-        """
-        a = self.cartan_matrix
-        a_cols = tuple(zip(*a))
-        s = self.num_simple
-        simple = [tuple(int(i == j) for j in range(s)) for i in range(s)]
-        coroot_of = dict(zip(simple, simple))
-        frontier = simple
-        while frontier:
-            nxt = []
-            for c in frontier:
-                cv = coroot_of[c]
-                for j in range(s):
-                    p = sum(map(mul, c, a_cols[j]))
-                    if p > 0:
-                        continue
-                    q = sum(map(mul, cv, a[j]))
-                    if p == 0:
-                        if q:
-                            raise RootDatumError(
-                                "root/coroot correspondence is inconsistent")
-                        continue
-                    up = c[:j] + (c[j] - p,) + c[j + 1:]
-                    coup = cv[:j] + (cv[j] - q,) + cv[j + 1:]
-                    known = coroot_of.get(up)
-                    if known is None:
-                        coroot_of[up] = coup
-                        nxt.append(up)
-                    elif known != coup:
-                        raise RootDatumError(
-                            "root/coroot correspondence is inconsistent")
-            frontier = nxt
+        """(root, coroot, root coordinates) for every root, sorted by root:
+        each positive pair (c, c') of the Cartan matrix's walk, mapped to
+        beta = sum_i c_i alpha_i and beta^v = sum_i c'_i coroot_i, and its
+        negative."""
         root_cols = tuple(zip(*self.simple_roots.data))
         coroot_cols = tuple(zip(*self.simple_coroots.data))
         table = []
-        for c, cv in coroot_of.items():
+        for c, cv in self._cartan.positive:
             beta = tuple(sum(map(mul, c, col)) for col in root_cols)
             cobeta = tuple(sum(map(mul, cv, col)) for col in coroot_cols)
             table.append((beta, cobeta, c))
@@ -356,6 +288,10 @@ class RootDatum:
 
     def pi1(self) -> FGAbelianGroup:
         """Component group of the grassmannian: coweights modulo coroots."""
+        return self._pi1
+
+    @cached_property
+    def _pi1(self):
         return quotient_group(self.coroot_lattice())
 
     # -- dominance ---------------------------------------------------------
@@ -445,7 +381,7 @@ class RootDatum:
     @property
     def components(self):
         """Connected components of the Cartan graph, as index tuples."""
-        return self._cartan_walk[1]
+        return self._cartan.components
 
     def is_irreducible(self):
         return len(self.components) == 1
@@ -555,6 +491,113 @@ def _coordinates(rows, chart, v):
     return tuple(out)
 
 
+class _CartanSystem(NamedTuple):
+    """What a root datum owes to its Cartan matrix alone."""
+
+    symmetrizer: tuple
+    components: tuple
+    # (c, c'): each positive root and its coroot, in simple coordinates
+    positive: tuple
+
+
+@lru_cache(maxsize=128)
+def _cartan_system(cartan) -> _CartanSystem:
+    """The symmetrizer, the components and the positive (root, coroot)
+    pairs of a Cartan matrix, in that order, each step raising
+    `RootDatumError` for a matrix not of finite type.  Memoised by the
+    matrix, as a tuple of rows: a sweep over the forms of one group, or
+    over its changes of basis, meets few Cartan matrices.  A failure is
+    not cached, so an invalid matrix is checked again every time."""
+    d, comps = _symmetrize(cartan)
+    # the finite-type test bounds the root walk that follows, so an
+    # infinite-type Cartan matrix never starts it
+    _check_finite_type(cartan, d)
+    return _CartanSystem(d, comps, _positive_walk(cartan))
+
+
+def _symmetrize(cartan):
+    """(d, components): one walk of the Cartan graph gives its components
+    and the symmetrizer."""
+    # d solves d_j a_ij = d_i a_ji along each edge, and a cycle that forces
+    # two values of some d_j makes the Cartan matrix non-symmetrizable,
+    # hence not of finite type.  Each component's d is then scaled to its
+    # least positive integers.
+    s = len(cartan)
+    d = [None] * s
+    comps = []
+    for start in range(s):
+        if d[start] is not None:
+            continue
+        d[start] = Fraction(1)
+        stack, comp = [start], []
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            for j in range(s):
+                if j == i or cartan[i][j] == 0:
+                    continue
+                dj = d[i] * cartan[j][i] / cartan[i][j]
+                if d[j] is None:
+                    d[j] = dj
+                    stack.append(j)
+                elif d[j] != dj:
+                    raise RootDatumError(
+                        "Cartan matrix is not symmetrizable; "
+                        "datum is not of finite type")
+        lcd = math.lcm(*(d[i].denominator for i in comp))
+        for i in comp:
+            d[i] = int(d[i] * lcd)
+        comps.append(tuple(sorted(comp)))
+    return tuple(d), tuple(comps)
+
+
+def _positive_walk(a):
+    """The positive roots of a finite-type Cartan matrix a, as pairs (c, c')
+    of Cartan coordinates of a root and of its coroot.
+
+    s_j changes only entry j, by -<beta, coroot_j> = -sum_i c_i a_ij on the
+    root side and by -<alpha_j, beta^v> = -sum_i c'_i a_ji on the coroot
+    side.  From the simple roots s_j is applied only where it raises the
+    height; every positive root that is not simple has a simple reflection
+    that lowers its height (Humphreys, *Introduction to Lie Algebras*,
+    10.2), so the walk reaches them all.  A coroot is checked on every
+    raising edge and every fixed one (<beta, coroot_j> = 0 must give
+    <alpha_j, beta^v> = 0); the lowering edges are the raising ones
+    reversed (s_j^2 = 1) and the negative roots the negatives, so that
+    checks the whole Weyl orbit of the simple pairs.
+    """
+    a_cols = tuple(zip(*a))
+    s = len(a)
+    simple = [tuple(int(i == j) for j in range(s)) for i in range(s)]
+    coroot_of = dict(zip(simple, simple))
+    frontier = simple
+    while frontier:
+        nxt = []
+        for c in frontier:
+            cv = coroot_of[c]
+            for j in range(s):
+                p = sum(map(mul, c, a_cols[j]))
+                if p > 0:
+                    continue
+                q = sum(map(mul, cv, a[j]))
+                if p == 0:
+                    if q:
+                        raise RootDatumError(
+                            "root/coroot correspondence is inconsistent")
+                    continue
+                up = c[:j] + (c[j] - p,) + c[j + 1:]
+                coup = cv[:j] + (cv[j] - q,) + cv[j + 1:]
+                known = coroot_of.get(up)
+                if known is None:
+                    coroot_of[up] = coup
+                    nxt.append(up)
+                elif known != coup:
+                    raise RootDatumError(
+                        "root/coroot correspondence is inconsistent")
+        frontier = nxt
+    return tuple(coroot_of.items())
+
+
 def _check_finite_type(cartan, d):
     """Raise unless the Cartan matrix, with symmetrizer d, is of finite type.
 
@@ -637,9 +680,11 @@ def _standard_single(token):
 def standard(name) -> RootDatum:
     """Standard root data: SL(n), PGL(n), GL(n), Sp4, G2, torus(r), and
     products of these joined by 'x' or '*'."""
-    tokens = [t for t in re.split(r"[x*]", name) if t.strip()]
-    if not tokens:
+    tokens = [t.strip() for t in re.split(r"[x*]", name)]
+    if not any(tokens):
         raise ValueError("empty group label")
+    if not all(tokens):
+        raise ValueError(f"empty factor in group label {name!r}")
     blocks = [_standard_single(t) for t in tokens]
     total = sum(b[2] for b in blocks)
     roots, coroots = [], []

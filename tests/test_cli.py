@@ -175,6 +175,12 @@ class TestErrors:
         res = run("validate", "--group", "E8")
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize("label", ["SL2xx", "xSL2", "SL2**PGL2"])
+    def test_empty_factor_in_group_label(self, label):
+        res = run("validate", "--group", label)
+        assert res.exit_code == 1
+        assert res.output == f"Error: empty factor in group label {label!r}\n"
+
     def test_domain_error_exit_one(self):
         res = run("fl-dual", "--group", "SL2xSL2", "--d", "1", "--n", "2")
         assert res.exit_code == 1

@@ -83,6 +83,12 @@ class TestKernelMod:
         k = kernel_mod(IntMatrix.zero(2, 3), 5)
         assert k.basis == IntMatrix.identity(3)
 
+    @pytest.mark.parametrize("modulus", [None, 1, 6])
+    @pytest.mark.parametrize("rows", [0, 2])
+    def test_zero_map_is_whole_lattice(self, rows, modulus):
+        k = kernel_mod(IntMatrix.zero(rows, 3), modulus)
+        assert k == Sublattice.full(3)
+
     def test_identity_mod_one(self):
         k = kernel_mod(IntMatrix.identity(2), 1)
         assert k.basis == IntMatrix.identity(2)
@@ -213,6 +219,27 @@ class TestIntersect:
             c = intersect(a, b)
             for row in c.basis.data:
                 assert a.contains(row) and b.contains(row)
+
+    def test_whole_lattice_returns_other_side(self):
+        rng = random.Random(29)
+        for _ in range(30):
+            n = rng.randint(1, 3)
+            a = Sublattice.from_rows(
+                n, [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+            full = Sublattice.full(n)
+            assert intersect(full, a) is a
+            assert intersect(a, full) is (full if a == full else a)
+            # Z^n on a basis other than the identity takes the general path
+            # and gives the same data
+            if n > 1:
+                unit = IntMatrix.identity(n).data
+                other = Sublattice(n, IntMatrix([(1, rng.randint(1, 3)) + unit[0][2:],
+                                                 *unit[1:]]))
+                assert intersect(a, other) == a and intersect(other, a) == a
+        # a unit diagonal alone is not Z^n: rows (1, 2), (2, 1) span index 3
+        b = Sublattice(2, IntMatrix([[1, 2], [2, 1]]))
+        a = Sublattice.from_rows(2, [(1, 0), (0, 2)])
+        assert intersect(a, b) == intersect(a, Sublattice.from_rows(2, b.basis.data)) != a
 
 
 class TestHelpers:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistdual.lattice import FGAbelianGroup
+from twistdual.lattice import FGAbelianGroup, IntMatrix, Sublattice, kernel_mod
 from twistdual.qform import (
     CartanDatum,
     Exponent,
@@ -31,7 +31,7 @@ from twistdual.qform import (
     trivial_qform,
 )
 from twistdual.rootdata import RootDatum, dot, standard, vec_add
-from test_rootdata import _rebased
+from test_rootdata import _rebased, _transvections
 
 SL2 = standard("SL2")
 PGL2 = standard("PGL2")
@@ -214,6 +214,50 @@ class TestKernel:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             kernel(trivial_qform(SL2), "sideways")
+
+    def test_matches_intersection_of_both_kernels(self):
+        """`kernel` against the intersection of the modular kernel of the
+        rational part and the exact kernel of the transcendental part,
+        taken by `_intersect_by_kernel` even when one side is Z^n."""
+        rng = random.Random(53)
+        forms = []
+        for label in ("SL2", "PGL2", "GL2", "SL3", "Sp4", "G2", "SL2xT1", "GL2xT1"):
+            for _ in range(6):
+                moves = tuple((rng.randrange(3), rng.randrange(3), rng.randint(-2, 2))
+                              for _ in range(rng.randrange(5)))
+                rd, _ = _rebased_with_basis(label, moves)
+                forms.append(random_invariant_form(rd, rng, with_tau=rng.random() < 0.5))
+        # GL2, also rebased, with a central transcendental part: it vanishes
+        # on the coroot but not on the lattice, so the "coroot" kernel takes
+        # the Z^n shortcut and the "full" one intersects two proper kernels
+        central = [[1, 1], [1, 1]]
+        for moves in ((), ((0, 1, 2),), ((1, 0, -1), (0, 1, 1))):
+            u = _transvections(2, moves)
+            g1 = (u.transpose() @ IntMatrix(central) @ u).data
+            rd, _ = _rebased_with_basis("GL2", moves)
+            q = QForm(rd, [[Fraction(x, 3) for x in row] for row in g1], g1)
+            assert q.n1 != IntMatrix.zero(2, 2)
+            assert rd.simple_coroots @ q.n1 == IntMatrix.zero(1, 2)
+            forms.append(q)
+        for q in forms:
+            for mode in ("full", "coroot"):
+                cov = q.rd.simple_coroots
+                m0, m1 = (q.n0, q.n1) if mode == "full" else (cov @ q.n0, cov @ q.n1)
+                expected = _intersect_by_kernel(kernel_mod(m0, q.den), kernel_mod(m1, None))
+                assert kernel(q, mode) == expected
+
+
+def _intersect_by_kernel(s1, s2):
+    """The intersection of two sublattices from the exact kernel of the
+    matrix whose columns are the basis of s1 and minus that of s2."""
+    n = s1.ambient_rank
+    if s1.rank == 0 or s2.rank == 0:
+        return Sublattice.zero(n)
+    stacked = IntMatrix([[row[i] for row in s1.basis.data]
+                         + [-row[i] for row in s2.basis.data] for i in range(n)])
+    return Sublattice.from_rows(n, [
+        tuple(sum(c * row[i] for c, row in zip(w, s1.basis.data)) for i in range(n))
+        for w in kernel_mod(stacked, None).basis.data])
 
 
 @functools.lru_cache(maxsize=None)

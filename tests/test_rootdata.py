@@ -10,6 +10,7 @@ from twistdual.rootdata import (
     Dominance,
     RootDatum,
     RootDatumError,
+    _cartan_system,
     dot,
     standard,
     vec_add,
@@ -50,6 +51,16 @@ class TestStandard:
     def test_unknown_label(self):
         with pytest.raises(ValueError):
             standard("E8")
+
+    @pytest.mark.parametrize("label", ["SL2xx", "xSL2", "SL2**PGL2", "SL2x x"])
+    def test_empty_factor_rejected(self, label):
+        with pytest.raises(ValueError, match="empty factor in group label"):
+            standard(label)
+
+    @pytest.mark.parametrize("label", ["", " ", "x"])
+    def test_empty_label_rejected(self, label):
+        with pytest.raises(ValueError, match="empty group label"):
+            standard(label)
 
 
 class TestValidation:
@@ -399,6 +410,82 @@ class TestPi1:
         assert standard("GL2").pi1().invariant_factors == (0,)
         assert standard("SL3").pi1().invariant_factors == ()
         assert standard("PGL3").pi1().invariant_factors == (3,)
+
+    def test_computed_once_per_datum(self):
+        rd = standard("PGL3")
+        assert rd.pi1() is rd.pi1()
+
+
+class TestCartanMemo:
+    """`_cartan_system` keeps one record per Cartan matrix; every datum
+    maps it by its own simple roots and coroots, and an invalid matrix is
+    rejected again on every construction."""
+
+    SHARED = (("SL3", "PGL3"), ("SO4", "SL2xPGL2", "SL2xSL2"), ("GL2", "SL2xT1"))
+
+    @staticmethod
+    def _datum(name):
+        if name == "SO4":
+            # (SL2 x SL2) / diagonal mu_2, with the Cartan matrix of SL2xSL2
+            return RootDatum([[1, 1], [1, -1]], [[1, 1], [1, -1]], rank=2)
+        return standard(name)
+
+    @pytest.mark.parametrize("names", SHARED, ids=["A2", "A1xA1", "A1"])
+    def test_shared_matrix_matches_oracle(self, names):
+        data = [self._datum(name) for name in names]
+        assert len({rd.cartan_matrix for rd in data}) == 1
+        # each is built again with the record filled, in both orders
+        for order in (data, data[::-1]):
+            for rd in order:
+                hits = _cartan_system.cache_info().hits
+                again = RootDatum(rd.simple_roots, rd.simple_coroots, rank=rd.rank)
+                assert _cartan_system.cache_info().hits == hits + 1
+                assert again._cartan is data[0]._cartan
+                _assert_table_matches_oracle(again)
+                assert again.root_pairs == rd.root_pairs
+                assert (again.symmetrizer, again.components) == (
+                    rd.symmetrizer, rd.components)
+
+    def test_rebased_matches_oracle(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        names = [name for group in self.SHARED for name in group]
+        data = {name: self._datum(name) for name in names}
+        moves = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                   st.integers(-2, 2)), max_size=6)
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(st.sampled_from(names), moves)
+        def check(name, basis_moves):
+            rd = _rebased(data[name], basis_moves)
+            assert rd._cartan is data[name]._cartan
+            _assert_table_matches_oracle(rd)
+
+        check()
+
+    # each fails on every construction with the same message, and leaves
+    # nothing in the memo
+    @pytest.mark.parametrize("roots,coroots,message", [
+        ([[2, -2, 0], [-2, 2, 1]], [[1, 0, 0], [0, 1, 0]],
+         "symmetrized Cartan matrix is not positive definite; "
+         "datum is not of finite type"),
+        ([[2, -1, -1, 1, 0, 0], [-2, 2, -1, 0, 1, 0], [-1, -1, 2, 0, 0, 1]],
+         [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]],
+         "Cartan matrix is not symmetrizable; datum is not of finite type"),
+        # coroot_1 is orthogonal to alpha_0, but alpha_1 is not to coroot_0
+        ([[2, 0], [-1, 2]], [[1, 0], [0, 1]],
+         "asymmetric orthogonality between simples 0 and 1"),
+    ], ids=["affine-A1", "non-symmetrizable", "inconsistent-coroot"])
+    def test_invalid_rejected_every_time(self, roots, coroots, message):
+        size = _cartan_system.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(RootDatumError) as info:
+                RootDatum(roots, coroots)
+            assert str(info.value) == message
+        assert _cartan_system.cache_info().currsize == size
+
+    def test_memo_is_bounded(self):
+        assert _cartan_system.cache_info().maxsize is not None
 
 
 class TestOrbitDims:
