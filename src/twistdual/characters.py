@@ -9,6 +9,12 @@ decomposition by the Brauer-Klimyk rule, which needs the weights of one
 factor and only the highest weight of the other, and the numeric
 predictions for convolution: highest-weight multiplicity one, the
 dominance bound, and fiber-dimension arithmetic.
+
+`irreducible_character` keeps a small least-recently-used memo of
+validated characters on each `RootDatum`, keyed by highest weight, so a
+sweep of predictions over one twisted dual runs Freudenthal once per
+character.  A failure is never kept, the dominance check runs on every
+call, and the memo is dropped with its datum.
 """
 
 from __future__ import annotations
@@ -24,6 +30,10 @@ from .rootdata import RootDatum, dot, vec_add, vec_sub
 
 class CharacterError(ValueError):
     pass
+
+
+# characters kept per datum by `irreducible_character`
+_CHARACTERS_KEPT = 64
 
 
 @dataclass(frozen=True)
@@ -72,10 +82,39 @@ def irreducible_character(rd: RootDatum, highest, crosscheck=None) -> Character:
 
     For data with at most two simple roots the result is checked against
     the Weyl alternating-sum brute force (pass crosscheck=False to skip).
+
+    Each datum keeps its last few validated characters by highest weight,
+    so a repeated call returns the same object without running Freudenthal
+    again.  The dominance check runs on every call, and a kept character
+    that was built without the crosscheck gets it when a later call asks.
+    The memo belongs to `rd` alone: an equal datum builds its own.
     """
     highest = _int_row(highest)
     if not rd.is_dominant_weight(highest):
         raise CharacterError(f"{highest} is not dominant")
+    if crosscheck is None:
+        crosscheck = rd.num_simple <= 2
+    memo = rd._characters
+    # taken out while it is checked, so that a failure is never kept
+    char, checked = memo.pop(highest, (None, False))
+    if char is None:
+        char = _freudenthal(rd, highest)
+    if crosscheck and not checked:
+        for w, m in char.multiplicities:
+            bm = weyl_multiplicity(rd, highest, w)
+            if bm != m:
+                raise CharacterError(
+                    f"Freudenthal ({m}) and Weyl sum ({bm}) disagree at {w}")
+        checked = True
+    if len(memo) >= _CHARACTERS_KEPT:
+        del memo[next(iter(memo))]    # least recently used
+    memo[highest] = (char, checked)
+    return char
+
+
+def _freudenthal(rd: RootDatum, highest) -> Character:
+    """The checked character of the irreducible with the dominant highest
+    weight `highest`, built afresh."""
     # W-invariant inner product on the weight side, the sum over coroots of
     # the squared pairing: positive definite on the root span, which is all
     # Freudenthal needs; the normalization drops out of the recursion.
@@ -132,16 +171,7 @@ def irreducible_character(rd: RootDatum, highest, crosscheck=None) -> Character:
                 next_layer[mu] = depth
         layer = next_layer
 
-    char = Character.build(rd, mults, highest=highest)
-    if crosscheck is None:
-        crosscheck = rd.num_simple <= 2
-    if crosscheck:
-        for w, m in char.multiplicities:
-            bm = weyl_multiplicity(rd, highest, w)
-            if bm != m:
-                raise CharacterError(
-                    f"Freudenthal ({m}) and Weyl sum ({bm}) disagree at {w}")
-    return char
+    return Character.build(rd, mults, highest=highest)
 
 
 def kostant_partition(rd: RootDatum, v) -> int:
@@ -185,7 +215,8 @@ def weyl_dim(rd: RootDatum, highest) -> int:
         num *= dot(two_lam_rho, cobeta)
         den *= dot(rd.two_rho, cobeta)
     out, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise CharacterError(f"Weyl dimension {num}/{den} is not an integer")
     return out
 
 

@@ -251,12 +251,40 @@ def _hermite_rows(rows, ncols):
     return [tuple(r) for r in mat[:pr]]
 
 
+def _is_hermite(rows):
+    """Whether the rows are already what `_hermite_rows` returns: nonzero,
+    pivots strictly to the right row by row, each pivot positive, and the
+    entries above it reduced into [0, pivot)."""
+    last = -1
+    for k, row in enumerate(rows):
+        for c, p in enumerate(row):
+            if p:
+                break
+        else:
+            return False
+        if c <= last or p < 0:
+            return False
+        for above in rows[:k]:
+            if not 0 <= above[c] < p:
+                return False
+        last = c
+    return True
+
+
 @dataclass(frozen=True)
 class Sublattice:
     """A sublattice of Z^ambient_rank, stored by its Hermite-form basis."""
 
     ambient_rank: int
     basis: IntMatrix
+
+    def __post_init__(self):
+        # equality, coefficients and contains read the basis as Hermite
+        # form; a basis given in another shape is reduced here, once
+        if not _is_hermite(self.basis.data):
+            object.__setattr__(self, "basis", IntMatrix(
+                _hermite_rows(self.basis.data, self.ambient_rank),
+                cols=self.ambient_rank))
 
     @classmethod
     def from_rows(cls, ambient_rank, rows):

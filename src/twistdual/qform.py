@@ -283,7 +283,8 @@ def component_killing_value(rd: RootDatum, component_index, lam):
     """Q_i(lam) = (1/2) sum over component roots of <beta, lam>^2."""
     k = killing_matrix(rd, component_index)
     val = Fraction(dot(k.mul_vec(lam), lam), 2)
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise ValueError(f"Q_{component_index}({lam}) = {val} is not an integer")
     return int(val)
 
 
@@ -388,7 +389,8 @@ def half_forms_qform(rd: RootDatum) -> QForm:
     k = outer_sum((beta for beta, _ in rd.root_pairs), rd.rank)
     form = QForm(rd, [[Fraction(x, 2) for x in row] for row in k.data])
     # adjoint K is even, so kappa is integral
-    assert all(x % form.den == 0 for row in form.n0.data for x in row)
+    if any(x % form.den for row in form.n0.data for x in row):
+        raise ValueError("half the adjoint Killing form has a non-integral kappa")
     return form
 
 

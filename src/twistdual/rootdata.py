@@ -272,6 +272,14 @@ class RootDatum:
         return lambda target: count(target, 0)
 
     @cached_property
+    def _characters(self):
+        """Validated irreducible characters of this datum by highest weight,
+        each with whether the Weyl-sum crosscheck ran on it.  Filled, read
+        and bounded by `characters.irreducible_character`; dropped with the
+        datum."""
+        return {}
+
+    @cached_property
     def positive_root_pairs(self):
         return tuple((beta, cobeta) for beta, cobeta, _ in self.positive_root_table)
 

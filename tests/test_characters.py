@@ -21,6 +21,8 @@ from twistdual.qform import braiding_signs, qform_from_gram, trivial_qform
 from twistdual.rootdata import RootDatum, dot, standard, vec_add
 
 import character_oracle
+from twistdual import characters
+from twistdual.dualgroup import twisted_dual
 
 SL2 = standard("SL2")
 SL3 = standard("SL3")
@@ -105,6 +107,109 @@ class TestIrreducibleCharacter:
     def test_invariants_enforced(self):
         with pytest.raises(CharacterError):
             Character.build(SL2, {(2,): 1}, highest=(2,))  # not W-closed
+
+
+class TestCharacterMemo:
+    def test_repeat_call_returns_the_same_object(self):
+        rd = standard("SL3")
+        c = irreducible_character(rd, (2, 1))
+        assert irreducible_character(rd, [2, 1]) is c
+        fresh = RootDatum.from_dict(rd.to_dict())
+        assert fresh == rd
+        other = irreducible_character(fresh, (2, 1))
+        assert other is not c and other.rd is fresh
+        assert other.multiplicities == c.multiplicities
+
+    def test_equal_coordinates_on_other_data_are_not_shared(self):
+        sl2, pgl2 = standard("SL2"), standard("PGL2")
+        a = irreducible_character(sl2, (1,))
+        b = irreducible_character(pgl2, (1,))
+        assert a.rd is sl2 and b.rd is pgl2
+        assert a.as_dict() == {(1,): 1, (-1,): 1}
+        assert b.as_dict() == {(1,): 1, (0,): 1, (-1,): 1}
+
+    def test_unchecked_hit_gets_the_crosscheck(self, monkeypatch):
+        calls = []
+        inner = characters.weyl_multiplicity
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(characters, "weyl_multiplicity", counting)
+        rd = standard("Sp4")
+        c = irreducible_character(rd, (2, 1), crosscheck=False)
+        assert calls == []
+        assert irreducible_character(rd, (2, 1)) is c
+        assert len(calls) == len(c.multiplicities)
+        # checked once, then kept as checked
+        assert irreducible_character(rd, (2, 1), crosscheck=True) is c
+        assert irreducible_character(rd, (2, 1), crosscheck=False) is c
+        assert len(calls) == len(c.multiplicities)
+
+    def test_failed_crosscheck_is_not_kept(self, monkeypatch):
+        rd = standard("SL2")
+        c = irreducible_character(rd, (3,), crosscheck=False)
+        monkeypatch.setattr(characters, "weyl_multiplicity", lambda *args: 0)
+        with pytest.raises(CharacterError, match="disagree"):
+            irreducible_character(rd, (3,), crosscheck=True)
+        assert (3,) not in rd._characters
+        monkeypatch.undo()
+        again = irreducible_character(rd, (3,), crosscheck=False)
+        assert again is not c and again.multiplicities == c.multiplicities
+
+    def test_non_dominant_raises_on_every_call(self):
+        rd = standard("SL3")
+        irreducible_character(rd, (1, 0))
+        size = len(rd._characters)
+        for _ in range(3):
+            with pytest.raises(CharacterError, match="not dominant"):
+                irreducible_character(rd, (-1, 2))
+            assert len(rd._characters) == size
+
+    def test_memo_is_bounded(self):
+        rd = standard("SL2")
+        bound = characters._CHARACTERS_KEPT
+        for n in range(bound + 10):
+            irreducible_character(rd, (n,), crosscheck=False)
+            assert len(rd._characters) <= bound
+        assert len(rd._characters) == bound
+        # the most recent ones are kept, the first ones were dropped
+        assert (bound + 9,) in rd._characters and (0,) not in rd._characters
+
+    def test_memo_is_dropped_with_the_datum(self):
+        rd = standard("G2")
+        irreducible_character(rd, (1, 0))
+        assert rd._characters
+        ref = weakref.ref(rd)
+        del rd
+        gc.collect()
+        assert ref() is None
+
+    def test_memoised_equals_fresh_on_the_satake_grid(self):
+        # the duals and dominant coweights of acceptance criterion 9
+        setups = [
+            trivial_qform(SL2),
+            qform_from_gram(SL2, [[Fraction(2, 5)]]),
+            qform_from_gram(PGL2, [[Fraction(2, 3)]]),
+            trivial_qform(SL3),
+            trivial_qform(SP4),
+        ]
+        for q in setups:
+            rd = q.rd
+            dual = twisted_dual(rd, q, "full")
+            for lam in itertools.product(range(13), repeat=rd.rank):
+                if (not rd.is_dominant_coweight(lam)
+                        or not dual.weight_sublattice.contains(lam)
+                        or dot(rd.two_rho, lam) > 16):
+                    continue
+                lam_c = dual.weight_sublattice.coefficients(lam)
+                kept = irreducible_character(dual.datum, lam_c, crosscheck=False)
+                assert irreducible_character(dual.datum, lam_c, crosscheck=False) is kept
+                fresh = irreducible_character(
+                    RootDatum.from_dict(dual.datum.to_dict()), lam_c, crosscheck=False)
+                assert kept.multiplicities == fresh.multiplicities
+                assert kept.highest == fresh.highest
 
 
 class TestKostant:

@@ -229,8 +229,7 @@ class TestIntersect:
             full = Sublattice.full(n)
             assert intersect(full, a) is a
             assert intersect(a, full) is (full if a == full else a)
-            # Z^n on a basis other than the identity takes the general path
-            # and gives the same data
+            # Z^n given on a basis other than the identity is Z^n all the same
             if n > 1:
                 unit = IntMatrix.identity(n).data
                 other = Sublattice(n, IntMatrix([(1, rng.randint(1, 3)) + unit[0][2:],
@@ -240,6 +239,31 @@ class TestIntersect:
         b = Sublattice(2, IntMatrix([[1, 2], [2, 1]]))
         a = Sublattice.from_rows(2, [(1, 0), (0, 2)])
         assert intersect(a, b) == intersect(a, Sublattice.from_rows(2, b.basis.data)) != a
+
+
+class TestSublatticeConstructor:
+    def test_basis_not_in_hermite_form_is_reduced(self):
+        s = Sublattice(2, IntMatrix([[1, 0], [1, 2]]))
+        assert s.contains((0, 2))
+        assert s == Sublattice.from_rows(2, [(1, 0), (1, 2)])
+        assert s.coefficients((1, 4)) == (1, 2)   # on the basis (1, 0), (0, 2)
+
+    def test_any_basis_of_the_whole_lattice_equals_full(self):
+        assert Sublattice(2, IntMatrix([[1, 1], [0, 1]])) == Sublattice.full(2)
+
+    def test_random_bases_agree_with_from_rows(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            rows = [tuple(rng.randint(-4, 4) for _ in range(n))
+                    for _ in range(rng.randint(0, n))]
+            if IntMatrix(rows, cols=n).rank() != len(rows):
+                continue   # a basis has independent rows
+            reduced = Sublattice.from_rows(n, rows)
+            given = Sublattice(n, IntMatrix(rows, cols=n))
+            assert given == reduced
+            assert given.basis.data == reduced.basis.data
+            assert Sublattice(n, reduced.basis).basis is reduced.basis
 
 
 class TestHelpers:
