@@ -6,8 +6,9 @@ Finkelberg-Lysenko normalization, Lusztig's quantum-group datum, and the
 quantum-Langlands pairing of a nondegenerate form with its inverse on the
 Langlands dual side.  `isomorphic` certifies agreement between any two
 root data: per matching of simple indices that keeps the Cartan matrix,
-two Smith forms computed once per pair pin the weight map in closed form,
-and only a glued centre leaves a bounded search over one k x k block.
+two Smith forms pin the weight map in closed form (the second datum's
+coroot form is cached with its pi1), and only a glued centre leaves a
+bounded search over one k x k block.
 """
 
 from __future__ import annotations
@@ -310,16 +311,16 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
     Cartan matrix and each index's pair of gcds (of the root's and of the
     coroot's entries): P alpha1_i = alpha2_pi(i), P^T coroot2_pi(i) =
     coroot1_i.  Two Smith forms, U C2 V = [D | 0] of d2's simple coroots
-    and U' A1 V' = [D' | 0] of d1's simple roots, computed once, pin all
-    but a k x k block N of V^-1 P V'^-T = [[X, Y], [K, N]], k = rank -
-    #simple: the coroot equations give X and Y (D must divide them) and
-    the root equations give K (D' must divide it).  X pairs d1's coroots
-    with a basis of its saturated root lattice, so it is invertible, and
-    det P = +-det X det(N - E) with E = K X^-1 Y.  Hence N is unique when
-    k <= 1 (N = E +- 1/det X) and can be E + I when det X = +-1; only a
-    glued centre (k >= 2, |det X| > 1) leaves a search over N around E,
-    where exhausting SEARCH_BUDGET yields "undecided" rather than a wrong
-    "none".
+    (the one d2's pi1 is read off, kept on d2) and U' A1 V' = [D' | 0] of
+    d1's simple roots, computed once, pin all but a k x k block N of
+    V^-1 P V'^-T = [[X, Y], [K, N]], k = rank - #simple: the coroot
+    equations give X and Y (D must divide them) and the root equations
+    give K (D' must divide it).  X pairs d1's coroots with a basis of its
+    saturated root lattice, so it is invertible, and det P = +-det X
+    det(N - E) with E = K X^-1 Y.  Hence N is unique when k <= 1 (N = E
+    +- 1/det X) and can be E + I when det X = +-1; only a glued centre
+    (k >= 2, |det X| > 1) leaves a search over N around E, where
+    exhausting SEARCH_BUDGET yields "undecided" rather than a wrong "none".
     """
     if d1.rank != d2.rank or d1.num_simple != d2.num_simple:
         return IsoResult("none", None, None)
@@ -332,7 +333,7 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
         return IsoResult("none", None, None)
     if s == 0:
         return IsoResult("iso", IntMatrix.identity(n), ())
-    u2, dc, v2 = smith_normal_form(d2.simple_coroots)
+    u2, dc, v2 = d2._coroot_smith
     u1, da, v1 = smith_normal_form(d1.simple_roots)
     v2_inv, v1_t = inverse_unimodular(v2), v1.transpose()
     # row i: d1's coroot i against V'^-T, so that U C1 gives X | Y directly

@@ -279,6 +279,8 @@ class Sublattice:
     basis: IntMatrix
 
     def __post_init__(self):
+        if self.basis.cols != self.ambient_rank:
+            raise ValueError(f"basis of width {self.basis.cols} in Z^{self.ambient_rank}")
         # equality, coefficients and contains read the basis as Hermite
         # form; a basis given in another shape is reduced here, once
         if not _is_hermite(self.basis.data):
@@ -287,17 +289,23 @@ class Sublattice:
                 cols=self.ambient_rank))
 
     @classmethod
+    def _hermite(cls, ambient_rank, rows):
+        """The sublattice on rows already in Hermite form, unchecked."""
+        out = object.__new__(cls)
+        out.__dict__.update(ambient_rank=ambient_rank, basis=IntMatrix(rows, cols=ambient_rank))
+        return out
+
+    @classmethod
     def from_rows(cls, ambient_rank, rows):
-        reduced = _hermite_rows(rows, ambient_rank)
-        return cls(ambient_rank, IntMatrix(reduced, cols=ambient_rank))
+        return cls._hermite(ambient_rank, _hermite_rows(rows, ambient_rank))
 
     @classmethod
     def full(cls, ambient_rank):
-        return cls(ambient_rank, IntMatrix.identity(ambient_rank))
+        return cls._hermite(ambient_rank, _identity_list(ambient_rank))
 
     @classmethod
     def zero(cls, ambient_rank):
-        return cls(ambient_rank, IntMatrix([], cols=ambient_rank))
+        return cls._hermite(ambient_rank, [])
 
     @property
     def rank(self):

@@ -2,26 +2,25 @@
 
 A root datum is realized concretely: weights and coweights both live in
 Z^rank with the standard dot pairing, and the datum is the pair of simple
-root / simple coroot matrices.  Construction validates the axioms: an exact
-finite-type test of the Cartan matrix, then one walk of the positive roots
-in Cartan coordinates, from the simple roots by the simple reflections that
-raise the height, so invalid data fail early.
-
-What depends on the Cartan matrix alone (the symmetrizer, the components
-and the walk's positive (root, coroot) pairs in Cartan coordinates) is one
-record per matrix, `_cartan_system`, memoised for the process in a bounded
-LRU cache: the forms of one group and its changes of basis give many data
-over few Cartan matrices.  An invalid matrix is never cached, so it fails
-on every construction.  Each datum maps the record by its own simple roots
-and coroots into one root table of (root, coroot, root coordinates)
-triples, from which the roots, the positive roots, the heights and the
-highest root are read without a solve.  The Weyl group is enumerated only
+root / simple coroot matrices R and V.  Each axiom is decided once, where
+it is cheapest.  A datum checks the signs of its Cartan matrix R V^T.
+`_cartan_system` decides the rest once per Cartan matrix, memoised for the
+process in a bounded LRU cache: finite type, exactly and before any walk
+starts; one walk of the positive roots in Cartan coordinates; and that
+they are reduced.  A finite-type Cartan matrix is nondegenerate, so R and
+V then have independent rows; their ranks are computed only when the
+matrix fails, to name the dependence.  A failure is never cached.  Each
+datum maps the record by its own R and V into one root table of (root,
+coroot, root coordinates) triples, from which the roots, the heights and
+the highest root are read without a solve.  pi1 is read off the Smith
+form of V, which `isomorphic` shares; the Weyl group is enumerated only
 on demand.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import re
 from collections import Counter
@@ -37,7 +36,7 @@ from .lattice import (
     Sublattice,
     integral_left_inverse,
     outer_sum,
-    quotient_group,
+    smith_normal_form,
 )
 
 
@@ -100,10 +99,16 @@ class RootDatum:
         self.rank = simple_roots.cols
         self.name = name
         self._validate_cartan()
-        # shared with every datum of this Cartan matrix; raises unless the
-        # matrix is of finite type, before any walk starts
-        self._cartan = _cartan_system(self.cartan_matrix)
-        self._validate_roots()
+        try:
+            # one record per Cartan matrix; raises unless it is of finite type
+            self._cartan = _cartan_system(self.cartan_matrix)
+        except RootDatumError:
+            # a finite-type Cartan matrix R V^T is nondegenerate, so R and V
+            # have full row rank: only a failing matrix needs the ranks
+            for side, rows in (("roots", simple_roots), ("coroots", simple_coroots)):
+                if rows.rank() != self.num_simple:
+                    raise RootDatumError(f"simple {side} are linearly dependent") from None
+            raise
 
     # -- construction-time validation ------------------------------------
 
@@ -114,30 +119,12 @@ class RootDatum:
             if cartan[i][i] != 2:
                 raise RootDatumError(
                     f"<alpha_{i}, coroot_{i}> = {cartan[i][i]}, expected 2")
-        for i in range(s):
-            for j in range(s):
-                if i == j:
-                    continue
-                if cartan[i][j] > 0:
-                    raise RootDatumError(
-                        f"<alpha_{i}, coroot_{j}> = {cartan[i][j]} > 0")
-                if (cartan[i][j] == 0) != (cartan[j][i] == 0):
-                    raise RootDatumError(
-                        f"asymmetric orthogonality between simples {i} and {j}")
-        if self.simple_roots.rank() != s:
-            raise RootDatumError("simple roots are linearly dependent")
-        if self.simple_coroots.rank() != s:
-            raise RootDatumError("simple coroots are linearly dependent")
-
-    def _validate_roots(self):
-        roots = [beta for beta, _, _ in self._root_table]
-        root_set = set(roots)
-        if len(root_set) != len(roots):
-            raise RootDatumError("root/coroot correspondence is inconsistent")
-        for beta in roots:
-            for c in (2, 3):
-                if vec_scale(c, beta) in root_set:
-                    raise RootDatumError(f"non-reduced system: {beta} and {c}*{beta}")
+        for i, j in itertools.permutations(range(s), 2):
+            if cartan[i][j] > 0:
+                raise RootDatumError(f"<alpha_{i}, coroot_{j}> = {cartan[i][j]} > 0")
+            if (cartan[i][j] == 0) != (cartan[j][i] == 0):
+                raise RootDatumError(
+                    f"asymmetric orthogonality between simples {i} and {j}")
 
     # -- basic structure ---------------------------------------------------
 
@@ -242,10 +229,7 @@ class RootDatum:
     def positive_root_table(self):
         """(root, coroot, root coordinates) for each positive root, in the
         order of `root_pairs`."""
-        out = tuple(t for t in self._root_table if sum(t[2]) > 0)
-        if 2 * len(out) != len(self._root_table):
-            raise RootDatumError("root system is not symmetric")
-        return out
+        return tuple(t for t in self._root_table if sum(t[2]) > 0)
 
     @cached_property
     def _partition_count(self):
@@ -299,8 +283,15 @@ class RootDatum:
         return self._pi1
 
     @cached_property
+    def _coroot_smith(self):
+        """(U, D, V) with U C V = D for the simple coroots C, shared with `isomorphic`."""
+        return smith_normal_form(self.simple_coroots)
+
+    @cached_property
     def _pi1(self):
-        return quotient_group(self.coroot_lattice())
+        # the coroots are independent: D has num_simple nonzero entries
+        d, s = self._coroot_smith[1].data, self.num_simple
+        return FGAbelianGroup.from_factors([d[i][i] for i in range(s)] + [0] * (self.rank - s))
 
     # -- dominance ---------------------------------------------------------
 
@@ -511,16 +502,26 @@ class _CartanSystem(NamedTuple):
 @lru_cache(maxsize=128)
 def _cartan_system(cartan) -> _CartanSystem:
     """The symmetrizer, the components and the positive (root, coroot)
-    pairs of a Cartan matrix, in that order, each step raising
-    `RootDatumError` for a matrix not of finite type.  Memoised by the
-    matrix, as a tuple of rows: a sweep over the forms of one group, or
-    over its changes of basis, meets few Cartan matrices.  A failure is
-    not cached, so an invalid matrix is checked again every time."""
+    pairs of a Cartan matrix, raising `RootDatumError` unless it is of
+    finite type and its roots are reduced.  Memoised by the matrix, as a
+    tuple of rows: a sweep over the forms of one group, or over its changes
+    of basis, meets few Cartan matrices.  A failure is not cached.
+
+    The reduced test holds for every datum of the matrix, as c -> sum_i
+    c_i alpha_i is injective (a finite-type matrix makes the simple roots
+    independent); so the walk's coordinates, distinct dict keys, give
+    distinct roots too."""
     d, comps = _symmetrize(cartan)
     # the finite-type test bounds the root walk that follows, so an
     # infinite-type Cartan matrix never starts it
     _check_finite_type(cartan, d)
-    return _CartanSystem(d, comps, _positive_walk(cartan))
+    coroot_of = _positive_walk(cartan)
+    # a multiple of a positive root is positive, so the positive half decides
+    for c in coroot_of:
+        for k in (2, 3):
+            if vec_scale(k, c) in coroot_of:
+                raise RootDatumError(f"non-reduced system: {c} and {k}*{c}")
+    return _CartanSystem(d, comps, tuple(coroot_of.items()))
 
 
 def _symmetrize(cartan):
@@ -560,19 +561,19 @@ def _symmetrize(cartan):
 
 
 def _positive_walk(a):
-    """The positive roots of a finite-type Cartan matrix a, as pairs (c, c')
-    of Cartan coordinates of a root and of its coroot.
+    """The positive roots of a finite-type Cartan matrix a, as a dict c -> c'
+    from the Cartan coordinates of a root to those of its coroot.
 
     s_j changes only entry j, by -<beta, coroot_j> = -sum_i c_i a_ij on the
     root side and by -<alpha_j, beta^v> = -sum_i c'_i a_ji on the coroot
     side.  From the simple roots s_j is applied only where it raises the
     height; every positive root that is not simple has a simple reflection
     that lowers its height (Humphreys, *Introduction to Lie Algebras*,
-    10.2), so the walk reaches them all.  A coroot is checked on every
-    raising edge and every fixed one (<beta, coroot_j> = 0 must give
-    <alpha_j, beta^v> = 0); the lowering edges are the raising ones
-    reversed (s_j^2 = 1) and the negative roots the negatives, so that
-    checks the whole Weyl orbit of the simple pairs.
+    10.2), so the walk reaches them all.  Each coroot is the one its first
+    path gives: a symmetrizer d makes (x, y) = sum_ij x_i a_ij d_j y_j a
+    W-invariant form with c'_i = 2 c_i d_i / (beta, beta), so every path
+    gives the same coroot, and <beta, coroot_j> and <alpha_j, beta^v>
+    vanish together.
     """
     a_cols = tuple(zip(*a))
     s = len(a)
@@ -585,25 +586,13 @@ def _positive_walk(a):
             cv = coroot_of[c]
             for j in range(s):
                 p = sum(map(mul, c, a_cols[j]))
-                if p > 0:
-                    continue
-                q = sum(map(mul, cv, a[j]))
-                if p == 0:
-                    if q:
-                        raise RootDatumError(
-                            "root/coroot correspondence is inconsistent")
-                    continue
                 up = c[:j] + (c[j] - p,) + c[j + 1:]
-                coup = cv[:j] + (cv[j] - q,) + cv[j + 1:]
-                known = coroot_of.get(up)
-                if known is None:
-                    coroot_of[up] = coup
+                if p < 0 and up not in coroot_of:
+                    q = sum(map(mul, cv, a[j]))
+                    coroot_of[up] = cv[:j] + (cv[j] - q,) + cv[j + 1:]
                     nxt.append(up)
-                elif known != coup:
-                    raise RootDatumError(
-                        "root/coroot correspondence is inconsistent")
         frontier = nxt
-    return tuple(coroot_of.items())
+    return coroot_of
 
 
 def _check_finite_type(cartan, d):

@@ -205,6 +205,17 @@ class TestErrors:
         res = run("validate", "--rd-file", str(f))
         assert res.exit_code == 1
 
+    def test_dependent_roots_domain_error(self, tmp_path):
+        # affine A1 on one coweight: only the failure of the finite-type
+        # test leads to the rank check that names the dependence
+        f = tmp_path / "degenerate.json"
+        f.write_text(json.dumps({
+            "rank": 1, "simple_roots": [[2], [-2]], "simple_coroots": [[1], [-1]]}))
+        res = run("validate", "--rd-file", str(f))
+        assert res.exit_code == 1
+        errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+        assert errors == ["Error: simple roots are linearly dependent"]
+
 
 class TestMalformedInput:
     """Malformed input exits 2 with one `Error:` line and no traceback."""

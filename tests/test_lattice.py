@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from twistdual import lattice
 from twistdual.lattice import (
     FGAbelianGroup,
     IntMatrix,
@@ -264,6 +265,27 @@ class TestSublatticeConstructor:
             assert given == reduced
             assert given.basis.data == reduced.basis.data
             assert Sublattice(n, reduced.basis).basis is reduced.basis
+
+    # Z^3 on a 2-wide row: contains((1, 0, 0)) zipped the row against
+    # the first two entries and said True
+    @pytest.mark.parametrize("ambient,rows,width", [
+        (3, [[1, 0]], 2), (1, [[1, 0]], 2), (2, [], 3)])
+    def test_basis_of_another_width_rejected(self, ambient, rows, width):
+        with pytest.raises(ValueError, match=f"basis of width {width} in Z\\^{ambient}"):
+            Sublattice(ambient, IntMatrix(rows, cols=width))
+
+    def test_reduced_paths_skip_the_shape_check(self, monkeypatch):
+        # from_rows, full and zero build Hermite rows themselves; only a
+        # basis from outside is checked
+        rows = [(2, 4, 0), (0, 3, 1)]
+        reduced = tuple(lattice._hermite_rows(rows, 3))
+        calls = []
+        monkeypatch.setattr(lattice, "_is_hermite", lambda r: calls.append(r) or True)
+        built = [Sublattice.from_rows(3, rows), Sublattice.full(3), Sublattice.zero(3)]
+        assert calls == []
+        assert [s.basis.data for s in built] == [reduced, IntMatrix.identity(3).data, ()]
+        Sublattice(3, IntMatrix(rows))
+        assert len(calls) == 1
 
 
 class TestHelpers:

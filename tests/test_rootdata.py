@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from twistdual.lattice import IntMatrix, inverse_unimodular
+from twistdual.dualgroup import isomorphic
+from twistdual.lattice import IntMatrix, inverse_unimodular, quotient_group, smith_normal_form
 from twistdual.rootdata import (
     Dominance,
     RootDatum,
@@ -415,6 +416,27 @@ class TestPi1:
         rd = standard("PGL3")
         assert rd.pi1() is rd.pi1()
 
+    @pytest.mark.parametrize("name", TestRootTable.LABELS)
+    def test_matches_quotient_by_coroot_lattice(self, name):
+        rd = standard(name)
+        assert rd.pi1() == quotient_group(rd.coroot_lattice())
+
+    def test_rebased_matches_quotient_by_coroot_lattice(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        labels = ("PGL3", "GL3", "SL2xT1", "GL2xT2", "Sp4xT1", "PGL2xPGL2")
+        data = {name: standard(name) for name in labels}
+        moves = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                   st.integers(-3, 3)), max_size=8)
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(st.sampled_from(labels), moves)
+        def check(name, basis_moves):
+            rd = _rebased(data[name], basis_moves)
+            assert rd.pi1() == quotient_group(rd.coroot_lattice())
+
+        check()
+
 
 class TestCartanMemo:
     """`_cartan_system` keeps one record per Cartan matrix; every datum
@@ -475,7 +497,12 @@ class TestCartanMemo:
         # coroot_1 is orthogonal to alpha_0, but alpha_1 is not to coroot_0
         ([[2, 0], [-1, 2]], [[1, 0], [0, 1]],
          "asymmetric orthogonality between simples 0 and 1"),
-    ], ids=["affine-A1", "non-symmetrizable", "inconsistent-coroot"])
+        # the Cartan matrix of affine A1 on dependent roots (and coroots),
+        # then on independent roots and dependent coroots
+        ([[2], [-2]], [[1], [-1]], "simple roots are linearly dependent"),
+        ([[1, 0], [0, 1]], [[2, -2], [-2, 2]], "simple coroots are linearly dependent"),
+    ], ids=["affine-A1", "non-symmetrizable", "inconsistent-coroot", "dependent-roots",
+            "dependent-coroots"])
     def test_invalid_rejected_every_time(self, roots, coroots, message):
         size = _cartan_system.cache_info().currsize
         for _ in range(2):
@@ -486,6 +513,22 @@ class TestCartanMemo:
 
     def test_memo_is_bounded(self):
         assert _cartan_system.cache_info().maxsize is not None
+
+    def test_isomorphic_matches_uncached_coroot_smith(self, monkeypatch):
+        # isomorphic reads d2's coroot Smith form off the datum, where pi1
+        # left it; the old path computed it afresh on every call
+        data = [self._datum(name) for group in self.SHARED for name in group]
+        pairs = list(itertools.product(data, repeat=2))
+        cached = [isomorphic(a, b) for a, b in pairs]
+        assert {r.status for r in cached} == {"iso", "none"}
+        monkeypatch.setattr(RootDatum, "_coroot_smith", property(
+            lambda rd: smith_normal_form(rd.simple_coroots)), raising=False)
+        for (a, b), want in zip(pairs, cached):
+            fresh = [RootDatum(d.simple_roots, d.simple_coroots, rank=d.rank)
+                     for d in (a, b)]
+            got = isomorphic(*fresh)
+            assert (got.status, got.permutation) == (want.status, want.permutation)
+            assert got.weight_map == want.weight_map
 
 
 class TestOrbitDims:
