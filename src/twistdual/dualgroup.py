@@ -22,7 +22,6 @@ from .lattice import (
     IntMatrix,
     Sublattice,
     integral_left_inverse,
-    inverse_unimodular,
     kernel_mod,
     smith_normal_form,
 )
@@ -333,11 +332,11 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
         return IsoResult("none", None, None)
     if s == 0:
         return IsoResult("iso", IntMatrix.identity(n), ())
-    u2, dc, v2 = d2._coroot_smith
-    u1, da, v1 = smith_normal_form(d1.simple_roots)
-    v2_inv, v1_t = inverse_unimodular(v2), v1.transpose()
+    smith2, smith1 = d2._coroot_smith, smith_normal_form(d1.simple_roots)
+    (u2, dc, v2), (u1, da, v1) = smith2, smith1
+    v2_inv, v1_t = smith2.v_inv, v1.transpose()
     # row i: d1's coroot i against V'^-T, so that U C1 gives X | Y directly
-    coroots1 = (d1.simple_coroots @ inverse_unimodular(v1).transpose()).data
+    coroots1 = (d1.simple_coroots @ smith1.v_inv.transpose()).data
     # row j: the last k coordinates of V^-1 alpha2_j
     roots2 = [v2_inv.mul_vec(d2.simple_roots.row(j))[s:] for j in range(s)]
     undecided = False

@@ -7,6 +7,15 @@ on integer rows; a rational inverse is an integer matrix over an explicit
 denominator (`integral_left_inverse`), so no Fraction is built here.
 Sublattices are kept in row Hermite normal form so that equality of
 sublattices is equality of data.
+
+A matrix is checked where it enters the library: the public `IntMatrix`
+constructor and `Sublattice.from_rows` read every entry through
+`_int_row` (ints, or integral values of other numeric types; not 1.5, not
+a bool) and reject ragged rows, and `Sublattice` takes only an `IntMatrix`
+basis.  What this module computes from checked ints itself - products,
+transposes, identities, Smith and Hermite forms, kernels - is built by
+`_trusted_matrix`, which stores its tuple of int tuples as it is; no
+other module calls it.
 """
 
 from __future__ import annotations
@@ -48,7 +57,9 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+        if type(n) is not int or n < 0:
+            raise MalformedMatrixError(f"identity size {n!r} is not an integer >= 0")
+        return _trusted_matrix(_identity_rows(n), n)
 
     @classmethod
     def zero(cls, rows, cols):
@@ -60,24 +71,20 @@ class IntMatrix:
     def column(self, j):
         return tuple(r[j] for r in self.data)
 
+    def _columns(self):
+        """The columns as a tuple of tuples, also when there is no row."""
+        return tuple(zip(*self.data)) if self.data else ((),) * self.cols
+
     def transpose(self):
-        return IntMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        return _trusted_matrix(self._columns(), self.rows)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        return IntMatrix(
-            [
-                [
-                    sum(self.data[i][k] * other.data[k][j] for k in range(self.cols))
-                    for j in range(other.cols)
-                ]
-                for i in range(self.rows)
-            ],
-            cols=other.cols,
+        cols = other._columns()
+        return _trusted_matrix(
+            tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.data),
+            other.cols,
         )
 
     def mul_vec(self, v):
@@ -113,6 +120,16 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.data]!r})"
 
 
+def _trusted_matrix(data, cols):
+    """An IntMatrix on `data`, a tuple of `cols`-wide tuples of ints that
+    this module computed from checked ints; stored without `_int_row`."""
+    m = object.__new__(IntMatrix)
+    object.__setattr__(m, "data", data)
+    object.__setattr__(m, "rows", len(data))
+    object.__setattr__(m, "cols", cols)
+    return m
+
+
 def _int_row(row):
     """The entries as a tuple of ints; a MalformedMatrixError (a ValueError)
     for an entry of another value, such as 1.5, or a bool.  This is the one
@@ -128,17 +145,34 @@ def _int_row(row):
     return ints
 
 
+def _identity_rows(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def _identity_list(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return [list(row) for row in _identity_rows(n)]
 
 
-def smith_normal_form(m: IntMatrix):
+class SmithForm(tuple):
+    """The 3-tuple (U, D, V) of `smith_normal_form`, which also carries
+    V's inverse as `v_inv`."""
+
+    def __new__(cls, u, d, v, v_inv):
+        out = super().__new__(cls, (u, d, v))
+        out.v_inv = v_inv
+        return out
+
+
+def smith_normal_form(m: IntMatrix) -> SmithForm:
     """Return (U, D, V) with U m V = D, U and V unimodular, D diagonal
-    with a divisibility chain d1 | d2 | ... on the diagonal."""
+    with a divisibility chain d1 | d2 | ... on the diagonal.  V^-1 comes
+    along as `.v_inv`: each column operation on V is mirrored by the
+    inverse row operation on an identity."""
     nr, nc = m.rows, m.cols
     a = [list(row) for row in m.data]
     u = _identity_list(nr)
     v = _identity_list(nc)
+    v_inv = _identity_list(nc)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -149,6 +183,7 @@ def smith_normal_form(m: IntMatrix):
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def add_row(dst, src, q):
         # row dst -= q * row src
@@ -156,10 +191,12 @@ def smith_normal_form(m: IntMatrix):
         u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
 
     def add_col(dst, src, q):
+        # column dst -= q * column src; on V^-1, row src += q * row dst
         for row in a:
             row[dst] -= q * row[src]
         for row in v:
             row[dst] -= q * row[src]
+        v_inv[src] = [x + q * y for x, y in zip(v_inv[src], v_inv[dst])]
 
     t = 0
     while t < min(nr, nc):
@@ -206,20 +243,8 @@ def smith_normal_form(m: IntMatrix):
             a[i] = [-x for x in a[i]]
             u[i] = [-x for x in u[i]]
 
-    return (
-        IntMatrix(u, cols=nr),
-        IntMatrix(a, cols=nc),
-        IntMatrix(v, cols=nc),
-    )
-
-
-def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix."""
-    n = m.cols
-    work, pivots, _, den = _eliminate(_augment(m.data), n)
-    if m.rows != n or len(pivots) < n or abs(den) != 1:
-        raise ValueError("matrix is not unimodular")
-    return IntMatrix([[den * x for x in row[n:]] for row in work], cols=n)
+    return SmithForm(*(_trusted_matrix(tuple(map(tuple, rows)), width)
+                       for rows, width in ((u, nr), (a, nc), (v, nc), (v_inv, nc))))
 
 
 def _hermite_rows(rows, ncols):
@@ -248,7 +273,7 @@ def _hermite_rows(rows, ncols):
             if q:
                 mat[i] = [x - q * y for x, y in zip(mat[i], mat[pr])]
         pr += 1
-    return [tuple(r) for r in mat[:pr]]
+    return tuple(map(tuple, mat[:pr]))
 
 
 def _is_hermite(rows):
@@ -279,33 +304,38 @@ class Sublattice:
     basis: IntMatrix
 
     def __post_init__(self):
+        if not isinstance(self.basis, IntMatrix):
+            raise MalformedMatrixError(f"basis {self.basis!r} is not an IntMatrix")
         if self.basis.cols != self.ambient_rank:
             raise ValueError(f"basis of width {self.basis.cols} in Z^{self.ambient_rank}")
         # equality, coefficients and contains read the basis as Hermite
         # form; a basis given in another shape is reduced here, once
         if not _is_hermite(self.basis.data):
-            object.__setattr__(self, "basis", IntMatrix(
-                _hermite_rows(self.basis.data, self.ambient_rank),
-                cols=self.ambient_rank))
+            object.__setattr__(self, "basis", _trusted_matrix(
+                _hermite_rows(self.basis.data, self.ambient_rank), self.ambient_rank))
 
     @classmethod
     def _hermite(cls, ambient_rank, rows):
-        """The sublattice on rows already in Hermite form, unchecked."""
+        """The sublattice on rows, a tuple of int tuples already in Hermite
+        form, unchecked."""
         out = object.__new__(cls)
-        out.__dict__.update(ambient_rank=ambient_rank, basis=IntMatrix(rows, cols=ambient_rank))
+        out.__dict__.update(ambient_rank=ambient_rank,
+                            basis=_trusted_matrix(rows, ambient_rank))
         return out
 
     @classmethod
     def from_rows(cls, ambient_rank, rows):
+        """The sublattice spanned by rows, checked by the IntMatrix rule."""
+        rows = IntMatrix(rows, cols=ambient_rank).data
         return cls._hermite(ambient_rank, _hermite_rows(rows, ambient_rank))
 
     @classmethod
     def full(cls, ambient_rank):
-        return cls._hermite(ambient_rank, _identity_list(ambient_rank))
+        return cls._hermite(ambient_rank, _identity_rows(ambient_rank))
 
     @classmethod
     def zero(cls, ambient_rank):
-        return cls._hermite(ambient_rank, [])
+        return cls._hermite(ambient_rank, ())
 
     @property
     def rank(self):
@@ -336,6 +366,8 @@ class Sublattice:
         return self.coefficients(v) is not None
 
     def member_from_coefficients(self, coeffs):
+        if len(coeffs) != self.rank:
+            raise ValueError("coefficient vector length mismatch")
         return tuple(
             sum(c * row[j] for c, row in zip(coeffs, self.basis.data))
             for j in range(self.ambient_rank)
@@ -347,8 +379,8 @@ def kernel_mod(m: IntMatrix, modulus=None) -> Sublattice:
 
     The exact kernel is saturated; the modular kernel has full rank.
     """
-    if modulus is not None and modulus <= 0:
-        raise ValueError("modulus must be positive")
+    if modulus is not None and (type(modulus) is not int or modulus <= 0):
+        raise ValueError(f"modulus {modulus!r} is not a positive integer")
     if not any(map(any, m.data)):
         # the zero matrix kills everything, modulo anything
         return Sublattice.full(m.cols)
@@ -370,9 +402,8 @@ def saturation(s: Sublattice) -> Sublattice:
     """The smallest saturated sublattice containing s (ambient meet Q.s)."""
     if s.rank == 0:
         return s
-    _, _, v = smith_normal_form(s.basis)
-    vinv = inverse_unimodular(v)
-    return Sublattice.from_rows(s.ambient_rank, vinv.data[: s.rank])
+    v_inv = smith_normal_form(s.basis).v_inv
+    return Sublattice.from_rows(s.ambient_rank, v_inv.data[: s.rank])
 
 
 def quotient_group(s: Sublattice) -> "FGAbelianGroup":
@@ -397,15 +428,9 @@ def intersect(s1: Sublattice, s2: Sublattice) -> Sublattice:
     if s1.rank == 0 or s2.rank == 0:
         return Sublattice.zero(s1.ambient_rank)
     n = s1.ambient_rank
-    cols = []
-    for j in range(s1.rank):
-        cols.append([s1.basis.data[j][i] for i in range(n)])
-    for j in range(s2.rank):
-        cols.append([-s2.basis.data[j][i] for i in range(n)])
-    stacked = IntMatrix(
-        [[cols[j][i] for j in range(len(cols))] for i in range(n)],
-        cols=len(cols),
-    )
+    # columns: s1's basis, then minus s2's
+    cols = [*s1.basis.data, *([-x for x in row] for row in s2.basis.data)]
+    stacked = _trusted_matrix(tuple(zip(*cols)), len(cols))
     ker = kernel_mod(stacked, None)
     gens = []
     for w in ker.basis.data:
@@ -429,7 +454,7 @@ def lattice_index(outer: Sublattice, inner: Sublattice):
         coeff_rows.append(c)
     if inner.rank < outer.rank:
         return None
-    mat = IntMatrix(coeff_rows, cols=outer.rank)
+    mat = _trusted_matrix(tuple(coeff_rows), outer.rank)
     return abs(mat.det())
 
 

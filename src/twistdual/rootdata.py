@@ -284,7 +284,8 @@ class RootDatum:
 
     @cached_property
     def _coroot_smith(self):
-        """(U, D, V) with U C V = D for the simple coroots C, shared with `isomorphic`."""
+        """(U, D, V) with U C V = D for the simple coroots C, and V^-1 as
+        `.v_inv`; shared with `isomorphic`."""
         return smith_normal_form(self.simple_coroots)
 
     @cached_property

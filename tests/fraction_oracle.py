@@ -1,8 +1,10 @@
-"""A Fraction Gauss-Jordan left solve, kept apart from the library's
-fraction-free elimination so that the tests check it against an
-independent routine."""
+"""A Fraction Gauss-Jordan left solve and unimodular inverse, kept apart
+from the library's fraction-free elimination and Smith form so that the
+tests check them against independent routines."""
 
 from fractions import Fraction
+
+from twistdual.lattice import IntMatrix
 
 
 def solve_left_rational(rows, target):
@@ -36,3 +38,21 @@ def solve_left_rational(rows, target):
     for row, c in zip(aug, pivots):
         sol[c] = row[nvars]
     return tuple(sol)
+
+
+def inverse_unimodular(m):
+    """The inverse of a unimodular IntMatrix; ValueError for any other.
+
+    A square integer matrix with an integral inverse is unimodular, since
+    det m and det m^-1 are integers whose product is 1."""
+    n = m.rows
+    if m.cols != n:
+        raise ValueError("matrix is not unimodular")
+    inverse = []
+    for j in range(n):
+        # column j of m^-1 is the solution x of m x = e_j: x^T m^T = e_j^T
+        x = solve_left_rational(m.transpose().data, [int(i == j) for i in range(n)])
+        if x is None or any(f.denominator != 1 for f in x):
+            raise ValueError("matrix is not unimodular")
+        inverse.append([int(f) for f in x])
+    return IntMatrix(inverse, cols=n).transpose()

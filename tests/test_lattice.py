@@ -9,18 +9,19 @@ from twistdual.lattice import (
     FGAbelianGroup,
     IntMatrix,
     LatticeHom,
+    MalformedMatrixError,
     Sublattice,
     intersect,
     integral_left_inverse,
-    inverse_unimodular,
     kernel_mod,
     lattice_index,
     quotient_group,
     saturation,
     smith_normal_form,
 )
+from twistdual.rootdata import RootDatum
 
-from fraction_oracle import solve_left_rational
+from fraction_oracle import inverse_unimodular, solve_left_rational
 
 
 def snf_diag(m):
@@ -331,6 +332,13 @@ def props():
             st.lists(st.integers(-bound, bound), min_size=cols, max_size=cols),
             min_size=rows, max_size=rows))
 
+    def shaped(rows, cols):
+        # any shape, 0 x n and n x 0 included, with a zero row now and then
+        return st.sampled_from((3, 10**6)).flatmap(lambda bound: st.lists(
+            st.one_of(st.just([0] * cols), st.lists(
+                st.integers(-bound, bound), min_size=cols, max_size=cols)),
+            min_size=rows, max_size=rows).map(lambda a: IntMatrix(a, cols=cols)))
+
     return types.SimpleNamespace(
         given=hypothesis.given,
         settings=hypothesis.settings(max_examples=150, deadline=None),
@@ -339,13 +347,17 @@ def props():
         square=st.integers(1, 6).flatmap(lambda n: matrices(n, n)),
         rect=st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
             lambda rc: matrices(*rc)),
+        shaped=shaped,
+        any_shape=st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+            lambda rc: shaped(*rc)),
     )
 
 
 class TestEliminationProperties:
-    """det, rank, integral_left_inverse and inverse_unimodular share one
-    fraction-free elimination; each is checked against sympy, and the
-    Fraction left solve of the test oracle against sympy too."""
+    """det, rank and integral_left_inverse share one fraction-free
+    elimination; each is checked against sympy, the Fraction left solve of
+    the test oracle against sympy too, and its unimodular inverse against
+    the definition."""
 
     def test_det_matches_sympy(self, props):
         @props.settings
@@ -427,6 +439,111 @@ class TestEliminationProperties:
                 assert [sum(x * row[j] for x, row in zip(sol, rows))
                         for j in range(cols)] == target
         check()
+
+
+def assert_exact(m):
+    """m holds a tuple of tuples of exact ints, as the public constructor
+    stores them, and equals and hashes like its checked copy."""
+    assert type(m.data) is tuple and m.rows == len(m.data)
+    assert all(type(row) is tuple and len(row) == m.cols for row in m.data)
+    assert all(type(x) is int for row in m.data for x in row)
+    checked = IntMatrix(m.data, cols=m.cols)
+    assert m == checked and hash(m) == hash(checked)
+
+
+class TestLatticeResults:
+    """Lattice builds its own results without re-checking every entry; they
+    must still be what the checked constructor would have stored."""
+
+    def test_results_are_exact_int_tuples(self, props):
+        st = props.st
+
+        @props.settings
+        @props.given(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)),
+                     st.data(), st.integers(1, 12))
+        def check(shape, data, modulus):
+            r, k, c = shape
+            a = data.draw(props.shaped(r, k))
+            b = data.draw(props.shaped(k, c))
+            prod = a @ b
+            assert prod.data == tuple(
+                tuple(sum(a.data[i][t] * b.data[t][j] for t in range(k)) for j in range(c))
+                for i in range(r))
+            smith = smith_normal_form(a)
+            s1, s2 = Sublattice.from_rows(c, b.data), Sublattice.from_rows(c, prod.data)
+            results = [prod, a.transpose(), IntMatrix.identity(k), *smith, smith.v_inv,
+                       kernel_mod(a, None).basis, kernel_mod(a, modulus).basis,
+                       saturation(s1).basis, intersect(s1, s2).basis, s1.basis, s2.basis]
+            for m in results:
+                assert_exact(m)
+        check()
+
+    def test_smith_form_contract(self, props):
+        @props.settings
+        @props.given(props.any_shape)
+        def check(m):
+            smith = smith_normal_form(m)
+            u, d, v = smith
+            assert u @ m @ v == d
+            assert u.is_unimodular() and v.is_unimodular()
+            ident = IntMatrix.identity(m.cols)
+            assert v @ smith.v_inv == ident and smith.v_inv @ v == ident
+            assert smith.v_inv == inverse_unimodular(v)
+            assert all(d.data[i][j] == 0 for i in range(m.rows) for j in range(m.cols)
+                       if i != j)
+            diag = [d.data[i][i] for i in range(min(m.rows, m.cols))]
+            assert all(x >= 0 for x in diag)
+            for x, y in zip(diag, diag[1:]):
+                assert (y % x == 0) if x else y == 0
+        check()
+
+    def test_empty_dimensions(self):
+        assert IntMatrix([[], []], cols=0) @ IntMatrix([], cols=3) == IntMatrix.zero(2, 3)
+        assert IntMatrix([], cols=3) @ IntMatrix.zero(3, 2) == IntMatrix([], cols=2)
+        t = IntMatrix([], cols=3).transpose()
+        assert (t.rows, t.cols, t.data) == (3, 0, ((), (), ()))
+        assert IntMatrix.identity(0) == IntMatrix([], cols=0)
+
+    @pytest.mark.parametrize("n", [-1, True, 2.0])
+    def test_identity_size_checked(self, n):
+        with pytest.raises(MalformedMatrixError):
+            IntMatrix.identity(n)
+
+    @pytest.mark.parametrize("rows", [[[1.5, 0]], [[True, 0]], [[1, 0], [1]]],
+                             ids=["float", "bool", "ragged"])
+    @pytest.mark.parametrize("build", [
+        IntMatrix,
+        lambda rows: IntMatrix(rows, cols=2),
+        lambda rows: Sublattice(2, rows),
+        lambda rows: Sublattice.from_rows(2, rows),
+        lambda rows: RootDatum(rows, [[1, 0]] * len(rows)),
+    ], ids=["IntMatrix", "IntMatrix-cols", "Sublattice", "from_rows", "RootDatum"])
+    def test_malformed_rows_rejected(self, build, rows):
+        with pytest.raises(MalformedMatrixError):
+            build(rows)
+
+    def test_from_rows_checks_before_reducing(self):
+        # the Hermite walk read the short row and raised a bare IndexError
+        with pytest.raises(MalformedMatrixError, match="ragged"):
+            Sublattice.from_rows(2, [(1, 0), (1,)])
+        with pytest.raises(MalformedMatrixError, match="column count"):
+            Sublattice.from_rows(2, [(1, 0, 0)])
+        assert Sublattice.from_rows(2, [(2.0, 0)]).basis.data == ((2, 0),)
+
+    def test_member_from_coefficients_length_checked(self):
+        s = Sublattice.from_rows(2, [(2, 0), (0, 3)])
+        assert s.member_from_coefficients((1, 1)) == (2, 3)
+        for coeffs in [(1,), (1, 1, 5)]:
+            with pytest.raises(ValueError, match="length mismatch"):
+                s.member_from_coefficients(coeffs)
+
+    @pytest.mark.parametrize("modulus", [True, False, 2.5, 6.0, "6", 0, -2])
+    def test_kernel_mod_modulus_is_a_positive_int(self, modulus):
+        with pytest.raises(ValueError, match="not a positive integer"):
+            kernel_mod(IntMatrix([[2]]), modulus)
+
+    def test_kernel_mod_none_is_exact(self):
+        assert kernel_mod(IntMatrix([[2, 4]]), None).basis.data == ((2, -1),)
 
 
 class TestFGAbelianGroup:

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from twistdual.dualgroup import isomorphic
-from twistdual.lattice import IntMatrix, inverse_unimodular, quotient_group, smith_normal_form
+from twistdual.lattice import IntMatrix, quotient_group, smith_normal_form
 from twistdual.rootdata import (
     Dominance,
     RootDatum,
@@ -18,7 +18,7 @@ from twistdual.rootdata import (
 )
 
 import root_oracle
-from fraction_oracle import solve_left_rational
+from fraction_oracle import inverse_unimodular, solve_left_rational
 
 
 class TestStandard:
@@ -515,8 +515,9 @@ class TestCartanMemo:
         assert _cartan_system.cache_info().maxsize is not None
 
     def test_isomorphic_matches_uncached_coroot_smith(self, monkeypatch):
-        # isomorphic reads d2's coroot Smith form off the datum, where pi1
-        # left it; the old path computed it afresh on every call
+        # isomorphic reads d2's coroot Smith form, V^-1 included, off the
+        # datum, where pi1 left it; the old path computed it afresh on every
+        # call, and the patched property returns the same (U, D, V) shape
         data = [self._datum(name) for group in self.SHARED for name in group]
         pairs = list(itertools.product(data, repeat=2))
         cached = [isomorphic(a, b) for a, b in pairs]
