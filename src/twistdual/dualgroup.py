@@ -7,8 +7,9 @@ quantum-Langlands pairing of a nondegenerate form with its inverse on the
 Langlands dual side.  `isomorphic` certifies agreement between any two
 root data: per matching of simple indices that keeps the Cartan matrix,
 two Smith forms pin the weight map in closed form (the second datum's
-coroot form is cached with its pi1), and only a glued centre leaves a
-bounded search over one k x k block.
+coroot form is cached with its pi1), only a glued centre leaves a bounded
+search over one k x k block, and a unimodular map carrying the simple
+pairs is a witness, as it conjugates the Weyl groups.
 """
 
 from __future__ import annotations
@@ -221,10 +222,13 @@ def quantum_dual_pair(rd: RootDatum, b) -> QuantumPair:
     lam -> b(lam, .) between their root data.
 
     With b = n0 / den as its `QForm` stores it, the right form is b^-1 =
-    den n0^-1, from one integer inverse of n0.  The map must send the left
-    weight lattice onto the right one (a unimodular `iso`, row i the image
-    of basis weight i) and carry the left (root, coroot) pairs onto the
-    right ones, as `isomorphic` checks its witnesses."""
+    den n0^-1, from one integer inverse of n0.  `iso` (row i the image of
+    basis weight i) must be integral and unimodular, and then carries the
+    root data: for a simple pair (a, a^v), W-invariance of b gives
+    b(a^v, .) = (b(a^v, a^v) / 2) a; with b(a^v, a^v) = 2p/r in lowest
+    terms (p != 0: b is nondegenerate), the left pair (r a^v, a/r) goes to
+    sign(p) times the right pair (|p| a, a^v/|p|), the coroot by pullback.
+    As s_-a = s_a, `isomorphic`'s argument applies."""
     left_form = QForm(rd, b)                       # validates shape and W-invariance
     n0, den = left_form.n0, left_form.den
     try:
@@ -245,8 +249,7 @@ def quantum_dual_pair(rd: RootDatum, b) -> QuantumPair:
             return QuantumPair(left, right, None, False)
         rows.append(coords)
     iso = IntMatrix(rows, cols=right.basis.rows)
-    if not (iso.is_unimodular()
-            and _matches_full_root_data(iso.transpose(), left.datum, right.datum)):
+    if not iso.is_unimodular():
         return QuantumPair(left, right, None, False)
     return QuantumPair(left, right, iso, True)
 
@@ -265,24 +268,6 @@ class IsoResult:
 
     def agrees(self):
         return self.status == "iso"
-
-
-def _matches_full_root_data(p: IntMatrix, d1: RootDatum, d2: RootDatum):
-    """p, unimodular, maps d1 weights to d2 weights; check it carries the
-    set of (root, coroot) pairs of d1 bijectively onto that of d2.
-
-    The coroot of p beta in d2 must be p^-T beta_coroot, that is, its
-    pullback by p^T must be the coroot of beta; p is injective, so the
-    images are distinct and the root counts decide surjectivity."""
-    coroots2 = dict(d2.root_pairs)
-    if len(d1.root_pairs) != len(coroots2):
-        return False
-    pt = p.transpose()
-    for beta, cobeta in d1.root_pairs:
-        gamma = coroots2.get(p.mul_vec(beta))
-        if gamma is None or pt.mul_vec(gamma) != cobeta:
-            return False
-    return True
 
 
 def _divided(rows, divisors):
@@ -320,7 +305,13 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
     +- 1/det X) and can be E + I when det X = +-1; only a glued centre
     (k >= 2, |det X| > 1) leaves a search over N around E, where
     exhausting SEARCH_BUDGET yields "undecided" rather than a wrong "none".
-    """
+
+    A unimodular candidate is a witness as it stands.  X and Y solve the
+    coroot equations, so P alpha1_i - alpha2_pi(i) pairs to 0 with d2's
+    coroots (the Cartan matrices agree under pi), and K zeroes the rest.
+    Then s2_pi(i) P = P s_i for s_i x = x - <x, coroot1_i> alpha1_i, so
+    P W1 P^-1 = W2; every root is W-conjugate to a simple one (Bourbaki,
+    Lie VI 1.5), so P carries each (root, coroot) pair of d1 to one of d2."""
     if d1.rank != d2.rank or d1.num_simple != d2.num_simple:
         return IsoResult("none", None, None)
     n, s = d1.rank, d1.num_simple
@@ -372,6 +363,6 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
                 SEARCH_BUDGET)
         for nb in candidates:
             p = v2 @ IntMatrix(top + [a + b for a, b in zip(k_rows, nb)], cols=n) @ v1_t
-            if p.is_unimodular() and _matches_full_root_data(p, d1, d2):
+            if p.is_unimodular():
                 return IsoResult("iso", p, perm)
     return IsoResult("undecided" if undecided else "none", None, None)

@@ -12,10 +12,10 @@ A matrix is checked where it enters the library: the public `IntMatrix`
 constructor and `Sublattice.from_rows` read every entry through
 `_int_row` (ints, or integral values of other numeric types; not 1.5, not
 a bool) and reject ragged rows, and `Sublattice` takes only an `IntMatrix`
-basis.  What this module computes from checked ints itself - products,
-transposes, identities, Smith and Hermite forms, kernels - is built by
-`_trusted_matrix`, which stores its tuple of int tuples as it is; no
-other module calls it.
+basis and an int ambient rank >= 0.  What this module computes from
+checked ints itself - products, transposes, identities, Smith and
+Hermite forms, kernels - is built by `_trusted_matrix`, which stores its
+tuple of int tuples as it is; no other module calls it.
 """
 
 from __future__ import annotations
@@ -57,8 +57,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        if type(n) is not int or n < 0:
-            raise MalformedMatrixError(f"identity size {n!r} is not an integer >= 0")
+        _check_size(n, "identity size")
         return _trusted_matrix(_identity_rows(n), n)
 
     @classmethod
@@ -143,6 +142,11 @@ def _int_row(row):
         bad = next(x for x, y in zip(row, ints) if x != y or type(x) is bool)
         raise MalformedMatrixError(f"entry {bad!r} is not an integer")
     return ints
+
+
+def _check_size(n, what):
+    if type(n) is not int or n < 0:
+        raise MalformedMatrixError(f"{what} {n!r} is not an integer >= 0")
 
 
 def _identity_rows(n):
@@ -304,6 +308,7 @@ class Sublattice:
     basis: IntMatrix
 
     def __post_init__(self):
+        _check_size(self.ambient_rank, "ambient rank")
         if not isinstance(self.basis, IntMatrix):
             raise MalformedMatrixError(f"basis {self.basis!r} is not an IntMatrix")
         if self.basis.cols != self.ambient_rank:
@@ -326,15 +331,18 @@ class Sublattice:
     @classmethod
     def from_rows(cls, ambient_rank, rows):
         """The sublattice spanned by rows, checked by the IntMatrix rule."""
+        _check_size(ambient_rank, "ambient rank")
         rows = IntMatrix(rows, cols=ambient_rank).data
         return cls._hermite(ambient_rank, _hermite_rows(rows, ambient_rank))
 
     @classmethod
     def full(cls, ambient_rank):
+        _check_size(ambient_rank, "ambient rank")
         return cls._hermite(ambient_rank, _identity_rows(ambient_rank))
 
     @classmethod
     def zero(cls, ambient_rank):
+        _check_size(ambient_rank, "ambient rank")
         return cls._hermite(ambient_rank, ())
 
     @property

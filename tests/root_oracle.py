@@ -1,7 +1,8 @@
 """The closure of a root system as the orbit of the simple (root, coroot)
 pairs under the simple reflections on full-length vectors, kept apart from
 the library's height-raising walk in Cartan coordinates so that the tests
-check the root table against an independent routine."""
+check the root table, and the isomorphism witnesses, against an
+independent routine."""
 
 from fraction_oracle import solve_left_rational
 
@@ -31,6 +32,23 @@ def root_pairs(simple_roots, simple_coroots):
                     raise ValueError("root/coroot correspondence is inconsistent")
         frontier = nxt
     return tuple(sorted(seen.items()))
+
+
+def carries_root_data(p, first, second):
+    """Whether the weight map p (rows; it acts on column vectors) carries
+    every (root, coroot) pair of `first` onto one of `second`, each given
+    as (simple roots, simple coroots): p beta is a root of `second` whose
+    coroot pulls back under p^T to the coroot of beta.  With as many roots
+    on each side the map is onto, since p is taken to be injective."""
+    pairs1, pairs2 = root_pairs(*first), dict(root_pairs(*second))
+    if len(pairs1) != len(pairs2):
+        return False
+    cols = list(zip(*p))
+    for beta, cobeta in pairs1:
+        gamma = pairs2.get(tuple(_dot(row, beta) for row in p))
+        if gamma is None or tuple(_dot(col, gamma) for col in cols) != cobeta:
+            return False
+    return True
 
 
 def root_coordinates(simple_roots, beta):

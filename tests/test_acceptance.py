@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 
+import root_oracle
 from twistdual.characters import (
     irreducible_character,
     satake_prediction,
@@ -162,6 +163,10 @@ def test_criterion_05_quantum_langlands():
             _collected_duals.extend([pair.left, pair.right])
             assert pair.ok, (name, level)
             assert pair.iso.is_unimodular()
+            assert root_oracle.carries_root_data(
+                pair.iso.transpose().data,
+                *((td.datum.simple_roots.data, td.datum.simple_coroots.data)
+                  for td in (pair.left, pair.right))), (name, level)
             cases += 1
     elapsed = time.time() - started
     assert elapsed < 30.0

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import root_oracle
 from test_rootdata import _rebased, _transvections
 from twistdual import dualgroup
 from twistdual.lattice import IntMatrix
@@ -12,13 +13,13 @@ from twistdual.qform import (
     cartan_qform,
     half_forms_qform,
     invariant_gram_basis,
+    killing_matrix,
     normalized_killing_gram,
     qform_from_gram,
     trivial_qform,
 )
 from twistdual.dualgroup import (
     PaperContractViolation,
-    _matches_full_root_data,
     fl_dual,
     isomorphic,
     langlands_dual,
@@ -27,7 +28,7 @@ from twistdual.dualgroup import (
     rank1_table,
     twisted_dual,
 )
-from twistdual.rootdata import RootDatum, standard
+from twistdual.rootdata import RootDatum, dot, standard, vec_scale
 
 SL2 = standard("SL2")
 PGL2 = standard("PGL2")
@@ -36,6 +37,20 @@ SL3 = standard("SL3")
 SP4 = standard("Sp4")
 G2 = standard("G2")
 ALL_SIX = (SL2, PGL2, GL2, SL3, SP4, G2)
+
+
+def _simple(d):
+    return d.simple_roots.data, d.simple_coroots.data
+
+
+def _assert_pair(pair):
+    """An "ok" quantum pair whose `iso` is unimodular and, read as a map of
+    columns, carries every (root, coroot) pair of the left dual onto the
+    right one, by the oracle's own root closure."""
+    assert pair.ok
+    assert pair.iso.is_unimodular()
+    assert root_oracle.carries_root_data(pair.iso.transpose().data,
+                                         _simple(pair.left.datum), _simple(pair.right.datum))
 
 
 class TestTwistedDual:
@@ -134,7 +149,8 @@ class TestDualMemo:
     def test_quantum_pair_sides_unchanged(self):
         b = [[x / 2 for x in row] for row in normalized_killing_gram(SL3)]
         pair = quantum_dual_pair(SL3, b)
-        assert pair.ok and pair.iso.data == ((2, -1), (-1, 1))
+        _assert_pair(pair)
+        assert pair.iso.data == ((2, -1), (-1, 1))
         assert pair.left.to_dict() == {
             "rank": 2, "simple_roots": [[1, 0], [0, 1]],
             "simple_coroots": [[2, -1], [-1, 2]], "name": "dual(SL3)",
@@ -282,7 +298,7 @@ class TestLusztigDual:
 class TestQuantumPair:
     def test_sl2_two_thirds(self):
         pair = quantum_dual_pair(SL2, [[Fraction(2, 3)]])
-        assert pair.ok
+        _assert_pair(pair)
         assert pair.left.weight_sublattice.basis.data == ((3,),)
         assert pair.left.multipliers == (3,)
         # both sides adjoint A1
@@ -292,14 +308,13 @@ class TestQuantumPair:
 
     def test_even_integral_gram_gives_langlands(self):
         pair = quantum_dual_pair(SL2, [[2]])
-        assert pair.ok
+        _assert_pair(pair)
         assert pair.left.multipliers == (1,)
         assert pair.right.multipliers == (1,)
 
     def test_sl3_half_killing(self):
         b = [[x / 2 for x in row] for row in normalized_killing_gram(SL3)]
-        pair = quantum_dual_pair(SL3, b)
-        assert pair.ok
+        _assert_pair(quantum_dual_pair(SL3, b))
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -311,9 +326,37 @@ class TestQuantumPair:
         nk = normalized_killing_gram(rd)
         for level in range(1, 9):
             b = [[x / level for x in row] for row in nk]
-            pair = quantum_dual_pair(rd, b)
-            assert pair.ok
-            assert pair.iso.is_unimodular()
+            _assert_pair(quantum_dual_pair(rd, b))
+
+    @pytest.mark.parametrize("name, signs", [
+        ("SL2", (-1,)), ("SL3", (-1,)), ("Sp4", (-1,)), ("G2", (-1,)),
+        ("SL2xSL3", (-1, 1)), ("SL2xSL3", (1, -1)), ("SL2xSL3", (-1, -1))])
+    def test_negative_killing_over_n(self, name, signs):
+        # b negative on a component sends its simple roots to minus the
+        # right ones, the sign case of `quantum_dual_pair`'s argument
+        rd = standard(name)
+        for level in range(1, 9):
+            pair = quantum_dual_pair(rd, _signed_killing(rd, signs, level))
+            _assert_pair(pair)
+            images = [pair.iso.transpose().mul_vec(r) for r in pair.left.datum.simple_roots.data]
+            negated = {i for comp, sign in zip(rd.components, signs) if sign < 0 for i in comp}
+            assert images == [vec_scale(-1 if i in negated else 1, r)
+                              for i, r in enumerate(pair.right.datum.simple_roots.data)]
+
+
+def _signed_killing(rd, signs, level):
+    """sign_c (normalized Killing form of component c) / level, summed over
+    the components c of rd."""
+    n = rd.rank
+    total = [[Fraction(0)] * n for _ in range(n)]
+    for ci, (comp, sign) in enumerate(zip(rd.components, signs)):
+        k = killing_matrix(rd, ci)
+        shortest = min(dot(k.mul_vec(rd.simple_coroots.row(i)), rd.simple_coroots.row(i))
+                       for i in comp)
+        for a in range(n):
+            for b in range(n):
+                total[a][b] += Fraction(2 * sign * k.data[a][b], shortest * level)
+    return total
 
 
 class TestIsomorphic:
@@ -363,9 +406,19 @@ class TestIsomorphic:
         # equal roots, coroots differing by a shear of the coweights
         d1 = RootDatum([[2, 0]], [[1, 0]], rank=2)
         d2 = RootDatum([[2, 0]], [[1, 1]], rank=2)
-        assert not _matches_full_root_data(IntMatrix.identity(2), d1, d2)
-        assert _matches_full_root_data(IntMatrix([[1, -1], [0, 1]]), d1, d2)
-        assert isomorphic(d1, d2).status == "iso"
+        assert not root_oracle.carries_root_data(IntMatrix.identity(2).data,
+                                                 _simple(d1), _simple(d2))
+        assert root_oracle.carries_root_data(((1, -1), (0, 1)), _simple(d1), _simple(d2))
+        _assert_witness(isomorphic(d1, d2), d1, d2)
+
+    def test_witness_walks_no_roots(self):
+        # the simple pairs decide a witness: neither root table is built
+        d1, d2 = (_rebased(standard("Sp4xT1"), moves) for moves in ([(0, 2, 1)], [(2, 1, -2)]))
+        res = isomorphic(d1, d2)
+        assert "_root_table" not in d1.__dict__ and "_root_table" not in d2.__dict__
+        _assert_witness(res, d1, d2)
+        pair = quantum_dual_pair(SL3, [[x / 2 for x in row] for row in normalized_killing_gram(SL3)])
+        assert all("_root_table" not in td.datum.__dict__ for td in (pair.left, pair.right))
 
 
 def _so4_power(k):
@@ -377,8 +430,9 @@ def _so4_power(k):
 
 
 def _assert_witness(res, d1, d2):
-    """An "iso" answer whose map is unimodular (by sympy) and carries the
-    simple roots and coroots by its permutation."""
+    """An "iso" answer whose map is unimodular (by sympy), carries the
+    simple roots and coroots by its permutation, and carries every (root,
+    coroot) pair, by the oracle's own root closure."""
     sympy = pytest.importorskip("sympy")
     assert res.status == "iso"
     p, perm = res.weight_map, res.permutation
@@ -387,6 +441,7 @@ def _assert_witness(res, d1, d2):
         assert p.mul_vec(d1.simple_roots.row(i)) == d2.simple_roots.row(perm[i])
         assert p.transpose().mul_vec(d2.simple_coroots.row(perm[i])) == \
             d1.simple_coroots.row(i)
+    assert root_oracle.carries_root_data(p.data, _simple(d1), _simple(d2))
 
 
 class TestIsomorphicUnderRebasing:
@@ -477,9 +532,7 @@ class TestIsomorphicUnderRebasing:
             u = _transvections(n, moves).data
             b = [[sum(u[a][i] * nk[a][c] * u[c][j] for a in range(n) for c in range(n))
                   / level for j in range(n)] for i in range(n)]
-            pair = quantum_dual_pair(_rebased(rd, moves), b)
-            assert pair.ok
-            assert pair.iso.is_unimodular()
+            _assert_pair(quantum_dual_pair(_rebased(rd, moves), b))
 
         check()
 

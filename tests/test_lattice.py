@@ -288,6 +288,17 @@ class TestSublatticeConstructor:
         Sublattice(3, IntMatrix(rows))
         assert len(calls) == 1
 
+    # True == 1 and 2.0 == 2 passed the width check: Sublattice(True, [[1]])
+    # equalled Sublattice.full(1)
+    @pytest.mark.parametrize("ambient", [True, False, 2.0, -1, "2", None])
+    def test_ambient_rank_must_be_an_int(self, ambient):
+        basis = IntMatrix([[1, 0]]) if ambient in (2.0, "2") else IntMatrix([[1]])
+        for build in (lambda: Sublattice(ambient, basis), lambda: Sublattice.full(ambient),
+                      lambda: Sublattice.zero(ambient),
+                      lambda: Sublattice.from_rows(ambient, basis.data)):
+            with pytest.raises(MalformedMatrixError):
+                build()
+
 
 class TestHelpers:
     def test_lattice_index(self):

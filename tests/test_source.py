@@ -21,10 +21,14 @@ def test_no_assert_statements():
     assert found == []
 
 
-def _names(path):
-    """Every identifier a module's source mentions: names, attributes and
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _names(tree):
+    """Every identifier a syntax tree mentions: names, attributes and
     imported names, with their line numbers."""
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
@@ -36,8 +40,28 @@ def _names(path):
 def test_trusted_matrix_stays_in_lattice():
     # `_trusted_matrix` stores rows without checking them: only lattice's
     # own integer arithmetic may build a matrix that way
-    uses = {p.name: [line for name, line in _names(p) if name == "_trusted_matrix"]
+    uses = {p.name: [line for name, line in _names(_parse(p)) if name == "_trusted_matrix"]
             for p in SOURCES}
     assert uses["lattice.py"]
     assert {name: lines for name, lines in uses.items()
             if lines and name != "lattice.py"} == {}
+
+
+def test_witness_checks_read_no_root_table():
+    # `isomorphic` and `quantum_dual_pair` decide a map on the simple pairs
+    # (the proofs are in their docstrings), so neither they nor a helper of
+    # their module that they call reads the full roots
+    readers = {"root_pairs", "_root_table", "positive_root_table", "positive_root_pairs"}
+    tree = _parse(Path(twistdual.__file__).parent / "dualgroup.py")
+    bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def reads(name, seen):
+        seen.add(name)
+        for attr, line in _names(bodies[name]):
+            if attr in readers:
+                yield f"{name}:{line}"
+            elif attr in bodies and attr not in seen:
+                yield from reads(attr, seen)
+
+    assert {name: list(reads(name, set())) for name in ("isomorphic", "quantum_dual_pair")} \
+        == {"isomorphic": [], "quantum_dual_pair": []}
