@@ -10,6 +10,13 @@ factor and only the highest weight of the other, and the numeric
 predictions for convolution: highest-weight multiplicity one, the
 dominance bound, and fiber-dimension arithmetic.
 
+The weight-side work runs on Dynkin labels <v, coroot_i>.  Brauer-Klimyk
+walks each weight to the dominant chamber with `RootDatum`'s one chamber
+walk, which keeps the labels current through a Cartan row per reflection;
+`weyl_dim` tests dominance on the labels and takes Weyl's product over the
+positive coroots' coordinates, which depend on the Cartan matrix alone, so
+each constituent's dimension comes from the labels its walk ended with.
+
 `irreducible_character` keeps a small least-recently-used memo of
 validated characters on each `RootDatum`, keyed by highest weight, so a
 sweep of predictions over one twisted dual runs Freudenthal once per
@@ -21,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .dualgroup import TwistedDual, twisted_dual
 from .lattice import _int_row, outer_sum
@@ -205,15 +213,27 @@ def weyl_multiplicity(rd: RootDatum, highest, weight) -> int:
 
 def weyl_dim(rd: RootDatum, highest) -> int:
     """Weyl dimension formula, exact."""
-    highest = _int_row(highest)
-    if not rd.is_dominant_weight(highest):
+    return _dimension(rd, _doubled_labels(rd, _int_row(highest)))
+
+
+def _doubled_labels(rd, highest):
+    """The labels <2 (highest + rho), coroot_i> = 2 l_i + 2 of a dominant
+    weight; CharacterError when a label l_i is negative."""
+    labels = rd.simple_coroots.mul_vec(highest)
+    if any(x < 0 for x in labels):
         raise CharacterError(f"{highest} is not dominant")
-    # prod <lam + rho, beta^v> / prod <rho, beta^v>, both doubled
-    two_lam_rho = tuple(2 * h + r for h, r in zip(highest, rd.two_rho))
-    num = den = 1
-    for _, cobeta in rd.positive_root_pairs:
-        num *= dot(two_lam_rho, cobeta)
-        den *= dot(rd.two_rho, cobeta)
+    return tuple(2 * x + 2 for x in labels)
+
+
+def _dimension(rd, doubled):
+    """Weyl's product prod <lam + rho, beta^v> / prod <rho, beta^v>, both
+    doubled, from the labels <2 (lam + rho), coroot_i> of a dominant lam:
+    <2 (lam + rho), beta^v> is sum_i c'_i times label i for the coroot
+    coordinates c' of beta^v."""
+    coords, den = rd._dimension_data
+    num = 1
+    for cv in coords:
+        num *= sum(map(mul, cv, doubled))
     out, rem = divmod(num, den)
     if rem:
         raise CharacterError(f"Weyl dimension {num}/{den} is not an integer")
@@ -229,38 +249,31 @@ def tensor_decompose(c: Character, highest):
     nothing when that conjugate lies on a wall.
 
     The walk runs in doubled coordinates 2 (w + highest) + 2 rho, since
-    rho need not be a weight (PGL2).  Only the weights of c are needed:
-    the other factor enters through its highest weight alone.
+    rho need not be a weight (PGL2), so the conjugate's labels are those
+    that `_dimension` reads.  Only the weights of c are needed: the other
+    factor enters through its highest weight alone.
     """
     rd = c.rd
     highest = _int_row(highest)
-    if not rd.is_dominant_weight(highest):
-        raise CharacterError(f"{highest} is not dominant")
-    simple = [rd.simple_roots.row(i) for i in range(rd.num_simple)]
-    coroots = [rd.simple_coroots.row(i) for i in range(rd.num_simple)]
+    top = _doubled_labels(rd, highest)
     two_rho = rd.two_rho
     shift = tuple(2 * h + r for h, r in zip(highest, two_rho))
     out = {}
+    doubled = {}    # constituent -> its labels <2 (nu + rho), coroot_i>
     for w, m in c.multiplicities:
-        v = tuple(2 * x + s for x, s in zip(w, shift))
-        sign = 1
-        while True:
-            pairings = [dot(v, cov) for cov in coroots]
-            if 0 in pairings:
-                break   # fixed by a reflection: the alternating sum cancels
-            i = next((i for i, p in enumerate(pairings) if p < 0), None)
-            if i is None:
-                nu = tuple((x - r) // 2 for x, r in zip(v, two_rho))
-                out[nu] = out.get(nu, 0) + sign * m
-                break
-            v = tuple(x - pairings[i] * a for x, a in zip(v, simple[i]))
-            sign = -sign
+        v, sign, labels = rd._weight_chamber(tuple(2 * x + s for x, s in zip(w, shift)))
+        if 0 in labels:
+            continue   # fixed by a reflection: the alternating sum cancels
+        nu = tuple((x - r) // 2 for x, r in zip(v, two_rho))
+        out[nu] = out.get(nu, 0) + sign * m
+        doubled[nu] = labels
     out = {nu: m for nu, m in out.items() if m}
     for nu, m in out.items():
         if m < 0:
             raise CharacterError(f"negative multiplicity {m} at {nu}")
     # the constituents must account for the whole product
-    if sum(m * weyl_dim(rd, nu) for nu, m in out.items()) != c.dim() * weyl_dim(rd, highest):
+    if (sum(m * _dimension(rd, doubled[nu]) for nu, m in out.items())
+            != c.dim() * _dimension(rd, top)):
         raise CharacterError("constituent dimensions do not add up to the product")
     return out
 
@@ -268,6 +281,7 @@ def tensor_decompose(c: Character, highest):
 def fiber_dim(rd: RootDatum, lam, mu, nu) -> Fraction:
     """Half of <2 rho, lam> + <2 rho, mu> - <2 rho, nu>: the dimension
     bound for convolution fibers over the nu-orbit."""
+    lam, mu, nu = map(_int_row, (lam, mu, nu))
     return Fraction(dot(rd.two_rho, lam) + dot(rd.two_rho, mu)
                     - dot(rd.two_rho, nu), 2)
 
@@ -296,27 +310,33 @@ def satake_prediction(q: QForm, lam, mu) -> SatakeReport:
     lam = _int_row(lam)
     mu = _int_row(mu)
     dual = twisted_dual(rd, q, "full")
+    coeffs = []
     for v in (lam, mu):
-        if not dual.weight_sublattice.contains(v):
+        # one solve decides membership and gives the coefficients
+        v_c = dual.weight_sublattice.coefficients(v)
+        if v_c is None:
             raise CharacterError(
                 f"{v} is outside the dual weight lattice")
         if not rd.is_dominant_coweight(v):
             raise CharacterError(f"{v} is not dominant")
-    lam_c = dual.weight_sublattice.coefficients(lam)
-    mu_c = dual.weight_sublattice.coefficients(mu)
+        coeffs.append(v_c)
+    lam_c, mu_c = coeffs
     # the weights of the smaller factor, the highest weight of the other
-    small, large = sorted((lam_c, mu_c), key=lambda v: weyl_dim(dual.datum, v))
+    small, large = sorted(coeffs, key=lambda v: weyl_dim(dual.datum, v))
     pieces = tensor_decompose(
         irreducible_character(dual.datum, small, crosscheck=False), large)
     top_c = vec_add(lam_c, mu_c)
     top_mult = pieces.get(tuple(top_c), 0)
     all_below = all(dual.datum.weight_leq(nu_c, top_c) for nu_c in pieces)
+    two_rho = rd.two_rho
+    # twice the fiber dimension over nu is this less <2 rho, nu>
+    top_height = dot(two_rho, lam) + dot(two_rho, mu)
     decomposition = []
     fibers = []
     for nu_c, m in sorted(pieces.items()):
         nu = dual.weight_sublattice.member_from_coefficients(nu_c)
         decomposition.append((nu, m))
-        fibers.append((nu, fiber_dim(rd, lam, mu, nu)))
+        fibers.append((nu, Fraction(top_height - dot(two_rho, nu), 2)))
     sign, factor = braiding_signs(q, lam, mu)
     ok = top_mult == 1 and all_below and all(
         f.denominator == 1 and f >= 0 for _, f in fibers)

@@ -150,8 +150,12 @@ class QForm:
                         f"{label} Gram is not invariant under simple reflection {i}")
 
     def _pairing(self, lam, mu, den):
-        return Exponent(Fraction(dot(lam, self.n0.mul_vec(mu)), den),
-                        Fraction(dot(lam, self.n1.mul_vec(mu)), den))
+        a, b = self._numerators(lam, mu)
+        return Exponent(Fraction(a, den), Fraction(b, den))
+
+    def _numerators(self, lam, mu):
+        """lam^T n0 mu and lam^T n1 mu: kappa(lam, mu) times den, in integers."""
+        return dot(lam, self.n0.mul_vec(mu)), dot(lam, self.n1.mul_vec(mu))
 
     def q(self, lam):
         """Q(lam) as an Exponent."""
@@ -395,10 +399,13 @@ def half_forms_qform(rd: RootDatum) -> QForm:
 
 
 def braiding_signs(q: QForm, lam, mu):
-    """Geometric commutativity sign and the twisted correction factor."""
+    """Geometric commutativity sign and the twisted correction factor
+    Q(lam) + Q(mu), built as one Exponent over 2 den."""
     rd = q.rd
+    lam, mu = _int_row(lam), _int_row(mu)
     sign = -1 if (dot(rd.two_rho, lam) * dot(rd.two_rho, mu)) % 2 else 1
-    return sign, q.q(lam) + q.q(mu)
+    (a0, a1), (b0, b1) = q._numerators(lam, lam), q._numerators(mu, mu)
+    return sign, Exponent(Fraction(a0 + b0, 2 * q.den), Fraction(a1 + b1, 2 * q.den))
 
 
 # -- classifying data for factorizable gerbes ---------------------------------

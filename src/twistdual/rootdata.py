@@ -15,6 +15,13 @@ coroot, root coordinates) triples, from which the roots, the heights and
 the highest root are read without a solve.  pi1 is read off the Smith
 form of V, which `isomorphic` shares; the Weyl group is enumerated only
 on demand.
+
+`weight_chamber` and `coweight_chamber` are the one walk to the dominant
+chamber: a vector's labels (its pairings with the simple vectors of the
+other side) change by a row of the Cartan matrix, or of its transpose, per
+simple reflection, so no pairing is recomputed along the way.  They return
+the dominant conjugate, the sign of the Weyl element and the final labels,
+whose zeros are the walls; `antidominant_representative` is the walk of -v.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from .lattice import (
     FGAbelianGroup,
     IntMatrix,
     Sublattice,
+    _int_row,
     integral_left_inverse,
     outer_sum,
     smith_normal_form,
@@ -71,6 +79,43 @@ def vec_sub(x, y):
 
 def vec_scale(c, x):
     return tuple(c * a for a in x)
+
+
+class Chamber(NamedTuple):
+    """A vector's dominant W-conjugate, the sign (-1)^length of a Weyl
+    element w carrying it there, and the conjugate's Dynkin labels: its
+    pairings with the simple coroots (for a weight) or the simple roots
+    (for a coweight).  The walls the conjugate lies on are its zero labels;
+    on no wall, w is unique."""
+
+    conjugate: tuple
+    sign: int
+    labels: tuple
+
+
+def _chamber_walk(v, labels, simple, cartan_rows) -> Chamber:
+    """Walk v to its dominant conjugate by simple reflections.  `labels`
+    are v's pairings with the simple vectors of the other side, s_j maps v
+    to v - l_j simple[j], and it changes label i by -l_j cartan_rows[j][i],
+    so no pairing is recomputed.  A reflection at a negative label
+    shortens the Weyl element still to apply, so the walk ends after at
+    most |Phi+| steps."""
+    labels = list(labels)
+    steps = [0] * len(labels)   # what has been subtracted of each simple vector
+    sign = 1
+    while True:
+        for j, lj in enumerate(labels):
+            if lj < 0:
+                break
+        else:
+            break
+        steps[j] += lj
+        labels = [x - lj * a for x, a in zip(labels, cartan_rows[j])]
+        sign = -sign
+    for c, row in zip(steps, simple):
+        if c:
+            v = tuple(x - c * a for x, a in zip(v, row))
+    return Chamber(v, sign, tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -165,6 +210,36 @@ class RootDatum:
     def reflect_weight(self, i, v):
         return vec_sub(v, vec_scale(dot(v, self.simple_coroots.row(i)),
                                     self.simple_roots.row(i)))
+
+    # -- the dominant chamber ----------------------------------------------
+
+    def weight_chamber(self, v) -> Chamber:
+        """The dominant conjugate of the weight v, with the sign of the Weyl
+        element and the conjugate's labels <., coroot_i>."""
+        return self._weight_chamber(_int_row(v))
+
+    def coweight_chamber(self, v) -> Chamber:
+        """The dominant conjugate of the coweight v, with the sign of the
+        Weyl element and the conjugate's labels <alpha_i, .>."""
+        v = _int_row(v)
+        # row j of the transpose is what s_j does to coweight labels
+        return _chamber_walk(v, self.simple_roots.mul_vec(v),
+                             self.simple_coroots.data, tuple(zip(*self.cartan_matrix)))
+
+    def _weight_chamber(self, v):
+        # v is a tuple of ints: the walk under `weight_chamber` and
+        # `tensor_decompose`, which builds its vectors from checked ones
+        return _chamber_walk(v, self.simple_coroots.mul_vec(v),
+                             self.simple_roots.data, self.cartan_matrix)
+
+    @cached_property
+    def _dimension_data(self):
+        """(c', den) for Weyl's dimension formula in Dynkin labels: c' are
+        the coroot coordinates of the positive coroots, and den is
+        prod <2 rho, beta^v> = prod 2 ht(beta^v).  Read from the Cartan
+        record on first use."""
+        coords = tuple(cv for _, cv in self._cartan.positive)
+        return coords, math.prod(2 * sum(cv) for cv in coords)
 
     @cached_property
     def _weyl(self):
@@ -336,7 +411,7 @@ class RootDatum:
         return self._cone_leq(self.root_coordinates(vec_sub(mu, lam)))
 
     def dominance(self, lam, mu) -> Dominance:
-        lam, mu = tuple(lam), tuple(mu)
+        lam, mu = _int_row(lam), _int_row(mu)
         if lam == mu:
             return Dominance.EQUAL
         if self.coweight_leq(lam, mu):
@@ -346,31 +421,28 @@ class RootDatum:
         return Dominance.INCOMPARABLE
 
     def antidominant_representative(self, v):
-        """w_0 applied to the dominant representative: the antidominant element."""
-        v = tuple(v)
-        while True:
-            i = next((i for i in range(self.num_simple)
-                      if dot(self.simple_roots.row(i), v) > 0), None)
-            if i is None:
-                return v
-            v = self.reflect_coweight(i, v)
+        """w_0 applied to the dominant representative: the antidominant
+        element, -(the dominant conjugate of -v)."""
+        return tuple(map(neg, self.coweight_chamber(map(neg, _int_row(v))).conjugate))
 
     # -- orbit dimensions ----------------------------------------------------
 
     def orbit_dim(self, lam):
         """Dimension <2 rho, lam> of the orbit of a dominant coweight."""
+        lam = _int_row(lam)
         if not self.is_dominant_coweight(lam):
-            raise ValueError(f"coweight {tuple(lam)} is not dominant")
+            raise ValueError(f"coweight {lam} is not dominant")
         return dot(self.two_rho, lam)
 
     def sib_dim(self, lam, mu):
         """Semi-infinite intersection dimension <rho, lam + mu>."""
+        lam, mu = _int_row(lam), _int_row(mu)
         if not self.is_dominant_coweight(lam):
-            raise ValueError(f"coweight {tuple(lam)} is not dominant")
+            raise ValueError(f"coweight {lam} is not dominant")
         w0lam = self.antidominant_representative(lam)
         if not (self.coweight_leq(w0lam, mu) and self.coweight_leq(mu, lam)):
             raise ValueError(
-                f"coweight {tuple(mu)} is outside [w0(lam), lam] for lam={tuple(lam)}")
+                f"coweight {mu} is outside [w0(lam), lam] for lam={lam}")
         doubled = dot(self.two_rho, vec_add(lam, mu))
         if doubled % 2:
             raise ValueError("<2 rho, lam + mu> is odd")

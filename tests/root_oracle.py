@@ -2,7 +2,11 @@
 pairs under the simple reflections on full-length vectors, kept apart from
 the library's height-raising walk in Cartan coordinates so that the tests
 check the root table, and the isomorphism witnesses, against an
-independent routine."""
+independent routine.  Likewise the W-orbit of one vector, closed under the
+simple reflections, for the library's chamber walk, and Weyl's dimension
+product in Fractions over the closure, for its product on Dynkin labels."""
+
+from fractions import Fraction
 
 from fraction_oracle import solve_left_rational
 
@@ -71,3 +75,39 @@ def highest_root(simple_coroots, pairs, coords):
                 x >= y for c in coords.values() for x, y in zip(coords[beta], c)):
             return beta, cobeta
     return None
+
+
+def orbit(v, simple, cosimple):
+    """The orbit of v under the reflections u -> u - <u, cosimple_i> simple_i,
+    as a dict from each member to (-1)^k for the first path of k reflections
+    that reaches it from v.  Weights take (roots, coroots), coweights
+    (coroots, roots).  On a v fixed by no reflection the orbit is a copy of
+    W, so the sign is that of the one Weyl element carrying v there."""
+    pairs = list(zip(map(tuple, simple), map(tuple, cosimple)))
+    sign = {tuple(v): 1}
+    frontier = list(sign)
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for a, ca in pairs:
+                p = _dot(u, ca)
+                w = tuple(x - p * y for x, y in zip(u, a))
+                if w not in sign:
+                    sign[w] = -sign[u]
+                    nxt.append(w)
+        frontier = nxt
+    return sign
+
+
+def weyl_dim(simple_roots, simple_coroots, lam):
+    """prod <lam + rho, beta^v> / <rho, beta^v> over the positive coroots
+    of the closure, in Fractions, with rho half the sum of the positive
+    roots."""
+    pairs = root_pairs(simple_roots, simple_coroots)
+    positive = [(b, cb) for b, cb in pairs
+                if all(c >= 0 for c in root_coordinates(simple_roots, b))]
+    rho = [Fraction(sum(col), 2) for col in zip(*(b for b, _ in positive))]
+    dim = Fraction(1)
+    for _, cobeta in positive:
+        dim *= (_dot(lam, cobeta) + _dot(rho, cobeta)) / _dot(rho, cobeta)
+    return dim

@@ -17,10 +17,19 @@ from twistdual.characters import (
     weyl_dim,
     weyl_multiplicity,
 )
-from twistdual.qform import braiding_signs, qform_from_gram, trivial_qform
-from twistdual.rootdata import RootDatum, dot, standard, vec_add
+from twistdual.qform import (
+    Exponent,
+    braiding_signs,
+    killing_qform,
+    qform_from_gram,
+    trivial_qform,
+)
+from twistdual.rootdata import Dominance, RootDatum, dot, standard, vec_add
 
 import character_oracle
+import root_oracle
+from fraction_oracle import solve_left_rational
+from test_rootdata import _rebased, _transvections
 from twistdual import characters
 from twistdual.dualgroup import twisted_dual
 
@@ -324,6 +333,63 @@ class TestTensor:
         with pytest.raises(CharacterError):
             tensor_decompose(irreducible_character(SL3, (1, 0)), (-1, 1))
 
+    @pytest.mark.parametrize("name", ["SL3", "Sp4", "G2", "GL2", "SO4", "SL2xG2"])
+    def test_rebased_basis_gives_the_image(self, name):
+        # weights transform as row vectors: lam -> lam U for the basis U
+        # that carries the roots to R U
+        rd = SO4 if name == "SO4" else standard(name)
+        hws = [h for h in itertools.product(range(-1, 3), repeat=rd.rank)
+               if rd.is_dominant_weight(h) and weyl_dim(rd, h) <= 15]
+        rng = random.Random(113)
+        for _ in range(3):
+            moves = [(rng.randrange(3), rng.randrange(3), rng.randint(-2, 2))
+                     for _ in range(4)]
+            u = _transvections(rd.rank, moves)
+            moved = _rebased(rd, moves)
+
+            def image(v):
+                return tuple(dot(v, col) for col in zip(*u.data))
+
+            for a in hws:
+                c = irreducible_character(rd, a, crosscheck=False)
+                c2 = irreducible_character(moved, image(a), crosscheck=False)
+                for b in hws:
+                    want = {image(nu): m for nu, m in tensor_decompose(c, b).items()}
+                    assert tensor_decompose(c2, image(b)) == want, (name, moves, a, b)
+
+
+LABELLED = ("SL2", "SL3", "SL4", "PGL3", "Sp4", "G2", "GL2", "GL3", "SO4",
+            "SL2xG2", "SL2xT1", "T1", "T2")
+
+
+@pytest.mark.parametrize("name", LABELLED)
+def test_weyl_dim_matches_fraction_product(name):
+    # every dominant weight whose labels <lam, coroot_i> are at most 3, up
+    # to the centre: a box of coordinates that holds one weight per label
+    # vector whenever the datum is semisimple
+    rd = SO4 if name == "SO4" else standard(name)
+    roots, coroots = rd.simple_roots.data, rd.simple_coroots.data
+    found = set()
+    for lam in itertools.product(range(-6, 7), repeat=rd.rank):
+        labels = tuple(dot(lam, c) for c in coroots)
+        if not all(0 <= x <= 3 for x in labels):
+            continue
+        found.add(labels)
+        want = root_oracle.weyl_dim(roots, coroots, lam)
+        assert want.denominator == 1
+        assert weyl_dim(rd, lam) == want, (name, lam)
+    if rd.rank == rd.num_simple:
+        # the label vectors that some integral weight has
+        cols = list(zip(*coroots))
+        reachable = set()
+        for labels in itertools.product(range(4), repeat=rd.num_simple):
+            sol = solve_left_rational(cols, labels)
+            if sol is not None and all(x.denominator == 1 for x in sol):
+                reachable.add(labels)
+        assert found == reachable
+    else:
+        assert found == set(itertools.product(range(4), repeat=rd.num_simple))
+
 
 class TestFiberDim:
     def test_equal_weights_zero(self):
@@ -380,6 +446,28 @@ class TestSatakePrediction:
 
 
 class TestBraidingWellDefined:
+    def test_factor_is_the_sum_of_the_values(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        forms = [
+            qform_from_gram(SL2, [[Fraction(2, 5)]]),
+            qform_from_gram(PGL2, [[Fraction(2, 3)]]),
+            killing_qform(SL3, 0, Exponent.of(Fraction(1, 7))),
+            killing_qform(SP4, 0, Exponent.of(Fraction(3, 4), Fraction(1, 3))),
+            killing_qform(standard("G2"), 0, Exponent.of(0, Fraction(-2, 5))),
+            qform_from_gram(standard("GL2"), [[Fraction(1, 3), 0], [0, Fraction(1, 3)]],
+                            [[1, Fraction(1, 2)], [Fraction(1, 2), 1]]),
+        ]
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(st.sampled_from(forms), st.data())
+        def check(q, draw):
+            vec = st.lists(st.integers(-6, 6), min_size=q.rd.rank, max_size=q.rd.rank)
+            lam, mu = tuple(draw.draw(vec)), tuple(draw.draw(vec))
+            assert braiding_signs(q, lam, mu)[1] == q.q(lam) + q.q(mu)
+
+        check()
+
     def test_sign_depends_only_on_pi1_class(self):
         rng = random.Random(109)
         for rd in (SL2, PGL2, SL3, SP4):
@@ -413,11 +501,25 @@ class TestBraidingWellDefined:
      (((0,), 1), ((1,), 1), ((2,), 1))),
     (lambda x: satake_prediction(trivial_qform(SL2), (1,), (x,)).decomposition,
      (((0,), 1), ((1,), 1), ((2,), 1))),
+    (lambda x: SL2.orbit_dim((x,)), 2),
+    (lambda x: SL2.sib_dim((x,), (1,)), 2),
+    (lambda x: SL2.dominance((x,), (3,)), Dominance.LESS_EQUAL),
+    (lambda x: braiding_signs(qform_from_gram(SL2, [[Fraction(2, 5)]]), (x,), (1,)),
+     (1, Exponent.of(Fraction(2, 5)))),
+    (lambda x: fiber_dim(SL2, (x,), (1,), (1,)), 1),
 ], ids=["irreducible_character", "weyl_multiplicity-highest",
         "weyl_multiplicity-weight", "weyl_dim", "tensor_decompose",
         "satake_prediction-lam",
-        "satake_prediction-mu"])
+        "satake_prediction-mu", "orbit_dim", "sib_dim", "dominance",
+        "braiding_signs", "fiber_dim"])
 def test_integer_arguments(call, expected, bad):
     with pytest.raises(ValueError, match="not an integer"):
         call(bad)
     assert call(1) == expected
+
+
+def test_integral_floats_are_read_as_ints():
+    # an integral value of another type is accepted, and the answer is an int
+    for got, want in ((SL2.sib_dim((2,), (0.0,)), 2), (SL2.orbit_dim((1.0,)), 2),
+                      (fiber_dim(SL2, (1.0,), (1,), (0,)), Fraction(2))):
+        assert got == want and type(got) is type(want)

@@ -404,6 +404,72 @@ class TestRootTable:
         check()
 
 
+class TestChamber:
+    """The chamber walk against the W-orbit closed under the simple
+    reflections (`root_oracle.orbit`)."""
+
+    LABELS = ("SL2", "SL3", "SL4", "PGL3", "Sp4", "G2", "GL2", "SO4", "SL2xG2")
+
+    @staticmethod
+    def _datum(name):
+        if name == "SO4":
+            return RootDatum([[1, 1], [1, -1]], [[1, 1], [1, -1]], rank=2)
+        return standard(name)
+
+    def test_matches_orbit_oracle(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        data = {name: self._datum(name) for name in self.LABELS}
+        moves = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                   st.integers(-2, 2)), max_size=6)
+        seen = set()
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(st.sampled_from(self.LABELS), moves, st.booleans(), st.data())
+        def check(name, basis_moves, coweight, draw):
+            rd = _rebased(data[name], basis_moves)
+            v = tuple(draw.draw(st.lists(st.integers(-4, 4), min_size=rd.rank,
+                                         max_size=rd.rank)))
+            roots, coroots = rd.simple_roots.data, rd.simple_coroots.data
+            simple, cosimple = (coroots, roots) if coweight else (roots, coroots)
+            orbit = root_oracle.orbit(v, simple, cosimple)
+
+            def labels(u):
+                return tuple(dot(u, c) for c in cosimple)
+
+            chamber = rd.coweight_chamber(v) if coweight else rd.weight_chamber(v)
+            dominant = [u for u in orbit if min(labels(u), default=0) >= 0]
+            assert dominant == [chamber.conjugate]
+            assert chamber.labels == labels(chamber.conjugate)
+            if 0 not in chamber.labels:
+                seen.add("regular")
+                assert chamber.sign == orbit[chamber.conjugate]
+            else:
+                seen.add("wall")
+            if coweight:
+                antidominant = [u for u in orbit if max(labels(u), default=0) <= 0]
+                assert antidominant == [rd.antidominant_representative(v)]
+
+        check()
+        assert seen == {"regular", "wall"}
+
+    def test_sign_of_the_longest_element(self):
+        # -2 rho is regular and w_0 carries it to 2 rho, of length |Phi+|
+        for name in self.LABELS:
+            rd = self._datum(name)
+            chamber = rd.weight_chamber(tuple(-x for x in rd.two_rho))
+            assert chamber.conjugate == rd.two_rho
+            assert chamber.labels == (2,) * rd.num_simple
+            assert chamber.sign == (-1) ** len(rd.positive_root_pairs)
+
+    def test_rejects_non_integers(self):
+        rd = standard("SL3")
+        for call in (rd.weight_chamber, rd.coweight_chamber,
+                     rd.antidominant_representative):
+            with pytest.raises(ValueError, match="not an integer"):
+                call((1, 0.5))
+
+
 class TestPi1:
     def test_examples(self):
         assert standard("SL2").pi1().invariant_factors == ()
