@@ -1,82 +1,56 @@
 """Character-level oracle for dual groups.
 
-Weight multiplicities by Freudenthal's recursion, run in integers: doubled
-vectors 2 mu + 2 rho against the integer Gram of the coroots, and each
-weight's root coordinates below the highest weight carried from layer to
-layer so that root strings end without a dominance test (cross-checked
-against a Weyl alternating-sum brute force in small rank).  Tensor
-decomposition by the Brauer-Klimyk rule, which needs the weights of one
-factor and only the highest weight of the other, and the numeric
-predictions for convolution: highest-weight multiplicity one, the
+The multiplicities of an irreducible depend on the Cartan matrix and the
+highest weight's Dynkin labels l_i = <lam, coroot_i> alone, so they are
+kept as one table of depths c (the weight lam - sum_i c_i alpha_i) per
+(Cartan matrix, labels), in a bounded LRU cache beside
+`rootdata._cartan_system`; a failure is never cached.  A table comes from
+Freudenthal's recursion in integers and is checked for closure under the
+simple reflections, and with at most two simple roots against the Weyl
+alternating sum of Kostant partition counts over the orbit of the labels
+of lam + rho.  A `Character` reads its weights off its datum's simple
+roots only when they are asked for.  Tensor decomposition by the
+Brauer-Klimyk rule walks labels over the depths of one factor; also the
+numeric predictions for convolution: highest-weight multiplicity one, the
 dominance bound, and fiber-dimension arithmetic.
-
-The weight-side work runs on Dynkin labels <v, coroot_i>.  Brauer-Klimyk
-walks each weight to the dominant chamber with `RootDatum`'s one chamber
-walk, which keeps the labels current through a Cartan row per reflection;
-`weyl_dim` tests dominance on the labels and takes Weyl's product over the
-positive coroots' coordinates, which depend on the Cartan matrix alone, so
-each constituent's dimension comes from the labels its walk ended with.
-
-`irreducible_character` keeps a small least-recently-used memo of
-validated characters on each `RootDatum`, keyed by highest weight, so a
-sweep of predictions over one twisted dual runs Freudenthal once per
-character.  A failure is never kept, the dominance check runs on every
-call, and the memo is dropped with its datum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from functools import cached_property, lru_cache
+from operator import mul, sub
 
 from .dualgroup import TwistedDual, twisted_dual
-from .lattice import _int_row, outer_sum
 from .qform import QForm, braiding_signs
-from .rootdata import RootDatum, dot, vec_add, vec_sub
+from .rootdata import RootDatum, _cartan_system, _chamber_walk, dot, vec_add
 
 
 class CharacterError(ValueError):
     pass
 
 
-# characters kept per datum by `irreducible_character`
-_CHARACTERS_KEPT = 64
-
-
 @dataclass(frozen=True)
 class Character:
-    """Finite W-invariant weight multiplicity mapping with a highest weight."""
+    """The irreducible character of `rd` with a dominant highest weight, as
+    its table of depths: ((c, multiplicity), ...), c the coordinates of
+    highest - weight in the simple roots."""
 
     rd: RootDatum
-    multiplicities: tuple  # sorted ((weight, mult), ...)
-    highest: tuple | None
+    highest: tuple
+    depths: tuple
 
-    @classmethod
-    def build(cls, rd, mults, highest=None):
-        items = tuple(sorted((tuple(w), int(m)) for w, m in mults.items() if m))
-        char = cls(rd, items, tuple(highest) if highest is not None else None)
-        char._check_invariants()
-        return char
-
-    def _check_invariants(self):
-        mults = dict(self.multiplicities)
-        for i in range(self.rd.num_simple):
-            for w, m in self.multiplicities:
-                if mults.get(self.rd.reflect_weight(i, w), 0) != m:
-                    raise CharacterError(
-                        f"support is not Weyl-invariant at {w} (reflection {i})")
-        if self.highest is not None:
-            for w, _ in self.multiplicities:
-                if not self.rd.weight_leq(w, self.highest):
-                    raise CharacterError(
-                        f"weight {w} is not below the highest weight {self.highest}")
+    @cached_property
+    def multiplicities(self):
+        """Sorted ((weight, multiplicity), ...)."""
+        return tuple(sorted((_lower(self.rd, self.highest, c), m) for c, m in self.depths))
 
     def as_dict(self):
         return dict(self.multiplicities)
 
     def dim(self):
-        return sum(m for _, m in self.multiplicities)
+        return sum(m for _, m in self.depths)
 
     def table(self):
         """Sorted 'weight: multiplicity' lines for golden-file output."""
@@ -84,156 +58,203 @@ class Character:
                          for w, m in self.multiplicities)
 
 
-def irreducible_character(rd: RootDatum, highest, crosscheck=None) -> Character:
-    """Weight multiplicities of the irreducible with the given highest
-    weight, by Freudenthal's recursion in integers.
+def _lower(rd, top, depth):
+    """top - sum_i depth_i alpha_i."""
+    for c, row in zip(depth, rd.simple_roots.data):
+        if c:
+            top = tuple(x - c * a for x, a in zip(top, row))
+    return top
 
-    For data with at most two simple roots the result is checked against
-    the Weyl alternating-sum brute force (pass crosscheck=False to skip).
 
-    Each datum keeps its last few validated characters by highest weight,
-    so a repeated call returns the same object without running Freudenthal
-    again.  The dominance check runs on every call, and a kept character
-    that was built without the crosscheck gets it when a later call asks.
-    The memo belongs to `rd` alone: an equal datum builds its own.
-    """
-    highest = _int_row(highest)
-    if not rd.is_dominant_weight(highest):
+def _labels(rd, highest):
+    """The Dynkin labels <highest, coroot_i>; CharacterError unless they
+    are all >= 0."""
+    labels = rd.simple_coroots.mul_vec(highest)
+    if min(labels, default=0) < 0:
         raise CharacterError(f"{highest} is not dominant")
-    if crosscheck is None:
-        crosscheck = rd.num_simple <= 2
-    memo = rd._characters
-    # taken out while it is checked, so that a failure is never kept
-    char, checked = memo.pop(highest, (None, False))
-    if char is None:
-        char = _freudenthal(rd, highest)
-    if crosscheck and not checked:
-        for w, m in char.multiplicities:
-            bm = weyl_multiplicity(rd, highest, w)
+    return labels
+
+
+def irreducible_character(rd: RootDatum, highest) -> Character:
+    """Weight multiplicities of the irreducible with the given highest
+    weight, from the checked table of its Cartan matrix and labels.  The
+    dominance check runs on every call."""
+    highest = rd._vector(highest)
+    return Character(rd, highest, _character_table(rd.cartan_matrix, _labels(rd, highest)))
+
+
+@lru_cache(maxsize=128)
+def _character_table(cartan, labels):
+    """((depth, multiplicity), ...) of the irreducible with the dominant
+    labels `labels`, checked for W-invariance, and against the Weyl sum
+    with at most two simple roots."""
+    mults = _depth_multiplicities(cartan, labels)
+    cols = tuple(zip(*cartan))
+    for c, m in mults.items():
+        for i, col in enumerate(cols):
+            # s_i moves the weight by <mu, coroot_i> alpha_i
+            li = labels[i] - sum(map(mul, c, col))
+            if li and mults.get(c[:i] + (c[i] + li,) + c[i + 1:]) != m:
+                raise CharacterError(
+                    f"multiplicities are not Weyl-invariant at depth {c} (reflection {i})")
+    if len(cartan) <= 2:
+        orbit = _weyl_orbit(cartan, tuple(x + 1 for x in labels))
+        for c, m in mults.items():
+            bm = _weyl_sum(cartan, orbit, c)
             if bm != m:
                 raise CharacterError(
-                    f"Freudenthal ({m}) and Weyl sum ({bm}) disagree at {w}")
-        checked = True
-    if len(memo) >= _CHARACTERS_KEPT:
-        del memo[next(iter(memo))]    # least recently used
-    memo[highest] = (char, checked)
-    return char
+                    f"Freudenthal ({m}) and Weyl sum ({bm}) disagree at depth {c}")
+    return tuple(mults.items())
 
 
-def _freudenthal(rd: RootDatum, highest) -> Character:
-    """The checked character of the irreducible with the dominant highest
-    weight `highest`, built afresh."""
-    # W-invariant inner product on the weight side, the sum over coroots of
-    # the squared pairing: positive definite on the root span, which is all
-    # Freudenthal needs; the normalization drops out of the recursion.
-    g = outer_sum((cobeta for _, cobeta in rd.root_pairs), rd.rank)
-    # per positive root: beta, its root coordinates, g beta and |beta|^2
+def _depth_multiplicities(cartan, labels):
+    """Freudenthal's recursion in integers, on depths:
+
+        (|lam + rho|^2 - |mu + rho|^2) m(mu)
+            = 2 sum_{beta > 0, k >= 1} m(mu + k beta) (mu + k beta, beta)
+
+    with (alpha_i, alpha_j) = a_ij d_j, a W-invariant form on the root span
+    for the symmetrizer d.  For mu = lam - gamma the left factor is
+    2 (lam + rho, gamma) - (gamma, gamma), and mu + k beta lies below lam
+    while depth - k * coordinates(beta) stays >= 0."""
+    system = _cartan_system(cartan)
+    form = [tuple(a * dj for a, dj in zip(row, system.symmetrizer)) for row in cartan]
+    lam = [x * dj for x, dj in zip(labels, system.symmetrizer)]        # (lam, alpha_i)
+    lam_rho = [x + dj for x, dj in zip(lam, system.symmetrizer)]       # (lam + rho, alpha_i)
+    # per positive root beta: its coordinates b, ((alpha_i, beta))_i,
+    # (lam, beta) and (beta, beta)
     roots = []
-    for beta, _, coords in rd.positive_root_table:
-        g_beta = g.mul_vec(beta)
-        roots.append((beta, coords, g_beta, dot(beta, g_beta)))
-    simple = [rd.simple_roots.row(i) for i in range(rd.num_simple)]
-    two_rho = rd.two_rho
-
-    def norm(mu):
-        # |2 mu + 2 rho|^2 in g
-        v = tuple(2 * m + r for m, r in zip(mu, two_rho))
-        return dot(v, g.mul_vec(v))
-
-    norm_top = norm(highest)
-    # (|lam + rho|^2 - |mu + rho|^2) m(mu)
-    #     = 2 sum_{beta > 0, k >= 1} m(mu + k beta) (mu + k beta, beta),
-    # times 4 on both sides to stay in integers.  A weight's depth is the
-    # root coordinates of highest - mu, so mu + k beta lies below the
-    # highest weight while depth - k * coordinates(beta) stays >= 0.
-    mults = {highest: 1}
-    layer = {highest: (0,) * rd.num_simple}
+    for b, _ in system.positive:
+        ab = tuple(sum(map(mul, row, b)) for row in form)
+        roots.append((b, ab, dot(b, lam), dot(b, ab)))
+    s = len(cartan)
+    mults = {(0,) * s: 1}
+    layer = list(mults)
     while layer:
-        candidates = {}
-        for mu, depth in layer.items():
-            for i, alpha in enumerate(simple):
-                candidates[vec_sub(mu, alpha)] = depth[:i] + (depth[i] + 1,) + depth[i + 1:]
-        next_layer = {}
-        for mu, depth in candidates.items():
+        candidates = dict.fromkeys(c[:i] + (c[i] + 1,) + c[i + 1:]
+                                   for c in layer for i in range(s))
+        layer = []
+        for c in candidates:
             rhs = 0
-            for beta, coords, g_beta, beta_sq in roots:
-                steps = min(d // c for d, c in zip(depth, coords) if c)
-                mu_beta = dot(mu, g_beta)
+            for b, ab, lam_b, bb in roots:
+                steps = min(x // y for x, y in zip(c, b) if y)
+                mu_b = lam_b - dot(c, ab)
                 for k in range(1, steps + 1):
-                    m_up = mults.get(tuple(m + k * b for m, b in zip(mu, beta)))
+                    m_up = mults.get(tuple(x - k * y for x, y in zip(c, b)))
                     if m_up:
-                        rhs += m_up * (mu_beta + k * beta_sq)
+                        rhs += m_up * (mu_b + k * bb)
             if rhs == 0:
                 continue
-            denom = norm_top - norm(mu)
-            if denom == 0:
-                raise CharacterError(f"vanishing Freudenthal denominator at {mu}")
-            m, r = divmod(8 * rhs, denom)
+            gap = 2 * dot(lam_rho, c) - sum(x * dot(row, c) for x, row in zip(c, form))
+            if gap == 0:
+                raise CharacterError(f"vanishing Freudenthal denominator at depth {c}")
+            m, r = divmod(2 * rhs, gap)
             if r:
                 raise CharacterError(
-                    f"non-integral multiplicity {Fraction(8 * rhs, denom)} at {mu}")
+                    f"non-integral multiplicity {Fraction(2 * rhs, gap)} at depth {c}")
             if m < 0:
-                raise CharacterError(f"negative multiplicity {m} at {mu}")
+                raise CharacterError(f"negative multiplicity {m} at depth {c}")
             if m:
-                mults[mu] = m
-                next_layer[mu] = depth
-        layer = next_layer
+                mults[c] = m
+                layer.append(c)
+    return mults
 
-    return Character.build(rd, mults, highest=highest)
+
+def _weyl_orbit(cartan, shifted):
+    """(det w, t) for each w in W, t the root coordinates of v - w v for the
+    v with labels `shifted`; empty when v is on a wall, where the sum over W
+    cancels.  s_j subtracts l_j alpha_j and l_j times Cartan row j from the
+    labels; off the walls w v determines w, so a path's parity is w's."""
+    s = len(cartan)
+    seen = {shifted: (1, (0,) * s)}
+    frontier = [shifted]
+    while frontier:
+        nxt = []
+        for labels in frontier:
+            sign, t = seen[labels]
+            for j, lj in enumerate(labels):
+                if lj == 0:
+                    return ()
+                up = tuple(x - lj * a for x, a in zip(labels, cartan[j]))
+                if up not in seen:
+                    seen[up] = (-sign, t[:j] + (t[j] + lj,) + t[j + 1:])
+                    nxt.append(up)
+        frontier = nxt
+    return tuple(seen.values())
+
+
+def _weyl_sum(cartan, orbit, depth):
+    """The Weyl character formula's alternating sum at depth `depth` below
+    lam: sum_w det(w) P(w (lam + rho) - (mu + rho)), the argument having
+    root coordinates depth - t for each (det w, t) of `orbit`."""
+    count = _kostant_count(cartan)
+    total = 0
+    for sign, t in orbit:
+        rest = tuple(map(sub, depth, t))
+        if min(rest, default=0) >= 0:
+            total += sign * count(rest, 0)
+    return total
+
+
+@lru_cache(maxsize=16)
+def _kostant_count(cartan):
+    """Kostant's partition function: count(c, 0) ways to write root
+    coordinates c >= 0 as a sum of positive roots, one memo per matrix."""
+    # Only the roots of height >= 2 are enumerated: what they leave, if
+    # nonnegative, is a sum of simple roots in exactly one way.
+    pos = sorted((c for c, _ in _cartan_system(cartan).positive if sum(c) > 1),
+                 reverse=True)
+
+    @lru_cache(maxsize=None)
+    def count(remaining, idx):
+        if idx == len(pos):
+            return 1
+        total = 0
+        step = pos[idx]
+        cur = remaining
+        while min(cur) >= 0:
+            total += count(cur, idx + 1)
+            cur = tuple(map(sub, cur, step))
+        return total
+
+    return count
 
 
 def kostant_partition(rd: RootDatum, v) -> int:
     """Number of ways to write v as a nonnegative integer sum of positive
     roots (the independent counting oracle behind the Weyl sum)."""
     target = rd.root_coordinates(v)
-    if target is None or any(c < 0 for c in target):
+    if target is None or min(target, default=0) < 0:
         return 0
-    return rd._partition_count(target)
+    return _kostant_count(rd.cartan_matrix)(target, 0)
 
 
 def weyl_multiplicity(rd: RootDatum, highest, weight) -> int:
     """Multiplicity by the Weyl character formula's alternating sum over
-    the Weyl group of Kostant partition counts."""
-    highest = _int_row(highest)
-    weight = _int_row(weight)
-    two_rho = rd.two_rho
-    two_lam_rho = tuple(2 * x + r for x, r in zip(highest, two_rho))
-    total = 0
-    for w in rd.weyl_group().elements:
-        # 2 (w(lam + rho) - rho - weight); w acts on weights by its transpose
-        arg = tuple(sum(w.data[b][a] * two_lam_rho[b] for b in range(rd.rank))
-                    - two_rho[a] - 2 * weight[a] for a in range(rd.rank))
-        if any(x % 2 for x in arg):
-            continue
-        count = kostant_partition(rd, tuple(x // 2 for x in arg))
-        if count:
-            total += w.det() * count
-    return total
+    the Weyl group of Kostant partition counts, walked as the orbit of the
+    labels of highest + rho."""
+    highest, weight = rd._vector(highest), rd._vector(weight)
+    depth = rd.root_coordinates(tuple(map(sub, highest, weight)))
+    if depth is None:
+        return 0
+    shifted = tuple(x + 1 for x in rd.simple_coroots.mul_vec(highest))
+    return _weyl_sum(rd.cartan_matrix, _weyl_orbit(rd.cartan_matrix, shifted), depth)
 
 
 def weyl_dim(rd: RootDatum, highest) -> int:
     """Weyl dimension formula, exact."""
-    return _dimension(rd, _doubled_labels(rd, _int_row(highest)))
+    return _dimension(rd, [x + 1 for x in _labels(rd, rd._vector(highest))])
 
 
-def _doubled_labels(rd, highest):
-    """The labels <2 (highest + rho), coroot_i> = 2 l_i + 2 of a dominant
-    weight; CharacterError when a label l_i is negative."""
-    labels = rd.simple_coroots.mul_vec(highest)
-    if any(x < 0 for x in labels):
-        raise CharacterError(f"{highest} is not dominant")
-    return tuple(2 * x + 2 for x in labels)
-
-
-def _dimension(rd, doubled):
-    """Weyl's product prod <lam + rho, beta^v> / prod <rho, beta^v>, both
-    doubled, from the labels <2 (lam + rho), coroot_i> of a dominant lam:
-    <2 (lam + rho), beta^v> is sum_i c'_i times label i for the coroot
-    coordinates c' of beta^v."""
-    coords, den = rd._dimension_data
-    num = 1
-    for cv in coords:
-        num *= sum(map(mul, cv, doubled))
+def _dimension(rd, shifted):
+    """Weyl's product prod <lam + rho, beta^v> / prod <rho, beta^v> from the
+    labels <lam + rho, coroot_i> of a dominant lam: <lam + rho, beta^v> is
+    sum_i c'_i times label i for the coroot coordinates c' of beta^v, and
+    <rho, beta^v> is their sum."""
+    num = den = 1
+    for _, cv in rd._cartan.positive:
+        num *= sum(map(mul, cv, shifted))
+        den *= sum(cv)
     out, rem = divmod(num, den)
     if rem:
         raise CharacterError(f"Weyl dimension {num}/{den} is not an integer")
@@ -248,32 +269,40 @@ def tensor_decompose(c: Character, highest):
     shift by rho is the dominant conjugate of w + highest + rho, and
     nothing when that conjugate lies on a wall.
 
-    The walk runs in doubled coordinates 2 (w + highest) + 2 rho, since
-    rho need not be a weight (PGL2), so the conjugate's labels are those
-    that `_dimension` reads.  Only the weights of c are needed: the other
+    The walk runs on the labels of w + highest + rho, which are integers
+    although rho need not be a weight (PGL2), and on w's depth below
+    c.highest, where alpha_j is -e_j: it ends at the constituent's depth
+    below c.highest + highest.  Only the depths of c are needed: the other
     factor enters through its highest weight alone.
     """
     rd = c.rd
-    highest = _int_row(highest)
-    top = _doubled_labels(rd, highest)
-    two_rho = rd.two_rho
-    shift = tuple(2 * h + r for h, r in zip(highest, two_rho))
-    out = {}
-    doubled = {}    # constituent -> its labels <2 (nu + rho), coroot_i>
-    for w, m in c.multiplicities:
-        v, sign, labels = rd._weight_chamber(tuple(2 * x + s for x, s in zip(w, shift)))
-        if 0 in labels:
+    highest = rd._vector(highest)
+    labels = _labels(rd, highest)
+    cartan = rd.cartan_matrix
+    cols = tuple(zip(*cartan))
+    shift = tuple(a + b + 1 for a, b in zip(rd.simple_coroots.mul_vec(c.highest), labels))
+    minus = [tuple(-int(i == j) for j in range(len(cartan))) for i in range(len(cartan))]
+    net = {}
+    final = {}      # constituent depth -> its labels <nu + rho, coroot_i>
+    for depth, m in c.depths:
+        nu, sign, ends = _chamber_walk(
+            depth, [x - sum(map(mul, depth, col)) for x, col in zip(shift, cols)], minus, cartan)
+        if 0 in ends:
             continue   # fixed by a reflection: the alternating sum cancels
-        nu = tuple((x - r) // 2 for x, r in zip(v, two_rho))
-        out[nu] = out.get(nu, 0) + sign * m
-        doubled[nu] = labels
-    out = {nu: m for nu, m in out.items() if m}
-    for nu, m in out.items():
-        if m < 0:
-            raise CharacterError(f"negative multiplicity {m} at {nu}")
+        net[nu] = net.get(nu, 0) + sign * m
+        final[nu] = ends
+    top = vec_add(c.highest, highest)
+    out = {}
+    total = 0
+    for depth, m in net.items():
+        if m:
+            nu = _lower(rd, top, depth)
+            if m < 0:
+                raise CharacterError(f"negative multiplicity {m} at {nu}")
+            out[nu] = m
+            total += m * _dimension(rd, final[depth])
     # the constituents must account for the whole product
-    if (sum(m * _dimension(rd, doubled[nu]) for nu, m in out.items())
-            != c.dim() * _dimension(rd, top)):
+    if total != c.dim() * _dimension(rd, [x + 1 for x in labels]):
         raise CharacterError("constituent dimensions do not add up to the product")
     return out
 
@@ -281,7 +310,7 @@ def tensor_decompose(c: Character, highest):
 def fiber_dim(rd: RootDatum, lam, mu, nu) -> Fraction:
     """Half of <2 rho, lam> + <2 rho, mu> - <2 rho, nu>: the dimension
     bound for convolution fibers over the nu-orbit."""
-    lam, mu, nu = map(_int_row, (lam, mu, nu))
+    lam, mu, nu = map(rd._vector, (lam, mu, nu))
     return Fraction(dot(rd.two_rho, lam) + dot(rd.two_rho, mu)
                     - dot(rd.two_rho, nu), 2)
 
@@ -307,27 +336,27 @@ def satake_prediction(q: QForm, lam, mu) -> SatakeReport:
     dominant coweights in the dual weight lattice and check the
     convolution predictions."""
     rd = q.rd
-    lam = _int_row(lam)
-    mu = _int_row(mu)
+    lam, mu = rd._vector(lam), rd._vector(mu)
     dual = twisted_dual(rd, q, "full")
     coeffs = []
     for v in (lam, mu):
         # one solve decides membership and gives the coefficients
         v_c = dual.weight_sublattice.coefficients(v)
         if v_c is None:
-            raise CharacterError(
-                f"{v} is outside the dual weight lattice")
-        if not rd.is_dominant_coweight(v):
+            raise CharacterError(f"{v} is outside the dual weight lattice")
+        # the vectors here are checked or built by the library, so the
+        # dominance, dimension and order tests go around the public checks
+        if min(rd.simple_roots.mul_vec(v), default=0) < 0:
             raise CharacterError(f"{v} is not dominant")
         coeffs.append(v_c)
     lam_c, mu_c = coeffs
     # the weights of the smaller factor, the highest weight of the other
-    small, large = sorted(coeffs, key=lambda v: weyl_dim(dual.datum, v))
-    pieces = tensor_decompose(
-        irreducible_character(dual.datum, small, crosscheck=False), large)
+    small, large = sorted(coeffs, key=lambda v: _dimension(
+        dual.datum, [x + 1 for x in _labels(dual.datum, v)]))
+    pieces = tensor_decompose(irreducible_character(dual.datum, small), large)
     top_c = vec_add(lam_c, mu_c)
     top_mult = pieces.get(tuple(top_c), 0)
-    all_below = all(dual.datum.weight_leq(nu_c, top_c) for nu_c in pieces)
+    all_below = all(dual.datum._weight_leq(nu_c, top_c) for nu_c in pieces)
     two_rho = rd.two_rho
     # twice the fiber dimension over nu is this less <2 rho, nu>
     top_height = dot(two_rho, lam) + dot(two_rho, mu)

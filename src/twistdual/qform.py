@@ -542,32 +542,29 @@ def normalized_killing_gram(rd: RootDatum):
 
 def invariant_gram_basis(rd: RootDatum):
     """Basis of the space of W-invariant symmetric rational Grams on the
-    coweight lattice, as integer symmetric matrices."""
+    coweight lattice, as integer symmetric matrices.
+
+    g is s_i-invariant iff 2 g cov = (cov^T g cov) alpha for the simple
+    pair (alpha, cov) (`_reflection_invariant`): n linear equations in the
+    entries g_ij, i <= j, per simple root."""
     n = rd.rank
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    var_index = {p: k for k, p in enumerate(pairs)}
     rows = []
-    for gi in range(rd.num_simple):
-        w = rd.reflection_coweight(gi).data
+    for alpha, cov in zip(rd.simple_roots.data, rd.simple_coroots.data):
+        # cov^T g cov, the off-diagonal entries counted twice
+        quad = [cov[i] * cov[j] * (1 if i == j else 2) for i, j in pairs]
         for a in range(n):
-            for b in range(a, n):
-                row = [0] * len(pairs)
-                for i in range(n):
-                    for j in range(n):
-                        coeff = w[i][a] * w[j][b]
-                        key = (i, j) if i <= j else (j, i)
-                        row[var_index[key]] += coeff
-                row[var_index[(a, b)]] -= 1
-                rows.append(row)
+            # 2 (g cov)_a = 2 sum_b g_ab cov_b
+            rows.append([2 * ((cov[j] if i == a else 0) + (cov[i] if j == a != i else 0))
+                         - alpha[a] * x for (i, j), x in zip(pairs, quad)])
     if not rows:
         rows = [[0] * len(pairs)]
     basis = kernel_mod(IntMatrix(rows, cols=len(pairs)), None)
     out = []
     for vec in basis.basis.data:
         g = [[0] * n for _ in range(n)]
-        for (i, j), k in var_index.items():
-            g[i][j] = vec[k]
-            g[j][i] = vec[k]
+        for (i, j), x in zip(pairs, vec):
+            g[i][j] = g[j][i] = x
         out.append(tuple(tuple(Fraction(x) for x in row) for row in g))
     return out
 

@@ -216,30 +216,17 @@ class RootDatum:
     def weight_chamber(self, v) -> Chamber:
         """The dominant conjugate of the weight v, with the sign of the Weyl
         element and the conjugate's labels <., coroot_i>."""
-        return self._weight_chamber(_int_row(v))
+        v = self._vector(v)
+        return _chamber_walk(v, self.simple_coroots.mul_vec(v),
+                             self.simple_roots.data, self.cartan_matrix)
 
     def coweight_chamber(self, v) -> Chamber:
         """The dominant conjugate of the coweight v, with the sign of the
         Weyl element and the conjugate's labels <alpha_i, .>."""
-        v = _int_row(v)
+        v = self._vector(v)
         # row j of the transpose is what s_j does to coweight labels
         return _chamber_walk(v, self.simple_roots.mul_vec(v),
                              self.simple_coroots.data, tuple(zip(*self.cartan_matrix)))
-
-    def _weight_chamber(self, v):
-        # v is a tuple of ints: the walk under `weight_chamber` and
-        # `tensor_decompose`, which builds its vectors from checked ones
-        return _chamber_walk(v, self.simple_coroots.mul_vec(v),
-                             self.simple_roots.data, self.cartan_matrix)
-
-    @cached_property
-    def _dimension_data(self):
-        """(c', den) for Weyl's dimension formula in Dynkin labels: c' are
-        the coroot coordinates of the positive coroots, and den is
-        prod <2 rho, beta^v> = prod 2 ht(beta^v).  Read from the Cartan
-        record on first use."""
-        coords = tuple(cv for _, cv in self._cartan.positive)
-        return coords, math.prod(2 * sum(cv) for cv in coords)
 
     @cached_property
     def _weyl(self):
@@ -307,38 +294,6 @@ class RootDatum:
         return tuple(t for t in self._root_table if sum(t[2]) > 0)
 
     @cached_property
-    def _partition_count(self):
-        """Kostant's partition function on root coordinates: the number of
-        ways to write them as a nonnegative sum of positive roots.  One
-        memo per datum, shared by every Weyl-sum term and weight."""
-        # Only the roots of height >= 2 are enumerated: what they leave, if
-        # nonnegative, is a sum of simple roots in exactly one way.
-        pos = sorted((c for _, _, c in self.positive_root_table if sum(c) > 1),
-                     reverse=True)
-
-        @lru_cache(maxsize=None)
-        def count(remaining, idx):
-            if idx == len(pos):
-                return 1
-            total = 0
-            step = pos[idx]
-            cur = remaining
-            while all(x >= 0 for x in cur):
-                total += count(cur, idx + 1)
-                cur = tuple(x - s for x, s in zip(cur, step))
-            return total
-
-        return lambda target: count(target, 0)
-
-    @cached_property
-    def _characters(self):
-        """Validated irreducible characters of this datum by highest weight,
-        each with whether the Weyl-sum crosscheck ran on it.  Filled, read
-        and bounded by `characters.irreducible_character`; dropped with the
-        datum."""
-        return {}
-
-    @cached_property
     def positive_root_pairs(self):
         return tuple((beta, cobeta) for beta, cobeta, _ in self.positive_root_table)
 
@@ -371,13 +326,20 @@ class RootDatum:
 
     # -- dominance ---------------------------------------------------------
 
+    def _vector(self, v):
+        """v as a tuple of ints of length rank, else a ValueError: the check
+        of every public vector argument.  The library's own callers, whose
+        vectors are checked already, go around it."""
+        v = _int_row(v)
+        if len(v) != self.rank:
+            raise ValueError(f"vector {v} has length {len(v)}, not the rank {self.rank}")
+        return v
+
     def is_dominant_coweight(self, v):
-        return all(dot(self.simple_roots.row(i), v) >= 0
-                   for i in range(self.num_simple))
+        return min(self.simple_roots.mul_vec(self._vector(v)), default=0) >= 0
 
     def is_dominant_weight(self, v):
-        return all(dot(v, self.simple_coroots.row(i)) >= 0
-                   for i in range(self.num_simple))
+        return min(self.simple_coroots.mul_vec(self._vector(v)), default=0) >= 0
 
     # -- integer coordinates -------------------------------------------------
 
@@ -392,11 +354,11 @@ class RootDatum:
     def root_coordinates(self, v):
         """Integer coefficients of v in the simple roots, or None when v is
         outside their span or the coefficients are not integers."""
-        return _coordinates(self.simple_roots.data, self._root_chart, v)
+        return _coordinates(self.simple_roots.data, self._root_chart, self._vector(v))
 
     def coroot_coordinates(self, v):
         """Integer coefficients of v in the simple coroots, or None."""
-        return _coordinates(self.simple_coroots.data, self._coroot_chart, v)
+        return _coordinates(self.simple_coroots.data, self._coroot_chart, self._vector(v))
 
     @staticmethod
     def _cone_leq(coeffs):
@@ -404,43 +366,51 @@ class RootDatum:
 
     def coweight_leq(self, lam, mu):
         """lam <= mu iff mu - lam is a nonnegative integer sum of simple coroots."""
-        return self._cone_leq(self.coroot_coordinates(vec_sub(mu, lam)))
+        return self._coweight_leq(self._vector(lam), self._vector(mu))
+
+    def _coweight_leq(self, lam, mu):
+        return self._cone_leq(_coordinates(self.simple_coroots.data, self._coroot_chart,
+                                           vec_sub(mu, lam)))
 
     def weight_leq(self, lam, mu):
         """Dominance on the weight side, against the simple roots."""
-        return self._cone_leq(self.root_coordinates(vec_sub(mu, lam)))
+        return self._weight_leq(self._vector(lam), self._vector(mu))
+
+    def _weight_leq(self, lam, mu):
+        return self._cone_leq(_coordinates(self.simple_roots.data, self._root_chart,
+                                           vec_sub(mu, lam)))
 
     def dominance(self, lam, mu) -> Dominance:
-        lam, mu = _int_row(lam), _int_row(mu)
+        lam, mu = self._vector(lam), self._vector(mu)
         if lam == mu:
             return Dominance.EQUAL
-        if self.coweight_leq(lam, mu):
+        if self._coweight_leq(lam, mu):
             return Dominance.LESS_EQUAL
-        if self.coweight_leq(mu, lam):
+        if self._coweight_leq(mu, lam):
             return Dominance.GREATER_EQUAL
         return Dominance.INCOMPARABLE
 
     def antidominant_representative(self, v):
         """w_0 applied to the dominant representative: the antidominant
         element, -(the dominant conjugate of -v)."""
-        return tuple(map(neg, self.coweight_chamber(map(neg, _int_row(v))).conjugate))
+        return tuple(map(neg, self.coweight_chamber(map(neg, self._vector(v))).conjugate))
 
     # -- orbit dimensions ----------------------------------------------------
 
     def orbit_dim(self, lam):
         """Dimension <2 rho, lam> of the orbit of a dominant coweight."""
-        lam = _int_row(lam)
+        lam = self._vector(lam)
         if not self.is_dominant_coweight(lam):
             raise ValueError(f"coweight {lam} is not dominant")
         return dot(self.two_rho, lam)
 
     def sib_dim(self, lam, mu):
         """Semi-infinite intersection dimension <rho, lam + mu>."""
-        lam, mu = _int_row(lam), _int_row(mu)
+        lam, mu = self._vector(lam), self._vector(mu)
         if not self.is_dominant_coweight(lam):
             raise ValueError(f"coweight {lam} is not dominant")
         w0lam = self.antidominant_representative(lam)
-        if not (self.coweight_leq(w0lam, mu) and self.coweight_leq(mu, lam)):
+        if not (self._coweight_leq(w0lam, mu) and self._coweight_leq(mu, lam)):
             raise ValueError(
                 f"coweight {mu} is outside [w0(lam), lam] for lam={lam}")
         doubled = dot(self.two_rho, vec_add(lam, mu))

@@ -32,7 +32,7 @@ def tensor_decompose(c1, c2):
         mult = remaining[top]
         if mult < 0:
             raise CharacterError(f"negative multiplicity at {top}")
-        pieces[top] = irreducible_character(rd, top, crosscheck=False)
+        pieces[top] = irreducible_character(rd, top)
         for w, m in pieces[top].multiplicities:
             left = remaining.get(w, 0) - mult * m
             if left < 0:

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from twistdual.characters import (
-    Character,
     CharacterError,
     fiber_dim,
     irreducible_character,
@@ -82,7 +81,7 @@ class TestIrreducibleCharacter:
 
     def test_freudenthal_matches_weyl_sum(self):
         for rd, hw in [(SL3, (2, 2)), (SP4, (2, 1)), (standard("G2"), (1, 0))]:
-            c = irreducible_character(rd, hw, crosscheck=False)
+            c = irreducible_character(rd, hw)
             for w, m in c.multiplicities:
                 assert weyl_multiplicity(rd, hw, w) == m
 
@@ -95,10 +94,22 @@ class TestIrreducibleCharacter:
         for hw in itertools.product(range(-3, 4), repeat=rd.rank):
             if not rd.is_dominant_weight(hw):
                 continue
-            c = irreducible_character(rd, hw, crosscheck=False)
+            c = irreducible_character(rd, hw)
             for w, m in c.multiplicities:
                 assert weyl_multiplicity(rd, hw, w) == m, (name, hw, w)
             assert c.dim() == weyl_dim(rd, hw)
+
+    @pytest.mark.parametrize("name", ["SL4", "GL3", "Sp4xSL2"])
+    def test_freudenthal_matches_weyl_sum_in_rank_three(self, name):
+        # the tables are checked against the Weyl sum with at most two
+        # simple roots only; above that, this test compares the two
+        rd = standard(name)
+        for hw in itertools.product(range(-2, 3), repeat=rd.rank):
+            if not rd.is_dominant_weight(hw):
+                continue
+            c = irreducible_character(rd, hw)
+            for w, m in c.multiplicities:
+                assert weyl_multiplicity(rd, hw, w) == m, (name, hw, w)
 
     @pytest.mark.parametrize("name", ["SL4", "GL3", "PGL4", "SL3xSL2"])
     def test_integer_freudenthal_matches_weyl_dim(self, name):
@@ -113,20 +124,28 @@ class TestIrreducibleCharacter:
         assert c.dim() == weyl_dim(rd, rd.two_rho) == 3 ** 10
         assert c.as_dict()[(0, 0, 0, 0)] == 219
 
-    def test_invariants_enforced(self):
-        with pytest.raises(CharacterError):
-            Character.build(SL2, {(2,): 1}, highest=(2,))  # not W-closed
+    def test_invariants_enforced(self, monkeypatch):
+        # a table that is not closed under the simple reflections is
+        # rejected, and not kept
+        table = characters._character_table
+        table.cache_clear()
+        monkeypatch.setattr(characters, "_depth_multiplicities",
+                            lambda cartan, labels: {(0,): 1, (1,): 1})
+        with pytest.raises(CharacterError, match="not Weyl-invariant"):
+            irreducible_character(SL2, (2,))
+        assert table.cache_info().currsize == 0
 
 
 class TestCharacterMemo:
-    def test_repeat_call_returns_the_same_object(self):
+    def test_repeat_call_shares_the_table(self):
         rd = standard("SL3")
         c = irreducible_character(rd, (2, 1))
-        assert irreducible_character(rd, [2, 1]) is c
+        again = irreducible_character(rd, [2, 1])
+        assert again == c and again.depths is c.depths
         fresh = RootDatum.from_dict(rd.to_dict())
         assert fresh == rd
         other = irreducible_character(fresh, (2, 1))
-        assert other is not c and other.rd is fresh
+        assert other.rd is fresh and other.depths is c.depths
         assert other.multiplicities == c.multiplicities
 
     def test_equal_coordinates_on_other_data_are_not_shared(self):
@@ -137,61 +156,89 @@ class TestCharacterMemo:
         assert a.as_dict() == {(1,): 1, (-1,): 1}
         assert b.as_dict() == {(1,): 1, (0,): 1, (-1,): 1}
 
-    def test_unchecked_hit_gets_the_crosscheck(self, monkeypatch):
+    def test_table_is_shared_by_one_cartan_matrix_and_labels(self):
+        # (1, 1) has the labels (1, 1) on SL3 and on PGL3, whose Cartan
+        # matrices agree; the weights are each datum's own
+        sl3, pgl3 = standard("SL3"), standard("PGL3")
+        assert sl3.cartan_matrix == pgl3.cartan_matrix
+        table = characters._character_table
+        table.cache_clear()
+        a = irreducible_character(sl3, (1, 1))
+        hits = table.cache_info().hits
+        b = irreducible_character(pgl3, (1, 1))
+        assert table.cache_info().hits == hits + 1
+        assert a.depths is b.depths
+        assert a.as_dict()[(0, 0)] == b.as_dict()[(0, 0)] == 2
+        assert (-1, 2) in a.as_dict() and (-1, 2) not in b.as_dict()
+        assert (0, 1) in b.as_dict() and (0, 1) not in a.as_dict()
+
+    def test_weyl_check_runs_once_per_table(self, monkeypatch):
         calls = []
-        inner = characters.weyl_multiplicity
+        inner = characters._weyl_sum
 
         def counting(*args):
             calls.append(args)
             return inner(*args)
 
-        monkeypatch.setattr(characters, "weyl_multiplicity", counting)
+        monkeypatch.setattr(characters, "_weyl_sum", counting)
+        characters._character_table.cache_clear()
         rd = standard("Sp4")
-        c = irreducible_character(rd, (2, 1), crosscheck=False)
-        assert calls == []
-        assert irreducible_character(rd, (2, 1)) is c
-        assert len(calls) == len(c.multiplicities)
-        # checked once, then kept as checked
-        assert irreducible_character(rd, (2, 1), crosscheck=True) is c
-        assert irreducible_character(rd, (2, 1), crosscheck=False) is c
-        assert len(calls) == len(c.multiplicities)
+        c = irreducible_character(rd, (2, 1))
+        assert len(calls) == len(c.depths) > 1
+        # a repeat call, and an equal datum, read the checked table
+        assert irreducible_character(rd, (2, 1)).depths is c.depths
+        irreducible_character(RootDatum.from_dict(rd.to_dict()), (2, 1))
+        assert len(calls) == len(c.depths)
+        # never with three simple roots
+        assert irreducible_character(standard("SL4"), (1, 0, 1)).dim() == 15
+        assert len(calls) == len(c.depths)
 
     def test_failed_crosscheck_is_not_kept(self, monkeypatch):
         rd = standard("SL2")
-        c = irreducible_character(rd, (3,), crosscheck=False)
-        monkeypatch.setattr(characters, "weyl_multiplicity", lambda *args: 0)
+        table = characters._character_table
+        table.cache_clear()
+        c = irreducible_character(rd, (3,))
+        table.cache_clear()
+        monkeypatch.setattr(characters, "_weyl_sum", lambda *args: 0)
         with pytest.raises(CharacterError, match="disagree"):
-            irreducible_character(rd, (3,), crosscheck=True)
-        assert (3,) not in rd._characters
+            irreducible_character(rd, (3,))
+        assert table.cache_info().currsize == 0
         monkeypatch.undo()
-        again = irreducible_character(rd, (3,), crosscheck=False)
-        assert again is not c and again.multiplicities == c.multiplicities
+        again = irreducible_character(rd, (3,))
+        assert again.depths is not c.depths and again == c
 
     def test_non_dominant_raises_on_every_call(self):
         rd = standard("SL3")
         irreducible_character(rd, (1, 0))
-        size = len(rd._characters)
+        table = characters._character_table
+        size = table.cache_info().currsize
         for _ in range(3):
             with pytest.raises(CharacterError, match="not dominant"):
                 irreducible_character(rd, (-1, 2))
-            assert len(rd._characters) == size
+            assert table.cache_info().currsize == size
 
     def test_memo_is_bounded(self):
+        table = characters._character_table
+        bound = table.cache_info().maxsize
+        table.cache_clear()
         rd = standard("SL2")
-        bound = characters._CHARACTERS_KEPT
         for n in range(bound + 10):
-            irreducible_character(rd, (n,), crosscheck=False)
-            assert len(rd._characters) <= bound
-        assert len(rd._characters) == bound
+            irreducible_character(rd, (n,))
+            assert table.cache_info().currsize <= bound
+        assert table.cache_info().currsize == bound
         # the most recent ones are kept, the first ones were dropped
-        assert (bound + 9,) in rd._characters and (0,) not in rd._characters
+        hits, misses = table.cache_info().hits, table.cache_info().misses
+        irreducible_character(rd, (bound + 9,))
+        assert table.cache_info().hits == hits + 1
+        irreducible_character(rd, (0,))
+        assert table.cache_info().misses == misses + 1
 
-    def test_memo_is_dropped_with_the_datum(self):
+    def test_datum_is_freed_after_del(self):
+        # the table is keyed by the Cartan matrix and labels, and holds no datum
         rd = standard("G2")
-        irreducible_character(rd, (1, 0))
-        assert rd._characters
+        c = irreducible_character(rd, (1, 0))
         ref = weakref.ref(rd)
-        del rd
+        del rd, c
         gc.collect()
         assert ref() is None
 
@@ -213,10 +260,14 @@ class TestCharacterMemo:
                         or dot(rd.two_rho, lam) > 16):
                     continue
                 lam_c = dual.weight_sublattice.coefficients(lam)
-                kept = irreducible_character(dual.datum, lam_c, crosscheck=False)
-                assert irreducible_character(dual.datum, lam_c, crosscheck=False) is kept
+                kept = irreducible_character(dual.datum, lam_c)
+                assert irreducible_character(dual.datum, lam_c).depths is kept.depths
+                labels = dual.datum.simple_coroots.mul_vec(lam_c)
+                built = characters._character_table.__wrapped__(
+                    dual.datum.cartan_matrix, labels)
+                assert built == kept.depths
                 fresh = irreducible_character(
-                    RootDatum.from_dict(dual.datum.to_dict()), lam_c, crosscheck=False)
+                    RootDatum.from_dict(dual.datum.to_dict()), lam_c)
                 assert kept.multiplicities == fresh.multiplicities
                 assert kept.highest == fresh.highest
 
@@ -236,8 +287,8 @@ class TestKostant:
     def test_outside_cone(self):
         assert kostant_partition(SL3, (-2, 1)) == 0
 
-    def test_counts_are_dropped_with_the_datum(self):
-        # one memo per datum, which nothing outside the datum holds
+    def test_counts_do_not_hold_the_datum(self):
+        # one memo per Cartan matrix, which holds no datum
         rd = standard("G2")
         assert kostant_partition(rd, rd.two_rho) > 0
         ref = weakref.ref(rd)
@@ -314,12 +365,12 @@ class TestTensor:
         rd = SO4 if name == "SO4" else standard(name)
         hws = [h for h in itertools.product(range(-1, 3), repeat=rd.rank)
                if rd.is_dominant_weight(h) and weyl_dim(rd, h) <= 15]
-        chars = [irreducible_character(rd, h, crosscheck=False) for h in hws]
+        chars = [irreducible_character(rd, h) for h in hws]
         walls = 0
         for c in chars:
             for mu in hws:
                 assert tensor_decompose(c, mu) == character_oracle.tensor_decompose(
-                    c, irreducible_character(rd, mu, crosscheck=False)), (name, c.highest, mu)
+                    c, irreducible_character(rd, mu)), (name, c.highest, mu)
                 shift = tuple(2 * h + r for h, r in zip(mu, rd.two_rho))
                 walls += sum(any(dot(vec_add(vec_add(w, w), shift), cobeta) == 0
                                  for _, cobeta in rd.positive_root_pairs)
@@ -351,8 +402,8 @@ class TestTensor:
                 return tuple(dot(v, col) for col in zip(*u.data))
 
             for a in hws:
-                c = irreducible_character(rd, a, crosscheck=False)
-                c2 = irreducible_character(moved, image(a), crosscheck=False)
+                c = irreducible_character(rd, a)
+                c2 = irreducible_character(moved, image(a))
                 for b in hws:
                     want = {image(nu): m for nu, m in tensor_decompose(c, b).items()}
                     assert tensor_decompose(c2, image(b)) == want, (name, moves, a, b)
@@ -516,6 +567,20 @@ def test_integer_arguments(call, expected, bad):
     with pytest.raises(ValueError, match="not an integer"):
         call(bad)
     assert call(1) == expected
+
+
+@pytest.mark.parametrize("call", [
+    lambda: weyl_multiplicity(SL3, (1, 1), (0, 0, 5)),
+    lambda: weyl_multiplicity(SL3, (1,), (0, 0)),
+    lambda: kostant_partition(SL3, (0,)),
+    lambda: irreducible_character(SL3, (1, 1, 0)),
+    lambda: weyl_dim(SL3, (1,)),
+    lambda: tensor_decompose(irreducible_character(SL3, (1, 0)), (1, 0, 0)),
+], ids=["weyl_multiplicity-weight", "weyl_multiplicity-highest", "kostant_partition",
+        "irreducible_character", "weyl_dim", "tensor_decompose"])
+def test_wrong_lengths_rejected(call):
+    with pytest.raises(ValueError, match="not the rank 2"):
+        call()
 
 
 def test_integral_floats_are_read_as_ints():

@@ -33,6 +33,8 @@ from twistdual.qform import (
 from twistdual.rootdata import RootDatum, dot, standard, vec_add
 from test_rootdata import _rebased, _transvections
 
+import form_oracle
+
 SL2 = standard("SL2")
 PGL2 = standard("PGL2")
 GL2 = standard("GL2")
@@ -663,6 +665,21 @@ class TestGramHelpers:
         assert len(invariant_gram_basis(GL2)) == 2
         assert len(invariant_gram_basis(SL3)) == 1
         assert len(invariant_gram_basis(standard("torus2"))) == 3
+
+
+@pytest.mark.parametrize("label", TestInvarianceAgainstConjugation.LABELS
+                         + ("SL2xT1", "Sp4xSL2", "PGL2xPGL2", "SL3xSL3"))
+def test_invariant_basis_matches_conjugation_oracle(label):
+    # the same Hermite basis from the equations 2 g cov = (cov^T g cov)
+    # alpha as from conjugating by each simple reflection, in the standard
+    # basis and in random ones
+    rd = standard(label)
+    assert invariant_gram_basis(rd) == form_oracle.invariant_gram_basis(rd)
+    rng = random.Random(f"gram-basis/{label}")
+    for _ in range(4):
+        moves = [(rng.randrange(8), rng.randrange(8), rng.randint(-2, 2)) for _ in range(5)]
+        moved = _rebased(rd, moves)
+        assert invariant_gram_basis(moved) == form_oracle.invariant_gram_basis(moved), moves
 
 
 # Vector arguments follow the one integrality rule of IntMatrix: a

@@ -244,6 +244,43 @@ class TestDominance:
         assert rd.coweight_leq((0,), (2,))
 
 
+class TestVectorArguments:
+    """The public methods read a vector as ints of length rank, or raise a
+    ValueError: no truncation by zip, no bare IndexError."""
+
+    SL2, SL3 = standard("SL2"), standard("SL3")
+
+    @pytest.mark.parametrize("call", [
+        lambda: TestVectorArguments.SL2.coweight_leq((0.5,), (1.5,)),
+        lambda: TestVectorArguments.SL2.weight_leq((1,), (True,)),
+        lambda: TestVectorArguments.SL2.is_dominant_weight((True,)),
+        lambda: TestVectorArguments.SL2.is_dominant_coweight((0.5,)),
+        lambda: TestVectorArguments.SL2.coroot_coordinates((1.5,)),
+    ], ids=["coweight_leq", "weight_leq", "is_dominant_weight",
+            "is_dominant_coweight", "coroot_coordinates"])
+    def test_non_integers_rejected(self, call):
+        with pytest.raises(ValueError, match="not an integer"):
+            call()
+
+    def test_integral_values_are_read_as_ints(self):
+        coords = self.SL2.root_coordinates((2.0,))
+        assert coords == (1,) and type(coords[0]) is int
+
+    @pytest.mark.parametrize("call", [
+        lambda: TestVectorArguments.SL3.coweight_leq((0, 0, 0), (1, 1)),
+        lambda: TestVectorArguments.SL3.weight_leq((1,), (1, 1)),
+        lambda: TestVectorArguments.SL3.root_coordinates((2,)),
+        lambda: TestVectorArguments.SL3.coroot_coordinates((2, 0, 0)),
+        lambda: TestVectorArguments.SL3.is_dominant_weight((1, 1, 1)),
+        lambda: TestVectorArguments.SL3.sib_dim((1, 1), (1,)),
+        lambda: TestVectorArguments.SL3.dominance((1, 1), (1,)),
+    ], ids=["coweight_leq", "weight_leq", "root_coordinates", "coroot_coordinates",
+            "is_dominant_weight", "sib_dim", "dominance"])
+    def test_wrong_lengths_rejected(self, call):
+        with pytest.raises(ValueError, match="not the rank 2"):
+            call()
+
+
 def _transvections(n, moves):
     """The product U of the transvections (i, j, c) of Z^n, indices mod n;
     a move with i = j mod n is the identity."""
