@@ -279,8 +279,8 @@ def _build_for_compare(kind, rd, params):
         return dg.twisted_dual(rd, form, "full")
     other = params["other"]
     if other == "fl":
-        _, j = rd.dual_coxeter_and_iota()
-        g0 = [[x * Fraction(params["d"], params["big_n"]) for x in row] for row in j]
+        scale = Fraction(params["d"], params["big_n"])
+        g0 = [[x * scale for x in row] for row in qf.normalized_killing_gram(rd)]
         return dg.twisted_dual(rd, QForm(rd, g0), "full")
     if other == "lusztig":
         cd = qf.CartanDatum.standard(rd)

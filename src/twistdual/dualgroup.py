@@ -22,6 +22,7 @@ from fractions import Fraction
 from .lattice import (
     IntMatrix,
     Sublattice,
+    _check_int,
     integral_left_inverse,
     kernel_mod,
     smith_normal_form,
@@ -147,8 +148,8 @@ class Rank1Table:
 
 
 def rank1_table(r0: int, p: int = 1) -> Rank1Table:
-    if r0 < 1:
-        raise ValueError("the order must be a positive integer")
+    _check_int(r0, "r0")
+    _check_int(p, "p", positive=False)
     if math.gcd(p, r0) != 1:
         raise ValueError(f"p = {p} is not a unit modulo {r0}")
     adjoint = kernel_mod(IntMatrix([[2 * p]]), r0)
@@ -176,8 +177,8 @@ def fl_dual(rd: RootDatum, d: int, big_n: int) -> TwistedDual:
     denominator of d c^T K c / 4hN."""
     if not rd.is_irreducible():
         raise ValueError("this comparison is defined for irreducible root systems")
-    if d < 1 or big_n < 1:
-        raise ValueError("d and N must be positive")
+    _check_int(d, "d")
+    _check_int(big_n, "N")
     h, k = rd.coxeter_killing
     m = 4 * h * big_n
     lattice = kernel_mod(IntMatrix([[d * x for x in row] for row in k.data], cols=rd.rank),
@@ -190,8 +191,7 @@ def fl_dual(rd: RootDatum, d: int, big_n: int) -> TwistedDual:
 def lusztig_dual(cd: CartanDatum, order: int) -> TwistedDual:
     """Lusztig's dual datum at a root of unity of the given order: weights
     pair with each simple root in l_i Z where l_i = l / gcd(l, f(i))."""
-    if order < 1:
-        raise ValueError("the order must be a positive integer")
+    _check_int(order, "the order")
     rd = cd.rd
     l_i = [order // math.gcd(order, fi) for fi in cd.f]
     if rd.num_simple:

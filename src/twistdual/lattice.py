@@ -144,6 +144,13 @@ def _int_row(row):
     return ints
 
 
+def _check_int(n, what, positive=True):
+    """Raise ValueError unless n is an int, not a bool, and, when `positive`,
+    at least 1: the one rule for integer parameters."""
+    if type(n) is not int or (positive and n < 1):
+        raise ValueError(f"{what} {n!r} is not {'a positive' if positive else 'an'} integer")
+
+
 def _check_size(n, what):
     if type(n) is not int or n < 0:
         raise MalformedMatrixError(f"{what} {n!r} is not an integer >= 0")
@@ -387,8 +394,8 @@ def kernel_mod(m: IntMatrix, modulus=None) -> Sublattice:
 
     The exact kernel is saturated; the modular kernel has full rank.
     """
-    if modulus is not None and (type(modulus) is not int or modulus <= 0):
-        raise ValueError(f"modulus {modulus!r} is not a positive integer")
+    if modulus is not None:
+        _check_int(modulus, "modulus")
     if not any(map(any, m.data)):
         # the zero matrix kills everything, modulo anything
         return Sublattice.full(m.cols)

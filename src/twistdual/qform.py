@@ -25,6 +25,7 @@ from .lattice import (
     FGAbelianGroup,
     IntMatrix,
     Sublattice,
+    _check_int,
     _int_row,
     common_denominator,
     integral_left_inverse,
@@ -269,9 +270,12 @@ def det_form(rd: RootDatum, weights) -> DetForm:
 
 def killing_matrix(rd: RootDatum, component_index) -> IntMatrix:
     """Gram of the component's Killing-type form: sum of beta beta^T over
-    the roots beta of one irreducible component."""
-    return outer_sum((beta for beta, _ in rd.component_root_pairs(component_index)),
-                     rd.rank)
+    the roots beta of one irreducible component; ValueError unless the
+    index is an int, not a bool, in range(len(rd.components))."""
+    n = len(rd.components)
+    if type(component_index) is not int or not 0 <= component_index < n:
+        raise ValueError(f"component index {component_index!r} is not in range({n})")
+    return rd.killing[component_index][0]
 
 
 def killing_qform(rd: RootDatum, component_index, a: Exponent) -> QForm:
@@ -307,65 +311,49 @@ def decompose_integer_form(q: QForm) -> Decomposition:
     """Write q as a product of component Killing forms and a residual form
     whose Q and kappa vanish on the saturated coroot lattice.
 
-    Per component the Killing coefficient is an m-th root of Q on a short
-    simple coroot (m = Q_i of that coroot); all m candidate roots are
-    tried and the one with the smallest nonnegative rational part that
-    makes the residual conditions hold is kept.  Failure is reported, not
-    raised: forms that are not liftable to integer-valued forms have none.
+    Per component the Killing coefficient is an m-th root of Q on the short
+    simple coroot of `rd.killing` (m = 2h, Q_i of that coroot); all m
+    candidate roots are tried and the one with the smallest nonnegative
+    rational part that makes the residual conditions hold is kept.  Failure
+    is reported, not raised: forms not liftable to integer-valued forms have none.
     """
     rd = q.rd
     sat = saturation(rd.coroot_lattice())
     coeffs = []
-    form = residual = (q.n0.data, q.n1.data, q.den)
-    for ci, comp in enumerate(rd.components):
-        kmat = killing_matrix(rd, ci)
-        # m = Q_i >= 4 on a short simple coroot, the first one on ties
-        m, _, cor = min((dot(kmat.mul_vec(c), c) // 2, i, c)
-                        for i, c in zip(comp, map(rd.simple_coroots.row, comp)))
+    residual = q
+    for ci, (kmat, h, short) in enumerate(rd.killing):
+        m, cor = 2 * h, rd.simple_coroots.row(short)
         target = q.q(cor)
         # saturated basis vectors meeting this component
         comp_vectors = [v for v in sat.basis.data if any(kmat.mul_vec(v))]
         roots = (Exponent((target.rational + kk) / m, target.tau / m) for kk in range(m))
-        fits = (a for a in roots
-                if not _vanishing_failure(*_less_killing(form, a, kmat), comp_vectors))
-        choice = next(fits, None)
-        if choice is None:
+        for a in roots:
+            less = killing_qform(rd, ci, a).inverse()
+            if not _vanishing_failure(q.tensor(less), comp_vectors):
+                break
+        else:
             return Decomposition(
                 False, (), None,
                 f"no Killing coefficient fits component {ci} "
                 f"(short coroot {cor}, Q value {target})")
-        coeffs.append(choice)
-        residual = _less_killing(residual, choice, kmat)
+        coeffs.append(a)
+        residual = residual.tensor(less)
     # residual must be trivial on the saturated coroot lattice, against
     # everything for kappa and on itself for Q
-    why = _vanishing_failure(*residual, sat.basis.data)
-    n0, n1, den = residual
-    residual = QForm(rd, *([[Fraction(x, den) for x in r] for r in n] for n in (n0, n1)))
+    why = _vanishing_failure(residual, sat.basis.data)
     if why:
         return Decomposition(False, tuple(coeffs), residual, f"residual {why}")
     return Decomposition(True, tuple(coeffs), residual)
 
 
-def _less_killing(form, a, kmat):
-    """The form (n0 + tau n1) / den, given as (n0, n1, den), less a times
-    the Killing Gram kmat, in the same format."""
-    n0, n1, den = form
-    s = math.lcm(a.rational.denominator, a.tau.denominator)
-    return tuple([[s * x - c.numerator * (s // c.denominator) * den * k
-                   for x, k in zip(row, krow)] for row, krow in zip(n, kmat.data)]
-                 for n, c in ((n0, a.rational), (n1, a.tau))) + (den * s,)
-
-
-def _vanishing_failure(n0, n1, den, vectors):
-    """Why Q or kappa(v, .) of the form (n0 + tau n1) / den does not vanish
-    on some v of `vectors`; None when both vanish on all of them."""
+def _vanishing_failure(q: QForm, vectors):
+    """Why Q or kappa(v, .) of q does not vanish on some v of `vectors`;
+    None when both vanish on all of them."""
     for v in vectors:
-        u0 = [dot(row, v) for row in n0]
-        u1 = [dot(row, v) for row in n1]
-        if dot(u0, v) % (2 * den) or dot(u1, v):
+        if not q.q(v).is_zero():
             return f"Q is nonzero on {v}"
-        for j, (x0, x1) in enumerate(zip(u0, u1)):
-            if x0 % den or x1:
+        for j, (x0, x1) in enumerate(zip(q.n0.mul_vec(v), q.n1.mul_vec(v))):
+            if x0 % q.den or x1:
                 return f"kappa is nonzero on ({v}, e_{j})"
     return None
 
@@ -390,8 +378,7 @@ def epsilon_defect(q: QForm, coroot, lam) -> Exponent:
 def half_forms_qform(rd: RootDatum) -> QForm:
     """The parity form Q(lam) = (-1)^{<2 rho, lam>}, realized by half the
     adjoint Killing Gram; its bilinear form is trivial."""
-    k = outer_sum((beta for beta, _ in rd.root_pairs), rd.rank)
-    form = QForm(rd, [[Fraction(x, 2) for x in row] for row in k.data])
+    form = QForm(rd, _killing_sum(rd, lambda h: Fraction(1, 2)))
     # adjoint K is even, so kappa is integral
     if any(x % form.den for row in form.n0.data for x in row):
         raise ValueError("half the adjoint Killing form has a non-integral kappa")
@@ -518,26 +505,25 @@ class CartanDatum:
 def cartan_qform(cd: CartanDatum, order) -> QForm:
     """The form q^f for q a primitive `order`-th root of unity: the Gram of
     f divided by the order."""
+    _check_int(order, "the order")
     return QForm(cd.rd, [[x / order for x in row] for row in cd.bilinear_gram()])
 
 
 # -- standard Gram helpers -----------------------------------------------------
 
 
+def _killing_sum(rd: RootDatum, scale):
+    """The sum of scale(h) K over the `rd.killing` records (K, h, _)."""
+    grams = [(scale(h), k.data) for k, h, _ in rd.killing]
+    return tuple(tuple(sum((s * g[a][b] for s, g in grams), Fraction(0))
+                       for b in range(rd.rank)) for a in range(rd.rank))
+
+
 def normalized_killing_gram(rd: RootDatum):
-    """W-invariant rational Gram, the per-component Killing form scaled so
-    the shortest simple coroot has squared length 2."""
-    n = rd.rank
-    total = [[Fraction(0)] * n for _ in range(n)]
-    for ci, comp in enumerate(rd.components):
-        k = killing_matrix(rd, ci)
-        shortest = min(dot(k.mul_vec(rd.simple_coroots.row(i)),
-                           rd.simple_coroots.row(i)) for i in comp)
-        scale = Fraction(2, shortest)
-        for a in range(n):
-            for b in range(n):
-                total[a][b] += scale * k.data[a][b]
-    return tuple(tuple(row) for row in total)
+    """W-invariant rational Gram, the sum of K / 2h over the components, so
+    that each component's short coroots have squared length 2: Finkelberg-
+    Lysenko's iota on an irreducible datum."""
+    return _killing_sum(rd, lambda h: Fraction(1, 2 * h))
 
 
 def invariant_gram_basis(rd: RootDatum):

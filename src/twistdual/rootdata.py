@@ -11,10 +11,10 @@ they are reduced.  A finite-type Cartan matrix is nondegenerate, so R and
 V then have independent rows; their ranks are computed only when the
 matrix fails, to name the dependence.  A failure is never cached.  Each
 datum maps the record by its own R and V into one root table of (root,
-coroot, root coordinates) triples, from which the roots, the heights and
-the highest root are read without a solve.  pi1 is read off the Smith
-form of V, which `isomorphic` shares; the Weyl group is enumerated only
-on demand.
+coroot, root coordinates) triples, from which the roots, the heights, the
+highest root and the per-component Killing record are read without a
+solve.  pi1 is read off the Smith form of V, which `isomorphic` shares;
+the Weyl group is enumerated only on demand.
 
 `weight_chamber` and `coweight_chamber` are the one walk to the dominant
 chamber: a vector's labels (its pairings with the simple vectors of the
@@ -428,11 +428,6 @@ class RootDatum:
     def is_irreducible(self):
         return len(self.components) == 1
 
-    def component_root_pairs(self, component_index):
-        comp = set(self.components[component_index])
-        return tuple((beta, cobeta) for beta, cobeta, coords in self._root_table
-                     if all(i in comp for i, c in enumerate(coords) if c))
-
     def highest_root(self):
         """The root that dominates every other root: the positive root of
         greatest height, checked coordinate-wise against every positive root
@@ -445,30 +440,32 @@ class RootDatum:
             raise RootDatumError("no highest root found")
         return beta, cobeta
 
-    def dual_coxeter_and_iota(self):
-        """Dual Coxeter number and the normalized sum-over-roots map.
-
-        Returns (h, J) where h = 1 + <rho, theta_coroot> for the highest
-        root theta, and J is the rational matrix of
-        lam -> (1/2h) sum_beta <beta, lam> beta from coweights to weights.
-        """
-        return self._coxeter_iota
-
     @cached_property
-    def _coxeter_iota(self):
-        h, k = self.coxeter_killing
-        return h, tuple(tuple(Fraction(x, 2 * h) for x in row) for row in k.data)
+    def killing(self):
+        """(K, h, i) per component, in `components` order: K = sum of beta
+        beta^T over the component's roots, i the index of the first simple
+        coroot of least K-length, and h that length / 4, the dual Coxeter
+        number, since sum_beta <beta, a^v>^2 = 4h for a short coroot a^v
+        (Kac, *Infinite-dimensional Lie algebras*, Ch. 6)."""
+        records = []
+        for comp in self.components:
+            k = outer_sum((beta for beta, _, coords in self._root_table
+                           if any(coords[i] for i in comp)), self.rank)
+            length, i = min((dot(k.mul_vec(c), c), i)
+                            for i, c in zip(comp, map(self.simple_coroots.row, comp)))
+            if length % 4:
+                raise RootDatumError(f"short coroot {i} has Killing length {length}, not 4h")
+            records.append((k, length // 4, i))
+        return tuple(records)
 
-    @cached_property
+    @property
     def coxeter_killing(self):
-        """(h, K): the dual Coxeter number and the integer Gram K = sum of
-        beta beta^T over all roots, so that J = K / 2h."""
-        _, theta_cov = self.highest_root()
-        two_pairing = dot(self.two_rho, theta_cov)
-        if two_pairing % 2:
-            raise RootDatumError("<rho, theta_coroot> is not an integer")
-        k = outer_sum((beta for beta, _ in self.root_pairs), self.rank)
-        return 1 + two_pairing // 2, k
+        """(h, K) of an irreducible datum, so that iota = K / 2h; a
+        ValueError on a reducible datum or a torus."""
+        if not self.is_irreducible():
+            raise ValueError("dual Coxeter data requires an irreducible system")
+        k, h, _ = self.killing[0]
+        return h, k
 
     def iota_pairing(self, lam, mu):
         """The normalized pairing (lam, mu) = <iota(lam), mu> on coweights."""

@@ -3,8 +3,10 @@ pairs under the simple reflections on full-length vectors, kept apart from
 the library's height-raising walk in Cartan coordinates so that the tests
 check the root table, and the isomorphism witnesses, against an
 independent routine.  Likewise the W-orbit of one vector, closed under the
-simple reflections, for the library's chamber walk, and Weyl's dimension
-product in Fractions over the closure, for its product on Dynkin labels."""
+simple reflections, for the library's chamber walk, Weyl's dimension
+product in Fractions over the closure, for its product on Dynkin labels,
+and the dual Coxeter number 1 + <rho, theta^v> from the highest root, for
+the library's Killing record."""
 
 from fractions import Fraction
 
@@ -75,6 +77,18 @@ def highest_root(simple_coroots, pairs, coords):
                 x >= y for c in coords.values() for x, y in zip(coords[beta], c)):
             return beta, cobeta
     return None
+
+
+def dual_coxeter(simple_roots, simple_coroots):
+    """1 + <rho, theta^v> for the highest root theta of the irreducible
+    system of the given simple pairs, with rho half the sum of the positive
+    roots of the closure: a Fraction, an integer on a root system."""
+    pairs = root_pairs(simple_roots, simple_coroots)
+    coords = {b: root_coordinates(simple_roots, b) for b, _ in pairs}
+    positive = positive_root_pairs(pairs, coords)
+    _, theta_cov = highest_root(simple_coroots, pairs, coords)
+    two_rho = [sum(col) for col in zip(*(b for b, _ in positive))]
+    return 1 + Fraction(_dot(two_rho, theta_cov), 2)
 
 
 def orbit(v, simple, cosimple):

@@ -116,7 +116,7 @@ def test_criterion_03_fl_agreement():
     cases = 0
     for name in ("SL2", "PGL2", "SL3", "Sp4"):
         rd = standard(name)
-        _, j = rd.dual_coxeter_and_iota()
+        j = normalized_killing_gram(rd)
         for d in (1, 2):
             for big_n in range(1, 13):
                 fl = fl_dual(rd, d, big_n)

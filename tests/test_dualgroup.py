@@ -200,6 +200,24 @@ class TestRank1Table:
             rank1_table(6, 2)
 
 
+# d, N, the orders and r0 are ints >= 1 and p is an int, none of them a
+# bool; anything else is a ValueError naming the parameter.
+@pytest.mark.parametrize("call,name", [
+    (lambda: cartan_qform(CartanDatum.standard(SL2), 0), "the order"),
+    (lambda: fl_dual(SL2, 1.5, 2), "d"),
+    (lambda: lusztig_dual(CartanDatum.standard(SL2), 2.0), "the order"),
+    (lambda: rank1_table(2.0), "r0"),
+    (lambda: rank1_table(4, 3.0), "p"),
+    (lambda: fl_dual(SL2, 1, 2.0), "N"),
+    (lambda: fl_dual(SL2, True, 2), "d"),
+    (lambda: lusztig_dual(CartanDatum.standard(SL2), True), "the order"),
+], ids=["cartan_qform-zero", "fl-float-d", "lusztig-float", "rank1-float-r0",
+        "rank1-float-p", "fl-float-N", "fl-bool-d", "lusztig-bool"])
+def test_integer_parameters_checked(call, name):
+    with pytest.raises(ValueError, match=f"^{name} .* is not (a positive|an) integer$"):
+        call()
+
+
 class TestFLDual:
     def test_sl2_level_three(self):
         td = fl_dual(SL2, 1, 3)
@@ -226,7 +244,7 @@ class TestFLDual:
     @pytest.mark.parametrize("name", ["SL2", "PGL2", "SL3", "Sp4"])
     def test_agrees_with_twisted(self, name):
         rd = standard(name)
-        _, j = rd.dual_coxeter_and_iota()
+        j = normalized_killing_gram(rd)
         for d in (1, 2):
             for big_n in (1, 2, 3, 5, 8, 12):
                 fl = fl_dual(rd, d, big_n)
@@ -239,7 +257,7 @@ class TestFLDual:
     def test_equals_twisted_of_scaled_iota(self, name):
         # not only isomorphic: the same sublattice and the same multipliers
         rd = standard(name)
-        _, j = rd.dual_coxeter_and_iota()
+        j = normalized_killing_gram(rd)
         for d in (1, 2, 3):
             for big_n in range(1, 13):
                 fl = fl_dual(rd, d, big_n)

@@ -390,6 +390,20 @@ class TestKilling:
         assert q.q((1, 0)).is_zero()
 
 
+# The component index is checked at the library edge: an int, not a bool,
+# in range(len(rd.components)); -1 no longer wraps to the last component.
+@pytest.mark.parametrize("call", [
+    lambda: killing_qform(SL3, -1, Exponent.of(Fraction(1, 3))),
+    lambda: killing_matrix(standard("SL2xSL3"), True),
+    lambda: component_killing_value(standard("SL2xSL3"), 2, (1, 0, 0)),
+    lambda: killing_qform(SL2, 5, Exponent.of(Fraction(1, 4))),
+    lambda: killing_qform(standard("T1"), 0, Exponent.of(Fraction(1, 4))),
+], ids=["negative", "bool", "past-end", "past-end-rank1", "torus"])
+def test_component_index_checked(call):
+    with pytest.raises(ValueError, match="component index .* is not in range"):
+        call()
+
+
 class TestDecompose:
     def test_sl2_integral_gram(self):
         dec = decompose_integer_form(qform_from_gram(SL2, [[2]]))
@@ -432,6 +446,28 @@ class TestDecompose:
                     mu = tuple(rng.randint(-4, 4) for _ in range(rd.rank))
                     assert rebuilt.q(lam) == q.q(lam)
                     assert rebuilt.kappa(lam, mu) == q.kappa(lam, mu)
+
+    @pytest.mark.parametrize("label", ["SL2", "PGL2", "GL2", "SL3", "Sp4", "G2",
+                                       "SL2xSL3", "Sp4xG2xSL2", "PGL3xSp4", "GL2xT1"])
+    def test_residual_matches_integer_arithmetic(self, label):
+        # the residual built from QForm values equals q less each coefficient
+        # times its Killing Gram, in integer numerators over one denominator
+        rng = random.Random(f"residual/{label}")
+        for b in range(3):
+            rd = standard(label) if b == 0 else _rebased(
+                standard(label), [(rng.randrange(6), rng.randrange(6), rng.randint(-2, 2))
+                                  for _ in range(5)])
+            for _ in range(6):
+                q = random_invariant_form(rd, rng, with_tau=rng.random() < 0.5)
+                dec = decompose_integer_form(q)
+                if dec.residual is None:
+                    continue
+                form = (q.n0.data, q.n1.data, q.den)
+                for ci, a in enumerate(dec.coefficients):
+                    form = form_oracle.less_killing(form, a, killing_matrix(rd, ci))
+                n0, n1, den = form
+                assert dec.residual.g0 == tuple(tuple(Fraction(x, den) for x in r) for r in n0)
+                assert dec.residual.g1 == tuple(tuple(Fraction(x, den) for x in r) for r in n1)
 
     def test_synthetic_failure(self):
         # a fake form whose claimed values cannot come from any integral
@@ -633,14 +669,24 @@ class TestCartanDatum:
 
 class TestGramHelpers:
     def test_normalized_killing_short_coroots(self):
-        for rd in (SL2, PGL2, SL3, SP4, G2):
+        # each component's shortest simple coroot has squared length 2, and on
+        # an irreducible datum the Gram is K / 2h, in rebased bases too
+        rng = random.Random(29)
+        for label, b in itertools.product(
+                ("SL2", "PGL2", "SL3", "PGL3", "Sp4", "G2", "SL4", "SL2xSL3",
+                 "Sp4xG2xSL2", "G2xG2", "PGL3xSp4", "GL2xT1"), range(3)):
+            rd = standard(label) if b == 0 else _rebased(
+                standard(label), [(rng.randrange(6), rng.randrange(6), rng.randint(-2, 2))
+                                  for _ in range(5)])
             g = normalized_killing_gram(rd)
-            lengths = []
-            for i in range(rd.num_simple):
-                cor = rd.simple_coroots.row(i)
-                lengths.append(sum(g[a][b] * cor[a] * cor[b]
-                                   for a in range(rd.rank) for b in range(rd.rank)))
-            assert min(lengths) == 2
+            for comp in rd.components:
+                lengths = [sum(g[x][y] * c[x] * c[y] for x in range(rd.rank)
+                               for y in range(rd.rank))
+                           for c in map(rd.simple_coroots.row, comp)]
+                assert min(lengths) == 2
+            if rd.is_irreducible():
+                h, k = rd.coxeter_killing
+                assert g == tuple(tuple(Fraction(x, 2 * h) for x in r) for r in k.data)
 
     @pytest.mark.parametrize("label", ["SL2xG2", "SL3xSp4", "GL3"])
     def test_component_killing_sums_to_half_forms(self, label):

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -677,18 +678,73 @@ class TestOrbitDims:
             standard("SL2").orbit_dim((-1,))
 
 
+def _oracle_dual_coxeter(rd, comp):
+    """The reference h of one component: 1 + <rho, theta^v> over the
+    closure of its simple pairs (`root_oracle.dual_coxeter`)."""
+    return root_oracle.dual_coxeter([rd.simple_roots.row(i) for i in comp],
+                                    [rd.simple_coroots.row(i) for i in comp])
+
+
 class TestCoxeterData:
+    """`coxeter_killing` and the `killing` record it reads: h is 1/4 of the
+    least Killing length of a simple coroot, checked against the oracle's
+    1 + <rho, theta^v> from the highest root."""
+
     @pytest.mark.parametrize("name,h", [
         ("SL2", 2), ("PGL2", 2), ("SL3", 3), ("SL4", 4), ("Sp4", 3), ("G2", 4),
     ])
     def test_dual_coxeter_numbers(self, name, h):
-        assert standard(name).dual_coxeter_and_iota()[0] == h
+        rd = standard(name)
+        assert rd.coxeter_killing[0] == h == _oracle_dual_coxeter(rd, rd.components[0])
+
+    LABELS = TestRootTable.LABELS + ("SL2xSL3", "Sp4xG2xSL2", "G2xG2", "PGL3xSp4")
+
+    @pytest.mark.parametrize("name", LABELS)
+    def test_record_matches_oracle(self, name):
+        rd = standard(name)
+        self._check_record(rd)
+
+    def test_record_matches_oracle_rebased(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        labels = ("SL3", "PGL3", "Sp4", "G2", "SL2xSL3", "Sp4xG2xSL2", "G2xG2",
+                  "PGL3xSp4", "GL2xT1")
+        data = {name: standard(name) for name in labels}
+        moves = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                                   st.integers(-2, 2)), max_size=6)
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(st.sampled_from(labels), moves)
+        def check(name, basis_moves):
+            rd = _rebased(data[name], basis_moves)
+            self._check_record(rd)
+            # h and the short coroot's index do not depend on the basis
+            assert [h for _, h, _ in rd.killing] == [h for _, h, _ in data[name].killing]
+            assert [i for *_, i in rd.killing] == [i for *_, i in data[name].killing]
+
+        check()
+
+    @staticmethod
+    def _check_record(rd):
+        assert len(rd.killing) == len(rd.components)
+        for comp, (k, h, i) in zip(rd.components, rd.killing):
+            assert h == _oracle_dual_coxeter(rd, comp)
+            # K is the sum of beta beta^T over the component's roots
+            members = [b for b, _ in root_oracle.root_pairs(
+                [rd.simple_roots.row(j) for j in comp],
+                [rd.simple_coroots.row(j) for j in comp])]
+            assert k.data == tuple(tuple(sum(b[x] * b[y] for b in members)
+                                         for y in range(rd.rank)) for x in range(rd.rank))
+            # i is the first simple coroot of least K-length, and that length is 4h
+            lengths = [dot(rd.simple_coroots.row(j), k.mul_vec(rd.simple_coroots.row(j)))
+                       for j in comp]
+            assert i == comp[lengths.index(min(lengths))]
+            assert min(lengths) == 4 * h
 
     def test_sl2_iota_of_coroot_is_root(self):
-        rd = standard("SL2")
-        _, j = rd.dual_coxeter_and_iota()
+        h, k = standard("SL2").coxeter_killing
         # iota(coroot) = (1/4)(2*alpha + 2*alpha) = alpha = (2)
-        assert [j[a][0] * 1 for a in range(1)] == [2]
+        assert [Fraction(x, 2 * h) for x in k.mul_vec((1,))] == [2]
 
     def test_sl2_pairing_value(self):
         rd = standard("SL2")
@@ -696,15 +752,20 @@ class TestCoxeterData:
 
     def test_computed_once_per_datum(self):
         rd = standard("G2")
-        assert rd.dual_coxeter_and_iota() is rd.dual_coxeter_and_iota()
+        assert rd.killing is rd.killing
+        assert rd.coxeter_killing[1] is rd.killing[0][0]
 
     def test_reducible_rejected(self):
-        with pytest.raises(ValueError):
-            standard("SL2xSL2").dual_coxeter_and_iota()
+        rd = standard("SL2xSL2")
+        with pytest.raises(ValueError, match="irreducible"):
+            rd.coxeter_killing
+        assert len(rd.killing) == 2
 
     def test_torus_rejected(self):
-        with pytest.raises(ValueError):
-            standard("torus2").dual_coxeter_and_iota()
+        rd = standard("torus2")
+        with pytest.raises(ValueError, match="irreducible"):
+            rd.coxeter_killing
+        assert rd.killing == ()
 
 
 class TestSerialization:
