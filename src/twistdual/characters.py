@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from operator import mul, sub
 
 from .dualgroup import TwistedDual, twisted_dual
@@ -99,8 +99,9 @@ def _character_table(cartan, labels):
                     f"multiplicities are not Weyl-invariant at depth {c} (reflection {i})")
     if len(cartan) <= 2:
         orbit = _weyl_orbit(cartan, tuple(x + 1 for x in labels))
+        count = _kostant_count(cartan)
         for c, m in mults.items():
-            bm = _weyl_sum(cartan, orbit, c)
+            bm = _weyl_sum(count, orbit, c)
             if bm != m:
                 raise CharacterError(
                     f"Freudenthal ({m}) and Weyl sum ({bm}) disagree at depth {c}")
@@ -183,11 +184,11 @@ def _weyl_orbit(cartan, shifted):
     return tuple(seen.values())
 
 
-def _weyl_sum(cartan, orbit, depth):
+def _weyl_sum(count, orbit, depth):
     """The Weyl character formula's alternating sum at depth `depth` below
     lam: sum_w det(w) P(w (lam + rho) - (mu + rho)), the argument having
-    root coordinates depth - t for each (det w, t) of `orbit`."""
-    count = _kostant_count(cartan)
+    root coordinates depth - t for each (det w, t) of `orbit`, P read from
+    the Kostant counter `count`."""
     total = 0
     for sign, t in orbit:
         rest = tuple(map(sub, depth, t))
@@ -196,28 +197,29 @@ def _weyl_sum(cartan, orbit, depth):
     return total
 
 
-@lru_cache(maxsize=16)
 def _kostant_count(cartan):
     """Kostant's partition function: count(c, 0) ways to write root
-    coordinates c >= 0 as a sum of positive roots, one memo per matrix."""
+    coordinates c >= 0 as a sum of positive roots, one memo per counter,
+    which is freed with the counter: nothing in it refers back to it."""
     # Only the roots of height >= 2 are enumerated: what they leave, if
     # nonnegative, is a sum of simple roots in exactly one way.
     pos = sorted((c for c, _ in _cartan_system(cartan).positive if sum(c) > 1),
                  reverse=True)
+    return partial(_count, pos, {})
 
-    @lru_cache(maxsize=None)
-    def count(remaining, idx):
-        if idx == len(pos):
-            return 1
-        total = 0
-        step = pos[idx]
-        cur = remaining
+
+def _count(pos, memo, remaining, idx):
+    """Partitions of `remaining` into pos[idx:] and simple roots."""
+    if idx == len(pos):
+        return 1
+    key = remaining, idx
+    if key not in memo:
+        total, cur = 0, remaining
         while min(cur) >= 0:
-            total += count(cur, idx + 1)
-            cur = tuple(map(sub, cur, step))
-        return total
-
-    return count
+            total += _count(pos, memo, cur, idx + 1)
+            cur = tuple(map(sub, cur, pos[idx]))
+        memo[key] = total
+    return memo[key]
 
 
 def kostant_partition(rd: RootDatum, v) -> int:
@@ -238,7 +240,8 @@ def weyl_multiplicity(rd: RootDatum, highest, weight) -> int:
     if depth is None:
         return 0
     shifted = tuple(x + 1 for x in rd.simple_coroots.mul_vec(highest))
-    return _weyl_sum(rd.cartan_matrix, _weyl_orbit(rd.cartan_matrix, shifted), depth)
+    cartan = rd.cartan_matrix
+    return _weyl_sum(_kostant_count(cartan), _weyl_orbit(cartan, shifted), depth)
 
 
 def weyl_dim(rd: RootDatum, highest) -> int:

@@ -127,9 +127,9 @@ def _echo_dual(td: dg.TwistedDual):
         click.echo("dropped coroots: " + ", ".join(str(i) for i in td.dropped))
     click.echo(f"dual rank: {td.datum.rank}")
     click.echo("dual simple roots: "
-               + json.dumps([list(r) for r in td.new_simple_roots.data]))
+               + json.dumps([list(r) for r in td.datum.simple_roots.data]))
     click.echo("dual simple coroots: "
-               + json.dumps([list(r) for r in td.new_simple_coroots.data]))
+               + json.dumps([list(r) for r in td.datum.simple_coroots.data]))
     click.echo(f"dual type: {_classify(td.datum)}")
 
 
@@ -393,8 +393,6 @@ def rank1_table_cmd(r0, p):
 def killing(group, rd_file, component, a_exp, a_tau):
     """Killing-type form of one irreducible component at a given value."""
     rd = _load_datum(group, rd_file)
-    if not 0 <= component < len(rd.components):
-        raise DomainError(f"component {component} out of range")
     a = Exponent(_fraction(a_exp), _fraction(a_tau))
     form = qf.killing_qform(rd, component, a)
     click.echo(f"group: {rd.name or 'custom'}  component: {component}  a: {a}")

@@ -41,27 +41,29 @@ class TwistedDual:
     """A dual root datum with its embedding data into the source lattice."""
 
     source: RootDatum
-    weight_sublattice: Sublattice
-    basis: IntMatrix                # rows: chosen basis of the weight sublattice
+    weight_sublattice: Sublattice   # the dual weights, on its Hermite basis
     multipliers: tuple              # per source simple coroot; None encodes infinity
-    dropped: tuple                  # indices with infinite multiplier
-    new_simple_roots: IntMatrix     # rows, in basis coordinates
-    new_simple_coroots: IntMatrix   # rows, in dual basis coordinates
-    datum: RootDatum                # the induced (validated) root datum
+    datum: RootDatum                # the induced (validated) root datum, in basis coordinates
+
+    @property
+    def dropped(self):
+        """Indices with infinite multiplier."""
+        return tuple(i for i, r in enumerate(self.multipliers) if r is None)
 
     def to_dict(self):
         d = self.datum.to_dict()
-        d["weight_sublattice"] = [list(r) for r in self.basis.data]
+        d["weight_sublattice"] = [list(r) for r in self.weight_sublattice.basis.data]
         d["multipliers"] = list(self.multipliers)
         d["dropped"] = list(self.dropped)
         return d
 
     def root_in_source(self, i):
-        """The i-th dual simple root as a vector in the source coweights."""
-        coeffs = self.new_simple_roots.row(i)
-        return tuple(
-            sum(c * self.basis.data[k][j] for k, c in enumerate(coeffs))
-            for j in range(self.source.rank))
+        """The i-th dual simple root as a vector in the source coweights;
+        ValueError unless i is an int, not a bool, in range(datum.num_simple)."""
+        n = self.datum.num_simple
+        if type(i) is not int or not 0 <= i < n:
+            raise ValueError(f"simple root index {i!r} is not in range({n})")
+        return self.weight_sublattice.member_from_coefficients(self.datum.simple_roots.row(i))
 
 
 def _assemble_dual(rd: RootDatum, weight_lattice: Sublattice, multipliers,
@@ -72,11 +74,9 @@ def _assemble_dual(rd: RootDatum, weight_lattice: Sublattice, multipliers,
     k = weight_lattice.rank
     new_roots = []
     new_coroots = []
-    dropped = []
     for i in range(rd.num_simple):
         r = multipliers[i]
         if r is None:
-            dropped.append(i)
             continue
         scaled = vec_scale(r, rd.simple_coroots.row(i))
         coords = weight_lattice.coefficients(scaled)
@@ -89,22 +89,9 @@ def _assemble_dual(rd: RootDatum, weight_lattice: Sublattice, multipliers,
             raise PaperContractViolation(
                 f"alpha_{i}/{r} is not integral on the dual weight lattice")
         new_coroots.append([x // r for x in pairings])
-    datum = RootDatum(
-        IntMatrix(new_roots, cols=k),
-        IntMatrix(new_coroots, cols=k),
-        rank=k,
-        name=name,
-    )
-    return TwistedDual(
-        source=rd,
-        weight_sublattice=weight_lattice,
-        basis=basis,
-        multipliers=tuple(multipliers),
-        dropped=tuple(dropped),
-        new_simple_roots=datum.simple_roots,
-        new_simple_coroots=datum.simple_coroots,
-        datum=datum,
-    )
+    datum = RootDatum(IntMatrix(new_roots, cols=k), IntMatrix(new_coroots, cols=k),
+                      rank=k, name=name)
+    return TwistedDual(rd, weight_lattice, tuple(multipliers), datum)
 
 
 def twisted_dual(rd: RootDatum, q: QForm, mode="full") -> TwistedDual:
@@ -241,14 +228,14 @@ def quantum_dual_pair(rd: RootDatum, b) -> QuantumPair:
     left = twisted_dual(rd, left_form, "full")
     right = twisted_dual(l_rd, right_form, "full")
     rows = []
-    for u in left.basis.data:
+    for u in left.weight_sublattice.basis.data:
         img = n0.mul_vec(u)                        # den times b u
         coords = (None if any(x % den for x in img)
                   else right.weight_sublattice.coefficients([x // den for x in img]))
         if coords is None:
             return QuantumPair(left, right, None, False)
         rows.append(coords)
-    iso = IntMatrix(rows, cols=right.basis.rows)
+    iso = IntMatrix(rows, cols=right.weight_sublattice.rank)
     if not iso.is_unimodular():
         return QuantumPair(left, right, None, False)
     return QuantumPair(left, right, iso, True)

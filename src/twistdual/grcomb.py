@@ -24,7 +24,10 @@ class ComponentIndex:
 
     @classmethod
     def of(cls, coweights):
-        return cls(tuple(_int_row(v) for v in coweights))
+        rows = tuple(_int_row(v) for v in coweights)
+        if len({len(v) for v in rows}) > 1:
+            raise ValueError(f"coweights of unequal rank: {[len(v) for v in rows]}")
+        return cls(rows)
 
     @property
     def n(self):
@@ -42,11 +45,17 @@ class ComponentIndex:
         return self.part_sum(range(self.n))
 
 
+def _check_same_shape(a: ComponentIndex, b: ComponentIndex):
+    if a.n != b.n:
+        raise ValueError("component indices have different n")
+    if a.rank != b.rank:
+        raise ValueError("component indices have different rank")
+
+
 def meets_over(a: ComponentIndex, b: ComponentIndex, p: Partition) -> bool:
     """Whether the two components intersect over the diagonal of p: every
     part must have equal coordinate sums."""
-    if a.n != b.n:
-        raise ValueError("component indices have different n")
+    _check_same_shape(a, b)
     if p.n != a.n:
         raise ValueError("partition size mismatch")
     return all(a.part_sum(part) == b.part_sum(part) for part in p.parts)
@@ -60,8 +69,7 @@ def incident(a: ComponentIndex, b: ComponentIndex):
     running difference of coweight sums cancels; while the difference is
     nonzero the cumulative constraint forces the group to keep growing.
     """
-    if a.n != b.n:
-        raise ValueError("component indices have different n")
+    _check_same_shape(a, b)
     rank = a.rank
     zero = (0,) * rank
     parts = []

@@ -287,26 +287,6 @@ def _hermite_rows(rows, ncols):
     return tuple(map(tuple, mat[:pr]))
 
 
-def _is_hermite(rows):
-    """Whether the rows are already what `_hermite_rows` returns: nonzero,
-    pivots strictly to the right row by row, each pivot positive, and the
-    entries above it reduced into [0, pivot)."""
-    last = -1
-    for k, row in enumerate(rows):
-        for c, p in enumerate(row):
-            if p:
-                break
-        else:
-            return False
-        if c <= last or p < 0:
-            return False
-        for above in rows[:k]:
-            if not 0 <= above[c] < p:
-                return False
-        last = c
-    return True
-
-
 @dataclass(frozen=True)
 class Sublattice:
     """A sublattice of Z^ambient_rank, stored by its Hermite-form basis."""
@@ -321,10 +301,9 @@ class Sublattice:
         if self.basis.cols != self.ambient_rank:
             raise ValueError(f"basis of width {self.basis.cols} in Z^{self.ambient_rank}")
         # equality, coefficients and contains read the basis as Hermite
-        # form; a basis given in another shape is reduced here, once
-        if not _is_hermite(self.basis.data):
-            object.__setattr__(self, "basis", _trusted_matrix(
-                _hermite_rows(self.basis.data, self.ambient_rank), self.ambient_rank))
+        # form, so a basis given from outside is reduced here
+        object.__setattr__(self, "basis", _trusted_matrix(
+            _hermite_rows(self.basis.data, self.ambient_rank), self.ambient_rank))
 
     @classmethod
     def _hermite(cls, ambient_rank, rows):

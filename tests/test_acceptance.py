@@ -201,7 +201,7 @@ def test_criterion_06_dual_validity():
             scaled = tuple(r * x for x in td.source.simple_coroots.row(i))
             assert td.weight_sublattice.contains(scaled)
             alpha = td.source.simple_roots.row(i)
-            for b in td.basis.data:
+            for b in td.weight_sublattice.basis.data:
                 assert dot(alpha, b) % r == 0
     _report(6, f"root-datum axioms on {len(_collected_duals)} duals", started)
 

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -288,13 +289,40 @@ class TestKostant:
         assert kostant_partition(SL3, (-2, 1)) == 0
 
     def test_counts_do_not_hold_the_datum(self):
-        # one memo per Cartan matrix, which holds no datum
+        # the counter is built from the Cartan matrix and holds no datum
         rd = standard("G2")
         assert kostant_partition(rd, rd.two_rho) > 0
         ref = weakref.ref(rd)
         del rd
         gc.collect()
         assert ref() is None
+
+    def test_memo_does_not_outlive_its_question(self):
+        # a memo kept per Cartan matrix held 0.24 MB after this call
+        rd = standard("SL5")
+        assert weyl_multiplicity(rd, (0,) * 4, (0,) * 4) == 1
+        tracemalloc.start()
+        try:
+            assert weyl_multiplicity(rd, (2,) * 4, (0,) * 4) == 219
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 50_000
+
+    def test_counter_is_freed_without_a_collection(self):
+        # nothing in a counter refers back to it, so its memo goes with it
+        count = characters._kostant_count(SL3.cartan_matrix)
+        assert count((2, 2), 0) == 3
+        ref = weakref.ref(count)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del count
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestTensor:

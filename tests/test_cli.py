@@ -58,6 +58,29 @@ class TestDual:
         assert res.exit_code == 0
         assert "weight lattice: 3Z" in res.output
 
+    def test_form_file_with_a_dropped_coroot(self, tmp_path):
+        # Q = diag(2/3, tau) on SL2 x SL2: the second coroot has infinite order
+        (tmp_path / "rd.json").write_text(json.dumps(
+            {"rank": 2, "simple_roots": [[2, 0], [0, 2]],
+             "simple_coroots": [[1, 0], [0, 1]], "name": "SL2xSL2"}))
+        form_file = tmp_path / "form.json"
+        form_file.write_text(json.dumps({
+            "root_datum": "rd.json",
+            "gram_rational": [[[2, 3], [0, 1]], [[0, 1], [0, 1]]],
+            "gram_transcendental": [[[0, 1], [0, 1]], [[0, 1], [1, 1]]]}))
+        out = tmp_path / "dual.json"
+        res = run("dual", "--form-file", str(form_file), "--emit", str(out))
+        assert res.exit_code == 0
+        assert res.output.splitlines() == [
+            "group: SL2xSL2", "mode: full", "weight lattice: span{(3,0)}",
+            "multipliers: [3, inf]", "dropped coroots: 1", "dual rank: 1",
+            "dual simple roots: [[1]]", "dual simple coroots: [[2]]",
+            "dual type: A1 (adjoint)"]
+        assert json.loads(out.read_text()) == {
+            "rank": 1, "simple_roots": [[1]], "simple_coroots": [[2]],
+            "name": "dual(SL2xSL2)", "weight_sublattice": [[3, 0]],
+            "multipliers": [3, None], "dropped": [1]}
+
 
 class TestCompare:
     def test_fl_agreement(self):
@@ -180,6 +203,12 @@ class TestErrors:
         res = run("validate", "--group", label)
         assert res.exit_code == 1
         assert res.output == f"Error: empty factor in group label {label!r}\n"
+
+    def test_killing_component_out_of_range(self):
+        # the library's index check, reported as a domain error
+        res = run("killing", "--group", "SL3", "--component", "5")
+        assert res.exit_code == 1
+        assert res.output == "Error: component index 5 is not in range(1)\n"
 
     def test_domain_error_exit_one(self):
         res = run("fl-dual", "--group", "SL2xSL2", "--d", "1", "--n", "2")

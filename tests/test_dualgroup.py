@@ -59,8 +59,8 @@ class TestTwistedDual:
         assert td.weight_sublattice.basis.data == ((3,),)
         assert td.multipliers == (3,)
         # 3 * coroot = 6 = 2 * basis vector, functional alpha/3 = 1 on basis
-        assert td.new_simple_roots.data == ((2,),)
-        assert td.new_simple_coroots.data == ((1,),)
+        assert td.datum.simple_roots.data == ((2,),)
+        assert td.datum.simple_coroots.data == ((1,),)
         assert td.datum.pi1().is_trivial()  # simply connected A1
 
     def test_trivial_form_is_langlands(self):
@@ -83,6 +83,29 @@ class TestTwistedDual:
         assert td.multipliers == (None,)
         assert td.dropped == (0,)
         assert td.datum.rank == 0
+
+    def test_one_of_two_coroots_dropped(self):
+        # Q = diag(2/3, tau) on SL2 x SL2: order 3 on the first coroot,
+        # infinite order on the second
+        rd = standard("SL2xSL2")
+        td = twisted_dual(rd, QForm(rd, [[Fraction(2, 3), 0], [0, 0]], [[0, 0], [0, 1]]))
+        assert td.dropped == (1,)
+        assert td.to_dict() == {
+            "rank": 1, "simple_roots": [[1]], "simple_coroots": [[2]],
+            "name": "dual(SL2xSL2)", "weight_sublattice": [[3, 0]],
+            "multipliers": [3, None], "dropped": [1]}
+        assert td.root_in_source(0) == (3, 0)
+
+    # an index outside range(datum.num_simple) read another root: -1 on
+    # PGL2 gave root 0, and True and -2 on SL3 gave roots 1 and 0
+    @pytest.mark.parametrize("dual,index", [
+        (lambda: twisted_dual(PGL2, qform_from_gram(PGL2, [[Fraction(2, 3)]])), -1),
+        (lambda: langlands_dual(SL3), True),
+        (lambda: langlands_dual(SL3), -2),
+    ], ids=["pgl2-minus-one", "sl3-true", "sl3-minus-two"])
+    def test_root_in_source_rejects_other_indices(self, dual, index):
+        with pytest.raises(ValueError, match=f"index {index!r} is not in range"):
+            dual().root_in_source(index)
 
     def test_multipliers_constant_on_weyl_orbits(self):
         rng = random.Random(97)
@@ -128,7 +151,7 @@ class TestDualMemo:
     def test_modes_do_not_collide(self):
         q = qform_from_gram(GL2, self.THIRD)
         full, coroot = twisted_dual(GL2, q, "full"), twisted_dual(GL2, q, "coroot")
-        assert full.basis != coroot.basis
+        assert full.weight_sublattice.basis != coroot.weight_sublattice.basis
         # asked in the other order, a fresh form gives the same two duals
         fresh = qform_from_gram(GL2, self.THIRD)
         assert twisted_dual(GL2, fresh, "coroot") == coroot

@@ -67,6 +67,18 @@ class TestIncident:
         with pytest.raises(ValueError):
             incident(idx(1), idx(1, 2))
 
+    # zip cut the longer coweights short: incident said {1}|{2}
+    def test_incident_rejects_indices_of_different_rank(self):
+        a, b = ComponentIndex.of([(1,), (2,)]), ComponentIndex.of([(1, 5), (2, 7)])
+        with pytest.raises(ValueError, match="different rank"):
+            incident(a, b)
+
+    # and meets_over said False
+    def test_meets_over_rejects_indices_of_different_rank(self):
+        a, b = ComponentIndex.of([(1,), (2,)]), ComponentIndex.of([(1, 5), (2, 7)])
+        with pytest.raises(ValueError, match="different rank"):
+            meets_over(a, b, Partition.discrete(2))
+
 
 def _all_partitions(n):
     if n == 1:
@@ -180,3 +192,9 @@ def test_component_index_rejects_non_integer_coweights(bad):
     with pytest.raises(ValueError, match="not an integer"):
         ComponentIndex.of([(bad,), (0,)])
     assert ComponentIndex.of([(1,), (0,)]).coweights == ((1,), (0,))
+
+
+# accepted, after which total() raised a bare IndexError
+def test_component_index_rejects_coweights_of_unequal_rank():
+    with pytest.raises(ValueError, match="unequal rank"):
+        ComponentIndex.of([(1, 0), (2,)])

@@ -265,7 +265,7 @@ class TestSublatticeConstructor:
             given = Sublattice(n, IntMatrix(rows, cols=n))
             assert given == reduced
             assert given.basis.data == reduced.basis.data
-            assert Sublattice(n, reduced.basis).basis is reduced.basis
+            assert Sublattice(n, reduced.basis).basis == reduced.basis
 
     # Z^3 on a 2-wide row: contains((1, 0, 0)) zipped the row against
     # the first two entries and said True
@@ -276,17 +276,21 @@ class TestSublatticeConstructor:
             Sublattice(ambient, IntMatrix(rows, cols=width))
 
     def test_reduced_paths_skip_the_shape_check(self, monkeypatch):
-        # from_rows, full and zero build Hermite rows themselves; only a
-        # basis from outside is checked
+        # full and zero build Hermite rows themselves and from_rows reduces
+        # once; a basis from outside is reduced once, in the constructor
         rows = [(2, 4, 0), (0, 3, 1)]
         reduced = tuple(lattice._hermite_rows(rows, 3))
         calls = []
-        monkeypatch.setattr(lattice, "_is_hermite", lambda r: calls.append(r) or True)
-        built = [Sublattice.from_rows(3, rows), Sublattice.full(3), Sublattice.zero(3)]
-        assert calls == []
-        assert [s.basis.data for s in built] == [reduced, IntMatrix.identity(3).data, ()]
-        Sublattice(3, IntMatrix(rows))
+        inner = lattice._hermite_rows
+        monkeypatch.setattr(lattice, "_hermite_rows",
+                            lambda r, n: calls.append(r) or inner(r, n))
+        built = [Sublattice.from_rows(3, rows)]
         assert len(calls) == 1
+        built += [Sublattice.full(3), Sublattice.zero(3)]
+        assert len(calls) == 1
+        assert [s.basis.data for s in built] == [reduced, IntMatrix.identity(3).data, ()]
+        assert Sublattice(3, IntMatrix(rows)).basis.data == reduced
+        assert len(calls) == 2
 
     # True == 1 and 2.0 == 2 passed the width check: Sublattice(True, [[1]])
     # equalled Sublattice.full(1)
