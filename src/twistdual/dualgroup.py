@@ -70,8 +70,9 @@ def _assemble_dual(rd: RootDatum, weight_lattice: Sublattice, multipliers,
                    name=None) -> TwistedDual:
     """Common assembly: scale the surviving coroots into the weight lattice
     and the corresponding roots into its dual, then validate."""
-    basis = weight_lattice.basis
     k = weight_lattice.rank
+    # row i: alpha_i paired with each basis weight
+    pairing_rows = (rd.simple_roots @ weight_lattice.basis.transpose()).data
     new_roots = []
     new_coroots = []
     for i in range(rd.num_simple):
@@ -84,7 +85,7 @@ def _assemble_dual(rd: RootDatum, weight_lattice: Sublattice, multipliers,
             raise PaperContractViolation(
                 f"{r} * coroot_{i} = {scaled} does not lie in the dual weight lattice")
         new_roots.append(coords)
-        pairings = [dot(rd.simple_roots.row(i), b) for b in basis.data]
+        pairings = pairing_rows[i]
         if any(x % r for x in pairings):
             raise PaperContractViolation(
                 f"alpha_{i}/{r} is not integral on the dual weight lattice")

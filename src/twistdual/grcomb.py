@@ -22,12 +22,17 @@ class ComponentIndex:
 
     coweights: tuple
 
+    def __post_init__(self):
+        # every route in checks the ranks: sums over a part read each coweight
+        # up to the first one's length
+        if len({len(v) for v in self.coweights}) > 1:
+            raise ValueError(
+                f"coweights of unequal rank: {[len(v) for v in self.coweights]}")
+
     @classmethod
     def of(cls, coweights):
-        rows = tuple(_int_row(v) for v in coweights)
-        if len({len(v) for v in rows}) > 1:
-            raise ValueError(f"coweights of unequal rank: {[len(v) for v in rows]}")
-        return cls(rows)
+        """The index on coweights read as integer vectors."""
+        return cls(tuple(_int_row(v) for v in coweights))
 
     @property
     def n(self):

@@ -8,6 +8,13 @@ denominator (`integral_left_inverse`), so no Fraction is built here.
 Sublattices are kept in row Hermite normal form so that equality of
 sublattices is equality of data.
 
+`smith_normal_form` computes the diagonal form D at once and records its
+row and column operations; U, V and V^-1 are built from that record the
+first time each is read.  So `quotient_group` and `RootDatum.pi1`, which
+read only the invariant factors, build no transform, `kernel_mod` builds V
+alone, `saturation` V^-1 alone, and `isomorphic` all three.  Identity rows
+are built once per size and shared, as tuples are immutable.
+
 A matrix is checked where it enters the library: the public `IntMatrix`
 constructor and `Sublattice.from_rows` read every entry through
 `_int_row` (ints, or integral values of other numeric types; not 1.5, not
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from operator import mul
 
 
@@ -156,7 +164,10 @@ def _check_size(n, what):
         raise MalformedMatrixError(f"{what} {n!r} is not an integer >= 0")
 
 
+@lru_cache(maxsize=64)
 def _identity_rows(n):
+    """The rows of the n x n identity, built once per size: the tuples are
+    immutable, so every caller shares them."""
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
@@ -164,86 +175,116 @@ def _identity_list(n):
     return [list(row) for row in _identity_rows(n)]
 
 
-class SmithForm(tuple):
-    """The 3-tuple (U, D, V) of `smith_normal_form`, which also carries
-    V's inverse as `v_inv`."""
+class SmithForm:
+    """(U, D, V) with U m V = D, as `smith_normal_form` returns it; it
+    unpacks and indexes as that 3-tuple, and V^-1 is `.v_inv`.
 
-    def __new__(cls, u, d, v, v_inv):
-        out = super().__new__(cls, (u, d, v))
-        out.v_inv = v_inv
-        return out
+    D is computed at once.  U, V and V^-1 are replayed from the recorded
+    row and column operations the first time each is read, so a caller
+    that reads only the invariant factors builds no transform."""
+
+    def __init__(self, d, row_ops, col_ops):
+        self.d = d
+        self._row_ops, self._col_ops = row_ops, col_ops
+
+    def __iter__(self):
+        return iter((self.u, self.d, self.v))
+
+    def __getitem__(self, i):
+        return getattr(self, ("u", "d", "v")[i])
+
+    @cached_property
+    def u(self):
+        u = _identity_list(self.d.rows)
+        for kind, i, j, q in self._row_ops:
+            if kind == "swap":
+                u[i], u[j] = u[j], u[i]
+            elif kind == "add":
+                u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+            else:
+                u[i] = [-x for x in u[i]]
+        return _trusted_matrix(tuple(map(tuple, u)), self.d.rows)
+
+    @cached_property
+    def v(self):
+        # a column operation on V is a row operation on V^T
+        n = self.d.cols
+        vt = _identity_list(n)
+        for kind, i, j, q in self._col_ops:
+            if kind == "swap":
+                vt[i], vt[j] = vt[j], vt[i]
+            else:
+                vt[i] = [x - q * y for x, y in zip(vt[i], vt[j])]
+        return _trusted_matrix(tuple(zip(*vt)), n)
+
+    @cached_property
+    def v_inv(self):
+        # column i -= q column j on V is row j += q row i on V^-1
+        v_inv = _identity_list(self.d.cols)
+        for kind, i, j, q in self._col_ops:
+            if kind == "swap":
+                v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+            else:
+                v_inv[j] = [x + q * y for x, y in zip(v_inv[j], v_inv[i])]
+        return _trusted_matrix(tuple(map(tuple, v_inv)), self.d.cols)
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:
     """Return (U, D, V) with U m V = D, U and V unimodular, D diagonal
-    with a divisibility chain d1 | d2 | ... on the diagonal.  V^-1 comes
-    along as `.v_inv`: each column operation on V is mirrored by the
-    inverse row operation on an identity."""
+    with a divisibility chain d1 | d2 | ... on the diagonal, and V^-1 as
+    `.v_inv`.
+
+    The elimination works on a copy of m alone and records each row
+    operation (for U) and column operation (for V and V^-1); the
+    transforms are built from that record when first read.  `quotient_group`
+    and `RootDatum.pi1` read D only, `kernel_mod` reads D and V,
+    `saturation` reads V^-1, and `isomorphic` reads all four."""
     nr, nc = m.rows, m.cols
     a = [list(row) for row in m.data]
-    u = _identity_list(nr)
-    v = _identity_list(nc)
-    v_inv = _identity_list(nc)
+    row_ops, col_ops = [], []
 
     def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        if i != j:
+            a[i], a[j] = a[j], a[i]
+            row_ops.append(("swap", i, j, 0))
 
     def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+        if i != j:
+            for row in a:
+                row[i], row[j] = row[j], row[i]
+            col_ops.append(("swap", i, j, 0))
 
     def add_row(dst, src, q):
         # row dst -= q * row src
         a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, q):
-        # column dst -= q * column src; on V^-1, row src += q * row dst
-        for row in a:
-            row[dst] -= q * row[src]
-        for row in v:
-            row[dst] -= q * row[src]
-        v_inv[src] = [x + q * y for x, y in zip(v_inv[src], v_inv[dst])]
+        row_ops.append(("add", dst, src, q))
 
     t = 0
     while t < min(nr, nc):
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] != 0 and (
-                    best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])
-                ):
-                    best = (i, j)
+        # the first entry of least absolute value, in row-major order
+        best = min(((abs(x), i, j) for i in range(t, nr)
+                    for j, x in enumerate(a[i][t:], t) if x), default=None)
         if best is None:
             break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        dirty = False
+        swap_rows(t, best[1])
+        swap_cols(t, best[2])
+        p = a[t][t]
         for i in range(t + 1, nr):
             if a[i][t]:
-                add_row(i, t, a[i][t] // a[t][t])
-                if a[i][t]:
-                    dirty = True
-        for j in range(t + 1, nc):
-            if a[t][j]:
-                add_col(j, t, a[t][j] // a[t][t])
-                if a[t][j]:
-                    dirty = True
-        if dirty:
+                add_row(i, t, a[i][t] // p)
+        # column j -= q_j * column t for each j > t; column t is fixed while
+        # they run, so only the rows with a nonzero entry there change
+        col_steps = [(j, a[t][j] // p) for j in range(t + 1, nc) if a[t][j]]
+        for row in a:
+            x = row[t]
+            if x:
+                for j, q in col_steps:
+                    row[j] -= q * x
+        col_ops.extend(("add", j, t, q) for j, q in col_steps)
+        if any(a[i][t] for i in range(t + 1, nr)) or any(a[t][t + 1:]):
             continue
         # pivot must divide every remaining entry; fold a violator into row t
-        viol = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % a[t][t] != 0:
-                    viol = i
-                    break
-            if viol is not None:
-                break
+        viol = next((i for i in range(t + 1, nr) if any(x % p for x in a[i][t + 1:])), None)
         if viol is not None:
             add_row(t, viol, -1)
             continue
@@ -252,10 +293,9 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     for i in range(min(nr, nc)):
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
+            row_ops.append(("neg", i, i, 0))
 
-    return SmithForm(*(_trusted_matrix(tuple(map(tuple, rows)), width)
-                       for rows, width in ((u, nr), (a, nc), (v, nc), (v_inv, nc))))
+    return SmithForm(_trusted_matrix(tuple(map(tuple, a)), nc), row_ops, col_ops)
 
 
 def _hermite_rows(rows, ncols):
@@ -336,11 +376,13 @@ class Sublattice:
         return self.basis.rows
 
     def _pivots(self):
-        cols = []
-        for row in self.basis.data:
-            c = next(j for j, x in enumerate(row) if x != 0)
-            cols.append(c)
-        return cols
+        """The pivot column of each Hermite basis row, found once per
+        lattice and kept beside the (frozen) fields."""
+        pivots = self.__dict__.get("_pivot_columns")
+        if pivots is None:
+            pivots = tuple(next(j for j, x in enumerate(row) if x) for row in self.basis.data)
+            self.__dict__["_pivot_columns"] = pivots
+        return pivots
 
     def coefficients(self, v):
         """Integer coordinates of v in the basis, or None if v is outside."""
@@ -353,7 +395,8 @@ class Sublattice:
             if r:
                 return None
             coeffs.append(q)
-            v = [x - q * y for x, y in zip(v, row)]
+            if q:
+                v = [x - q * y for x, y in zip(v, row)]
         return tuple(coeffs) if not any(v) else None
 
     def contains(self, v):
@@ -378,7 +421,8 @@ def kernel_mod(m: IntMatrix, modulus=None) -> Sublattice:
     if not any(map(any, m.data)):
         # the zero matrix kills everything, modulo anything
         return Sublattice.full(m.cols)
-    u, d, v = smith_normal_form(m)
+    smith = smith_normal_form(m)
+    d, v = smith.d, smith.v
     gens = []
     for j in range(m.cols):
         dj = d.data[j][j] if j < min(m.rows, m.cols) else 0
@@ -402,7 +446,7 @@ def saturation(s: Sublattice) -> Sublattice:
 
 def quotient_group(s: Sublattice) -> "FGAbelianGroup":
     """Invariant factors of Z^ambient / s."""
-    _, d, _ = smith_normal_form(s.basis)
+    d = smith_normal_form(s.basis).d
     factors = [d.data[i][i] for i in range(s.rank)]
     free = s.ambient_rank - s.rank
     return FGAbelianGroup.from_factors(factors + [0] * free)
@@ -414,10 +458,10 @@ def intersect(s1: Sublattice, s2: Sublattice) -> Sublattice:
     Hermite form, without a Smith form."""
     if s1.ambient_rank != s2.ambient_rank:
         raise ValueError("ambient rank mismatch")
-    whole = IntMatrix.identity(s1.ambient_rank)
-    if s1.basis == whole:
+    whole = _identity_rows(s1.ambient_rank)
+    if s1.basis.data == whole:
         return s2
-    if s2.basis == whole:
+    if s2.basis.data == whole:
         return s1
     if s1.rank == 0 or s2.rank == 0:
         return Sublattice.zero(s1.ambient_rank)

@@ -11,7 +11,11 @@ Gram matrices (G0, G1) with the convention
 so kappa is automatically the bilinear form defined by Q.  It is stored
 as integer Grams over one denominator, G0 = N0 / den and G1 = N1 / den
 with den the least common denominator of both, so that invariance, the
-values and the kernel are all computed on integers.
+values and the kernel are all computed on integers.  A value Q(lam) is
+the Exponent (lam^T N0 lam + tau lam^T N1 lam) / 2den, reduced as it is
+built; product, inverse and Killing forms are made from integer Grams
+over their denominator.  A zero Gram is invariant, so only a nonzero one
+is checked.
 """
 
 from __future__ import annotations
@@ -59,6 +63,14 @@ class Exponent:
     @classmethod
     def zero(cls):
         return cls()
+
+    @classmethod
+    def _from_ints(cls, a, b, m):
+        """The exponent (a + b tau) / m for ints a, b and m >= 1, built
+        reduced (rational part a % m over m) without `__post_init__`."""
+        out = object.__new__(cls)
+        out.__dict__.update(rational=Fraction(a % m, m), tau=Fraction(b, m))
+        return out
 
     @classmethod
     def of(cls, rational, tau=0):
@@ -128,55 +140,80 @@ def _over(n, den):
 
 class QForm:
     """A W-invariant quadratic form: integer Grams n0, n1 over one positive
-    denominator den, so that G0 = n0 / den and G1 = n1 / den."""
+    denominator den, so that G0 = n0 / den and G1 = n1 / den, in lowest
+    terms (den and the entries of n0 and n1 have no common factor)."""
 
     # read-only views: G0 and G1 as rows of Fractions
     g0 = property(lambda self: _over(self.n0, self.den))
     g1 = property(lambda self: _over(self.n1, self.den))
 
     def __init__(self, rd: RootDatum, gram_rational=None, gram_transcendental=None):
-        self.rd = rd
         n0, d0 = _as_gram(gram_rational, rd.rank, "gram_rational")
         n1, d1 = _as_gram(gram_transcendental, rd.rank, "gram_transcendental")
-        self.den = math.lcm(d0, d1)
-        self.n0, self.n1 = (IntMatrix([[x * (self.den // d) for x in row] for row in n],
-                                      cols=rd.rank) for n, d in ((n0, d0), (n1, d1)))
+        # each Gram is over its own lcd, so over their lcm the data are in lowest terms
+        den = math.lcm(d0, d1)
+        self._set(rd, *([[x * (den // d) for x in row] for row in n]
+                        for n, d in ((n0, d0), (n1, d1))), den)
+
+    @classmethod
+    def _integral(cls, rd, n0, n1, den):
+        """The form with Grams n0 / den and n1 / den, for rows of ints and an
+        int den >= 1, built without a Fraction: reduced to lowest terms and
+        checked for invariance as `__init__` checks."""
+        g = math.gcd(den, *(x for n in (n0, n1) for row in n for x in row))
+        if g > 1:
+            n0, n1 = ([[x // g for x in row] for row in n] for n in (n0, n1))
+            den //= g
+        out = object.__new__(cls)
+        out._set(rd, n0, n1, den)
+        return out
+
+    def _set(self, rd, n0, n1, den):
+        """Store integer Grams n0, n1 over den, given in lowest terms, and
+        check that each nonzero one is invariant under every simple
+        reflection (a zero Gram is invariant, so its check decides nothing)."""
+        self.rd, self.den = rd, den
+        self.n0, self.n1 = (IntMatrix(n, cols=rd.rank) for n in (n0, n1))
         self._duals = {}   # mode -> TwistedDual over rd, kept by dualgroup.twisted_dual
-        for i in range(rd.num_simple):
-            alpha = rd.simple_roots.row(i)
-            cov = rd.simple_coroots.row(i)
-            for n, label in ((self.n0, "rational"), (self.n1, "transcendental")):
+        self._nonzero = tuple(any(map(any, n.data)) for n in (self.n0, self.n1))
+        grams = [(n, label) for n, label, nonzero in zip(
+            (self.n0, self.n1), ("rational", "transcendental"), self._nonzero) if nonzero]
+        for i, (alpha, cov) in enumerate(zip(rd.simple_roots.data, rd.simple_coroots.data)):
+            for n, label in grams:
                 if not _reflection_invariant(n, alpha, cov):
                     raise InvarianceError(
                         f"{label} Gram is not invariant under simple reflection {i}")
 
-    def _pairing(self, lam, mu, den):
-        a, b = self._numerators(lam, mu)
-        return Exponent(Fraction(a, den), Fraction(b, den))
-
     def _numerators(self, lam, mu):
-        """lam^T n0 mu and lam^T n1 mu: kappa(lam, mu) times den, in integers."""
-        return dot(lam, self.n0.mul_vec(mu)), dot(lam, self.n1.mul_vec(mu))
+        """lam^T n0 mu and lam^T n1 mu: kappa(lam, mu) times den, in integers.
+        The n0 product always runs, as it checks both vectors' lengths; a
+        zero n1 gives 0 without one."""
+        return (dot(lam, self.n0.mul_vec(mu)),
+                dot(lam, self.n1.mul_vec(mu)) if self._nonzero[1] else 0)
 
     def q(self, lam):
         """Q(lam) as an Exponent."""
-        return self._pairing(lam, lam, 2 * self.den)
+        return Exponent._from_ints(*self._numerators(lam, lam), 2 * self.den)
 
     def kappa(self, lam, mu):
         """kappa(lam, mu) as an Exponent."""
-        return self._pairing(lam, mu, self.den)
+        return Exponent._from_ints(*self._numerators(lam, mu), self.den)
 
     def tensor(self, other: "QForm") -> "QForm":
         if other.rd is not self.rd and other.rd != self.rd:
             raise ValueError("forms live on different root data")
-        return QForm(self.rd, *([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(g, h)]
-                                for g, h in ((self.g0, other.g0), (self.g1, other.g1))))
+        den = math.lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        return QForm._integral(
+            self.rd, *([[s * x + t * y for x, y in zip(r1, r2)] for r1, r2 in zip(g.data, h.data)]
+                       for g, h in ((self.n0, other.n0), (self.n1, other.n1))), den)
 
     def inverse(self) -> "QForm":
-        return QForm(self.rd, *([[-x for x in r] for r in g] for g in (self.g0, self.g1)))
+        return QForm._integral(self.rd, *([[-x for x in r] for r in n.data]
+                                          for n in (self.n0, self.n1)), self.den)
 
     def is_gram_zero(self):
-        return not any(x for row in self.n0.data + self.n1.data for x in row)
+        return not any(self._nonzero)
 
     def to_dict(self):
         enc = lambda g: [[[x.numerator, x.denominator] for x in row] for row in g]
@@ -282,9 +319,9 @@ def killing_qform(rd: RootDatum, component_index, a: Exponent) -> QForm:
     """The form Q(lam) = a^{Q_i(lam)} with Q_i(lam) = (1/2) sum <beta,lam>^2
     over one irreducible component's roots."""
     k = killing_matrix(rd, component_index)
-    g0 = [[a.rational * x for x in row] for row in k.data]
-    g1 = [[a.tau * x for x in row] for row in k.data]
-    return QForm(rd, g0, g1)
+    den = math.lcm(a.rational.denominator, a.tau.denominator)
+    scales = (c.numerator * (den // c.denominator) for c in (a.rational, a.tau))
+    return QForm._integral(rd, *([[c * x for x in row] for row in k.data] for c in scales), den)
 
 
 def component_killing_value(rd: RootDatum, component_index, lam):
@@ -392,7 +429,7 @@ def braiding_signs(q: QForm, lam, mu):
     lam, mu = _int_row(lam), _int_row(mu)
     sign = -1 if (dot(rd.two_rho, lam) * dot(rd.two_rho, mu)) % 2 else 1
     (a0, a1), (b0, b1) = q._numerators(lam, lam), q._numerators(mu, mu)
-    return sign, Exponent(Fraction(a0 + b0, 2 * q.den), Fraction(a1 + b1, 2 * q.den))
+    return sign, Exponent._from_ints(a0 + b0, a1 + b1, 2 * q.den)
 
 
 # -- classifying data for factorizable gerbes ---------------------------------

@@ -13,8 +13,10 @@ matrix fails, to name the dependence.  A failure is never cached.  Each
 datum maps the record by its own R and V into one root table of (root,
 coroot, root coordinates) triples, from which the roots, the heights, the
 highest root and the per-component Killing record are read without a
-solve.  pi1 is read off the Smith form of V, which `isomorphic` shares;
-the Weyl group is enumerated only on demand.
+solve.  pi1 is read off the invariant factors D of the Smith form of V,
+which is kept on the datum: pi1 builds none of its transforms, and
+`isomorphic`, which reads U, V and V^-1 of the second datum's form, has
+them built there once.  The Weyl group is enumerated only on demand.
 
 `weight_chamber` and `coweight_chamber` are the one walk to the dominant
 chamber: a vector's labels (its pairings with the simple vectors of the
@@ -179,12 +181,8 @@ class RootDatum:
 
     @cached_property
     def cartan_matrix(self):
-        """Entry [i][j] = <alpha_i, coroot_j>."""
-        return tuple(
-            tuple(dot(self.simple_roots.row(i), self.simple_coroots.row(j))
-                  for j in range(self.num_simple))
-            for i in range(self.num_simple)
-        )
+        """Entry [i][j] = <alpha_i, coroot_j>: the rows of R V^T."""
+        return (self.simple_roots @ self.simple_coroots.transpose()).data
 
     @property
     def symmetrizer(self):
@@ -321,7 +319,7 @@ class RootDatum:
     @cached_property
     def _pi1(self):
         # the coroots are independent: D has num_simple nonzero entries
-        d, s = self._coroot_smith[1].data, self.num_simple
+        d, s = self._coroot_smith.d.data, self.num_simple
         return FGAbelianGroup.from_factors([d[i][i] for i in range(s)] + [0] * (self.rank - s))
 
     # -- dominance ---------------------------------------------------------

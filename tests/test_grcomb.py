@@ -198,3 +198,11 @@ def test_component_index_rejects_non_integer_coweights(bad):
 def test_component_index_rejects_coweights_of_unequal_rank():
     with pytest.raises(ValueError, match="unequal rank"):
         ComponentIndex.of([(1, 0), (2,)])
+
+
+# the public constructor took them, and total() raised a bare IndexError
+@pytest.mark.parametrize("coweights", [((1, 0), (2,)), ((1,), (2, 0)), ((), (0,))])
+def test_component_index_constructor_rejects_coweights_of_unequal_rank(coweights):
+    with pytest.raises(ValueError, match="unequal rank"):
+        ComponentIndex(coweights)
+    assert ComponentIndex(((1, 0), (2, 3))).total() == (3, 3)

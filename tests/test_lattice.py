@@ -73,6 +73,68 @@ class TestSmithNormalForm:
         assert snf_diag(IntMatrix.zero(3, 2)) == [0, 0]
 
 
+class TestSmithOnDemand:
+    """`smith_normal_form` computes D at once and builds U, V and V^-1 from
+    its recorded operations when each is first read."""
+
+    @staticmethod
+    def _matrices(st):
+        # up to 5 x 6, tall, wide and square, with zero rows and the zero
+        # matrix coming up often
+        def shaped(rc):
+            rows, cols = rc
+            row = st.one_of(st.just([0] * cols),
+                            st.lists(st.integers(-6, 6), min_size=cols, max_size=cols))
+            return st.one_of(st.just(IntMatrix.zero(rows, cols)), st.lists(
+                row, min_size=rows, max_size=rows).map(lambda a: IntMatrix(a, cols=cols)))
+        return st.tuples(st.integers(0, 5), st.integers(0, 6)).flatmap(shaped)
+
+    def test_contract_on_random_matrices(self):
+        hypothesis = pytest.importorskip("hypothesis")
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(self._matrices(hypothesis.strategies))
+        def check(m):
+            smith = smith_normal_form(m)
+            d = smith.d
+            assert not {"u", "v", "v_inv"} & set(vars(smith))   # D alone builds none
+            u, d2, v = smith
+            assert d2 is d and smith[0] is u and smith[1] is d and smith[-1] is v
+            assert u @ m @ v == d
+            assert u.is_unimodular() and v.is_unimodular()
+            ident = IntMatrix.identity(m.cols)
+            assert v @ smith.v_inv == ident and smith.v_inv @ v == ident
+            assert all(x == 0 for i, row in enumerate(d.data)
+                       for j, x in enumerate(row) if i != j)
+            diag = [d.data[i][i] for i in range(min(m.rows, m.cols))]
+            assert all(x >= 0 for x in diag)
+            for x, y in zip(diag, diag[1:]):
+                assert (y % x == 0) if x else y == 0
+        check()
+
+    def test_each_transform_built_when_read(self):
+        smith = smith_normal_form(IntMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]))
+        assert [smith.d.data[i][i] for i in range(3)] == [2, 6, 12]
+        assert not {"u", "v", "v_inv"} & set(vars(smith))
+        v = smith.v
+        assert {"u", "v", "v_inv"} & set(vars(smith)) == {"v"}
+        assert smith.v is v and smith[2] is v
+        assert smith.v_inv @ v == IntMatrix.identity(3)
+
+    def test_quotient_group_and_pi1_read_d_only(self, monkeypatch):
+        built = []
+        for name in ("u", "v", "v_inv"):
+            prop = lattice.SmithForm.__dict__[name]
+            monkeypatch.setattr(lattice.SmithForm, name, property(
+                lambda self, prop=prop, name=name: built.append(name) or prop.func(self)))
+        s = Sublattice.from_rows(3, [(2, 4, 4), (-6, 6, 12), (10, -4, -16)])
+        assert quotient_group(s).invariant_factors == (2, 6, 12)
+        assert RootDatum(IntMatrix([[1]]), IntMatrix([[2]])).pi1().invariant_factors == (2,)
+        assert built == []
+        kernel_mod(IntMatrix([[2, 4], [1, 2]]), None)
+        assert built == ["v"]
+
+
 class TestKernelMod:
     def test_two_mod_six(self):
         # brute force over residues mod 6: {x : 2x = 0 mod 6} = {0, 3}

@@ -123,6 +123,89 @@ class TestQFormConstruction:
                     assert q.kappa(wl, wm) == q.kappa(lam, mu)
 
 
+class TestIntegerValues:
+    """Q, kappa and the forms derived from a form are computed on integer
+    numerators over the form's denominator, with no Fraction round trip."""
+
+    @staticmethod
+    def _numerator(n, lam, mu):
+        return sum(lam[i] * n.data[i][j] * mu[j] for i in range(len(lam)) for j in range(len(mu)))
+
+    def test_q_and_kappa_match_fraction_reference(self):
+        rng = random.Random(53)
+        signs = set()
+        for rd in (SL2, PGL2, GL2, SL3, SP4, G2, standard("GL2xT1")):
+            for k in range(20):
+                q = random_invariant_form(rd, rng, with_tau=k % 2 == 0)
+                for _ in range(6):
+                    lam = tuple(rng.randint(-5, 5) for _ in range(rd.rank))
+                    mu = tuple(rng.randint(-5, 5) for _ in range(rd.rank))
+                    for value, (x, y), m in ((q.q(lam), (lam, lam), 2 * q.den),
+                                             (q.kappa(lam, mu), (lam, mu), q.den)):
+                        a, b = (self._numerator(n, x, y) for n in (q.n0, q.n1))
+                        signs.update((z > 0) - (z < 0) for z in (a, b))
+                        assert value == Exponent(Fraction(a, m), Fraction(b, m))
+                        assert type(value.rational) is Fraction and 0 <= value.rational < 1
+                        assert type(value.tau) is Fraction
+        assert signs == {-1, 0, 1}
+
+    def test_braiding_factor_matches_fraction_reference(self):
+        rng = random.Random(61)
+        for rd in (SL2, SL3, SP4, G2):
+            q = random_invariant_form(rd, rng, with_tau=True)
+            lam, mu = (tuple(rng.randint(-5, 5) for _ in range(rd.rank)) for _ in range(2))
+            a, b = (self._numerator(n, lam, lam) + self._numerator(n, mu, mu)
+                    for n in (q.n0, q.n1))
+            m = 2 * q.den
+            assert braiding_signs(q, lam, mu)[1] == Exponent(Fraction(a, m), Fraction(b, m))
+
+    @pytest.mark.parametrize("zero", [None, [[0, 0], [0, 0]]], ids=["omitted", "given"])
+    def test_zero_gram_does_not_excuse_the_other(self, zero):
+        # GL2's reflection swaps the coordinates: diag(1, 0) is not invariant
+        with pytest.raises(InvarianceError, match="transcendental Gram .* reflection 0"):
+            QForm(GL2, zero, [[1, 0], [0, 0]])
+        with pytest.raises(InvarianceError, match="rational Gram .* reflection 0"):
+            QForm(GL2, [[1, 0], [0, 0]], zero)
+        assert QForm(GL2, zero, [[1, 0], [0, 1]]).is_gram_zero() is False
+        assert QForm(GL2, zero, zero) == trivial_qform(GL2)
+
+    @pytest.mark.parametrize("tau", [None, [[1, 0], [0, 1]]], ids=["zero", "tau"])
+    def test_vector_lengths_checked_on_zero_grams(self, tau):
+        # Q and kappa skip a zero Gram's product but still check the vectors
+        q = QForm(GL2, None, tau)
+        for call in (lambda: q.q((1, 2, 3)), lambda: q.q((1,)),
+                     lambda: q.kappa((1, 2), (1, 2, 3)), lambda: q.kappa((1,), (1, 2))):
+            with pytest.raises(ValueError, match="length mismatch"):
+                call()
+
+    def test_derived_forms_equal_fraction_built_ones(self, monkeypatch):
+        import twistdual.qform as qform_module
+        checks = []
+        check = qform_module._reflection_invariant
+        monkeypatch.setattr(qform_module, "_reflection_invariant",
+                            lambda *args: checks.append(args) or check(*args))
+        rng = random.Random(59)
+        for rd in (SL2, PGL2, GL2, SL3, SP4, G2):
+            for _ in range(8):
+                q, r = (random_invariant_form(rd, rng, with_tau=True) for _ in range(2))
+                plus = [[[a + b for a, b in zip(x, y)] for x, y in zip(g, h)]
+                        for g, h in ((q.g0, r.g0), (q.g1, r.g1))]
+                del checks[:]
+                assert q.tensor(r) == QForm(rd, *plus)
+                assert checks   # the sum is checked for invariance like any form
+                assert q.inverse() == QForm(rd, *([[-x for x in row] for row in g]
+                                                  for g in (q.g0, q.g1)))
+                assert q.tensor(q.inverse()) == trivial_qform(rd)
+                a = Exponent.of(Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                                Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+                k = killing_matrix(rd, 0)
+                assert killing_qform(rd, 0, a) == QForm(rd, *(
+                    [[c * x for x in row] for row in k.data] for c in (a.rational, a.tau)))
+        # lowest terms: 1/2 + 1/2 is over 1
+        half = qform_from_gram(SL2, [[Fraction(1, 2)]])
+        assert half.tensor(half).den == 1 and half.tensor(half).n0 == IntMatrix([[1]])
+
+
 def _conjugate(g, w):
     """w^T g w, the reference for QForm's rank-one invariance test."""
     n = w.rows
