@@ -9,7 +9,12 @@ root data: per matching of simple indices that keeps the Cartan matrix,
 two Smith forms pin the weight map in closed form (the second datum's
 coroot form is cached with its pi1), only a glued centre leaves a bounded
 search over one k x k block, and a unimodular map carrying the simple
-pairs is a witness, as it conjugates the Weyl groups.
+pairs is a witness, as it conjugates the Weyl groups.  The pi1 of both
+data, which needs a Smith form of the first datum's coroots, is compared
+only once a matching has failed to give a witness, before any search and
+before a "none": an isomorphism found at the first matching reads no pi1.
+Every matrix `isomorphic` and the dual constructions build from checked
+data goes through `lattice._computed_matrix`, not through the entry check.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .lattice import (
     IntMatrix,
     Sublattice,
     _check_int,
+    _computed_matrix,
     integral_left_inverse,
     kernel_mod,
     smith_normal_form,
@@ -90,7 +96,7 @@ def _assemble_dual(rd: RootDatum, weight_lattice: Sublattice, multipliers,
             raise PaperContractViolation(
                 f"alpha_{i}/{r} is not integral on the dual weight lattice")
         new_coroots.append([x // r for x in pairings])
-    datum = RootDatum(IntMatrix(new_roots, cols=k), IntMatrix(new_coroots, cols=k),
+    datum = RootDatum(_computed_matrix(new_roots, k), _computed_matrix(new_coroots, k),
                       rank=k, name=name)
     return TwistedDual(rd, weight_lattice, tuple(multipliers), datum)
 
@@ -140,9 +146,9 @@ def rank1_table(r0: int, p: int = 1) -> Rank1Table:
     _check_int(p, "p", positive=False)
     if math.gcd(p, r0) != 1:
         raise ValueError(f"p = {p} is not a unit modulo {r0}")
-    adjoint = kernel_mod(IntMatrix([[2 * p]]), r0)
+    adjoint = kernel_mod(_computed_matrix([[2 * p]], 1), r0)
     # on the index-two lattice the form becomes q0^(8 m n) in its own units
-    sc_units = kernel_mod(IntMatrix([[8 * p]]), r0)
+    sc_units = kernel_mod(_computed_matrix([[8 * p]], 1), r0)
     sc = Sublattice.from_rows(1, [(2 * x[0],) for x in sc_units.basis.data])
     if r0 % 2:
         case = "odd"
@@ -169,7 +175,7 @@ def fl_dual(rd: RootDatum, d: int, big_n: int) -> TwistedDual:
     _check_int(big_n, "N")
     h, k = rd.coxeter_killing
     m = 4 * h * big_n
-    lattice = kernel_mod(IntMatrix([[d * x for x in row] for row in k.data], cols=rd.rank),
+    lattice = kernel_mod(_computed_matrix([[d * x for x in row] for row in k.data], rd.rank),
                          m // 2)
     multipliers = [m // math.gcd(d * dot(c, k.mul_vec(c)), m) for c in rd.simple_coroots.data]
     label = f"fl({rd.name},{d},{big_n})" if rd.name else None
@@ -186,7 +192,7 @@ def lusztig_dual(cd: CartanDatum, order: int) -> TwistedDual:
         big_l = math.lcm(*l_i)
         rows = [vec_scale(big_l // l_i[i], rd.simple_roots.row(i))
                 for i in range(rd.num_simple)]
-        lattice = kernel_mod(IntMatrix(rows, cols=rd.rank), big_l)
+        lattice = kernel_mod(_computed_matrix(rows, rd.rank), big_l)
     else:
         lattice = Sublattice.full(rd.rank)
     label = f"lusztig({rd.name},{order})" if rd.name else None
@@ -236,7 +242,7 @@ def quantum_dual_pair(rd: RootDatum, b) -> QuantumPair:
         if coords is None:
             return QuantumPair(left, right, None, False)
         rows.append(coords)
-    iso = IntMatrix(rows, cols=right.weight_sublattice.rank)
+    iso = _computed_matrix(rows, right.weight_sublattice.rank)
     if not iso.is_unimodular():
         return QuantumPair(left, right, None, False)
     return QuantumPair(left, right, iso, True)
@@ -299,7 +305,14 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
     coroots (the Cartan matrices agree under pi), and K zeroes the rest.
     Then s2_pi(i) P = P s_i for s_i x = x - <x, coroot1_i> alpha1_i, so
     P W1 P^-1 = W2; every root is W-conjugate to a simple one (Bourbaki,
-    Lie VI 1.5), so P carries each (root, coroot) pair of d1 to one of d2."""
+    Lie VI 1.5), so P carries each (root, coroot) pair of d1 to one of d2.
+
+    pi1 (coweights modulo coroots) is an invariant, so data whose pi1
+    differ have no witness at any matching.  It is compared only when a
+    matching gives no witness, before a bounded search starts and before
+    "none" is answered; so an "iso" at the first matching builds no Smith
+    form of d1's coroots, and differing pi1 give "none" after at most one
+    matching's closed form."""
     if d1.rank != d2.rank or d1.num_simple != d2.num_simple:
         return IsoResult("none", None, None)
     n, s = d1.rank, d1.num_simple
@@ -307,9 +320,10 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
     # a unimodular map keeps the gcd of the entries of each root and coroot
     gcds1, gcds2 = ([(math.gcd(*a), math.gcd(*c)) for a, c in
                      zip(d.simple_roots.data, d.simple_coroots.data)] for d in (d1, d2))
-    if d1.pi1() != d2.pi1() or sorted(gcds1) != sorted(gcds2):
+    if sorted(gcds1) != sorted(gcds2):
         return IsoResult("none", None, None)
     if s == 0:
+        # two tori of one rank; both pi1 are Z^n
         return IsoResult("iso", IntMatrix.identity(n), ())
     smith2, smith1 = d2._coroot_smith, smith_normal_form(d1.simple_roots)
     (u2, dc, v2), (u1, da, v1) = smith2, smith1
@@ -325,17 +339,19 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
                       for j in range(s)) for i in range(s)):
             continue
         back = sorted(range(s), key=perm.__getitem__)
-        top = _divided((u2 @ IntMatrix([coroots1[i] for i in back], cols=n)).data,
+        top = _divided((u2 @ _computed_matrix([coroots1[i] for i in back], n)).data,
                        [dc.data[r][r] for r in range(s)])
-        k_t = _divided((u1 @ IntMatrix([roots2[j] for j in perm], cols=k)).data,
+        k_t = _divided((u1 @ _computed_matrix([roots2[j] for j in perm], k)).data,
                        [da.data[r][r] for r in range(s)])
         if top is None or k_t is None:
+            if d1.pi1() != d2.pi1():
+                return IsoResult("none", None, None)
             continue
         k_rows = [list(col) for col in zip(*k_t)]
         # F = den E = K (den X^-1) Y, with den X^-1 stored by columns
         _, inv_cols, den = integral_left_inverse([row[:s] for row in top], s)
-        f = (IntMatrix(k_rows, cols=s) @ IntMatrix(inv_cols, cols=s).transpose()
-             @ IntMatrix([row[s:] for row in top], cols=k)).data
+        f = (_computed_matrix(k_rows, s) @ _computed_matrix(inv_cols, s).transpose()
+             @ _computed_matrix([row[s:] for row in top], k)).data
         if den < 0:
             f, den = [[-z for z in row] for row in f], -den
         if k == 0 or den == 1:
@@ -345,12 +361,20 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
             candidates = [[[(f[0][0] + e) // den]] for e in (1, -1)
                           if (f[0][0] + e) % den == 0]
         else:
+            # a search runs only on data whose pi1 agree
+            if d1.pi1() != d2.pi1():
+                return IsoResult("none", None, None)
             undecided = True
             candidates = itertools.islice(
                 _near([[(2 * z + den) // (2 * den) for z in row] for row in f]),
                 SEARCH_BUDGET)
         for nb in candidates:
-            p = v2 @ IntMatrix(top + [a + b for a, b in zip(k_rows, nb)], cols=n) @ v1_t
+            p = v2 @ _computed_matrix(top + [a + b for a, b in zip(k_rows, nb)], n) @ v1_t
             if p.is_unimodular():
                 return IsoResult("iso", p, perm)
-    return IsoResult("undecided" if undecided else "none", None, None)
+        # this matching has no witness; differing pi1 rule out every other
+        if d1.pi1() != d2.pi1():
+            return IsoResult("none", None, None)
+    if d1.pi1() != d2.pi1() or not undecided:
+        return IsoResult("none", None, None)
+    return IsoResult("undecided", None, None)

@@ -9,20 +9,29 @@ Sublattices are kept in row Hermite normal form so that equality of
 sublattices is equality of data.
 
 `smith_normal_form` computes the diagonal form D at once and records its
-row and column operations; U, V and V^-1 are built from that record the
-first time each is read.  So `quotient_group` and `RootDatum.pi1`, which
-read only the invariant factors, build no transform, `kernel_mod` builds V
-alone, `saturation` V^-1 alone, and `isomorphic` all three.  Identity rows
-are built once per size and shared, as tuples are immutable.
+row operations and, one entry per pivot step, its column swap and column
+additions; U, V and V^-1 are built from that record the first time each
+is read.  So `quotient_group` and `RootDatum.pi1`, which read only the
+invariant factors, build no transform, `kernel_mod` builds V alone,
+`saturation` V^-1 alone, and `isomorphic` all three.  Identity and zero
+rows are built once per size and shared, as tuples are immutable.
 
-A matrix is checked where it enters the library: the public `IntMatrix`
-constructor and `Sublattice.from_rows` read every entry through
-`_int_row` (ints, or integral values of other numeric types; not 1.5, not
-a bool) and reject ragged rows, and `Sublattice` takes only an `IntMatrix`
-basis and an int ambient rank >= 0.  What this module computes from
-checked ints itself - products, transposes, identities, Smith and
+A matrix is checked once, where it enters the library.  The entries are
+the public `IntMatrix` constructor and `Sublattice.from_rows` (and
+through them `RootDatum(...)` given lists and `RootDatum.from_dict`) and
+`RootDatum._vector`; each reads every entry through `_int_row` (ints, or
+integral values of other numeric types; not 1.5, not a bool) and rejects
+ragged rows, and `Sublattice` takes only an `IntMatrix` basis and an int
+ambient rank >= 0.  `qform` checks its Gram data itself, in the Gram
+parse and `QForm.from_dict`.  What this module computes from checked
+ints - products, transposes, identities, zero matrices, Smith and
 Hermite forms, kernels - is built by `_trusted_matrix`, which stores its
-tuple of int tuples as it is; no other module calls it.
+tuple of int tuples as it is and which no other module calls.  Rows that
+`qform` and `dualgroup` compute by integer arithmetic from checked
+matrices (the Grams a form stores, a dual's roots and coroots, the
+matrices of the dual constructions and of `isomorphic`) become a matrix
+through `_computed_matrix`, the one constructor for them, which skips
+the entry check too.
 """
 
 from __future__ import annotations
@@ -70,7 +79,9 @@ class IntMatrix:
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        _check_size(rows, "row count")
+        _check_size(cols, "column count")
+        return _trusted_matrix(_zero_rows(rows, cols), cols)
 
     def row(self, i):
         return self.data[i]
@@ -137,6 +148,13 @@ def _trusted_matrix(data, cols):
     return m
 
 
+def _computed_matrix(rows, cols):
+    """An IntMatrix on `rows`, rows of `cols` ints that the library computed
+    by integer arithmetic from checked matrices; stored without `_int_row`.
+    Input from outside goes through the checked `IntMatrix(...)`."""
+    return _trusted_matrix(tuple(map(tuple, rows)), cols)
+
+
 def _int_row(row):
     """The entries as a tuple of ints; a MalformedMatrixError (a ValueError)
     for an entry of another value, such as 1.5, or a bool.  This is the one
@@ -169,6 +187,13 @@ def _identity_rows(n):
     """The rows of the n x n identity, built once per size: the tuples are
     immutable, so every caller shares them."""
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+@lru_cache(maxsize=64)
+def _zero_rows(rows, cols):
+    """The rows of the rows x cols zero matrix, built once per size and
+    shared like `_identity_rows`."""
+    return ((0,) * cols,) * rows
 
 
 def _identity_list(n):
@@ -207,25 +232,28 @@ class SmithForm:
 
     @cached_property
     def v(self):
-        # a column operation on V is a row operation on V^T
+        # a column operation on V is a row operation on V^T: per pivot t,
+        # the swap, then row j -= q row t for each step (j, q)
         n = self.d.cols
         vt = _identity_list(n)
-        for kind, i, j, q in self._col_ops:
-            if kind == "swap":
-                vt[i], vt[j] = vt[j], vt[i]
-            else:
-                vt[i] = [x - q * y for x, y in zip(vt[i], vt[j])]
+        for t, c, steps in self._col_ops:
+            vt[t], vt[c] = vt[c], vt[t]
+            top = vt[t]
+            for j, q in steps:
+                vt[j] = [x - q * y for x, y in zip(vt[j], top)]
         return _trusted_matrix(tuple(zip(*vt)), n)
 
     @cached_property
     def v_inv(self):
-        # column i -= q column j on V is row j += q row i on V^-1
+        # column j -= q column t on V is row t += q row j on V^-1; rows j
+        # are fixed while a pivot's steps run, so row t is rebuilt once
         v_inv = _identity_list(self.d.cols)
-        for kind, i, j, q in self._col_ops:
-            if kind == "swap":
-                v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
-            else:
-                v_inv[j] = [x + q * y for x, y in zip(v_inv[j], v_inv[i])]
+        for t, c, steps in self._col_ops:
+            v_inv[t], v_inv[c] = v_inv[c], v_inv[t]
+            row = v_inv[t]
+            for j, q in steps:
+                row = [x + q * y for x, y in zip(row, v_inv[j])]
+            v_inv[t] = row
         return _trusted_matrix(tuple(map(tuple, v_inv)), self.d.cols)
 
 
@@ -235,10 +263,11 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     `.v_inv`.
 
     The elimination works on a copy of m alone and records each row
-    operation (for U) and column operation (for V and V^-1); the
-    transforms are built from that record when first read.  `quotient_group`
-    and `RootDatum.pi1` read D only, `kernel_mod` reads D and V,
-    `saturation` reads V^-1, and `isomorphic` reads all four."""
+    operation (for U) and, as one entry per pivot step, its column swap
+    and column additions (for V and V^-1); the transforms are built from
+    that record when first read.  `quotient_group` and `RootDatum.pi1`
+    read D only, `kernel_mod` reads D and V, `saturation` reads V^-1, and
+    `isomorphic` reads all four."""
     nr, nc = m.rows, m.cols
     a = [list(row) for row in m.data]
     row_ops, col_ops = [], []
@@ -247,12 +276,6 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
         if i != j:
             a[i], a[j] = a[j], a[i]
             row_ops.append(("swap", i, j, 0))
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-            col_ops.append(("swap", i, j, 0))
 
     def add_row(dst, src, q):
         # row dst -= q * row src
@@ -267,7 +290,10 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
         if best is None:
             break
         swap_rows(t, best[1])
-        swap_cols(t, best[2])
+        c = best[2]
+        if c != t:
+            for row in a:
+                row[t], row[c] = row[c], row[t]
         p = a[t][t]
         for i in range(t + 1, nr):
             if a[i][t]:
@@ -280,7 +306,8 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
             if x:
                 for j, q in col_steps:
                     row[j] -= q * x
-        col_ops.extend(("add", j, t, q) for j, q in col_steps)
+        if c != t or col_steps:
+            col_ops.append((t, c, col_steps))
         if any(a[i][t] for i in range(t + 1, nr)) or any(a[t][t + 1:]):
             continue
         # pivot must divide every remaining entry; fold a violator into row t

@@ -15,7 +15,11 @@ values and the kernel are all computed on integers.  A value Q(lam) is
 the Exponent (lam^T N0 lam + tau lam^T N1 lam) / 2den, reduced as it is
 built; product, inverse and Killing forms are made from integer Grams
 over their denominator.  A zero Gram is invariant, so only a nonzero one
-is checked.
+is checked.  The Gram parse checks the given data (its shape, symmetry and
+that no entry is a bool); the integer Grams made from it, or by the
+library's own arithmetic, are stored through `lattice._computed_matrix`
+without a second entry check, and an absent Gram is the zero matrix that
+`IntMatrix.zero` shares per size.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .lattice import (
     IntMatrix,
     Sublattice,
     _check_int,
+    _computed_matrix,
     _int_row,
     common_denominator,
     integral_left_inverse,
@@ -107,9 +112,13 @@ class Exponent:
 
 
 def _as_gram(rows, rank, what):
-    """A symmetric rational Gram as integer numerators over their lcd."""
+    """A symmetric rational Gram as integer numerators over their lcd; None
+    and 1 for no Gram.  TypeError for a bool entry: a Gram holds numbers."""
     if rows is None:
-        return [[0] * rank for _ in range(rank)], 1
+        return None, 1
+    rows = [list(row) for row in rows]
+    if any(type(x) is bool for row in rows for x in row):
+        raise TypeError(f"{what} has a boolean entry, not a number")
     mat = [[Fraction(x) for x in row] for row in rows]
     if len(mat) != rank or any(len(r) != rank for r in mat):
         raise ShapeError(f"{what} must be {rank}x{rank}")
@@ -152,8 +161,9 @@ class QForm:
         n1, d1 = _as_gram(gram_transcendental, rd.rank, "gram_transcendental")
         # each Gram is over its own lcd, so over their lcm the data are in lowest terms
         den = math.lcm(d0, d1)
-        self._set(rd, *([[x * (den // d) for x in row] for row in n]
-                        for n, d in ((n0, d0), (n1, d1))), den)
+        n0, n1 = (n if n is None or d == den else [[x * (den // d) for x in row] for row in n]
+                  for n, d in ((n0, d0), (n1, d1)))
+        self._set(rd, n0, n1, den)
 
     @classmethod
     def _integral(cls, rd, n0, n1, den):
@@ -169,11 +179,13 @@ class QForm:
         return out
 
     def _set(self, rd, n0, n1, den):
-        """Store integer Grams n0, n1 over den, given in lowest terms, and
-        check that each nonzero one is invariant under every simple
-        reflection (a zero Gram is invariant, so its check decides nothing)."""
+        """Store integer Grams n0, n1 over den, given in lowest terms as rows
+        of ints (None for a zero Gram, which is shared per size), and check
+        that each nonzero one is invariant under every simple reflection (a
+        zero Gram is invariant, so its check decides nothing)."""
         self.rd, self.den = rd, den
-        self.n0, self.n1 = (IntMatrix(n, cols=rd.rank) for n in (n0, n1))
+        self.n0, self.n1 = (IntMatrix.zero(rd.rank, rd.rank) if n is None
+                            else _computed_matrix(n, rd.rank) for n in (n0, n1))
         self._duals = {}   # mode -> TwistedDual over rd, kept by dualgroup.twisted_dual
         self._nonzero = tuple(any(map(any, n.data)) for n in (self.n0, self.n1))
         grams = [(n, label) for n, label, nonzero in zip(
@@ -534,8 +546,8 @@ class CartanDatum:
             raise ValueError("Cartan-datum Gram needs a semisimple root datum")
         n = rd.rank
         _, m, den = integral_left_inverse(rd.simple_coroots.data, n)
-        m = IntMatrix(m, cols=n)  # den C^-T
-        t = IntMatrix([[self.pairing(i, j) for j in range(n)] for i in range(n)], cols=n)
+        m = _computed_matrix(m, n)  # den C^-T
+        t = _computed_matrix([[self.pairing(i, j) for j in range(n)] for i in range(n)], n)
         return _over(m.transpose() @ t @ m, den * den)
 
 
@@ -582,7 +594,7 @@ def invariant_gram_basis(rd: RootDatum):
                          - alpha[a] * x for (i, j), x in zip(pairs, quad)])
     if not rows:
         rows = [[0] * len(pairs)]
-    basis = kernel_mod(IntMatrix(rows, cols=len(pairs)), None)
+    basis = kernel_mod(_computed_matrix(rows, len(pairs)), None)
     out = []
     for vec in basis.basis.data:
         g = [[0] * n for _ in range(n)]

@@ -6,7 +6,7 @@ import pytest
 import root_oracle
 from test_rootdata import _rebased, _transvections
 from twistdual import dualgroup
-from twistdual.lattice import IntMatrix
+from twistdual.lattice import IntMatrix, kernel_mod
 from twistdual.qform import (
     CartanDatum,
     QForm,
@@ -460,6 +460,40 @@ class TestIsomorphic:
         _assert_witness(res, d1, d2)
         pair = quantum_dual_pair(SL3, [[x / 2 for x in row] for row in normalized_killing_gram(SL3)])
         assert all("_root_table" not in td.datum.__dict__ for td in (pair.left, pair.right))
+
+    def test_iso_at_the_first_matching_reads_no_pi1(self):
+        # pi1 needs a Smith form of d1's coroots; an "iso" found at the
+        # first matching never asks for it
+        d1, d2 = (_rebased(standard("SL3"), moves) for moves in ([(0, 1, 2)], [(1, 0, -1)]))
+        res = isomorphic(d1, d2)
+        assert res.permutation == (0, 1)
+        assert "_coroot_smith" not in d1.__dict__ and "_pi1" not in d1.__dict__
+        _assert_witness(res, d1, d2)
+
+    @pytest.mark.parametrize("order", ["one-then-two", "two-then-one"])
+    def test_differing_pi1_answer_after_one_closed_form(self, order, monkeypatch):
+        # A1^4 modulo <1111> and modulo <1100, 0011>: equal Cartan matrices
+        # and gcd pairs, pi1 Z/2 against Z/2 x Z/2
+        d1, d2 = _a1_power_mod(4, [[1, 1, 1, 1]]), _a1_power_mod(4, [[1, 1, 0, 0], [0, 0, 1, 1]])
+        assert d1.cartan_matrix == d2.cartan_matrix and d1.pi1() != d2.pi1()
+        if order == "two-then-one":
+            d1, d2 = d2, d1
+        closed_forms = []
+        inverse = dualgroup.integral_left_inverse
+        monkeypatch.setattr(dualgroup, "integral_left_inverse",
+                            lambda *args: closed_forms.append(args) or inverse(*args))
+        assert isomorphic(_rebased(d1, [(0, 3, 1)]), d2).status == "none"
+        assert len(closed_forms) <= 1
+
+
+def _a1_power_mod(n, gens):
+    """SL2^n modulo the subgroup of its centre (Z/2)^n spanned by `gens`
+    (vectors mod 2): the weights are the x in Z^n with x . g even for each
+    g, written in their Hermite basis."""
+    weights = kernel_mod(IntMatrix(gens, cols=n), 2)
+    roots = [weights.coefficients([2 * (i == j) for j in range(n)]) for i in range(n)]
+    coroots = [[b[i] for b in weights.basis.data] for i in range(n)]
+    return RootDatum(roots, coroots, rank=n)
 
 
 def _so4_power(k):

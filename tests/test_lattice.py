@@ -586,6 +586,20 @@ class TestLatticeResults:
         with pytest.raises(MalformedMatrixError):
             IntMatrix.identity(n)
 
+    @pytest.mark.parametrize("n", [-1, True, 2.0], ids=["negative", "bool", "float"])
+    @pytest.mark.parametrize("shape", [lambda n: (n, 2), lambda n: (2, n)],
+                             ids=["rows", "cols"])
+    def test_zero_size_checked(self, shape, n):
+        # -1 rows gave a 0 x 2 matrix, True rows a 1 x 2 one, and 2.0 a TypeError
+        with pytest.raises(MalformedMatrixError):
+            IntMatrix.zero(*shape(n))
+
+    def test_zero_is_shared_per_size(self):
+        z = IntMatrix.zero(3, 2)
+        assert (z.rows, z.cols, z.data) == (3, 2, ((0, 0),) * 3)
+        assert IntMatrix.zero(3, 2).data is z.data
+        assert IntMatrix.zero(0, 4) == IntMatrix([], cols=4)
+
     @pytest.mark.parametrize("rows", [[[1.5, 0]], [[True, 0]], [[1, 0], [1]]],
                              ids=["float", "bool", "ragged"])
     @pytest.mark.parametrize("build", [
@@ -597,6 +611,21 @@ class TestLatticeResults:
     ], ids=["IntMatrix", "IntMatrix-cols", "Sublattice", "from_rows", "RootDatum"])
     def test_malformed_rows_rejected(self, build, rows):
         with pytest.raises(MalformedMatrixError):
+            build(rows)
+
+    # The other entries of outside integer data keep their check too
+    # (IntMatrix, RootDatum given lists and from_rows are pinned above);
+    # rows the library computes itself skip it (`lattice._computed_matrix`)
+    @pytest.mark.parametrize("bad", ["float", "bool", "ragged"])
+    @pytest.mark.parametrize("build", [
+        lambda rows: RootDatum.from_dict({"rank": 2, "simple_roots": rows,
+                                          "simple_coroots": [[1, 0]] * len(rows)}),
+        lambda rows: RootDatum([[2, 0]], [[1, 0]], rank=2)._vector(rows[-1]),
+    ], ids=["RootDatum.from_dict", "_vector"])
+    def test_other_integer_entries_still_checked(self, build, bad):
+        rows = {"float": [[2, 0], [1.5, 0]], "bool": [[2, 0], [True, 0]],
+                "ragged": [[2, 0], [1]]}[bad]
+        with pytest.raises(ValueError):
             build(rows)
 
     def test_from_rows_checks_before_reducing(self):

@@ -823,3 +823,28 @@ def test_integer_arguments(call, expected, bad):
     with pytest.raises(ValueError, match="not an integer"):
         call(bad)
     assert call(1) == expected
+
+
+# A form's Gram data keeps its check where it enters, although the integer
+# Grams made from it are stored unchecked (`lattice._computed_matrix`): a
+# Gram holds rationals, so 1.5 is 3/2, but a bool and a wrong shape are
+# rejected, and a form dict takes only [numerator, denominator] int pairs.
+@pytest.mark.parametrize("bad,error", [
+    ([[True]], TypeError), ([[1], [0]], ShapeError), ([[1, 0]], ShapeError)],
+    ids=["bool", "ragged-rows", "ragged-cols"])
+def test_gram_parse_still_checked(bad, error):
+    assert QForm(SL2, [[1.5]]).g0 == ((Fraction(3, 2),),)
+    with pytest.raises(error):
+        QForm(SL2, bad)
+    with pytest.raises(error):
+        QForm(SL2, None, bad)
+
+
+@pytest.mark.parametrize("bad,error", [
+    ([[[1.5, 1]]], TypeError), ([[[True, 1]]], TypeError), ([[[1, 1]], [[0, 1]]], ShapeError)],
+    ids=["float", "bool", "ragged"])
+def test_form_dict_still_checked(bad, error):
+    for d in ({"gram_rational": bad, "gram_transcendental": [[[0, 1]]]},
+              {"gram_rational": [[[0, 1]]], "gram_transcendental": bad}):
+        with pytest.raises(error):
+            QForm.from_dict(SL2, d)

@@ -65,3 +65,33 @@ def test_witness_checks_read_no_root_table():
 
     assert {name: list(reads(name, set())) for name in ("isomorphic", "quantum_dual_pair")} \
         == {"isomorphic": [], "quantum_dual_pair": []}
+
+
+def _function(path, qualname):
+    """The syntax tree of a module-level function or a method, by its
+    dotted name in the module at `path`."""
+    node = _parse(path)
+    for part in qualname.split("."):
+        node = next(n for n in node.body
+                    if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == part)
+    return node
+
+
+def test_computed_matrix_stays_off_the_entries():
+    # `_computed_matrix` stores rows without checking them: only lattice,
+    # qform and dualgroup, on rows they computed from checked matrices, may
+    # build a matrix that way, and no entry of outside data calls it
+    uses = {p.name: [line for name, line in _names(_parse(p)) if name == "_computed_matrix"]
+            for p in SOURCES}
+    assert uses["qform.py"] and uses["dualgroup.py"]
+    assert {name for name, lines in uses.items() if lines} <= {
+        "lattice.py", "qform.py", "dualgroup.py"}
+    assert uses["cli.py"] == []
+    root = Path(twistdual.__file__).parent
+    entries = [("lattice.py", "IntMatrix.__init__"), ("lattice.py", "Sublattice.from_rows"),
+               ("rootdata.py", "RootDatum.__init__"), ("rootdata.py", "RootDatum.from_dict"),
+               ("rootdata.py", "RootDatum._vector"), ("qform.py", "QForm.__init__"),
+               ("qform.py", "_as_gram"), ("qform.py", "decode_gram"),
+               ("qform.py", "QForm.from_dict")]
+    assert [f"{path}:{qualname}" for path, qualname in entries
+            if "_computed_matrix" in dict(_names(_function(root / path, qualname)))] == []
