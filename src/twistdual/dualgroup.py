@@ -5,14 +5,21 @@ lattice = kernel of the bilinear form, roots = order-scaled coroots), the
 Finkelberg-Lysenko normalization, Lusztig's quantum-group datum, and the
 quantum-Langlands pairing of a nondegenerate form with its inverse on the
 Langlands dual side.  `isomorphic` certifies agreement between any two
-root data: per matching of simple indices that keeps the Cartan matrix,
-two Smith forms pin the weight map in closed form (the second datum's
-coroot form is cached with its pi1), only a glued centre leaves a bounded
-search over one k x k block, and a unimodular map carrying the simple
-pairs is a witness, as it conjugates the Weyl groups.  The pi1 of both
-data, which needs a Smith form of the first datum's coroots, is compared
-only once a matching has failed to give a witness, before any search and
-before a "none": an isomorphism found at the first matching reads no pi1.
+root data.  Each datum is framed by its simple roots and a basis of X^W,
+the weights every coroot kills; the frame's index [X : Z Delta + X^W] is
+an invariant, compared first, and per matching of simple indices that
+keeps the Cartan matrix the one inverse of the first frame gives the only
+candidate maps in closed form, one product each: exactly one when the
+datum is semisimple or the index is 1, two when X^W has rank 1.  Only a
+glued centre (X^W of rank k >= 2 and index > 1) keeps a bounded search
+over one k x k block, pinned by two Smith forms.  An integral candidate whose
+frame block is unimodular is a witness, as it conjugates the Weyl groups.
+The pi1 of both data, which needs a Smith form of the first datum's
+coroots, is compared only once a matching has failed to give a witness,
+before any search and before a "none": an isomorphism found at the first
+matching reads no pi1, and a semisimple pair that is isomorphic at the
+first matching builds no Smith form at all.
+
 Every matrix `isomorphic` and the dual constructions build from checked
 data goes through `lattice._computed_matrix`, not through the entry check.
 """
@@ -281,43 +288,62 @@ def _near(center):
                 yield [[center[r][c] + t[r * k + c] for c in range(k)] for r in range(k)]
 
 
+def _matchings(d1, d2, gcds1, gcds2):
+    """The permutations pi of the simple indices that keep the Cartan
+    matrix and each index's pair of gcds."""
+    s = d1.num_simple
+    c1, c2 = d1.cartan_matrix, d2.cartan_matrix
+    for perm in itertools.permutations(range(s)):
+        if all(gcds1[i] == gcds2[perm[i]]
+               and all(c1[i][j] == c2[perm[i]][perm[j]] for j in range(s)) for i in range(s)):
+            yield perm
+
+
 def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
-    """Decide whether two root data are isomorphic.
+    """Decide whether two root data are isomorphic (Springer, *Linear
+    Algebraic Groups*, 7.4).
 
     An isomorphism P of weight lattices can be taken to map a base to a
     base, so it is sought per matching pi of simple indices that keeps the
     Cartan matrix and each index's pair of gcds (of the root's and of the
-    coroot's entries): P alpha1_i = alpha2_pi(i), P^T coroot2_pi(i) =
-    coroot1_i.  Two Smith forms, U C2 V = [D | 0] of d2's simple coroots
-    (the one d2's pi1 is read off, kept on d2) and U' A1 V' = [D' | 0] of
-    d1's simple roots, computed once, pin all but a k x k block N of
-    V^-1 P V'^-T = [[X, Y], [K, N]], k = rank - #simple: the coroot
-    equations give X and Y (D must divide them) and the root equations
-    give K (D' must divide it).  X pairs d1's coroots with a basis of its
-    saturated root lattice, so it is invertible, and det P = +-det X
-    det(N - E) with E = K X^-1 Y.  Hence N is unique when k <= 1 (N = E
-    +- 1/det X) and can be E + I when det X = +-1; only a glued centre
-    (k >= 2, |det X| > 1) leaves a search over N around E, where
-    exhausting SEARCH_BUDGET yields "undecided" rather than a wrong "none".
+    coroot's entries, which a unimodular map keeps): P alpha1_i =
+    alpha2_pi(i), P^T coroot2_pi(i) = coroot1_i.
 
-    A unimodular candidate is a witness as it stands.  X and Y solve the
-    coroot equations, so P alpha1_i - alpha2_pi(i) pairs to 0 with d2's
-    coroots (the Cartan matrices agree under pi), and K zeroes the rest.
-    Then s2_pi(i) P = P s_i for s_i x = x - <x, coroot1_i> alpha1_i, so
-    P W1 P^-1 = W2; every root is W-conjugate to a simple one (Bourbaki,
-    Lie VI 1.5), so P carries each (root, coroot) pair of d1 to one of d2.
+    Each datum has a frame F = [simple roots; K], for K a basis of X^W,
+    the weights every coroot kills (`RootDatum._fixed_weights`); Z Delta
+    and X^W meet in 0, as the Cartan matrix is nondegenerate, so |det F| =
+    [X : Z Delta + X^W], the index.  An isomorphism carries Z Delta onto
+    Z Delta' and, as <P x, coroot2_pi(i)> = <x, coroot1_i>, X^W onto X'^W;
+    so it carries the one sum onto the other, and the index is an
+    invariant, compared before any matching (d2's kept on d2, d1's read
+    off the one inverse of F1).  As P restricts to an isomorphism of the
+    X^W, a witness at pi has P K1^T = K2^T N^T for an N in GL_k(Z), k =
+    rank - #simple: P F1^T = F2pi(N)^T for F2pi(N) = [alpha2_pi(i); N K2],
+    so P = F2pi(N)^T F1^-T, one product over den = det F1.  Conversely
+    such a P takes alpha1_i to alpha2_pi(i), and P^T coroot2_pi(i) pairs
+    with F1's rows as coroot1_i does: with alpha1_j by the Cartan
+    matrices, which agree under pi, and with K1 by 0, as N K2 lies in
+    X2^W.  det P = +-det N det F2 / det F1, so with equal indices |det P| =
+    |det N|: P is a witness exactly when it is integral and N unimodular.
+    Hence N = I serves when k = 0 or the index is 1 (F1 is then
+    unimodular, so every P is integral), N = +-1 are all there is when
+    k = 1, and the answer is exact in each case.  Only a glued centre
+    (k >= 2, index > 1) leaves N to `_glued_search`.
+
+    A witness carries every root.  s2_pi(i) P = P s_i for s_i x = x -
+    <x, coroot1_i> alpha1_i, so P W1 P^-1 = W2; every root is W-conjugate
+    to a simple one (Bourbaki, Lie VI 1.5), so P carries each (root,
+    coroot) pair of d1 to one of d2.
 
     pi1 (coweights modulo coroots) is an invariant, so data whose pi1
     differ have no witness at any matching.  It is compared only when a
-    matching gives no witness, before a bounded search starts and before
-    "none" is answered; so an "iso" at the first matching builds no Smith
-    form of d1's coroots, and differing pi1 give "none" after at most one
-    matching's closed form."""
+    matching gives no witness, and before a "none"; so an "iso" at the
+    first matching builds no Smith form of d1's coroots, and differing pi1
+    give "none" after at most one matching."""
     if d1.rank != d2.rank or d1.num_simple != d2.num_simple:
         return IsoResult("none", None, None)
     n, s = d1.rank, d1.num_simple
     k = n - s
-    # a unimodular map keeps the gcd of the entries of each root and coroot
     gcds1, gcds2 = ([(math.gcd(*a), math.gcd(*c)) for a, c in
                      zip(d.simple_roots.data, d.simple_coroots.data)] for d in (d1, d2))
     if sorted(gcds1) != sorted(gcds2):
@@ -325,6 +351,59 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
     if s == 0:
         # two tori of one rank; both pi1 are Z^n
         return IsoResult("iso", IntMatrix.identity(n), ())
+    index = d2._frame_index
+    matchings = _matchings(d1, d2, gcds1, gcds2)
+    if k >= 2 and index > 1:
+        if d1._frame_index != index:
+            return IsoResult("none", None, None)
+        return _glued_search(d1, d2, matchings)
+    _, inv_cols, den = integral_left_inverse(d1.simple_roots.data + d1._fixed_weights, n)
+    if abs(den) != index:
+        return IsoResult("none", None, None)
+    # den F1^-T: its rows are the columns of den F1^-1
+    inv_t = _computed_matrix(inv_cols, n)
+    fixed2 = _computed_matrix(d2._fixed_weights, n)
+    # N = I, and N = -1 as well when k = 1 and the index is not 1, each
+    # with its rows N K2 of the frame
+    candidates = [(big_n, (big_n @ fixed2).data) for big_n in (
+        _computed_matrix([[e * (r == c) for c in range(k)] for r in range(k)], k)
+        for e in ((1,) if k == 0 or index == 1 else (1, -1)))]
+    for perm in matchings:
+        roots = tuple(d2.simple_roots.data[j] for j in perm)
+        for big_n, fixed in candidates:
+            # |det P| = |det N|, as the indices agree
+            if not big_n.is_unimodular():
+                continue
+            # den P = F2pi(N)^T (den F1^-T)
+            p = (_computed_matrix(roots + fixed, n).transpose() @ inv_t).data
+            if not any(x % den for row in p for x in row):
+                return IsoResult("iso", _computed_matrix([[x // den for x in row] for row in p], n),
+                                 perm)
+        # this matching has no witness; differing pi1 rule out every other
+        if d1.pi1() != d2.pi1():
+            return IsoResult("none", None, None)
+    return IsoResult("none", None, None)
+
+
+def _glued_search(d1: RootDatum, d2: RootDatum, matchings) -> IsoResult:
+    """`isomorphic` for a glued centre: k = rank - #simple >= 2 and equal
+    indices [X : Z Delta + X^W] > 1, where the frame leaves N to search.
+
+    Two Smith forms, U C2 V = [D | 0] of d2's simple coroots (the one d2's
+    pi1 is read off, kept on d2) and U' A1 V' = [D' | 0] of d1's simple
+    roots, computed once, pin all but a k x k block N of V^-1 P V'^-T =
+    [[X, Y], [K, N]]: the coroot equations give X and Y (D must divide
+    them) and the root equations give K (D' must divide it).  X pairs d1's
+    coroots with a basis of its saturated root lattice, so it is
+    invertible, and det P = +-det X det(N - E) with E = K X^-1 Y.  Hence N
+    is E + I when det X = +-1; otherwise a search over N runs around E,
+    where exhausting SEARCH_BUDGET yields "undecided" rather than a wrong
+    "none".  A unimodular candidate is a witness as it stands, as in
+    `isomorphic`: X and Y solve the coroot equations, and K zeroes the
+    rest of the root residue.  pi1 is compared as there, and before any
+    search starts."""
+    n, s = d1.rank, d1.num_simple
+    k = n - s
     smith2, smith1 = d2._coroot_smith, smith_normal_form(d1.simple_roots)
     (u2, dc, v2), (u1, da, v1) = smith2, smith1
     v2_inv, v1_t = smith2.v_inv, v1.transpose()
@@ -333,11 +412,7 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
     # row j: the last k coordinates of V^-1 alpha2_j
     roots2 = [v2_inv.mul_vec(d2.simple_roots.row(j))[s:] for j in range(s)]
     undecided = False
-    for perm in itertools.permutations(range(s)):
-        if any(gcds1[i] != gcds2[perm[i]]
-               or any(d1.cartan_matrix[i][j] != d2.cartan_matrix[perm[i]][perm[j]]
-                      for j in range(s)) for i in range(s)):
-            continue
+    for perm in matchings:
         back = sorted(range(s), key=perm.__getitem__)
         top = _divided((u2 @ _computed_matrix([coroots1[i] for i in back], n)).data,
                        [dc.data[r][r] for r in range(s)])
@@ -354,12 +429,9 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
              @ _computed_matrix([row[s:] for row in top], k)).data
         if den < 0:
             f, den = [[-z for z in row] for row in f], -den
-        if k == 0 or den == 1:
+        if den == 1:
             candidates = [[[z + (r == c) for c, z in enumerate(row)]
                            for r, row in enumerate(f)]]
-        elif k == 1:
-            candidates = [[[(f[0][0] + e) // den]] for e in (1, -1)
-                          if (f[0][0] + e) % den == 0]
         else:
             # a search runs only on data whose pi1 agree
             if d1.pi1() != d2.pi1():

@@ -12,8 +12,9 @@ sublattices is equality of data.
 row operations and, one entry per pivot step, its column swap and column
 additions; U, V and V^-1 are built from that record the first time each
 is read.  So `quotient_group` and `RootDatum.pi1`, which read only the
-invariant factors, build no transform, `kernel_mod` builds V alone,
-`saturation` V^-1 alone, and `isomorphic` all three.  Identity and zero
+invariant factors, build no transform, `kernel_mod` and a datum's basis
+of X^W build V alone, `saturation` V^-1 alone, and only `isomorphic`'s
+search for a glued centre all three.  Identity and zero
 rows are built once per size and shared, as tuples are immutable.
 
 A matrix is checked once, where it enters the library.  The entries are
@@ -266,8 +267,9 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     operation (for U) and, as one entry per pivot step, its column swap
     and column additions (for V and V^-1); the transforms are built from
     that record when first read.  `quotient_group` and `RootDatum.pi1`
-    read D only, `kernel_mod` reads D and V, `saturation` reads V^-1, and
-    `isomorphic` reads all four."""
+    read D only, `kernel_mod` reads D and V, a datum's basis of X^W reads
+    V, `saturation` reads V^-1, and only `isomorphic`'s search for a glued
+    centre reads all four."""
     nr, nc = m.rows, m.cols
     a = [list(row) for row in m.data]
     row_ops, col_ops = [], []

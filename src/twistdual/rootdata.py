@@ -14,9 +14,14 @@ datum maps the record by its own R and V into one root table of (root,
 coroot, root coordinates) triples, from which the roots, the heights, the
 highest root and the per-component Killing record are read without a
 solve.  pi1 is read off the invariant factors D of the Smith form of V,
-which is kept on the datum: pi1 builds none of its transforms, and
-`isomorphic`, which reads U, V and V^-1 of the second datum's form, has
-them built there once.  The Weyl group is enumerated only on demand.
+which is kept on the datum: pi1 builds none of its transforms.  A datum
+with a centre (fewer simple roots than its rank) also reads V there once:
+its last columns are a basis of X^W, the weights every coroot kills, and
+`isomorphic` frames the datum by F = [simple roots; that basis] and
+compares the index |det F| = [X : Z Delta + X^W], kept on the datum; a
+semisimple datum's frame is its simple roots, so it builds no Smith form
+for `isomorphic`.  Only `isomorphic`'s search for a glued centre reads U
+and V^-1 as well.  The Weyl group is enumerated only on demand.
 
 `weight_chamber` and `coweight_chamber` are the one walk to the dominant
 chamber: a vector's labels (its pairings with the simple vectors of the
@@ -313,8 +318,27 @@ class RootDatum:
     @cached_property
     def _coroot_smith(self):
         """(U, D, V) with U C V = D for the simple coroots C, and V^-1 as
-        `.v_inv`; shared with `isomorphic`."""
+        `.v_inv`.  pi1 reads D, `_fixed_weights` the last columns of V, and
+        only `isomorphic`'s search for a glued centre reads U and V^-1."""
         return smith_normal_form(self.simple_coroots)
+
+    @cached_property
+    def _fixed_weights(self):
+        """A basis of X^W = ker C, as rows: the last rank - num_simple
+        columns of V, since C V = U^-1 [D | 0].  A semisimple datum has
+        none and builds no Smith form."""
+        s = self.num_simple
+        return () if s == self.rank else self._coroot_smith.v.transpose().data[s:]
+
+    @cached_property
+    def _frame_index(self):
+        """[X : Z Delta + X^W] = |det F| for the frame F = [simple roots;
+        `_fixed_weights`]; the sum is direct, as the Cartan matrix is
+        nondegenerate.  An isomorphism invariant (see `isomorphic`)."""
+        fixed = self._fixed_weights
+        frame = IntMatrix(self.simple_roots.data + fixed, cols=self.rank) if fixed \
+            else self.simple_roots
+        return abs(frame.det())
 
     @cached_property
     def _pi1(self):

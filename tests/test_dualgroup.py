@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 import root_oracle
 from test_rootdata import _rebased, _transvections
-from twistdual import dualgroup
+from twistdual import dualgroup, lattice, rootdata
 from twistdual.lattice import IntMatrix, kernel_mod
 from twistdual.qform import (
     CartanDatum,
@@ -523,9 +524,13 @@ class TestIsomorphicUnderRebasing:
     """isomorphic on data and duals written in other bases of Z^rank: GL_n(Z)
     changes of basis by up to 12 transvections with |c| <= 3."""
 
+    # semisimple (k = 0): SL3, G2, SO4xSO4; k = 1: SL2xT1, Sp4xT1, GL2,
+    # PGL3xT1; k = 2 with index 1: PGL2xT2; glued: GL2xT2, GL2xGL2, GL3xT1
     ISO = {"GL2xT2": standard("GL2xT2"), "SL2xT1": standard("SL2xT1"),
            "Sp4xT1": standard("Sp4xT1"), "GL2xGL2": standard("GL2xGL2"),
-           "GL3xT1": standard("GL3xT1"), "SO4xSO4": _so4_power(2)}
+           "GL3xT1": standard("GL3xT1"), "SO4xSO4": _so4_power(2),
+           "SL3": SL3, "G2": G2, "GL2": GL2, "PGL3xT1": standard("PGL3xT1"),
+           "PGL2xT2": standard("PGL2xT2")}
     NONE = [(standard(f"SL{n}"), standard(f"PGL{n}")) for n in (2, 3, 4)] + [
         (_so4_power(k), standard("x".join(["SL2xPGL2"] * k))) for k in (1, 2, 3)]
 
@@ -545,6 +550,36 @@ class TestIsomorphicUnderRebasing:
             _assert_witness(isomorphic(d1, d2), d1, d2)
 
         check()
+
+    def test_frame_index_is_a_rebasing_invariant(self):
+        # [X : Z Delta + X^W] is kept by every isomorphism; the coroots map
+        # X onto a sublattice of index |torsion of pi1| in Z^s, and Z Delta
+        # onto one of index |det Cartan|, with kernel X^W
+        rng = random.Random(29)
+        for label, rd in sorted(self.ISO.items()):
+            torsion = math.prod(f for f in rd.pi1().invariant_factors if f)
+            index = abs(IntMatrix(rd.cartan_matrix).det()) // torsion
+            assert rd._frame_index == index, label
+            for _ in range(6):
+                moves = [(rng.randrange(8), rng.randrange(8), rng.choice((-3, -2, -1, 1, 2, 3)))
+                         for _ in range(12)]
+                assert _rebased(rd, moves)._frame_index == index, label
+
+    @pytest.mark.parametrize("label", ["SL3", "G2", "SO4xSO4"])
+    def test_semisimple_pair_builds_no_smith_form(self, label, monkeypatch):
+        # a semisimple frame is the simple roots: an "iso" at the first
+        # matching needs neither datum's coroot Smith form, nor any other
+        d1, d2 = (_rebased(self.ISO[label], moves)
+                  for moves in ([(0, 1, 2), (1, 0, -1)], [(1, 0, 3), (0, 1, -2)]))
+        calls = []
+        smith = lattice.smith_normal_form
+        for module in (lattice, rootdata, dualgroup):
+            monkeypatch.setattr(module, "smith_normal_form",
+                                lambda m: calls.append(m) or smith(m))
+        res = isomorphic(d1, d2)
+        assert calls == []
+        assert "_coroot_smith" not in d1.__dict__ and "_coroot_smith" not in d2.__dict__
+        _assert_witness(res, d1, d2)
 
     def test_rebased_non_isomorphic_pairs(self):
         hypothesis = pytest.importorskip("hypothesis")

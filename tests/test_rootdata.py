@@ -619,9 +619,10 @@ class TestCartanMemo:
         assert _cartan_system.cache_info().maxsize is not None
 
     def test_isomorphic_matches_uncached_coroot_smith(self, monkeypatch):
-        # isomorphic reads d2's coroot Smith form, V^-1 included, off the
-        # datum, where pi1 left it; the old path computed it afresh on every
-        # call, and the patched property returns the same (U, D, V) shape
+        # isomorphic reads a datum's basis of X^W off V of the coroot Smith
+        # form kept on the datum, where pi1 left it (GL2 and SL2xT1 here);
+        # the patched property computes the form afresh on every read and
+        # returns the same (U, D, V) shape
         data = [self._datum(name) for group in self.SHARED for name in group]
         pairs = list(itertools.product(data, repeat=2))
         cached = [isomorphic(a, b) for a, b in pairs]
