@@ -4,9 +4,13 @@ Four ways to build a dual: the twisted dual of an invariant form (weight
 lattice = kernel of the bilinear form, roots = order-scaled coroots), the
 Finkelberg-Lysenko normalization, Lusztig's quantum-group datum, and the
 quantum-Langlands pairing of a nondegenerate form with its inverse on the
-Langlands dual side.  `isomorphic` certifies agreement between any two
-root data.  Each datum is framed by its simple roots and a basis of X^W,
-the weights every coroot kills; the frame's index [X : Z Delta + X^W] is
+Langlands dual side.  The twisted dual's multipliers are read off the
+integer numerators of Q on each coroot, by the gcd rule `fl_dual` uses,
+with no `Exponent` built.  `isomorphic` certifies agreement between any
+two root data.  Equal data, which two constructions that reduce to one
+Hermite basis give, are answered at once with the identity; otherwise
+each datum is framed by its simple roots and a basis of X^W, the
+weights every coroot kills; the frame's index [X : Z Delta + X^W] is
 an invariant, compared first, and per matching of simple indices that
 keeps the Cartan matrix the one inverse of the first frame gives the only
 candidate maps in closed form, one product each: exactly one when the
@@ -40,7 +44,7 @@ from .lattice import (
     kernel_mod,
     smith_normal_form,
 )
-from .qform import CartanDatum, QForm, kernel, trivial_qform
+from .qform import CartanDatum, QForm, ShapeError, kernel, trivial_qform
 from .rootdata import RootDatum, dot, vec_scale
 
 
@@ -113,11 +117,22 @@ def twisted_dual(rd: RootDatum, q: QForm, mode="full") -> TwistedDual:
     kappa, the root for a coroot is (order of Q on it) times the coroot,
     coroots with a value of infinite order are dropped.
 
+    Q(c) = (a + b tau) / 2den for the integer numerators (a, b) of q on a
+    coroot c, so the multiplier is 2den / gcd(a, 2den) when b = 0, and
+    None otherwise, as tau is never reduced.
+
     The dual of q over its own datum is computed once per mode and kept on
     q.  Another datum, even an equal one under another name, is never
-    served from that memo."""
+    served from that memo: q's integer Grams are re-read on rd, so that
+    the kernel and the multipliers both come from rd's coroots, with a
+    ShapeError when the ranks differ and an InvarianceError when rd does
+    not keep them."""
     if rd is not q.rd:
-        return _twisted_dual(rd, q, mode)
+        if q.rd.rank != rd.rank:
+            raise ShapeError(f"the form is over rank {q.rd.rank}, not the datum's rank {rd.rank}")
+        # q's Grams re-read on rd, which must keep them: the kernel and the
+        # multipliers then both come from rd's coroots
+        return _twisted_dual(rd, QForm._integral(rd, q.n0.data, q.n1.data, q.den), mode)
     if mode not in q._duals:
         q._duals[mode] = _twisted_dual(rd, q, mode)
     return q._duals[mode]
@@ -125,8 +140,9 @@ def twisted_dual(rd: RootDatum, q: QForm, mode="full") -> TwistedDual:
 
 def _twisted_dual(rd: RootDatum, q: QForm, mode) -> TwistedDual:
     lattice = kernel(q, mode)
-    multipliers = [q.q(rd.simple_coroots.row(i)).order()
-                   for i in range(rd.num_simple)]
+    m = 2 * q.den
+    multipliers = [None if b else m // math.gcd(a, m)
+                   for a, b in (q._numerators(c, c) for c in rd.simple_coroots.data)]
     label = f"dual({rd.name})" if rd.name else None
     return _assemble_dual(rd, lattice, multipliers, name=label)
 
@@ -303,6 +319,11 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
     """Decide whether two root data are isomorphic (Springer, *Linear
     Algebraic Groups*, 7.4).
 
+    Equal data (equal rank, simple roots and coroots) get the identity map
+    and permutation before any gcd, frame index, frame inverse or Smith
+    form: the identity carries each simple pair to itself.  Data that
+    differ are decided as follows.
+
     An isomorphism P of weight lattices can be taken to map a base to a
     base, so it is sought per matching pi of simple indices that keeps the
     Cartan matrix and each index's pair of gcds (of the root's and of the
@@ -340,6 +361,9 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
     matching gives no witness, and before a "none"; so an "iso" at the
     first matching builds no Smith form of d1's coroots, and differing pi1
     give "none" after at most one matching."""
+    # two tori of one rank are equal data
+    if d1 == d2:
+        return IsoResult("iso", IntMatrix.identity(d1.rank), tuple(range(d1.num_simple)))
     if d1.rank != d2.rank or d1.num_simple != d2.num_simple:
         return IsoResult("none", None, None)
     n, s = d1.rank, d1.num_simple
@@ -348,9 +372,6 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
                      zip(d.simple_roots.data, d.simple_coroots.data)] for d in (d1, d2))
     if sorted(gcds1) != sorted(gcds2):
         return IsoResult("none", None, None)
-    if s == 0:
-        # two tori of one rank; both pi1 are Z^n
-        return IsoResult("iso", IntMatrix.identity(n), ())
     index = d2._frame_index
     matchings = _matchings(d1, d2, gcds1, gcds2)
     if k >= 2 and index > 1:

@@ -11,9 +11,13 @@ they are reduced.  A finite-type Cartan matrix is nondegenerate, so R and
 V then have independent rows; their ranks are computed only when the
 matrix fails, to name the dependence.  A failure is never cached.  Each
 datum maps the record by its own R and V into one root table of (root,
-coroot, root coordinates) triples, from which the roots, the heights, the
-highest root and the per-component Killing record are read without a
-solve.  pi1 is read off the invariant factors D of the Smith form of V,
+coroot, root coordinates) triples, from which the roots, the heights and
+the highest root are read without a solve.  The per-component Killing
+record needs no root table: its Gram in Cartan coordinates, the dual
+Coxeter number and the short coroot depend on the Cartan matrix alone
+and are kept per matrix in a second bounded cache, filled only when a
+datum asks, and a datum's K is that Gram carried by R.
+pi1 is read off the invariant factors D of the Smith form of V,
 which is kept on the datum: pi1 builds none of its transforms.  A datum
 with a centre (fewer simple roots than its rank) also reads V there once:
 its last columns are a basis of X^W, the weights every coroot kills, and
@@ -468,17 +472,16 @@ class RootDatum:
         beta^T over the component's roots, i the index of the first simple
         coroot of least K-length, and h that length / 4, the dual Coxeter
         number, since sum_beta <beta, a^v>^2 = 4h for a short coroot a^v
-        (Kac, *Infinite-dimensional Lie algebras*, Ch. 6)."""
-        records = []
-        for comp in self.components:
-            k = outer_sum((beta for beta, _, coords in self._root_table
-                           if any(coords[i] for i in comp)), self.rank)
-            length, i = min((dot(k.mul_vec(c), c), i)
-                            for i, c in zip(comp, map(self.simple_coroots.row, comp)))
-            if length % 4:
-                raise RootDatumError(f"short coroot {i} has Killing length {length}, not 4h")
-            records.append((k, length // 4, i))
-        return tuple(records)
+        (Kac, *Infinite-dimensional Lie algebras*, Ch. 6).
+
+        A root is R^T c for its Cartan coordinates c, so K = R^T G R with G
+        the sum of c c^T over the component's roots, and the K-length of
+        coroot j is col_j^T G col_j for column j of the Cartan matrix: G, h
+        and i come from `_cartan_killing`, once per Cartan matrix, and the
+        datum pays one product for K, without its root table."""
+        r = self.simple_roots
+        r_t = r.transpose()
+        return tuple((r_t @ g @ r, h, i) for g, h, i in _cartan_killing(self.cartan_matrix))
 
     @property
     def coxeter_killing(self):
@@ -584,6 +587,29 @@ def _cartan_system(cartan) -> _CartanSystem:
             if vec_scale(k, c) in coroot_of:
                 raise RootDatumError(f"non-reduced system: {c} and {k}*{c}")
     return _CartanSystem(d, comps, tuple(coroot_of.items()))
+
+
+@lru_cache(maxsize=128)
+def _cartan_killing(cartan):
+    """(G, h, i) per component of a Cartan matrix, in `components` order:
+    G the s x s sum of c c^T over the component's roots c in simple
+    coordinates, each positive root with its negative, i the first simple
+    index of least length col_i^T G col_i, for column i of the Cartan
+    matrix, and h that length / 4.  Memoised like `_cartan_system`, and
+    built only when a datum asks for its Killing record; a failure is not
+    cached."""
+    system = _cartan_system(cartan)
+    s = len(cartan)
+    cols = tuple(zip(*cartan))
+    records = []
+    for comp in system.components:
+        g = outer_sum((v for c, _ in system.positive if any(c[i] for i in comp)
+                       for v in (c, tuple(map(neg, c)))), s)
+        length, i = min((dot(cols[j], g.mul_vec(cols[j])), j) for j in comp)
+        if length % 4:
+            raise RootDatumError(f"short coroot {i} has Killing length {length}, not 4h")
+        records.append((g, length // 4, i))
+    return tuple(records)
 
 
 def _symmetrize(cartan):

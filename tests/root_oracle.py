@@ -5,8 +5,9 @@ check the root table, and the isomorphism witnesses, against an
 independent routine.  Likewise the W-orbit of one vector, closed under the
 simple reflections, for the library's chamber walk, Weyl's dimension
 product in Fractions over the closure, for its product on Dynkin labels,
-and the dual Coxeter number 1 + <rho, theta^v> from the highest root, for
-the library's Killing record."""
+and the dual Coxeter number 1 + <rho, theta^v> from the highest root and
+the Gram sum of beta beta^T over the closure, for the library's Killing
+record."""
 
 from fractions import Fraction
 
@@ -38,6 +39,14 @@ def root_pairs(simple_roots, simple_coroots):
                     raise ValueError("root/coroot correspondence is inconsistent")
         frontier = nxt
     return tuple(sorted(seen.items()))
+
+
+def killing_gram(simple_roots, simple_coroots):
+    """The sum of beta beta^T over the roots beta of the closure of the
+    given simple pairs (at least one), as a tuple of rows."""
+    roots = [beta for beta, _ in root_pairs(simple_roots, simple_coroots)]
+    n = len(roots[0])
+    return tuple(tuple(sum(b[x] * b[y] for b in roots) for y in range(n)) for x in range(n))
 
 
 def carries_root_data(p, first, second):

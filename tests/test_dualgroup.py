@@ -10,7 +10,9 @@ from twistdual import dualgroup, lattice, rootdata
 from twistdual.lattice import IntMatrix, kernel_mod
 from twistdual.qform import (
     CartanDatum,
+    InvarianceError,
     QForm,
+    ShapeError,
     cartan_qform,
     half_forms_qform,
     invariant_gram_basis,
@@ -124,17 +126,47 @@ class TestTwistedDual:
                         image = rd.reflect_coweight(i, cobeta)
                         assert orders[image] == orders[cobeta]
 
+    def test_integer_multipliers_are_orders_of_q(self):
+        # each multiplier, read off the integer numerators of Q(coroot), is
+        # the order of the Exponent Q(coroot), on forms with tau parts, in
+        # the standard basis and in others
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        data = {rd.name: rd for rd in (SL2, PGL2, GL2, SL3, SP4, G2, standard("SL2xSL2"),
+                                       standard("SL2xT1"), standard("G2xSL2"))}
+        ratios = st.tuples(st.integers(-4, 4), st.sampled_from((1, 1, 2, 3, 4, 6)))
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(st.sampled_from(sorted(data)),
+                          TestIsomorphicUnderRebasing._moves(st, 3),
+                          st.sampled_from(("full", "coroot")), st.data())
+        def check(label, moves, mode, draw):
+            rd = _rebased(data[label], moves)
+            basis = invariant_gram_basis(rd)
+            n = rd.rank
+
+            def gram():
+                coeffs = draw.draw(st.lists(ratios, min_size=len(basis), max_size=len(basis)))
+                return [[sum(Fraction(a, b) * g[i][j] for (a, b), g in zip(coeffs, basis))
+                         for j in range(n)] for i in range(n)]
+
+            q = QForm(rd, gram(), gram())
+            assert twisted_dual(rd, q, mode).multipliers == tuple(
+                q.q(c).order() for c in rd.simple_coroots.data)
+
+        check()
+
     def test_contract_violation_on_inconsistent_form(self):
         class Doctored(QForm):
-            def q(self, lam):
-                # claims order 2 on the coroot while the Gram says order 3
-                if lam == (2,):
-                    return __import__(
-                        "twistdual.qform", fromlist=["Exponent"]
-                    ).Exponent.of(Fraction(1, 2))
-                return super().q(lam)
+            def _numerators(self, lam, mu):
+                # claims Q(coroot) = 3/6, of order 2, while the Gram says 4/6,
+                # of order 3
+                if lam == mu == (2,):
+                    return 3, 0
+                return super()._numerators(lam, mu)
 
         bad = Doctored(PGL2, [[Fraction(2, 3)]])
+        assert bad.q((2,)).order() == 2 and bad.n0.data == ((2,),) and bad.den == 3
         with pytest.raises(PaperContractViolation):
             twisted_dual(PGL2, bad)
 
@@ -169,6 +201,22 @@ class TestDualMemo:
         td = twisted_dual(PGL2, q)
         assert td.source is PGL2 and td != memo
         assert twisted_dual(SL2, q) is memo
+
+    def test_form_over_another_datum_is_read_on_it(self):
+        # the kernel and the multipliers both come from the datum's coroots:
+        # SL2's form on PGL2 in coroot mode once took the kernel from SL2's
+        # coroot and gave lattice 2Z, roots [[1]] and coroots [[2]]
+        half = [[Fraction(1, 2)]]
+        td = twisted_dual(PGL2, qform_from_gram(SL2, half), "coroot")
+        assert td.to_dict() == twisted_dual(PGL2, qform_from_gram(PGL2, half), "coroot").to_dict()
+        assert td.weight_sublattice.basis.data == ((1,),)
+        assert td.datum.simple_roots.data == ((2,),) and td.datum.simple_coroots.data == ((1,),)
+        # a Gram the datum does not keep, and a form of another rank
+        other = QForm(standard("SL2xSL2"), [[Fraction(1, 3), 0], [0, Fraction(1, 5)]])
+        with pytest.raises(InvarianceError):
+            twisted_dual(SL3, other)
+        with pytest.raises(ShapeError, match="^the form is over rank 1, not the datum's rank 2$"):
+            twisted_dual(SL3, qform_from_gram(SL2, [[1]]))
 
     def test_quantum_pair_sides_unchanged(self):
         b = [[x / 2 for x in row] for row in normalized_killing_gram(SL3)]
@@ -436,10 +484,38 @@ class TestIsomorphic:
             assert isomorphic(td.datum, langlands_dual(rd).datum).agrees()
 
     def test_budget_exhaustion_is_undecided(self, monkeypatch):
-        # GL2 x T1 glues its centre (|det X| = 2 with k = 2), so it searches
+        # GL2 x T1 glues its centre (|det X| = 2 with k = 2), so it searches;
+        # against a rebase of itself, which is not equal to it, equality
+        # does not answer first
         monkeypatch.setattr(dualgroup, "SEARCH_BUDGET", 0)
+        searches = []
+        near = dualgroup._near
+        monkeypatch.setattr(dualgroup, "_near", lambda c: searches.append(c) or near(c))
         gl2t1 = standard("GL2xT1")
-        assert isomorphic(gl2t1, gl2t1).status == "undecided"
+        rebased = _rebased(gl2t1, [(0, 2, 1)])
+        assert rebased != gl2t1
+        assert isomorphic(gl2t1, rebased).status == "undecided"
+        assert len(searches) == 1
+
+    @pytest.mark.parametrize("label", ["SL3", "G2", "GL2", "GL2xT1", "GL2xT2", "T2"])
+    def test_equal_data_answer_by_equality(self, label, monkeypatch):
+        # equal data, the same object or not, get the identity witness
+        # before any frame inverse or Smith form
+        rd = standard(label)
+        copy = RootDatum(rd.simple_roots, rd.simple_coroots, rank=rd.rank)
+        calls = []
+        for name in ("integral_left_inverse", "smith_normal_form"):
+            for module in (lattice, rootdata, dualgroup):
+                real = getattr(module, name)
+                monkeypatch.setattr(module, name,
+                                    lambda *args, real=real: calls.append(args) or real(*args))
+        results = [isomorphic(rd, d2) for d2 in (rd, copy)]
+        assert calls == []
+        monkeypatch.undo()
+        for res in results:
+            assert res.weight_map == IntMatrix.identity(rd.rank)
+            assert res.permutation == tuple(range(rd.num_simple))
+            _assert_witness(res, rd, copy)
 
     def test_different_weyl_types(self):
         assert isomorphic(SP4, standard("SL3")).status == "none"

@@ -769,6 +769,58 @@ class TestCoxeterData:
         assert rd.killing == ()
 
 
+class TestKillingGram:
+    """`killing` reads G, h and the short coroot off the Cartan matrix and
+    sets K = R^T G R: against the sum of beta beta^T over the oracle's own
+    closure of each component, and without the datum's root table."""
+
+    # Bourbaki's F4, B3 and C3, and E8 from `_cartan_rows`
+    ROWS = {
+        "F4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]],
+        "B3": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+        "C3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+        "E8": _cartan_rows("E", 8),
+    }
+
+    @staticmethod
+    def _check(rd):
+        grams = [k.data for k, _, _ in rd.killing]
+        assert "_root_table" not in rd.__dict__
+        assert grams == [root_oracle.killing_gram([rd.simple_roots.row(i) for i in comp],
+                                                  [rd.simple_coroots.row(i) for i in comp])
+                         for comp in rd.components]
+
+    @pytest.mark.parametrize("name", TestCoxeterData.LABELS)
+    def test_standard(self, name):
+        self._check(standard(name))
+
+    @pytest.mark.parametrize("adjoint", [False, True], ids=["sc", "adj"])
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    def test_bourbaki_rows(self, name, adjoint):
+        a = self.ROWS[name]
+        n = len(a)
+        unit = [[int(i == j) for j in range(n)] for i in range(n)]
+        rd = (RootDatum(unit, [list(col) for col in zip(*a)], rank=n) if adjoint
+              else RootDatum(a, unit, rank=n))
+        self._check(rd)
+
+    def test_rebased(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        labels = ("SL3", "PGL3", "Sp4", "G2", "GL3", "SL2xSL3", "Sp4xG2xSL2", "GL2xT1",
+                  "PGL3xSp4")
+        data = {name: standard(name) for name in labels}
+        moves = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                                   st.integers(-2, 2)), max_size=6)
+
+        @hypothesis.settings(max_examples=80, deadline=None)
+        @hypothesis.given(st.sampled_from(labels), moves)
+        def check(name, basis_moves):
+            self._check(_rebased(data[name], basis_moves))
+
+        check()
+
+
 class TestSerialization:
     def test_round_trip(self):
         for name in ("SL2", "GL2", "Sp4"):
