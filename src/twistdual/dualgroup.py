@@ -6,7 +6,12 @@ Finkelberg-Lysenko normalization, Lusztig's quantum-group datum, and the
 quantum-Langlands pairing of a nondegenerate form with its inverse on the
 Langlands dual side.  The twisted dual's multipliers are read off the
 integer numerators of Q on each coroot, by the gcd rule `fl_dual` uses,
-with no `Exponent` built.  `isomorphic` certifies agreement between any
+with no `Exponent` built.  Each construction's weight lattice is a
+kernel, one Hermite reduction (`lattice.kernel_mod`), so building a dual
+takes no Smith form; on the whole lattice (the zero form, Langlands
+duals, every integral form) the dual roots are the scaled coroots as
+they stand and the pairings are the simple roots, so no coordinates are
+solved for either.  `isomorphic` certifies agreement between any
 two root data.  Equal data, which two constructions that reduce to one
 Hermite basis give, are answered at once with the identity; otherwise
 each datum is framed by its simple roots and a basis of X^W, the
@@ -40,6 +45,7 @@ from .lattice import (
     Sublattice,
     _check_int,
     _computed_matrix,
+    _identity_rows,
     integral_left_inverse,
     kernel_mod,
     smith_normal_form,
@@ -86,10 +92,18 @@ class TwistedDual:
 def _assemble_dual(rd: RootDatum, weight_lattice: Sublattice, multipliers,
                    name=None) -> TwistedDual:
     """Common assembly: scale the surviving coroots into the weight lattice
-    and the corresponding roots into its dual, then validate."""
+    and the corresponding roots into its dual, then validate.
+
+    On the whole lattice (basis the identity: the zero form, Langlands
+    duals, every integral form) a vector is its own coordinates and
+    alpha_i pairs with the basis as alpha_i itself, so neither a
+    coordinate solve nor a product is made; the divisibility check runs
+    all the same."""
     k = weight_lattice.rank
+    whole = weight_lattice.basis.data == _identity_rows(rd.rank)
     # row i: alpha_i paired with each basis weight
-    pairing_rows = (rd.simple_roots @ weight_lattice.basis.transpose()).data
+    pairing_rows = (rd.simple_roots.data if whole
+                    else (rd.simple_roots @ weight_lattice.basis.transpose()).data)
     new_roots = []
     new_coroots = []
     for i in range(rd.num_simple):
@@ -97,7 +111,7 @@ def _assemble_dual(rd: RootDatum, weight_lattice: Sublattice, multipliers,
         if r is None:
             continue
         scaled = vec_scale(r, rd.simple_coroots.row(i))
-        coords = weight_lattice.coefficients(scaled)
+        coords = scaled if whole else weight_lattice.coefficients(scaled)
         if coords is None:
             raise PaperContractViolation(
                 f"{r} * coroot_{i} = {scaled} does not lie in the dual weight lattice")

@@ -8,14 +8,19 @@ denominator (`integral_left_inverse`), so no Fraction is built here.
 Sublattices are kept in row Hermite normal form so that equality of
 sublattices is equality of data.
 
-`smith_normal_form` computes the diagonal form D at once and records its
-row operations and, one entry per pivot step, its column swap and column
-additions; U, V and V^-1 are built from that record the first time each
-is read.  So `quotient_group` and `RootDatum.pi1`, which read only the
-invariant factors, build no transform, `kernel_mod` and a datum's basis
-of X^W build V alone, `saturation` V^-1 alone, and only `isomorphic`'s
-search for a glued centre all three.  Identity and zero
-rows are built once per size and shared, as tuples are immutable.
+Every kernel, exact or modulo N, is one row Hermite reduction
+(`kernel_mod`), and so is every dual's weight lattice: no Smith form
+lies on the construction path of a dual.  Only `pi1`, `quotient_group`,
+`saturation`, a datum's basis of X^W and `isomorphic`'s search for a
+glued centre read a Smith form.  `smith_normal_form` computes the
+diagonal form D at once and records its row operations and, one entry
+per pivot step, its column swap and column additions; U, V and V^-1 are
+built from that record the first time each is read.  So
+`quotient_group` and `RootDatum.pi1`, which read only the invariant
+factors, build no transform, a datum's basis of X^W builds V alone,
+`saturation` V^-1 alone, and only the glued search all three.  Identity
+and zero rows are built once per size and shared, as tuples are
+immutable.
 
 A matrix is checked once, where it enters the library.  The entries are
 the public `IntMatrix` constructor and `Sublattice.from_rows` (and
@@ -267,9 +272,9 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     operation (for U) and, as one entry per pivot step, its column swap
     and column additions (for V and V^-1); the transforms are built from
     that record when first read.  `quotient_group` and `RootDatum.pi1`
-    read D only, `kernel_mod` reads D and V, a datum's basis of X^W reads
-    V, `saturation` reads V^-1, and only `isomorphic`'s search for a glued
-    centre reads all four."""
+    read D only, a datum's basis of X^W reads V, `saturation` reads V^-1,
+    and only `isomorphic`'s search for a glued centre reads all four;
+    `kernel_mod` reads none, as it is a Hermite reduction."""
     nr, nc = m.rows, m.cols
     a = [list(row) for row in m.data]
     row_ops, col_ops = [], []
@@ -327,33 +332,91 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     return SmithForm(_trusted_matrix(tuple(map(tuple, a)), nc), row_ops, col_ops)
 
 
-def _hermite_rows(rows, ncols):
-    """Canonical row Hermite normal form; zero rows are dropped."""
-    mat = [list(r) for r in rows]
-    pr = 0
+def _xgcd(a, b):
+    """(g, s, t) with s a + t b = g = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, s0, s1, t0, t1 = b, r, s1, s0 - q * s1, t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def _hermite_rows(rows, ncols, modulus=None, start=0):
+    """Canonical row Hermite normal form; zero rows are dropped.
+
+    Column by column, the first row with a nonzero entry there takes in
+    each later one by the unimodular step [[s, t], [-y/g, x/g]] for
+    s x + t y = g = gcd(x, y) (a plain subtraction when x divides y), which
+    leaves the later row 0 in that column; the pivot is made positive and
+    reduces the entries above it to [0, pivot).
+
+    With a `modulus` N the rows are taken together with N Z^ncols, the
+    Hermite form modulo a lattice multiple (Domich, Kannan & Trotter, Math.
+    Oper. Res. 12, 1987; Cohen, GTM 138, Alg. 2.4.8): as the lattice holds
+    N Z^ncols, every entry is kept mod N, and each column's pivot row x
+    takes N e_c as its partner, for a pivot gcd(x, N); the pair's other
+    unimodular combination, -(N / gcd) times the old row mod N, stays with
+    the later columns.  The lattice has full rank: one row per column.
+
+    Only the rows whose pivot is at column `start` or later are kept and
+    reduced, which is the Hermite basis of the lattice's vectors that
+    vanish on the first `start` columns; `kernel_mod` reads no other."""
+    mat = [list(r) if modulus is None else [x % modulus for x in r] for r in rows]
+    mat = [r for r in mat if any(r)]
+    out = []
     for col in range(ncols):
-        while True:
-            nz = [i for i in range(pr, len(mat)) if mat[i][col] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda i: (abs(mat[i][col]), i))
-            i0 = nz[0]
-            for i in nz[1:]:
-                q = mat[i][col] // mat[i0][col]
-                mat[i] = [x - q * y for x, y in zip(mat[i], mat[i0])]
-        nz = [i for i in range(pr, len(mat)) if mat[i][col] != 0]
-        if not nz:
+        top = None
+        rest = []
+        for row in mat:
+            y = row[col]
+            if not y:
+                rest.append(row)
+                continue
+            if top is None:
+                top = row
+                continue
+            x = top[col]
+            if y % x == 0:
+                q = y // x
+                row = [a - q * b for a, b in zip(row, top)]
+            elif x % y == 0:
+                q = x // y
+                top, row = row, [a - q * b for a, b in zip(top, row)]
+            else:
+                g, s, t = _xgcd(x, y)
+                a, b = x // g, y // g
+                top, row = ([s * u + t * v for u, v in zip(top, row)],
+                            [a * v - b * u for u, v in zip(top, row)])
+                if modulus is not None:
+                    top = [z % modulus for z in top]
+            if modulus is not None:
+                row = [z % modulus for z in row]
+            if any(row):
+                rest.append(row)
+        mat = rest
+        if modulus is not None:
+            # N e_c is the pivot's partner; with no row, N e_c is the pivot row
+            top = top or [0] * ncols
+            g, s, _ = _xgcd(top[col], modulus)
+            # the complement: -(N / g) times the old row, mod N, 0 at col
+            row = [-(modulus // g) * z % modulus for z in top]
+            if any(row):
+                mat.append(row)
+            if col < start:
+                continue
+            top = [s * z % modulus for z in top]
+            top[col] = g
+        elif top is None or col < start:
             continue
-        mat[pr], mat[nz[0]] = mat[nz[0]], mat[pr]
-        if mat[pr][col] < 0:
-            mat[pr] = [-x for x in mat[pr]]
-        p = mat[pr][col]
-        for i in range(pr):
-            q = mat[i][col] // p
+        elif top[col] < 0:
+            top = [-z for z in top]
+        p = top[col]
+        for i, row in enumerate(out):
+            q = row[col] // p
             if q:
-                mat[i] = [x - q * y for x, y in zip(mat[i], mat[pr])]
-        pr += 1
-    return tuple(map(tuple, mat[:pr]))
+                out[i] = [a - q * b for a, b in zip(row, top)]
+        out.append(top)
+    return tuple(map(tuple, out))
 
 
 @dataclass(frozen=True)
@@ -443,6 +506,18 @@ class Sublattice:
 def kernel_mod(m: IntMatrix, modulus=None) -> Sublattice:
     """All x with m x == 0 modulo `modulus` (exact kernel for modulus None).
 
+    One row Hermite reduction, with no Smith form.  Row i of [m^T | I] is
+    (column i of m | e_i), so the combination x of the rows is (m x | x),
+    and the rows of the Hermite form whose pivot lies past the first r =
+    m.rows columns span exactly the (0 | x) with m x = 0: their last n
+    entries are the kernel's Hermite basis as they stand, and
+    `_hermite_rows` keeps only those rows.
+
+    Modulo N the kernel is {x : (0 | x) in L} for L the span of the rows
+    and the N e_k (k < r).  L holds N Z^(r+n): besides the N e_k, it holds
+    N (column i of m | e_i) - sum_k N m_ki e_k = (0 | N e_i).  So the
+    reduction may run modulo N, with N e_c as each pivot's partner.
+
     The exact kernel is saturated; the modular kernel has full rank.
     """
     if modulus is not None:
@@ -450,19 +525,10 @@ def kernel_mod(m: IntMatrix, modulus=None) -> Sublattice:
     if not any(map(any, m.data)):
         # the zero matrix kills everything, modulo anything
         return Sublattice.full(m.cols)
-    smith = smith_normal_form(m)
-    d, v = smith.d, smith.v
-    gens = []
-    for j in range(m.cols):
-        dj = d.data[j][j] if j < min(m.rows, m.cols) else 0
-        col = v.column(j)
-        if modulus is None:
-            if dj == 0:
-                gens.append(col)
-        else:
-            step = modulus // math.gcd(dj, modulus)
-            gens.append(tuple(step * x for x in col))
-    return Sublattice.from_rows(m.cols, gens)
+    r = m.rows
+    rows = [col + e for col, e in zip(m._columns(), _identity_rows(m.cols))]
+    return Sublattice._hermite(
+        m.cols, tuple(row[r:] for row in _hermite_rows(rows, r + m.cols, modulus, r)))
 
 
 def saturation(s: Sublattice) -> Sublattice:

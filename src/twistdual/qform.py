@@ -167,12 +167,13 @@ class QForm:
 
     @classmethod
     def _integral(cls, rd, n0, n1, den):
-        """The form with Grams n0 / den and n1 / den, for rows of ints and an
-        int den >= 1, built without a Fraction: reduced to lowest terms and
-        checked for invariance as `__init__` checks."""
-        g = math.gcd(den, *(x for n in (n0, n1) for row in n for x in row))
+        """The form with Grams n0 / den and n1 / den, for rows of ints (None
+        for a zero Gram) and an int den >= 1, built without a Fraction:
+        reduced to lowest terms and checked for invariance as `__init__`
+        checks."""
+        g = math.gcd(den, *(x for n in (n0, n1) if n is not None for row in n for x in row))
         if g > 1:
-            n0, n1 = ([[x // g for x in row] for row in n] for n in (n0, n1))
+            n0, n1 = (n if n is None else [[x // g for x in row] for row in n] for n in (n0, n1))
             den //= g
         out = object.__new__(cls)
         out._set(rd, n0, n1, den)
@@ -536,11 +537,16 @@ class CartanDatum:
 
     def bilinear_gram(self):
         """Rational Gram B on coweights with coroot_i^T B coroot_j = i.j;
-        needs the coroots to span, i.e. a semisimple datum.
+        needs the coroots to span, i.e. a semisimple datum."""
+        return _over(*self._bilinear_numerators())
+
+    def _bilinear_numerators(self):
+        """(B den^2, den^2) for the Gram B of `bilinear_gram`, as an integer
+        matrix over a positive integer.
 
         For C the matrix of coroot rows, B = C^-1 T C^-T with T the pairing
         matrix; the elimination gives den C^-T as an integer matrix, so B
-        is one integer product over den^2."""
+        den^2 is one integer product."""
         rd = self.rd
         if rd.num_simple != rd.rank:
             raise ValueError("Cartan-datum Gram needs a semisimple root datum")
@@ -548,14 +554,17 @@ class CartanDatum:
         _, m, den = integral_left_inverse(rd.simple_coroots.data, n)
         m = _computed_matrix(m, n)  # den C^-T
         t = _computed_matrix([[self.pairing(i, j) for j in range(n)] for i in range(n)], n)
-        return _over(m.transpose() @ t @ m, den * den)
+        return m.transpose() @ t @ m, den * den
 
 
 def cartan_qform(cd: CartanDatum, order) -> QForm:
     """The form q^f for q a primitive `order`-th root of unity: the Gram of
-    f divided by the order."""
+    f divided by the order, B den^2 over den^2 order from
+    `CartanDatum._bilinear_numerators`, reduced and checked for invariance
+    by `QForm._integral` with no Fraction built."""
     _check_int(order, "the order")
-    return QForm(cd.rd, [[x / order for x in row] for row in cd.bilinear_gram()])
+    n0, den = cd._bilinear_numerators()
+    return QForm._integral(cd.rd, n0.data, None, den * order)
 
 
 # -- standard Gram helpers -----------------------------------------------------

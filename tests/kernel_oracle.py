@@ -1,0 +1,67 @@
+"""Kernels of integer matrices by routes apart from the library's one
+Hermite reduction, so that the tests check `kernel_mod` and
+`_hermite_rows` against them: the Hermite form by repeated sorting, the
+kernel through a Smith form, and the kernel modulo N by enumeration."""
+
+import itertools
+import math
+
+from twistdual.lattice import smith_normal_form
+
+
+def sorted_hermite_rows(rows, ncols):
+    """Row Hermite normal form, zero rows dropped: per column, the rows are
+    sorted by the size of their entry there and reduced by the least until
+    one nonzero entry is left."""
+    mat = [list(r) for r in rows]
+    pr = 0
+    for col in range(ncols):
+        while True:
+            nz = [i for i in range(pr, len(mat)) if mat[i][col] != 0]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda i: (abs(mat[i][col]), i))
+            i0 = nz[0]
+            for i in nz[1:]:
+                q = mat[i][col] // mat[i0][col]
+                mat[i] = [x - q * y for x, y in zip(mat[i], mat[i0])]
+        nz = [i for i in range(pr, len(mat)) if mat[i][col] != 0]
+        if not nz:
+            continue
+        mat[pr], mat[nz[0]] = mat[nz[0]], mat[pr]
+        if mat[pr][col] < 0:
+            mat[pr] = [-x for x in mat[pr]]
+        p = mat[pr][col]
+        for i in range(pr):
+            q = mat[i][col] // p
+            if q:
+                mat[i] = [x - q * y for x, y in zip(mat[i], mat[pr])]
+        pr += 1
+    return tuple(map(tuple, mat[:pr]))
+
+
+def smith_kernel(m, modulus=None):
+    """The Hermite basis of {x : m x = 0 mod modulus} (exact for None) from
+    U m V = D: column j of V generates the kernel when d_j = 0, and
+    modulo N column j times N / gcd(d_j, N) does, for every j."""
+    if not any(map(any, m.data)):
+        return tuple(tuple(int(i == j) for j in range(m.cols)) for i in range(m.cols))
+    smith = smith_normal_form(m)
+    d, v = smith.d, smith.v
+    gens = []
+    for j in range(m.cols):
+        dj = d.data[j][j] if j < min(m.rows, m.cols) else 0
+        col = v.column(j)
+        if modulus is None:
+            if dj == 0:
+                gens.append(col)
+        else:
+            step = modulus // math.gcd(dj, modulus)
+            gens.append(tuple(step * x for x in col))
+    return sorted_hermite_rows(gens, m.cols)
+
+
+def residue_kernel(m, modulus):
+    """Every x in [0, modulus)^cols with m x = 0 mod modulus, as a set."""
+    return {x for x in itertools.product(range(modulus), repeat=m.cols)
+            if all(y % modulus == 0 for y in m.mul_vec(x))}

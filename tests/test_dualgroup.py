@@ -16,6 +16,7 @@ from twistdual.qform import (
     cartan_qform,
     half_forms_qform,
     invariant_gram_basis,
+    kernel,
     killing_matrix,
     normalized_killing_gram,
     qform_from_gram,
@@ -168,6 +169,45 @@ class TestTwistedDual:
         bad = Doctored(PGL2, [[Fraction(2, 3)]])
         assert bad.q((2,)).order() == 2 and bad.n0.data == ((2,),) and bad.den == 3
         with pytest.raises(PaperContractViolation):
+            twisted_dual(PGL2, bad)
+
+    @pytest.mark.parametrize("label,gram", [
+        ("SL2", [[1]]), ("SL2", None), ("PGL3", None), ("Sp4", None), ("G2", None),
+        ("GL2xT1", None), ("SL2xSL3", None)])
+    def test_whole_lattice_assembles_without_coordinates(self, label, gram, monkeypatch):
+        # an integral form (Langlands: the zero form) has the whole lattice
+        # as its kernel; the roots are r_i coroot_i as they stand and the
+        # pairing rows are the simple roots, with no coordinate solve
+        rd = standard(label)
+        solves = []
+        coefficients = lattice.Sublattice.coefficients
+        monkeypatch.setattr(lattice.Sublattice, "coefficients",
+                            lambda self, v: solves.append(v) or coefficients(self, v))
+        td = twisted_dual(rd, qform_from_gram(rd, gram))
+        assert solves == []
+        monkeypatch.undo()
+        lat = td.weight_sublattice
+        assert lat == lattice.Sublattice.full(rd.rank)
+        pairs = [(r, a, c) for r, a, c in zip(td.multipliers, rd.simple_roots.data,
+                                              rd.simple_coroots.data) if r is not None]
+        assert td.datum.simple_roots.data == tuple(
+            lat.coefficients(vec_scale(r, c)) for r, _, c in pairs)
+        assert td.datum.simple_coroots.data == tuple(
+            tuple(dot(a, w) // r for w in lat.basis.data) for r, a, _ in pairs)
+        if gram is not None:
+            assert td.multipliers == (2,)
+
+    def test_whole_lattice_keeps_the_divisibility_check(self):
+        # an integral form on PGL2 has the whole lattice as its kernel; a
+        # doctored odd Q numerator makes the multiplier 2, and alpha / 2 is
+        # not integral, so the assembly still refuses it
+        class Doctored(QForm):
+            def _numerators(self, lam, mu):
+                return 1, 0
+
+        bad = Doctored(PGL2, [[1]])
+        assert bad.den == 1 and kernel(bad) == lattice.Sublattice.full(1)
+        with pytest.raises(PaperContractViolation, match="alpha_0/2 is not integral"):
             twisted_dual(PGL2, bad)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 import types
 from fractions import Fraction
@@ -21,6 +22,7 @@ from twistdual.lattice import (
 )
 from twistdual.rootdata import RootDatum
 
+import kernel_oracle
 from fraction_oracle import inverse_unimodular, solve_left_rational
 
 
@@ -131,8 +133,14 @@ class TestSmithOnDemand:
         assert quotient_group(s).invariant_factors == (2, 6, 12)
         assert RootDatum(IntMatrix([[1]]), IntMatrix([[2]])).pi1().invariant_factors == (2,)
         assert built == []
-        kernel_mod(IntMatrix([[2, 4], [1, 2]]), None)
-        assert built == ["v"]
+        # a kernel is one Hermite reduction: it makes no Smith form at all
+        smith_calls = []
+        smith = lattice.smith_normal_form
+        monkeypatch.setattr(lattice, "smith_normal_form",
+                            lambda m: smith_calls.append(m) or smith(m))
+        assert kernel_mod(IntMatrix([[2, 4], [1, 2]]), None).basis.data == ((2, -1),)
+        assert kernel_mod(IntMatrix([[2, 4], [1, 2]]), 6).basis.data == ((2, 2), (0, 3))
+        assert smith_calls == [] and built == []
 
 
 class TestKernelMod:
@@ -191,6 +199,72 @@ class TestKernelMod:
             x = rng.randint(-20, 20)
             if not k.contains((x,)):
                 assert (2 * x) % 6 != 0
+
+
+class TestHermiteKernel:
+    """`kernel_mod` is one Hermite reduction of [m^T | I], modulo N when
+    there is one; `_hermite_rows` pivots each column by extended gcd.  Each
+    is checked against a route of `kernel_oracle`: residues, the Smith
+    form, or the Hermite form by repeated sorting."""
+
+    @staticmethod
+    def _sized(props, rows, cols):
+        return props.st.tuples(props.st.integers(*rows), props.st.integers(*cols)).flatmap(
+            lambda rc: props.shaped(*rc))
+
+    def test_modular_kernel_is_every_residue_solution(self, props):
+        @props.settings
+        @props.given(self._sized(props, (0, 3), (1, 3)), props.st.integers(1, 12))
+        def check(m, modulus):
+            k = kernel_mod(m, modulus)
+            n = m.cols
+            assert kernel_oracle.sorted_hermite_rows(k.basis.data, n) == k.basis.data
+            # k holds N Z^n, so it is the set of its residues plus N Z^n
+            assert all(k.contains(tuple(modulus * (i == j) for j in range(n)))
+                       for i in range(n))
+            residues = {x for x in itertools.product(range(modulus), repeat=n)
+                        if k.contains(x)}
+            assert residues == kernel_oracle.residue_kernel(m, modulus)
+        check()
+
+    def test_equals_the_smith_route(self, props):
+        @props.settings
+        @props.given(self._sized(props, (0, 7), (0, 7)),
+                     props.st.sampled_from((None, 1, 2, 12, 720720)))
+        def check(m, modulus):
+            assert kernel_mod(m, modulus).basis.data == kernel_oracle.smith_kernel(m, modulus)
+        check()
+
+    def test_exact_kernel_killed_of_corank_and_saturated(self, props):
+        @props.settings
+        @props.given(self._sized(props, (0, 6), (0, 7)))
+        def check(m):
+            k = kernel_mod(m, None)
+            assert all(not any(m.mul_vec(row)) for row in k.basis.data)
+            rank = props.sympy.Matrix(m.rows, m.cols, [x for row in m.data for x in row]).rank()
+            assert k.rank == m.cols - rank
+            assert saturation(k) == k
+        check()
+
+    @pytest.mark.parametrize("rows,ncols", [
+        ([], 3), ([[0, 0, 0], [0, 0, 0]], 3), ([[0, 0]], 2),
+        ([[4, 6], [6, 9], [10, 15], [-2, -3], [14, 21]], 2),         # tall, rank 1
+        ([[6, -4, 10, 0, 3], [9, -6, 15, 1, 0]], 5),                  # wide
+        ([[-3, -5, -7], [-2, -4, -6], [-1, -1, -1]], 3),              # negative
+        ([[0, -2, 3], [0, -4, 1]], 3),                                # negative pivots
+        ([[0, -12, 18], [0, 8, -30], [0, 0, -7]], 3),                 # a zero column
+    ])
+    def test_hermite_rows_on_named_shapes(self, rows, ncols):
+        assert lattice._hermite_rows(rows, ncols) == \
+            kernel_oracle.sorted_hermite_rows(rows, ncols)
+
+    def test_hermite_rows_match_sorting(self, props):
+        @props.settings
+        @props.given(self._sized(props, (0, 8), (0, 6)))
+        def check(m):
+            assert lattice._hermite_rows(m.data, m.cols) == \
+                kernel_oracle.sorted_hermite_rows(m.data, m.cols)
+        check()
 
 
 class TestSaturation:

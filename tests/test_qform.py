@@ -739,6 +739,18 @@ class TestCartanDatum:
         with pytest.raises(ValueError):
             CartanDatum(SP4, (1, 1))
 
+    @pytest.mark.parametrize("label", ["SL2", "SL3", "PGL3", "Sp4", "G2", "SL2xG2", "SL4"])
+    @pytest.mark.parametrize("scale", [1, 2])
+    def test_cartan_qform_in_integers(self, label, scale):
+        # the integer route stores what the Gram of Fractions over the order
+        # gives, in lowest terms
+        cd = CartanDatum.standard(standard(label), scale)
+        for order in (1, 2, 3, 5, 12, 60):
+            q = cartan_qform(cd, order)
+            expected = QForm(cd.rd, [[x / order for x in row] for row in cd.bilinear_gram()])
+            assert (q.n0, q.n1, q.den) == (expected.n0, expected.n1, expected.den)
+            assert q == expected and q.is_gram_zero() is False
+
     def test_cartan_qform_orders(self):
         import math
         cd = CartanDatum.standard(SP4)
