@@ -19,15 +19,18 @@ weights every coroot kills; the frame's index [X : Z Delta + X^W] is
 an invariant, compared first, and per matching of simple indices that
 keeps the Cartan matrix the one inverse of the first frame gives the only
 candidate maps in closed form, one product each: exactly one when the
-datum is semisimple or the index is 1, two when X^W has rank 1.  Only a
-glued centre (X^W of rank k >= 2 and index > 1) keeps a bounded search
-over one k x k block, pinned by two Smith forms.  An integral candidate whose
-frame block is unimodular is a witness, as it conjugates the Weyl groups.
-The pi1 of both data, which needs a Smith form of the first datum's
-coroots, is compared only once a matching has failed to give a witness,
-before any search and before a "none": an isomorphism found at the first
-matching reads no pi1, and a semisimple pair that is isomorphic at the
-first matching builds no Smith form at all.
+datum is semisimple or the index is 1, two when X^W has rank 1.  For a
+glued centre (X^W of rank k >= 2 and index > 1) integrality is a linear
+congruence modulo the exponent of X / (Z Delta + X^W), one `kernel_mod`
+per matching, and a witness is a solution of unit determinant, lifted to
+GL_k(Z); only a coset of solutions larger than SEARCH_BUDGET leaves the
+answer undecided.  An integral candidate whose frame block is unimodular
+is a witness, as it conjugates the Weyl groups.  The pi1 of both data,
+the invariant factors of each datum's coroots, is compared only once a
+matching has failed to give a witness, before a "none" or an
+"undecided": an isomorphism found at the first matching reads no pi1,
+and a semisimple pair that is isomorphic at the first matching computes
+no Smith form at all.
 
 Every matrix `isomorphic` and the dual constructions build from checked
 data goes through `lattice._computed_matrix`, not through the entry check.
@@ -48,7 +51,6 @@ from .lattice import (
     _identity_rows,
     integral_left_inverse,
     kernel_mod,
-    smith_normal_form,
 )
 from .qform import CartanDatum, QForm, ShapeError, kernel, trivial_qform
 from .rootdata import RootDatum, dot, vec_scale
@@ -301,23 +303,6 @@ class IsoResult:
         return self.status == "iso"
 
 
-def _divided(rows, divisors):
-    """Each row divided by its divisor, or None when a quotient is not
-    integral."""
-    if any(x % dv for row, dv in zip(rows, divisors) for x in row):
-        return None
-    return [[x // dv for x in row] for row, dv in zip(rows, divisors)]
-
-
-def _near(center):
-    """Integer matrices around `center`, in shells of growing sup distance."""
-    k = len(center)
-    for radius in itertools.count():
-        for t in itertools.product(range(-radius, radius + 1), repeat=k * k):
-            if radius in map(abs, t):
-                yield [[center[r][c] + t[r * k + c] for c in range(k)] for r in range(k)]
-
-
 def _matchings(d1, d2, gcds1, gcds2):
     """The permutations pi of the simple indices that keep the Cartan
     matrix and each index's pair of gcds."""
@@ -334,8 +319,8 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
     Algebraic Groups*, 7.4).
 
     Equal data (equal rank, simple roots and coroots) get the identity map
-    and permutation before any gcd, frame index, frame inverse or Smith
-    form: the identity carries each simple pair to itself.  Data that
+    and permutation before any gcd, frame index, frame inverse or kernel:
+    the identity carries each simple pair to itself.  Data that
     differ are decided as follows.
 
     An isomorphism P of weight lattices can be taken to map a base to a
@@ -351,10 +336,11 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
     Z Delta' and, as <P x, coroot2_pi(i)> = <x, coroot1_i>, X^W onto X'^W;
     so it carries the one sum onto the other, and the index is an
     invariant, compared before any matching (d2's kept on d2, d1's read
-    off the one inverse of F1).  As P restricts to an isomorphism of the
-    X^W, a witness at pi has P K1^T = K2^T N^T for an N in GL_k(Z), k =
-    rank - #simple: P F1^T = F2pi(N)^T for F2pi(N) = [alpha2_pi(i); N K2],
-    so P = F2pi(N)^T F1^-T, one product over den = det F1.  Conversely
+    off the one inverse of F1, which both routes below share).  As P
+    restricts to an isomorphism of the X^W, a witness at pi has P K1^T =
+    K2^T N^T for an N in GL_k(Z), k = rank - #simple: P F1^T = F2pi(N)^T
+    for F2pi(N) = [alpha2_pi(i); N K2], so P = F2pi(N)^T F1^-T, one
+    product over den = det F1.  Conversely
     such a P takes alpha1_i to alpha2_pi(i), and P^T coroot2_pi(i) pairs
     with F1's rows as coroot1_i does: with alpha1_j by the Cartan
     matrices, which agree under pi, and with K1 by 0, as N K2 lies in
@@ -362,8 +348,26 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
     |det N|: P is a witness exactly when it is integral and N unimodular.
     Hence N = I serves when k = 0 or the index is 1 (F1 is then
     unimodular, so every P is integral), N = +-1 are all there is when
-    k = 1, and the answer is exact in each case.  Only a glued centre
-    (k >= 2, index > 1) leaves N to `_glued_search`.
+    k = 1, and the answer is exact in each case.
+
+    A glued centre (k >= 2, index > 1) leaves N to `_glued_search`.  Let
+    e be the exponent of X / (Z Delta + X^W), the least e with G = e F1^-T
+    integral, and G_top, G_bot its first s and last k rows; then P =
+    F2pi(N)^T G / e is integral exactly when R_pi^T G_top + K2^T M G_bot =
+    0 mod e, for M = N^T and R_pi the rows alpha2_pi(i).  That is a linear
+    congruence in (1, M), whose n^2 x (1 + k^2) matrix [c | L] (c the
+    entries of R_pi^T G_top, L the coefficients of M) has one
+    `kernel_mod(., e)`: a solution exists exactly when its Hermite basis
+    starts with a row (1, x0), so with none pi has no witness, and then
+    the solutions mod e are the residues x0 + span(the other rows).  As
+    integrality reads N mod e only and |det P| = |det N|, pi has a witness
+    exactly when one residue has det = +-1 mod e, and such a residue lifts
+    to an N in GL_k(Z) with N^T = M mod e (`_unimodular_lift`; SL_k(Z) ->
+    SL_k(Z/e) is onto), whose P is one.  At most SEARCH_BUDGET residues
+    are walked per matching, and only a coset left unfinished makes the
+    answer "undecided".  The closed form is the same congruence where it
+    is trivial: modulo e = 1 every N solves it, and when k = 1 the units
+    +-1 are all the N there are.
 
     A witness carries every root.  s2_pi(i) P = P s_i for s_i x = x -
     <x, coroot1_i> alpha1_i, so P W1 P^-1 = W2; every root is W-conjugate
@@ -372,9 +376,10 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
 
     pi1 (coweights modulo coroots) is an invariant, so data whose pi1
     differ have no witness at any matching.  It is compared only when a
-    matching gives no witness, and before a "none"; so an "iso" at the
-    first matching builds no Smith form of d1's coroots, and differing pi1
-    give "none" after at most one matching."""
+    matching gives no witness, before a walk the budget cuts short, and
+    before a "none" or an "undecided"; so
+    an "iso" at the first matching reads no invariant factors of d1's
+    coroots, and differing pi1 give "none" after at most one matching."""
     # two tori of one rank are equal data
     if d1 == d2:
         return IsoResult("iso", IntMatrix.identity(d1.rank), tuple(range(d1.num_simple)))
@@ -387,14 +392,12 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
     if sorted(gcds1) != sorted(gcds2):
         return IsoResult("none", None, None)
     index = d2._frame_index
-    matchings = _matchings(d1, d2, gcds1, gcds2)
-    if k >= 2 and index > 1:
-        if d1._frame_index != index:
-            return IsoResult("none", None, None)
-        return _glued_search(d1, d2, matchings)
     _, inv_cols, den = integral_left_inverse(d1.simple_roots.data + d1._fixed_weights, n)
     if abs(den) != index:
         return IsoResult("none", None, None)
+    matchings = _matchings(d1, d2, gcds1, gcds2)
+    if k >= 2 and index > 1:
+        return _glued_search(d1, d2, matchings, inv_cols, den)
     # den F1^-T: its rows are the columns of den F1^-1
     inv_t = _computed_matrix(inv_cols, n)
     fixed2 = _computed_matrix(d2._fixed_weights, n)
@@ -420,68 +423,95 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
     return IsoResult("none", None, None)
 
 
-def _glued_search(d1: RootDatum, d2: RootDatum, matchings) -> IsoResult:
+def _glued_search(d1: RootDatum, d2: RootDatum, matchings, inv_cols, den) -> IsoResult:
     """`isomorphic` for a glued centre: k = rank - #simple >= 2 and equal
-    indices [X : Z Delta + X^W] > 1, where the frame leaves N to search.
-
-    Two Smith forms, U C2 V = [D | 0] of d2's simple coroots (the one d2's
-    pi1 is read off, kept on d2) and U' A1 V' = [D' | 0] of d1's simple
-    roots, computed once, pin all but a k x k block N of V^-1 P V'^-T =
-    [[X, Y], [K, N]]: the coroot equations give X and Y (D must divide
-    them) and the root equations give K (D' must divide it).  X pairs d1's
-    coroots with a basis of its saturated root lattice, so it is
-    invertible, and det P = +-det X det(N - E) with E = K X^-1 Y.  Hence N
-    is E + I when det X = +-1; otherwise a search over N runs around E,
-    where exhausting SEARCH_BUDGET yields "undecided" rather than a wrong
-    "none".  A unimodular candidate is a witness as it stands, as in
-    `isomorphic`: X and Y solve the coroot equations, and K zeroes the
-    rest of the root residue.  pi1 is compared as there, and before any
-    search starts."""
+    indices [X : Z Delta + X^W] > 1.  `inv_cols` / den is F1^-1 by
+    columns; the proof is in `isomorphic`'s docstring."""
     n, s = d1.rank, d1.num_simple
     k = n - s
-    smith2, smith1 = d2._coroot_smith, smith_normal_form(d1.simple_roots)
-    (u2, dc, v2), (u1, da, v1) = smith2, smith1
-    v2_inv, v1_t = smith2.v_inv, v1.transpose()
-    # row i: d1's coroot i against V'^-T, so that U C1 gives X | Y directly
-    coroots1 = (d1.simple_coroots @ smith1.v_inv.transpose()).data
-    # row j: the last k coordinates of V^-1 alpha2_j
-    roots2 = [v2_inv.mul_vec(d2.simple_roots.row(j))[s:] for j in range(s)]
+    g = math.gcd(den, *(x for col in inv_cols for x in col))
+    e = abs(den) // g
+    # G = e F1^-T: row r is column r of (den / g) F1^-1, signed as e > 0
+    big_g = [[(x if den > 0 else -x) // g for x in col] for col in inv_cols]
+    fixed2 = d2._fixed_weights
+    # row (a, b): the coefficients of M = N^T in (K2^T M G_bot)_ab
+    lin = [[fixed2[i][a] * big_g[s + j][b] for i in range(k) for j in range(k)]
+           for a in range(n) for b in range(n)]
     undecided = False
     for perm in matchings:
-        back = sorted(range(s), key=perm.__getitem__)
-        top = _divided((u2 @ _computed_matrix([coroots1[i] for i in back], n)).data,
-                       [dc.data[r][r] for r in range(s)])
-        k_t = _divided((u1 @ _computed_matrix([roots2[j] for j in perm], k)).data,
-                       [da.data[r][r] for r in range(s)])
-        if top is None or k_t is None:
-            if d1.pi1() != d2.pi1():
-                return IsoResult("none", None, None)
-            continue
-        k_rows = [list(col) for col in zip(*k_t)]
-        # F = den E = K (den X^-1) Y, with den X^-1 stored by columns
-        _, inv_cols, den = integral_left_inverse([row[:s] for row in top], s)
-        f = (_computed_matrix(k_rows, s) @ _computed_matrix(inv_cols, s).transpose()
-             @ _computed_matrix([row[s:] for row in top], k)).data
-        if den < 0:
-            f, den = [[-z for z in row] for row in f], -den
-        if den == 1:
-            candidates = [[[z + (r == c) for c, z in enumerate(row)]
-                           for r, row in enumerate(f)]]
-        else:
-            # a search runs only on data whose pi1 agree
-            if d1.pi1() != d2.pi1():
-                return IsoResult("none", None, None)
-            undecided = True
-            candidates = itertools.islice(
-                _near([[(2 * z + den) // (2 * den) for z in row] for row in f]),
-                SEARCH_BUDGET)
-        for nb in candidates:
-            p = v2 @ _computed_matrix(top + [a + b for a, b in zip(k_rows, nb)], n) @ v1_t
-            if p.is_unimodular():
-                return IsoResult("iso", p, perm)
+        roots = [d2.simple_roots.data[j] for j in perm]
+        # (1, M) with (R_pi^T G_top)_ab + (K2^T M G_bot)_ab = 0 mod e for all a, b
+        system = [[sum(r[a] * t[b] for r, t in zip(roots, big_g)), *row]
+                  for (a, b), row in zip(itertools.product(range(n), repeat=2), lin)]
+        top, *rest = kernel_mod(_computed_matrix(system, 1 + k * k), e).basis.data
+        if top[0] == 1:
+            # the residues top + span(rest) mod e, one per coefficient vector
+            steps = [(e // row[j], row) for j, row in enumerate(rest, 1) if row[j] < e]
+            if math.prod(size for size, _ in steps) > SEARCH_BUDGET:
+                # a walk the budget cuts short runs only on data whose pi1 agree
+                if d1.pi1() != d2.pi1():
+                    return IsoResult("none", None, None)
+                undecided = True
+            for coeffs in itertools.islice(
+                    itertools.product(*(range(size) for size, _ in steps)), SEARCH_BUDGET):
+                m = top
+                for c, (_, row) in zip(coeffs, steps):
+                    m = [x + c * y for x, y in zip(m, row)]
+                # the residue of N = M^T
+                residue = [[x % e for x in m[1 + j::k]] for j in range(k)]
+                if _computed_matrix(residue, k).det() % e in (1, e - 1):
+                    big_n = _computed_matrix(_unimodular_lift(residue, e), k)
+                    frame = roots + list((big_n @ _computed_matrix(fixed2, n)).data)
+                    # P = F2pi(N)^T G / e, integral as N^T solves the system
+                    p = (_computed_matrix(frame, n).transpose() @ _computed_matrix(big_g, n))
+                    return IsoResult(
+                        "iso", _computed_matrix([[x // e for x in row] for row in p.data], n),
+                        perm)
         # this matching has no witness; differing pi1 rule out every other
         if d1.pi1() != d2.pi1():
             return IsoResult("none", None, None)
-    if d1.pi1() != d2.pi1() or not undecided:
-        return IsoResult("none", None, None)
-    return IsoResult("undecided", None, None)
+    return IsoResult("undecided" if undecided else "none", None, None)
+
+
+def _unimodular_lift(a, e):
+    """An N in GL_k(Z) with N = a mod e, for a k x k integer matrix a whose
+    determinant is +-1 mod e.
+
+    Steps row_i += q row_j, each in SL_k(Z), and changes of an entry by e
+    take a to an upper triangular T = E a mod e with diagonal +-1, ...,
+    +-1, t: per column c < k - 1, Euclid's algorithm on the rows from c on
+    leaves their gcd in row c, and when that is not +-1, e is added below
+    it and Euclid runs again, ending at +-1, since a column whose entries
+    share a prime factor with e would make det a = 0 mod that prime.
+    Then t = +-1 mod e as well, and N = E^-1 T' for T' = T with t set to
+    +-1 has N = E^-1 E a = a mod e and det N = +-1."""
+    k = len(a)
+    w = [list(row) for row in a]
+    steps = []
+
+    def add(i, j, q):
+        w[i] = [x + q * y for x, y in zip(w[i], w[j])]
+        steps.append((i, j, q))
+
+    def gather(c):
+        while True:
+            live = [i for i in range(c, k) if w[i][c]]
+            if len(live) < 2:
+                break
+            p = min(live, key=lambda i: abs(w[i][c]))
+            for i in live:
+                if i != p:
+                    add(i, p, -(w[i][c] // w[p][c]))
+        if live and live[0] != c:
+            add(c, live[0], 1)
+            add(live[0], c, -1)
+
+    for c in range(k - 1):
+        gather(c)
+        if abs(w[c][c]) != 1:
+            w[c + 1][c] += e
+            gather(c)
+    w[-1][-1] = 1 if (w[-1][-1] - 1) % e == 0 else -1
+    for i, j, q in reversed(steps):
+        w[i] = [x - q * y for x, y in zip(w[i], w[j])]
+    return w

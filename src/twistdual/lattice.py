@@ -9,18 +9,11 @@ Sublattices are kept in row Hermite normal form so that equality of
 sublattices is equality of data.
 
 Every kernel, exact or modulo N, is one row Hermite reduction
-(`kernel_mod`), and so is every dual's weight lattice: no Smith form
-lies on the construction path of a dual.  Only `pi1`, `quotient_group`,
-`saturation`, a datum's basis of X^W and `isomorphic`'s search for a
-glued centre read a Smith form.  `smith_normal_form` computes the
-diagonal form D at once and records its row operations and, one entry
-per pivot step, its column swap and column additions; U, V and V^-1 are
-built from that record the first time each is read.  So
-`quotient_group` and `RootDatum.pi1`, which read only the invariant
-factors, build no transform, a datum's basis of X^W builds V alone,
-`saturation` V^-1 alone, and only the glued search all three.  Identity
-and zero rows are built once per size and shared, as tuples are
-immutable.
+(`kernel_mod`), and so is every dual's weight lattice, a datum's basis of
+X^W and a saturation (the kernel of a kernel).  `smith_normal_form`
+returns the invariant factors alone, which `pi1` and `quotient_group`
+read; no Smith transform is built anywhere.  Identity and zero rows are
+built once per size and shared, as tuples are immutable.
 
 A matrix is checked once, where it enters the library.  The entries are
 the public `IntMatrix` constructor and `Sublattice.from_rows` (and
@@ -30,21 +23,21 @@ integral values of other numeric types; not 1.5, not a bool) and rejects
 ragged rows, and `Sublattice` takes only an `IntMatrix` basis and an int
 ambient rank >= 0.  `qform` checks its Gram data itself, in the Gram
 parse and `QForm.from_dict`.  What this module computes from checked
-ints - products, transposes, identities, zero matrices, Smith and
-Hermite forms, kernels - is built by `_trusted_matrix`, which stores its
+ints - products, transposes, identities, zero matrices, Hermite
+forms, kernels - is built by `_trusted_matrix`, which stores its
 tuple of int tuples as it is and which no other module calls.  Rows that
-`qform` and `dualgroup` compute by integer arithmetic from checked
-matrices (the Grams a form stores, a dual's roots and coroots, the
-matrices of the dual constructions and of `isomorphic`) become a matrix
-through `_computed_matrix`, the one constructor for them, which skips
-the entry check too.
+`qform`, `rootdata` and `dualgroup` compute by integer arithmetic from
+checked matrices (the Grams a form stores, a datum's frame, a dual's roots
+and coroots, the matrices of the dual constructions and of `isomorphic`)
+become a matrix through `_computed_matrix`, the one constructor for them,
+which skips the entry check too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import mul
 
 
@@ -202,93 +195,12 @@ def _zero_rows(rows, cols):
     return ((0,) * cols,) * rows
 
 
-def _identity_list(n):
-    return [list(row) for row in _identity_rows(n)]
-
-
-class SmithForm:
-    """(U, D, V) with U m V = D, as `smith_normal_form` returns it; it
-    unpacks and indexes as that 3-tuple, and V^-1 is `.v_inv`.
-
-    D is computed at once.  U, V and V^-1 are replayed from the recorded
-    row and column operations the first time each is read, so a caller
-    that reads only the invariant factors builds no transform."""
-
-    def __init__(self, d, row_ops, col_ops):
-        self.d = d
-        self._row_ops, self._col_ops = row_ops, col_ops
-
-    def __iter__(self):
-        return iter((self.u, self.d, self.v))
-
-    def __getitem__(self, i):
-        return getattr(self, ("u", "d", "v")[i])
-
-    @cached_property
-    def u(self):
-        u = _identity_list(self.d.rows)
-        for kind, i, j, q in self._row_ops:
-            if kind == "swap":
-                u[i], u[j] = u[j], u[i]
-            elif kind == "add":
-                u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-            else:
-                u[i] = [-x for x in u[i]]
-        return _trusted_matrix(tuple(map(tuple, u)), self.d.rows)
-
-    @cached_property
-    def v(self):
-        # a column operation on V is a row operation on V^T: per pivot t,
-        # the swap, then row j -= q row t for each step (j, q)
-        n = self.d.cols
-        vt = _identity_list(n)
-        for t, c, steps in self._col_ops:
-            vt[t], vt[c] = vt[c], vt[t]
-            top = vt[t]
-            for j, q in steps:
-                vt[j] = [x - q * y for x, y in zip(vt[j], top)]
-        return _trusted_matrix(tuple(zip(*vt)), n)
-
-    @cached_property
-    def v_inv(self):
-        # column j -= q column t on V is row t += q row j on V^-1; rows j
-        # are fixed while a pivot's steps run, so row t is rebuilt once
-        v_inv = _identity_list(self.d.cols)
-        for t, c, steps in self._col_ops:
-            v_inv[t], v_inv[c] = v_inv[c], v_inv[t]
-            row = v_inv[t]
-            for j, q in steps:
-                row = [x + q * y for x, y in zip(row, v_inv[j])]
-            v_inv[t] = row
-        return _trusted_matrix(tuple(map(tuple, v_inv)), self.d.cols)
-
-
-def smith_normal_form(m: IntMatrix) -> SmithForm:
-    """Return (U, D, V) with U m V = D, U and V unimodular, D diagonal
-    with a divisibility chain d1 | d2 | ... on the diagonal, and V^-1 as
-    `.v_inv`.
-
-    The elimination works on a copy of m alone and records each row
-    operation (for U) and, as one entry per pivot step, its column swap
-    and column additions (for V and V^-1); the transforms are built from
-    that record when first read.  `quotient_group` and `RootDatum.pi1`
-    read D only, a datum's basis of X^W reads V, `saturation` reads V^-1,
-    and only `isomorphic`'s search for a glued centre reads all four;
-    `kernel_mod` reads none, as it is a Hermite reduction."""
+def smith_normal_form(m: IntMatrix) -> tuple:
+    """The invariant factors d1 | d2 | ... of m: the diagonal of its Smith
+    form U m V, min(rows, cols) entries >= 0 with the zeros last.  No
+    transform is kept; `quotient_group` and `RootDatum.pi1` read these."""
     nr, nc = m.rows, m.cols
     a = [list(row) for row in m.data]
-    row_ops, col_ops = [], []
-
-    def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            row_ops.append(("swap", i, j, 0))
-
-    def add_row(dst, src, q):
-        # row dst -= q * row src
-        a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-        row_ops.append(("add", dst, src, q))
-
     t = 0
     while t < min(nr, nc):
         # the first entry of least absolute value, in row-major order
@@ -296,15 +208,16 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
                     for j, x in enumerate(a[i][t:], t) if x), default=None)
         if best is None:
             break
-        swap_rows(t, best[1])
-        c = best[2]
+        _, i, c = best
+        a[t], a[i] = a[i], a[t]
         if c != t:
             for row in a:
                 row[t], row[c] = row[c], row[t]
         p = a[t][t]
         for i in range(t + 1, nr):
             if a[i][t]:
-                add_row(i, t, a[i][t] // p)
+                q = a[i][t] // p
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
         # column j -= q_j * column t for each j > t; column t is fixed while
         # they run, so only the rows with a nonzero entry there change
         col_steps = [(j, a[t][j] // p) for j in range(t + 1, nc) if a[t][j]]
@@ -313,23 +226,15 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
             if x:
                 for j, q in col_steps:
                     row[j] -= q * x
-        if c != t or col_steps:
-            col_ops.append((t, c, col_steps))
         if any(a[i][t] for i in range(t + 1, nr)) or any(a[t][t + 1:]):
             continue
         # pivot must divide every remaining entry; fold a violator into row t
         viol = next((i for i in range(t + 1, nr) if any(x % p for x in a[i][t + 1:])), None)
         if viol is not None:
-            add_row(t, viol, -1)
+            a[t] = [x + y for x, y in zip(a[t], a[viol])]
             continue
         t += 1
-
-    for i in range(min(nr, nc)):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-            row_ops.append(("neg", i, i, 0))
-
-    return SmithForm(_trusted_matrix(tuple(map(tuple, a)), nc), row_ops, col_ops)
+    return tuple(abs(a[i][i]) for i in range(min(nr, nc)))
 
 
 def _xgcd(a, b):
@@ -353,10 +258,8 @@ def _hermite_rows(rows, ncols, modulus=None, start=0):
     With a `modulus` N the rows are taken together with N Z^ncols, the
     Hermite form modulo a lattice multiple (Domich, Kannan & Trotter, Math.
     Oper. Res. 12, 1987; Cohen, GTM 138, Alg. 2.4.8): as the lattice holds
-    N Z^ncols, every entry is kept mod N, and each column's pivot row x
-    takes N e_c as its partner, for a pivot gcd(x, N); the pair's other
-    unimodular combination, -(N / gcd) times the old row mod N, stays with
-    the later columns.  The lattice has full rank: one row per column.
+    N Z^ncols, every entry is kept mod N, and N e_c heads column c, so that
+    its pivot divides N and the lattice keeps full rank: one row per column.
 
     Only the rows whose pivot is at column `start` or later are kept and
     reduced, which is the Hermite basis of the lattice's vectors that
@@ -365,7 +268,7 @@ def _hermite_rows(rows, ncols, modulus=None, start=0):
     mat = [r for r in mat if any(r)]
     out = []
     for col in range(ncols):
-        top = None
+        top = None if modulus is None else [modulus * (j == col) for j in range(ncols)]
         rest = []
         for row in mat:
             y = row[col]
@@ -394,21 +297,9 @@ def _hermite_rows(rows, ncols, modulus=None, start=0):
             if any(row):
                 rest.append(row)
         mat = rest
-        if modulus is not None:
-            # N e_c is the pivot's partner; with no row, N e_c is the pivot row
-            top = top or [0] * ncols
-            g, s, _ = _xgcd(top[col], modulus)
-            # the complement: -(N / g) times the old row, mod N, 0 at col
-            row = [-(modulus // g) * z % modulus for z in top]
-            if any(row):
-                mat.append(row)
-            if col < start:
-                continue
-            top = [s * z % modulus for z in top]
-            top[col] = g
-        elif top is None or col < start:
+        if top is None or col < start:
             continue
-        elif top[col] < 0:
+        if top[col] < 0:
             top = [-z for z in top]
         p = top[col]
         for i, row in enumerate(out):
@@ -532,19 +423,16 @@ def kernel_mod(m: IntMatrix, modulus=None) -> Sublattice:
 
 
 def saturation(s: Sublattice) -> Sublattice:
-    """The smallest saturated sublattice containing s (ambient meet Q.s)."""
-    if s.rank == 0:
-        return s
-    v_inv = smith_normal_form(s.basis).v_inv
-    return Sublattice.from_rows(s.ambient_rank, v_inv.data[: s.rank])
+    """The smallest saturated sublattice containing s (ambient meet Q.s):
+    the kernel of the kernel of s's basis, all of Z^n when the first
+    kernel is 0."""
+    return kernel_mod(kernel_mod(s.basis).basis)
 
 
 def quotient_group(s: Sublattice) -> "FGAbelianGroup":
     """Invariant factors of Z^ambient / s."""
-    d = smith_normal_form(s.basis).d
-    factors = [d.data[i][i] for i in range(s.rank)]
     free = s.ambient_rank - s.rank
-    return FGAbelianGroup.from_factors(factors + [0] * free)
+    return FGAbelianGroup.from_factors([*smith_normal_form(s.basis), *[0] * free])
 
 
 def intersect(s1: Sublattice, s2: Sublattice) -> Sublattice:

@@ -17,15 +17,13 @@ record needs no root table: its Gram in Cartan coordinates, the dual
 Coxeter number and the short coroot depend on the Cartan matrix alone
 and are kept per matrix in a second bounded cache, filled only when a
 datum asks, and a datum's K is that Gram carried by R.
-pi1 is read off the invariant factors D of the Smith form of V,
-which is kept on the datum: pi1 builds none of its transforms.  A datum
-with a centre (fewer simple roots than its rank) also reads V there once:
-its last columns are a basis of X^W, the weights every coroot kills, and
-`isomorphic` frames the datum by F = [simple roots; that basis] and
-compares the index |det F| = [X : Z Delta + X^W], kept on the datum; a
-semisimple datum's frame is its simple roots, so it builds no Smith form
-for `isomorphic`.  Only `isomorphic`'s search for a glued centre reads U
-and V^-1 as well.  The Weyl group is enumerated only on demand.
+pi1 is read off the invariant factors of V, kept on the datum.  A datum
+with a centre (fewer simple roots than its rank) has a basis of X^W, the
+weights every coroot kills: the Hermite basis of the kernel of V, one
+`kernel_mod`.  `isomorphic` frames the datum by F = [simple roots; that
+basis] and compares the index |det F| = [X : Z Delta + X^W], kept on the
+datum; a semisimple datum's frame is its simple roots.  The Weyl group is
+enumerated only on demand.
 
 `weight_chamber` and `coweight_chamber` are the one walk to the dominant
 chamber: a vector's labels (its pairings with the simple vectors of the
@@ -52,8 +50,10 @@ from .lattice import (
     FGAbelianGroup,
     IntMatrix,
     Sublattice,
+    _computed_matrix,
     _int_row,
     integral_left_inverse,
+    kernel_mod,
     outer_sum,
     smith_normal_form,
 )
@@ -320,35 +320,25 @@ class RootDatum:
         return self._pi1
 
     @cached_property
-    def _coroot_smith(self):
-        """(U, D, V) with U C V = D for the simple coroots C, and V^-1 as
-        `.v_inv`.  pi1 reads D, `_fixed_weights` the last columns of V, and
-        only `isomorphic`'s search for a glued centre reads U and V^-1."""
-        return smith_normal_form(self.simple_coroots)
-
-    @cached_property
     def _fixed_weights(self):
-        """A basis of X^W = ker C, as rows: the last rank - num_simple
-        columns of V, since C V = U^-1 [D | 0].  A semisimple datum has
-        none and builds no Smith form."""
+        """A basis of X^W = ker V, as rows: the Hermite basis of the kernel
+        of the simple coroots.  A semisimple datum has none."""
         s = self.num_simple
-        return () if s == self.rank else self._coroot_smith.v.transpose().data[s:]
+        return () if s == self.rank else kernel_mod(self.simple_coroots).basis.data
 
     @cached_property
     def _frame_index(self):
         """[X : Z Delta + X^W] = |det F| for the frame F = [simple roots;
         `_fixed_weights`]; the sum is direct, as the Cartan matrix is
         nondegenerate.  An isomorphism invariant (see `isomorphic`)."""
-        fixed = self._fixed_weights
-        frame = IntMatrix(self.simple_roots.data + fixed, cols=self.rank) if fixed \
-            else self.simple_roots
-        return abs(frame.det())
+        return abs(_computed_matrix(self.simple_roots.data + self._fixed_weights,
+                                    self.rank).det())
 
     @cached_property
     def _pi1(self):
-        # the coroots are independent: D has num_simple nonzero entries
-        d, s = self._coroot_smith.d.data, self.num_simple
-        return FGAbelianGroup.from_factors([d[i][i] for i in range(s)] + [0] * (self.rank - s))
+        # the coroots are independent: num_simple invariant factors
+        return FGAbelianGroup.from_factors(
+            [*smith_normal_form(self.simple_coroots), *[0] * (self.rank - self.num_simple)])
 
     # -- dominance ---------------------------------------------------------
 

@@ -1,12 +1,12 @@
 """Kernels of integer matrices by routes apart from the library's one
 Hermite reduction, so that the tests check `kernel_mod` and
 `_hermite_rows` against them: the Hermite form by repeated sorting, the
-kernel through a Smith form, and the kernel modulo N by enumeration."""
+kernel through sympy's Smith decomposition, and the kernel modulo N by
+enumeration.  The same decomposition gives the invariant factors that
+`smith_normal_form` is checked against."""
 
 import itertools
 import math
-
-from twistdual.lattice import smith_normal_form
 
 
 def sorted_hermite_rows(rows, ncols):
@@ -40,18 +40,37 @@ def sorted_hermite_rows(rows, ncols):
     return tuple(map(tuple, mat[:pr]))
 
 
+def smith(m):
+    """(D, U, V) with U m V = D, U and V unimodular and D diagonal, by
+    sympy's Smith decomposition over ZZ, as tuples of int rows."""
+    import sympy
+    from sympy.matrices.normalforms import smith_normal_decomp
+
+    a = sympy.Matrix(m.rows, m.cols, [x for row in m.data for x in row])
+    d, u, v = smith_normal_decomp(a, domain=sympy.ZZ)
+    assert u * a * v == d and abs(u.det()) == 1 and abs(v.det()) == 1
+    return tuple(tuple(int(x) for x in d.row(i)) for i in range(d.rows)), \
+        tuple(tuple(int(x) for x in u.row(i)) for i in range(u.rows)), \
+        tuple(tuple(int(x) for x in v.row(i)) for i in range(v.rows))
+
+
+def invariant_factors(m):
+    """The diagonal of the Smith form of m, min(rows, cols) entries >= 0."""
+    d = smith(m)[0]
+    return tuple(abs(d[i][i]) for i in range(min(m.rows, m.cols)))
+
+
 def smith_kernel(m, modulus=None):
     """The Hermite basis of {x : m x = 0 mod modulus} (exact for None) from
     U m V = D: column j of V generates the kernel when d_j = 0, and
     modulo N column j times N / gcd(d_j, N) does, for every j."""
     if not any(map(any, m.data)):
         return tuple(tuple(int(i == j) for j in range(m.cols)) for i in range(m.cols))
-    smith = smith_normal_form(m)
-    d, v = smith.d, smith.v
+    d, _, v = smith(m)
     gens = []
     for j in range(m.cols):
-        dj = d.data[j][j] if j < min(m.rows, m.cols) else 0
-        col = v.column(j)
+        dj = d[j][j] if j < min(m.rows, m.cols) else 0
+        col = tuple(row[j] for row in v)
         if modulus is None:
             if dj == 0:
                 gens.append(col)

@@ -7,7 +7,7 @@ import pytest
 import root_oracle
 from test_rootdata import _rebased, _transvections
 from twistdual import dualgroup, lattice, rootdata
-from twistdual.lattice import IntMatrix, kernel_mod
+from twistdual.lattice import IntMatrix, Sublattice, kernel_mod, lattice_index, saturation
 from twistdual.qform import (
     CartanDatum,
     InvarianceError,
@@ -524,28 +524,28 @@ class TestIsomorphic:
             assert isomorphic(td.datum, langlands_dual(rd).datum).agrees()
 
     def test_budget_exhaustion_is_undecided(self, monkeypatch):
-        # GL2 x T1 glues its centre (|det X| = 2 with k = 2), so it searches;
-        # against a rebase of itself, which is not equal to it, equality
-        # does not answer first
-        monkeypatch.setattr(dualgroup, "SEARCH_BUDGET", 0)
-        searches = []
-        near = dualgroup._near
-        monkeypatch.setattr(dualgroup, "_near", lambda c: searches.append(c) or near(c))
+        # GL2 x T1 glues its centre (index 2 with k = 2), so its witness is
+        # sought among residues; against a rebase of itself, which is not
+        # equal to it, equality does not answer first.  With no budget the
+        # coset of residues is left unwalked
         gl2t1 = standard("GL2xT1")
         rebased = _rebased(gl2t1, [(0, 2, 1)])
         assert rebased != gl2t1
+        _assert_witness(isomorphic(gl2t1, rebased), gl2t1, rebased)
+        monkeypatch.setattr(dualgroup, "SEARCH_BUDGET", 0)
         assert isomorphic(gl2t1, rebased).status == "undecided"
-        assert len(searches) == 1
 
     @pytest.mark.parametrize("label", ["SL3", "G2", "GL2", "GL2xT1", "GL2xT2", "T2"])
     def test_equal_data_answer_by_equality(self, label, monkeypatch):
         # equal data, the same object or not, get the identity witness
-        # before any frame inverse or Smith form
+        # before any frame inverse, kernel or Smith form
         rd = standard(label)
         copy = RootDatum(rd.simple_roots, rd.simple_coroots, rank=rd.rank)
         calls = []
-        for name in ("integral_left_inverse", "smith_normal_form"):
-            for module in (lattice, rootdata, dualgroup):
+        for name, modules in (("integral_left_inverse", (lattice, rootdata, dualgroup)),
+                              ("kernel_mod", (lattice, rootdata, dualgroup)),
+                              ("smith_normal_form", (lattice, rootdata))):
+            for module in modules:
                 real = getattr(module, name)
                 monkeypatch.setattr(module, name,
                                     lambda *args, real=real: calls.append(args) or real(*args))
@@ -579,12 +579,12 @@ class TestIsomorphic:
         assert all("_root_table" not in td.datum.__dict__ for td in (pair.left, pair.right))
 
     def test_iso_at_the_first_matching_reads_no_pi1(self):
-        # pi1 needs a Smith form of d1's coroots; an "iso" found at the
-        # first matching never asks for it
+        # pi1 needs the invariant factors of d1's coroots; an "iso" found at
+        # the first matching never asks for them
         d1, d2 = (_rebased(standard("SL3"), moves) for moves in ([(0, 1, 2)], [(1, 0, -1)]))
         res = isomorphic(d1, d2)
         assert res.permutation == (0, 1)
-        assert "_coroot_smith" not in d1.__dict__ and "_pi1" not in d1.__dict__
+        assert "_pi1" not in d1.__dict__
         _assert_witness(res, d1, d2)
 
     @pytest.mark.parametrize("order", ["one-then-two", "two-then-one"])
@@ -603,6 +603,29 @@ class TestIsomorphic:
         assert len(closed_forms) <= 1
 
 
+class TestUnimodularLift:
+    def test_lift_keeps_the_residue_and_has_unit_determinant(self):
+        # a = U D mod e plus e R for U in SL_k(Z) and D = diag(1, .., +-1):
+        # every matrix of determinant +-1 mod e has that form
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(st.integers(2, 5), st.integers(2, 60), st.booleans(), st.data())
+        def check(k, e, flip, data):
+            moves = data.draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1),
+                                                 st.integers(-9, 9)), max_size=16))
+            u = _transvections(k, moves).data
+            noise = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+                                       min_size=k, max_size=k))
+            a = [[(x * (-1 if flip and c == k - 1 else 1)) % e + e * z
+                  for c, (x, z) in enumerate(zip(row, zs))] for row, zs in zip(u, noise)]
+            lift = dualgroup._unimodular_lift(a, e)
+            assert abs(IntMatrix(lift).det()) == 1
+            assert all((x - y) % e == 0 for r1, r2 in zip(lift, a) for x, y in zip(r1, r2))
+        check()
+
+
 def _a1_power_mod(n, gens):
     """SL2^n modulo the subgroup of its centre (Z/2)^n spanned by `gens`
     (vectors mod 2): the weights are the x in Z^n with x . g even for each
@@ -619,6 +642,19 @@ def _so4_power(k):
     rows = [[0] * (2 * b) + r + [0] * (2 * (k - b - 1))
             for b in range(k) for r in ([1, 1], [1, -1])]
     return RootDatum(rows, rows, rank=2 * k)
+
+
+def _glued_gl2_pair(j):
+    """GL2 x GL2 x T_j on Z^(4+j), and its glued copy on X = Z^(4+j) + Z v
+    for v = 1/2 (1, 1, 1, -1, 0, ...), written in X's basis v, e_1, e_2,
+    ...: both have the roots e_0 - e_1 and e_2 - e_3 and those coroots,
+    and <v, e_2 - e_3> = 1 glues the two factors' centres."""
+    pad = [0] * j
+    plain = RootDatum([[1, -1, 0, 0] + pad, [0, 0, 1, -1] + pad],
+                      [[1, -1, 0, 0] + pad, [0, 0, 1, -1] + pad], rank=4 + j)
+    glued = RootDatum([[2, -2, -1, 1] + pad, [0, 0, 1, -1] + pad],
+                      [[0, -1, 0, 0] + pad, [1, 0, 1, -1] + pad], rank=4 + j)
+    return plain, glued
 
 
 def _assert_witness(res, d1, d2):
@@ -684,17 +720,17 @@ class TestIsomorphicUnderRebasing:
     @pytest.mark.parametrize("label", ["SL3", "G2", "SO4xSO4"])
     def test_semisimple_pair_builds_no_smith_form(self, label, monkeypatch):
         # a semisimple frame is the simple roots: an "iso" at the first
-        # matching needs neither datum's coroot Smith form, nor any other
+        # matching needs neither datum's pi1, nor any other Smith form
         d1, d2 = (_rebased(self.ISO[label], moves)
                   for moves in ([(0, 1, 2), (1, 0, -1)], [(1, 0, 3), (0, 1, -2)]))
         calls = []
         smith = lattice.smith_normal_form
-        for module in (lattice, rootdata, dualgroup):
+        for module in (lattice, rootdata):
             monkeypatch.setattr(module, "smith_normal_form",
                                 lambda m: calls.append(m) or smith(m))
         res = isomorphic(d1, d2)
         assert calls == []
-        assert "_coroot_smith" not in d1.__dict__ and "_coroot_smith" not in d2.__dict__
+        assert "_pi1" not in d1.__dict__ and "_pi1" not in d2.__dict__
         _assert_witness(res, d1, d2)
 
     def test_rebased_non_isomorphic_pairs(self):
@@ -761,6 +797,20 @@ class TestIsomorphicUnderRebasing:
             _assert_pair(quantum_dual_pair(_rebased(rd, moves), b))
 
         check()
+
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_glued_copy_is_not_isomorphic(self, j):
+        # k = 2 + j and the same frame index 4, so both orders take the
+        # glued route; [Q Delta meet X : Z Delta], an invariant the search
+        # does not read, is 1 against 2
+        plain, glued = _glued_gl2_pair(j)
+        assert plain._frame_index == glued._frame_index == 4
+        roots = [Sublattice.from_rows(rd.rank, rd.simple_roots.data) for rd in (plain, glued)]
+        assert [lattice_index(saturation(r), r) for r in roots] == [1, 2]
+        assert isomorphic(plain, glued).status == "none"
+        assert isomorphic(glued, plain).status == "none"
+        rebased = _rebased(glued, [(0, 2, 1), (3, 1, -2), (1, 0, 3)])
+        _assert_witness(isomorphic(glued, rebased), glued, rebased)
 
     def test_closed_forms_never_search(self, monkeypatch):
         # k = 1 for each: N = E +- 1/det X is pinned, so no budget is needed

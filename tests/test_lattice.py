@@ -27,26 +27,18 @@ from fraction_oracle import inverse_unimodular, solve_left_rational
 
 
 def snf_diag(m):
-    _, d, _ = smith_normal_form(m)
-    return [d.data[i][i] for i in range(min(m.rows, m.cols))]
+    return list(smith_normal_form(m))
 
 
 def assert_snf_contract(m):
-    u, d, v = smith_normal_form(m)
-    assert (u @ m @ v) == d
-    assert abs(u.det()) == 1
-    assert abs(v.det()) == 1
-    diag = [d.data[i][i] for i in range(min(m.rows, m.cols))]
-    for i in range(m.rows):
-        for j in range(m.cols):
-            if i != j:
-                assert d.data[i][j] == 0
-    for a, b in zip(diag, diag[1:]):
-        if a == 0:
-            assert b == 0
-        else:
-            assert b % a == 0
-    assert all(x >= 0 for x in diag)
+    """The invariant factors: one per diagonal entry, each >= 0, a
+    divisibility chain, and equal to the diagonal of sympy's Smith form."""
+    diag = smith_normal_form(m)
+    assert type(diag) is tuple and len(diag) == min(m.rows, m.cols)
+    assert all(type(x) is int and x >= 0 for x in diag)
+    for x, y in zip(diag, diag[1:]):
+        assert (y % x == 0) if x else y == 0
+    assert diag == kernel_oracle.invariant_factors(m)
 
 
 class TestSmithNormalForm:
@@ -76,8 +68,8 @@ class TestSmithNormalForm:
 
 
 class TestSmithOnDemand:
-    """`smith_normal_form` computes D at once and builds U, V and V^-1 from
-    its recorded operations when each is first read."""
+    """`smith_normal_form` returns the invariant factors alone; only
+    `quotient_group` and `RootDatum.pi1` ask for them."""
 
     @staticmethod
     def _matrices(st):
@@ -93,54 +85,34 @@ class TestSmithOnDemand:
 
     def test_contract_on_random_matrices(self):
         hypothesis = pytest.importorskip("hypothesis")
+        pytest.importorskip("sympy")
 
         @hypothesis.settings(max_examples=300, deadline=None)
         @hypothesis.given(self._matrices(hypothesis.strategies))
         def check(m):
-            smith = smith_normal_form(m)
-            d = smith.d
-            assert not {"u", "v", "v_inv"} & set(vars(smith))   # D alone builds none
-            u, d2, v = smith
-            assert d2 is d and smith[0] is u and smith[1] is d and smith[-1] is v
-            assert u @ m @ v == d
-            assert u.is_unimodular() and v.is_unimodular()
-            ident = IntMatrix.identity(m.cols)
-            assert v @ smith.v_inv == ident and smith.v_inv @ v == ident
-            assert all(x == 0 for i, row in enumerate(d.data)
-                       for j, x in enumerate(row) if i != j)
-            diag = [d.data[i][i] for i in range(min(m.rows, m.cols))]
-            assert all(x >= 0 for x in diag)
-            for x, y in zip(diag, diag[1:]):
-                assert (y % x == 0) if x else y == 0
+            assert_snf_contract(m)
         check()
 
-    def test_each_transform_built_when_read(self):
-        smith = smith_normal_form(IntMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]))
-        assert [smith.d.data[i][i] for i in range(3)] == [2, 6, 12]
-        assert not {"u", "v", "v_inv"} & set(vars(smith))
-        v = smith.v
-        assert {"u", "v", "v_inv"} & set(vars(smith)) == {"v"}
-        assert smith.v is v and smith[2] is v
-        assert smith.v_inv @ v == IntMatrix.identity(3)
+    def test_returns_invariant_factors_only(self):
+        m = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+        assert smith_normal_form(m) == (2, 6, 12)
+        assert smith_normal_form(IntMatrix([[0, 4], [0, 6], [0, 0]])) == (2, 0)
+        assert not hasattr(lattice, "SmithForm")
 
     def test_quotient_group_and_pi1_read_d_only(self, monkeypatch):
-        built = []
-        for name in ("u", "v", "v_inv"):
-            prop = lattice.SmithForm.__dict__[name]
-            monkeypatch.setattr(lattice.SmithForm, name, property(
-                lambda self, prop=prop, name=name: built.append(name) or prop.func(self)))
         s = Sublattice.from_rows(3, [(2, 4, 4), (-6, 6, 12), (10, -4, -16)])
         assert quotient_group(s).invariant_factors == (2, 6, 12)
+        assert quotient_group(Sublattice.from_rows(3, [(0, 2, 0)])).invariant_factors == (2, 0, 0)
         assert RootDatum(IntMatrix([[1]]), IntMatrix([[2]])).pi1().invariant_factors == (2,)
-        assert built == []
-        # a kernel is one Hermite reduction: it makes no Smith form at all
+        # a kernel and a saturation are Hermite reductions: no Smith form
         smith_calls = []
         smith = lattice.smith_normal_form
         monkeypatch.setattr(lattice, "smith_normal_form",
                             lambda m: smith_calls.append(m) or smith(m))
         assert kernel_mod(IntMatrix([[2, 4], [1, 2]]), None).basis.data == ((2, -1),)
         assert kernel_mod(IntMatrix([[2, 4], [1, 2]]), 6).basis.data == ((2, 2), (0, 3))
-        assert smith_calls == [] and built == []
+        assert saturation(Sublattice.from_rows(2, [(2, 4)])).basis.data == ((1, 2),)
+        assert smith_calls == []
 
 
 class TestKernelMod:
@@ -620,9 +592,9 @@ class TestLatticeResults:
             assert prod.data == tuple(
                 tuple(sum(a.data[i][t] * b.data[t][j] for t in range(k)) for j in range(c))
                 for i in range(r))
-            smith = smith_normal_form(a)
             s1, s2 = Sublattice.from_rows(c, b.data), Sublattice.from_rows(c, prod.data)
-            results = [prod, a.transpose(), IntMatrix.identity(k), *smith, smith.v_inv,
+            assert all(type(x) is int for x in smith_normal_form(a))
+            results = [prod, a.transpose(), IntMatrix.identity(k),
                        kernel_mod(a, None).basis, kernel_mod(a, modulus).basis,
                        saturation(s1).basis, intersect(s1, s2).basis, s1.basis, s2.basis]
             for m in results:
@@ -633,19 +605,7 @@ class TestLatticeResults:
         @props.settings
         @props.given(props.any_shape)
         def check(m):
-            smith = smith_normal_form(m)
-            u, d, v = smith
-            assert u @ m @ v == d
-            assert u.is_unimodular() and v.is_unimodular()
-            ident = IntMatrix.identity(m.cols)
-            assert v @ smith.v_inv == ident and smith.v_inv @ v == ident
-            assert smith.v_inv == inverse_unimodular(v)
-            assert all(d.data[i][j] == 0 for i in range(m.rows) for j in range(m.cols)
-                       if i != j)
-            diag = [d.data[i][i] for i in range(min(m.rows, m.cols))]
-            assert all(x >= 0 for x in diag)
-            for x, y in zip(diag, diag[1:]):
-                assert (y % x == 0) if x else y == 0
+            assert_snf_contract(m)
         check()
 
     def test_empty_dimensions(self):

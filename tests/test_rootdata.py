@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from twistdual.dualgroup import isomorphic
-from twistdual.lattice import IntMatrix, quotient_group, smith_normal_form
+from twistdual.lattice import IntMatrix, kernel_mod, quotient_group
 from twistdual.rootdata import (
     Dominance,
     RootDatum,
@@ -618,23 +618,24 @@ class TestCartanMemo:
     def test_memo_is_bounded(self):
         assert _cartan_system.cache_info().maxsize is not None
 
-    def test_isomorphic_matches_uncached_coroot_smith(self, monkeypatch):
-        # isomorphic reads a datum's basis of X^W off V of the coroot Smith
-        # form kept on the datum, where pi1 left it (GL2 and SL2xT1 here);
-        # the patched property computes the form afresh on every read and
-        # returns the same (U, D, V) shape
+    def test_isomorphic_matches_uncached_fixed_weights(self, monkeypatch):
+        # isomorphic frames a datum by its basis of X^W, kept on the datum
+        # (GL2 and SL2xT1 here); the patched property computes the kernel
+        # of the coroots afresh on every read
         data = [self._datum(name) for group in self.SHARED for name in group]
         pairs = list(itertools.product(data, repeat=2))
         cached = [isomorphic(a, b) for a, b in pairs]
         assert {r.status for r in cached} == {"iso", "none"}
-        monkeypatch.setattr(RootDatum, "_coroot_smith", property(
-            lambda rd: smith_normal_form(rd.simple_coroots)), raising=False)
+        monkeypatch.setattr(RootDatum, "_fixed_weights", property(
+            lambda rd: () if rd.num_simple == rd.rank
+            else kernel_mod(rd.simple_coroots).basis.data))
         for (a, b), want in zip(pairs, cached):
             fresh = [RootDatum(d.simple_roots, d.simple_coroots, rank=d.rank)
                      for d in (a, b)]
             got = isomorphic(*fresh)
             assert (got.status, got.permutation) == (want.status, want.permutation)
             assert got.weight_map == want.weight_map
+            assert all("_fixed_weights" not in d.__dict__ for d in fresh)
 
 
 class TestOrbitDims:

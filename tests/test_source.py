@@ -79,13 +79,14 @@ def _function(path, qualname):
 
 def test_computed_matrix_stays_off_the_entries():
     # `_computed_matrix` stores rows without checking them: only lattice,
-    # qform and dualgroup, on rows they computed from checked matrices, may
-    # build a matrix that way, and no entry of outside data calls it
+    # qform, rootdata (a datum's frame) and dualgroup, on rows they computed
+    # from checked matrices, may build a matrix that way, and no entry of
+    # outside data calls it
     uses = {p.name: [line for name, line in _names(_parse(p)) if name == "_computed_matrix"]
             for p in SOURCES}
-    assert uses["qform.py"] and uses["dualgroup.py"]
+    assert uses["qform.py"] and uses["dualgroup.py"] and uses["rootdata.py"]
     assert {name for name, lines in uses.items() if lines} <= {
-        "lattice.py", "qform.py", "dualgroup.py"}
+        "lattice.py", "qform.py", "rootdata.py", "dualgroup.py"}
     assert uses["cli.py"] == []
     root = Path(twistdual.__file__).parent
     entries = [("lattice.py", "IntMatrix.__init__"), ("lattice.py", "Sublattice.from_rows"),
