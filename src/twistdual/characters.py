@@ -5,14 +5,18 @@ highest weight's Dynkin labels l_i = <lam, coroot_i> alone, so they are
 kept as one table of depths c (the weight lam - sum_i c_i alpha_i) per
 (Cartan matrix, labels), in a bounded LRU cache beside
 `rootdata._cartan_system`; a failure is never cached.  A table comes from
-Freudenthal's recursion in integers and is checked for closure under the
-simple reflections, and with at most two simple roots against the Weyl
-alternating sum of Kostant partition counts over the orbit of the labels
-of lam + rho.  A `Character` reads its weights off its datum's simple
-roots only when they are asked for.  Tensor decomposition by the
-Brauer-Klimyk rule walks labels over the depths of one factor; also the
-numeric predictions for convolution: highest-weight multiplicity one, the
-dominance bound, and fiber-dimension arithmetic.
+Demazure's character formula, a product of operators D_i over a reduced
+word of w0 applied to e^lam, in integers.  It is checked for positive
+multiplicities, multiplicity 1 at the top, a total equal to Weyl's
+dimension and closure under the simple reflections, and with at most two
+simple roots against the Weyl alternating sum of Kostant partition counts
+over the orbit of the labels of lam + rho.  The tests compare the tables
+with Freudenthal's recursion, kept as their reference in
+`tests/character_oracle.py`.  A `Character` reads its weights off its
+datum's simple roots only when they are asked for.  Tensor decomposition
+by the Brauer-Klimyk rule walks labels over the depths of one factor;
+also the numeric predictions for convolution: highest-weight multiplicity
+one, the dominance bound, and fiber-dimension arithmetic.
 """
 
 from __future__ import annotations
@@ -86,17 +90,28 @@ def irreducible_character(rd: RootDatum, highest) -> Character:
 @lru_cache(maxsize=128)
 def _character_table(cartan, labels):
     """((depth, multiplicity), ...) of the irreducible with the dominant
-    labels `labels`, checked for W-invariance, and against the Weyl sum
-    with at most two simple roots."""
-    mults = _depth_multiplicities(cartan, labels)
+    labels `labels`, from Demazure's product.  Checked at every rank: each
+    multiplicity is positive, they are invariant under the simple
+    reflections, the highest weight's is 1 and they add up to Weyl's
+    dimension; with at most two simple roots each is also checked against
+    the Weyl sum."""
+    mults = _demazure_multiplicities(cartan, labels)
     cols = tuple(zip(*cartan))
     for c, m in mults.items():
+        if m <= 0:
+            raise CharacterError(f"non-positive multiplicity {m} at depth {c}")
         for i, col in enumerate(cols):
             # s_i moves the weight by <mu, coroot_i> alpha_i
             li = labels[i] - sum(map(mul, c, col))
             if li and mults.get(c[:i] + (c[i] + li,) + c[i + 1:]) != m:
                 raise CharacterError(
                     f"multiplicities are not Weyl-invariant at depth {c} (reflection {i})")
+    if mults.get((0,) * len(cartan)) != 1:
+        raise CharacterError("the highest weight does not have multiplicity 1")
+    total = sum(mults.values())
+    dim = _dimension(_cartan_system(cartan), [x + 1 for x in labels])
+    if total != dim:
+        raise CharacterError(f"multiplicities add up to {total}, not Weyl's dimension {dim}")
     if len(cartan) <= 2:
         orbit = _weyl_orbit(cartan, tuple(x + 1 for x in labels))
         count = _kostant_count(cartan)
@@ -104,60 +119,39 @@ def _character_table(cartan, labels):
             bm = _weyl_sum(count, orbit, c)
             if bm != m:
                 raise CharacterError(
-                    f"Freudenthal ({m}) and Weyl sum ({bm}) disagree at depth {c}")
+                    f"Demazure ({m}) and Weyl sum ({bm}) disagree at depth {c}")
     return tuple(mults.items())
 
 
-def _depth_multiplicities(cartan, labels):
-    """Freudenthal's recursion in integers, on depths:
-
-        (|lam + rho|^2 - |mu + rho|^2) m(mu)
-            = 2 sum_{beta > 0, k >= 1} m(mu + k beta) (mu + k beta, beta)
-
-    with (alpha_i, alpha_j) = a_ij d_j, a W-invariant form on the root span
-    for the symmetrizer d.  For mu = lam - gamma the left factor is
-    2 (lam + rho, gamma) - (gamma, gamma), and mu + k beta lies below lam
-    while depth - k * coordinates(beta) stays >= 0."""
-    system = _cartan_system(cartan)
-    form = [tuple(a * dj for a, dj in zip(row, system.symmetrizer)) for row in cartan]
-    lam = [x * dj for x, dj in zip(labels, system.symmetrizer)]        # (lam, alpha_i)
-    lam_rho = [x + dj for x, dj in zip(lam, system.symmetrizer)]       # (lam + rho, alpha_i)
-    # per positive root beta: its coordinates b, ((alpha_i, beta))_i,
-    # (lam, beta) and (beta, beta)
-    roots = []
-    for b, _ in system.positive:
-        ab = tuple(sum(map(mul, row, b)) for row in form)
-        roots.append((b, ab, dot(b, lam), dot(b, ab)))
+def _demazure_multiplicities(cartan, labels):
+    """Demazure's character formula on depths: ch V(lam) is the product of
+    the operators D_i over a reduced word of w0 applied to e^lam (Demazure,
+    Ann. Sci. ENS 1974; Kumar, Kac-Moody Groups, 2002, 8.2).  The word is
+    read off the walk from rho to -rho in Dynkin labels, which reflects at
+    a positive label until none is left.  With k = <mu, coroot_i>, D_i
+    sends e^mu to e^mu + e^(mu - alpha_i) + ... + e^(s_i mu) when k >= 0,
+    to 0 when k = -1, and to -(e^(mu + alpha_i) + ... + e^(s_i mu - alpha_i))
+    when k <= -2; alpha_i adds e_i to a depth."""
     s = len(cartan)
+    word, walk = [], [1] * s
+    while (top := max(walk, default=0)) > 0:
+        word.append(walk.index(top))
+        walk = [x - top * a for x, a in zip(walk, cartan[word[-1]])]
+    cols = tuple(zip(*cartan))
     mults = {(0,) * s: 1}
-    layer = list(mults)
-    while layer:
-        candidates = dict.fromkeys(c[:i] + (c[i] + 1,) + c[i + 1:]
-                                   for c in layer for i in range(s))
-        layer = []
-        for c in candidates:
-            rhs = 0
-            for b, ab, lam_b, bb in roots:
-                steps = min(x // y for x, y in zip(c, b) if y)
-                mu_b = lam_b - dot(c, ab)
-                for k in range(1, steps + 1):
-                    m_up = mults.get(tuple(x - k * y for x, y in zip(c, b)))
-                    if m_up:
-                        rhs += m_up * (mu_b + k * bb)
-            if rhs == 0:
-                continue
-            gap = 2 * dot(lam_rho, c) - sum(x * dot(row, c) for x, row in zip(c, form))
-            if gap == 0:
-                raise CharacterError(f"vanishing Freudenthal denominator at depth {c}")
-            m, r = divmod(2 * rhs, gap)
-            if r:
-                raise CharacterError(
-                    f"non-integral multiplicity {Fraction(2 * rhs, gap)} at depth {c}")
-            if m < 0:
-                raise CharacterError(f"negative multiplicity {m} at depth {c}")
-            if m:
-                mults[c] = m
-                layer.append(c)
+    for i in word:
+        out = {}
+        for c, m in mults.items():
+            k = labels[i] - sum(map(mul, c, cols[i]))
+            head, ci, tail = c[:i], c[i], c[i + 1:]
+            if k >= 0:
+                steps = range(ci, ci + k + 1)
+            else:
+                steps, m = range(ci + k + 1, ci), -m
+            for j in steps:
+                d = head + (j,) + tail
+                out[d] = out.get(d, 0) + m
+        mults = {c: m for c, m in out.items() if m}
     return mults
 
 
@@ -246,16 +240,16 @@ def weyl_multiplicity(rd: RootDatum, highest, weight) -> int:
 
 def weyl_dim(rd: RootDatum, highest) -> int:
     """Weyl dimension formula, exact."""
-    return _dimension(rd, [x + 1 for x in _labels(rd, rd._vector(highest))])
+    return _dimension(rd._cartan, [x + 1 for x in _labels(rd, rd._vector(highest))])
 
 
-def _dimension(rd, shifted):
+def _dimension(system, shifted):
     """Weyl's product prod <lam + rho, beta^v> / prod <rho, beta^v> from the
     labels <lam + rho, coroot_i> of a dominant lam: <lam + rho, beta^v> is
     sum_i c'_i times label i for the coroot coordinates c' of beta^v, and
-    <rho, beta^v> is their sum."""
+    <rho, beta^v> is their sum; `system` is the Cartan record."""
     num = den = 1
-    for _, cv in rd._cartan.positive:
+    for _, cv in system.positive:
         num *= sum(map(mul, cv, shifted))
         den *= sum(cv)
     out, rem = divmod(num, den)
@@ -303,9 +297,9 @@ def tensor_decompose(c: Character, highest):
             if m < 0:
                 raise CharacterError(f"negative multiplicity {m} at {nu}")
             out[nu] = m
-            total += m * _dimension(rd, final[depth])
+            total += m * _dimension(rd._cartan, final[depth])
     # the constituents must account for the whole product
-    if total != c.dim() * _dimension(rd, [x + 1 for x in labels]):
+    if total != c.dim() * _dimension(rd._cartan, [x + 1 for x in labels]):
         raise CharacterError("constituent dimensions do not add up to the product")
     return out
 
@@ -355,7 +349,7 @@ def satake_prediction(q: QForm, lam, mu) -> SatakeReport:
     lam_c, mu_c = coeffs
     # the weights of the smaller factor, the highest weight of the other
     small, large = sorted(coeffs, key=lambda v: _dimension(
-        dual.datum, [x + 1 for x in _labels(dual.datum, v)]))
+        dual.datum._cartan, [x + 1 for x in _labels(dual.datum, v)]))
     pieces = tensor_decompose(irreducible_character(dual.datum, small), large)
     top_c = vec_add(lam_c, mu_c)
     top_mult = pieces.get(tuple(top_c), 0)

@@ -1,10 +1,68 @@
-"""Tensor decomposition by repeated extraction of a maximal weight, kept
-apart from the library's Brauer-Klimyk rule so that the tests check it
-against an independent routine: this one multiplies both characters out
-and peels irreducibles off the product."""
+"""Reference routines for the tests, kept apart from the library so that
+its answers are checked against independent code: Freudenthal's
+recursion, against the Demazure product that builds the character
+tables, and tensor decomposition by repeated extraction of a maximal
+weight, which multiplies both characters out and peels irreducibles off
+the product, against the Brauer-Klimyk rule."""
+
+from fractions import Fraction
+from operator import mul
 
 from twistdual.characters import CharacterError, irreducible_character
-from twistdual.rootdata import dot, vec_add
+from twistdual.rootdata import _cartan_system, dot, vec_add
+
+
+def depth_multiplicities(cartan, labels):
+    """Freudenthal's recursion in integers, on depths:
+
+        (|lam + rho|^2 - |mu + rho|^2) m(mu)
+            = 2 sum_{beta > 0, k >= 1} m(mu + k beta) (mu + k beta, beta)
+
+    with (alpha_i, alpha_j) = a_ij d_j, a W-invariant form on the root span
+    for the symmetrizer d.  For mu = lam - gamma the left factor is
+    2 (lam + rho, gamma) - (gamma, gamma), and mu + k beta lies below lam
+    while depth - k * coordinates(beta) stays >= 0."""
+    system = _cartan_system(cartan)
+    form = [tuple(a * dj for a, dj in zip(row, system.symmetrizer)) for row in cartan]
+    lam = [x * dj for x, dj in zip(labels, system.symmetrizer)]        # (lam, alpha_i)
+    lam_rho = [x + dj for x, dj in zip(lam, system.symmetrizer)]       # (lam + rho, alpha_i)
+    # per positive root beta: its coordinates b, ((alpha_i, beta))_i,
+    # (lam, beta) and (beta, beta)
+    roots = []
+    for b, _ in system.positive:
+        ab = tuple(sum(map(mul, row, b)) for row in form)
+        roots.append((b, ab, dot(b, lam), dot(b, ab)))
+    s = len(cartan)
+    mults = {(0,) * s: 1}
+    layer = list(mults)
+    while layer:
+        candidates = dict.fromkeys(c[:i] + (c[i] + 1,) + c[i + 1:]
+                                   for c in layer for i in range(s))
+        layer = []
+        for c in candidates:
+            rhs = 0
+            for b, ab, lam_b, bb in roots:
+                steps = min(x // y for x, y in zip(c, b) if y)
+                mu_b = lam_b - dot(c, ab)
+                for k in range(1, steps + 1):
+                    m_up = mults.get(tuple(x - k * y for x, y in zip(c, b)))
+                    if m_up:
+                        rhs += m_up * (mu_b + k * bb)
+            if rhs == 0:
+                continue
+            gap = 2 * dot(lam_rho, c) - sum(x * dot(row, c) for x, row in zip(c, form))
+            if gap == 0:
+                raise CharacterError(f"vanishing Freudenthal denominator at depth {c}")
+            m, r = divmod(2 * rhs, gap)
+            if r:
+                raise CharacterError(
+                    f"non-integral multiplicity {Fraction(2 * rhs, gap)} at depth {c}")
+            if m < 0:
+                raise CharacterError(f"negative multiplicity {m} at depth {c}")
+            if m:
+                mults[c] = m
+                layer.append(c)
+    return mults
 
 
 def tensor_decompose(c1, c2):

@@ -299,7 +299,7 @@ def test_criterion_09_satake_predictions():
                     if decomp.get(nu, 0) > 0:
                         assert f.denominator == 1 and f >= 0
                 pairs_checked += 1
-        # Freudenthal vs the Weyl alternating sum on the dual side
+        # Demazure's product vs the Weyl alternating sum on the dual side
         dual = twisted_dual(rd, q, "full")
         for lam in dominants[:4]:
             lam_c = dual.weight_sublattice.coefficients(lam)

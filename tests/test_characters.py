@@ -46,6 +46,17 @@ RANK_AT_MOST_TWO = (RANK_ONE + ("SL3", "PGL3", "GL2", "Sp4", "G2", "T2")
                             for b in RANK_ONE[i:]))
 
 
+def _dynkin(n, *bonds, chain=None):
+    """The Cartan matrix of rank n whose diagram is the chain 0 - 1 - ...
+    - (chain - 1), chain = n by default, with each (i, j, a) of `bonds`
+    setting a_ij = a and a_ji = -1."""
+    a = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    links = [(i, i + 1, -1) for i in range((n if chain is None else chain) - 1)]
+    for i, j, x in links + list(bonds):
+        a[i][j], a[j][i] = x, -1
+    return tuple(map(tuple, a))
+
+
 class TestIrreducibleCharacter:
     def test_sl2_adjoint(self):
         c = irreducible_character(SL2, (2,))
@@ -130,11 +141,65 @@ class TestIrreducibleCharacter:
         # rejected, and not kept
         table = characters._character_table
         table.cache_clear()
-        monkeypatch.setattr(characters, "_depth_multiplicities",
+        monkeypatch.setattr(characters, "_demazure_multiplicities",
                             lambda cartan, labels: {(0,): 1, (1,): 1})
         with pytest.raises(CharacterError, match="not Weyl-invariant"):
             irreducible_character(SL2, (2,))
         assert table.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("name,hw,change,error", [
+        # SL4's adjoint with the zero weight at 4, not 3: closed under the
+        # simple reflections, but it adds up to 16
+        ("SL4", (1, 0, 1), {(1, 1, 1): 4}, "add up to 16, not Weyl's dimension 15"),
+        ("SL2", (0,), {(0,): 2}, "highest weight does not have multiplicity 1"),
+        ("SL2", (2,), {(1,): 0}, "non-positive multiplicity 0 at depth"),
+    ], ids=["total", "top", "positive"])
+    def test_table_checked_at_every_rank(self, monkeypatch, name, hw, change, error):
+        # a table closed under the simple reflections is rejected when a
+        # multiplicity is <= 0, the top's is not 1 or the total is not
+        # Weyl's dimension, at three simple roots too, and is not kept
+        rd = standard(name)
+        labels = rd.simple_coroots.mul_vec(hw)
+        wrong = character_oracle.depth_multiplicities(rd.cartan_matrix, labels)
+        assert set(change) <= set(wrong)
+        wrong.update(change)
+        table = characters._character_table
+        table.cache_clear()
+        monkeypatch.setattr(characters, "_demazure_multiplicities",
+                            lambda cartan, labels: dict(wrong))
+        with pytest.raises(CharacterError, match=error):
+            irreducible_character(rd, hw)
+        assert table.cache_info().currsize == 0
+
+    def test_demazure_matches_freudenthal(self):
+        # every connected Cartan type of rank <= 4 and one product, from
+        # Bourbaki's rows, on random dominant labels whose sum is bounded
+        # so that Freudenthal's recursion stays fast
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        types = [(_dynkin(n), 6 - n) for n in (1, 2, 3, 4)] + [
+            (_dynkin(2, (0, 1, -2)), 4),                          # B2
+            (_dynkin(2, (0, 1, -3)), 4),                          # G2
+            (_dynkin(2, (1, 0, -3)), 4),                          # G2, transposed
+            (_dynkin(3, (1, 2, -2)), 3),                          # B3
+            (_dynkin(3, (2, 1, -2)), 3),                          # C3
+            (_dynkin(4, (2, 3, -2)), 2),                          # B4
+            (_dynkin(4, (3, 2, -2)), 2),                          # C4
+            (_dynkin(4, (1, 3, -1), chain=3), 2),                 # D4
+            (_dynkin(4, (1, 2, -2)), 1),                          # F4
+            (_dynkin(3, (1, 2, -2), chain=0), 3),                 # A1 x B2
+        ]
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(st.sampled_from(types), st.data())
+        def check(kind, draw):
+            cartan, bound = kind
+            picks = draw.draw(st.lists(st.integers(0, len(cartan) - 1), max_size=bound))
+            labels = tuple(picks.count(i) for i in range(len(cartan)))
+            assert (characters._demazure_multiplicities(cartan, labels)
+                    == character_oracle.depth_multiplicities(cartan, labels)), (cartan, labels)
+
+        check()
 
 
 class TestCharacterMemo:
