@@ -2,18 +2,21 @@
 
 Everything here is pure and exact: matrices are immutable, entries are
 arbitrary-precision Python ints, and no floating point appears anywhere.
-Determinants, ranks and inverses come from one fraction-free elimination
-on integer rows; a rational inverse is an integer matrix over an explicit
-denominator (`integral_left_inverse`), so no Fraction is built here.
-Sublattices are kept in row Hermite normal form so that equality of
-sublattices is equality of data.
+Two reductions do all the elimination.  `_hermite_rows`, the row Hermite
+normal form, answers every integer lattice question: sublattices are kept
+in that form, so that equality of sublattices is equality of data, and
+ranks, kernels, intersections and invariant factors come from it.
+`_eliminate`, Bareiss's fraction-free elimination, answers only the
+rational ones: `IntMatrix.det`, and `integral_left_inverse`, an integer
+matrix over an explicit denominator, so no Fraction is built here.
 
 Every kernel, exact or modulo N, is one row Hermite reduction
 (`kernel_mod`), and so is every dual's weight lattice, a datum's basis of
-X^W and a saturation (the kernel of a kernel).  `smith_normal_form`
-returns the invariant factors alone, which `pi1` and `quotient_group`
-read; no Smith transform is built anywhere.  Identity and zero rows are
-built once per size and shared, as tuples are immutable.
+X^W, a saturation (the kernel of a kernel) and an intersection.
+`smith_normal_form` returns the invariant factors alone, which `pi1` and
+`quotient_group` read, from Hermite reductions of the rows and the
+columns in turn; no Smith transform is built anywhere.  Identity and zero
+rows are built once per size and shared, as tuples are immutable.
 
 A matrix is checked once, where it enters the library.  The entries are
 the public `IntMatrix` constructor and `Sublattice.from_rows` (and
@@ -117,8 +120,8 @@ class IntMatrix:
         return sign * den if len(pivots) == self.rows else 0
 
     def rank(self):
-        """Rank over Q: the number of pivots."""
-        return len(_eliminate([list(r) for r in self.data], self.cols)[1])
+        """Rank over Q: the number of rows of the Hermite form."""
+        return len(_hermite_rows(self.data, self.cols))
 
     def is_unimodular(self):
         return self.rows == self.cols and abs(self.det()) == 1
@@ -198,43 +201,26 @@ def _zero_rows(rows, cols):
 def smith_normal_form(m: IntMatrix) -> tuple:
     """The invariant factors d1 | d2 | ... of m: the diagonal of its Smith
     form U m V, min(rows, cols) entries >= 0 with the zeros last.  No
-    transform is kept; `quotient_group` and `RootDatum.pi1` read these."""
-    nr, nc = m.rows, m.cols
-    a = [list(row) for row in m.data]
-    t = 0
-    while t < min(nr, nc):
-        # the first entry of least absolute value, in row-major order
-        best = min(((abs(x), i, j) for i in range(t, nr)
-                    for j, x in enumerate(a[i][t:], t) if x), default=None)
-        if best is None:
-            break
-        _, i, c = best
-        a[t], a[i] = a[i], a[t]
-        if c != t:
-            for row in a:
-                row[t], row[c] = row[c], row[t]
-        p = a[t][t]
-        for i in range(t + 1, nr):
-            if a[i][t]:
-                q = a[i][t] // p
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-        # column j -= q_j * column t for each j > t; column t is fixed while
-        # they run, so only the rows with a nonzero entry there change
-        col_steps = [(j, a[t][j] // p) for j in range(t + 1, nc) if a[t][j]]
-        for row in a:
-            x = row[t]
-            if x:
-                for j, q in col_steps:
-                    row[j] -= q * x
-        if any(a[i][t] for i in range(t + 1, nr)) or any(a[t][t + 1:]):
-            continue
-        # pivot must divide every remaining entry; fold a violator into row t
-        viol = next((i for i in range(t + 1, nr) if any(x % p for x in a[i][t + 1:])), None)
-        if viol is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[viol])]
-            continue
-        t += 1
-    return tuple(abs(a[i][i]) for i in range(min(nr, nc)))
+    transform is kept; `quotient_group` and `RootDatum.pi1` read these.
+
+    Hermite reductions of the rows and of the columns alternate until
+    each row has one nonzero entry (Kannan & Bachem, SIAM J. Comput. 8,
+    1979); a gcd/lcm pass then orders those entries into a divisibility
+    chain.  From the second pass on the matrix is square and triangular.
+    Each pass takes the first diagonal entry d whose row or column is not
+    yet clear to the gcd of the entries it reduces against d: a proper
+    divisor of d, unless d divides them all, and then d's row and column
+    are cleared for good.  A positive integer cannot fall forever, so the
+    alternation ends."""
+    rows = _hermite_rows(m.data, m.cols)
+    while any(sum(map(bool, row)) > 1 for row in rows):
+        rows = _hermite_rows(tuple(zip(*rows)), len(rows))
+    diag = [next(filter(None, row)) for row in rows]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = math.gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return (*diag, *[0] * (min(m.rows, m.cols) - len(diag)))
 
 
 def _xgcd(a, b):
@@ -263,7 +249,8 @@ def _hermite_rows(rows, ncols, modulus=None, start=0):
 
     Only the rows whose pivot is at column `start` or later are kept and
     reduced, which is the Hermite basis of the lattice's vectors that
-    vanish on the first `start` columns; `kernel_mod` reads no other."""
+    vanish on the first `start` columns; they are returned without those
+    columns, as `kernel_mod` and `intersect` read them."""
     mat = [list(r) if modulus is None else [x % modulus for x in r] for r in rows]
     mat = [r for r in mat if any(r)]
     out = []
@@ -307,7 +294,7 @@ def _hermite_rows(rows, ncols, modulus=None, start=0):
             if q:
                 out[i] = [a - q * b for a, b in zip(row, top)]
         out.append(top)
-    return tuple(map(tuple, out))
+    return tuple(tuple(row[start:]) for row in out)
 
 
 @dataclass(frozen=True)
@@ -416,10 +403,8 @@ def kernel_mod(m: IntMatrix, modulus=None) -> Sublattice:
     if not any(map(any, m.data)):
         # the zero matrix kills everything, modulo anything
         return Sublattice.full(m.cols)
-    r = m.rows
     rows = [col + e for col, e in zip(m._columns(), _identity_rows(m.cols))]
-    return Sublattice._hermite(
-        m.cols, tuple(row[r:] for row in _hermite_rows(rows, r + m.cols, modulus, r)))
+    return Sublattice._hermite(m.cols, _hermite_rows(rows, m.rows + m.cols, modulus, m.rows))
 
 
 def saturation(s: Sublattice) -> Sublattice:
@@ -438,45 +423,25 @@ def quotient_group(s: Sublattice) -> "FGAbelianGroup":
 def intersect(s1: Sublattice, s2: Sublattice) -> Sublattice:
     """Intersection of two sublattices of the same ambient lattice.  When
     one side is all of Z^n the other is returned as it is, already in
-    Hermite form, without a Smith form."""
+    Hermite form, without a reduction.
+
+    Otherwise one row Hermite reduction of [B1 | B1; B2 | 0] (Zassenhaus;
+    Cohen, GTM 138, Sec. 2.4): its lattice is {(x + y | x) : x in s1,
+    y in s2}, whose vectors that vanish on the first n columns are the
+    (0 | x) with y = -x, so x in both; the rows with a pivot past column n
+    are the intersection's Hermite basis in their last n entries."""
     if s1.ambient_rank != s2.ambient_rank:
         raise ValueError("ambient rank mismatch")
-    whole = _identity_rows(s1.ambient_rank)
+    n = s1.ambient_rank
+    whole = _identity_rows(n)
     if s1.basis.data == whole:
         return s2
     if s2.basis.data == whole:
         return s1
     if s1.rank == 0 or s2.rank == 0:
-        return Sublattice.zero(s1.ambient_rank)
-    n = s1.ambient_rank
-    # columns: s1's basis, then minus s2's
-    cols = [*s1.basis.data, *([-x for x in row] for row in s2.basis.data)]
-    stacked = _trusted_matrix(tuple(zip(*cols)), len(cols))
-    ker = kernel_mod(stacked, None)
-    gens = []
-    for w in ker.basis.data:
-        coeffs = w[: s1.rank]
-        gens.append(
-            tuple(
-                sum(c * s1.basis.data[k][i] for k, c in enumerate(coeffs))
-                for i in range(n)
-            )
-        )
-    return Sublattice.from_rows(n, gens)
-
-
-def lattice_index(outer: Sublattice, inner: Sublattice):
-    """Index [outer : inner] for inner contained in outer; None if infinite."""
-    coeff_rows = []
-    for row in inner.basis.data:
-        c = outer.coefficients(row)
-        if c is None:
-            raise ValueError("inner lattice is not contained in outer")
-        coeff_rows.append(c)
-    if inner.rank < outer.rank:
-        return None
-    mat = _trusted_matrix(tuple(coeff_rows), outer.rank)
-    return abs(mat.det())
+        return Sublattice.zero(n)
+    rows = [*(row + row for row in s1.basis.data), *(row + (0,) * n for row in s2.basis.data)]
+    return Sublattice._hermite(n, _hermite_rows(rows, 2 * n, None, n))
 
 
 @dataclass(frozen=True)

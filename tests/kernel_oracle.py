@@ -3,10 +3,14 @@ Hermite reduction, so that the tests check `kernel_mod` and
 `_hermite_rows` against them: the Hermite form by repeated sorting, the
 kernel through sympy's Smith decomposition, and the kernel modulo N by
 enumeration.  The same decomposition gives the invariant factors that
-`smith_normal_form` is checked against."""
+`smith_normal_form` is checked against.  `lattice_index`, the index of a
+sublattice by the determinant of its coordinates, serves the tests that
+compare lattices."""
 
 import itertools
 import math
+
+from twistdual.lattice import IntMatrix
 
 
 def sorted_hermite_rows(rows, ncols):
@@ -84,3 +88,16 @@ def residue_kernel(m, modulus):
     """Every x in [0, modulus)^cols with m x = 0 mod modulus, as a set."""
     return {x for x in itertools.product(range(modulus), repeat=m.cols)
             if all(y % modulus == 0 for y in m.mul_vec(x))}
+
+
+def lattice_index(outer, inner):
+    """Index [outer : inner] for inner contained in outer; None if infinite."""
+    coeff_rows = []
+    for row in inner.basis.data:
+        c = outer.coefficients(row)
+        if c is None:
+            raise ValueError("inner lattice is not contained in outer")
+        coeff_rows.append(c)
+    if inner.rank < outer.rank:
+        return None
+    return abs(IntMatrix(coeff_rows, cols=outer.rank).det())

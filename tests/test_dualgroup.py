@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+import kernel_oracle
 import root_oracle
 from test_rootdata import _rebased, _transvections
 from twistdual import dualgroup, lattice, rootdata
-from twistdual.lattice import IntMatrix, Sublattice, kernel_mod, lattice_index, saturation
+from twistdual.lattice import IntMatrix, Sublattice, kernel_mod, saturation
 from twistdual.qform import (
     CartanDatum,
     InvarianceError,
@@ -806,7 +807,7 @@ class TestIsomorphicUnderRebasing:
         plain, glued = _glued_gl2_pair(j)
         assert plain._frame_index == glued._frame_index == 4
         roots = [Sublattice.from_rows(rd.rank, rd.simple_roots.data) for rd in (plain, glued)]
-        assert [lattice_index(saturation(r), r) for r in roots] == [1, 2]
+        assert [kernel_oracle.lattice_index(saturation(r), r) for r in roots] == [1, 2]
         assert isomorphic(plain, glued).status == "none"
         assert isomorphic(glued, plain).status == "none"
         rebased = _rebased(glued, [(0, 2, 1), (3, 1, -2), (1, 0, 3)])

