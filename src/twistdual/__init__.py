@@ -11,7 +11,7 @@ from .lattice import (
     saturation,
     smith_normal_form,
 )
-from .rootdata import Dominance, RootDatum, RootDatumError, WeylGroup, standard
+from .rootdata import RootDatum, RootDatumError, WeylGroup, standard
 from .qform import (
     CartanDatum,
     DetForm,

@@ -216,15 +216,6 @@ def _count(pos, memo, remaining, idx):
     return memo[key]
 
 
-def kostant_partition(rd: RootDatum, v) -> int:
-    """Number of ways to write v as a nonnegative integer sum of positive
-    roots (the independent counting oracle behind the Weyl sum)."""
-    target = rd.root_coordinates(v)
-    if target is None or min(target, default=0) < 0:
-        return 0
-    return _kostant_count(rd.cartan_matrix)(target, 0)
-
-
 def weyl_multiplicity(rd: RootDatum, highest, weight) -> int:
     """Multiplicity by the Weyl character formula's alternating sum over
     the Weyl group of Kostant partition counts, walked as the orbit of the

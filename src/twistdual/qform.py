@@ -97,12 +97,6 @@ class Exponent:
     def is_zero(self):
         return self.rational == 0 and self.tau == 0
 
-    def order(self):
-        """Multiplicative order of the value; None when infinite."""
-        if self.tau != 0:
-            return None
-        return self.rational.denominator
-
     def __str__(self):
         if self.tau == 0:
             return str(self.rational)
@@ -335,15 +329,6 @@ def killing_qform(rd: RootDatum, component_index, a: Exponent) -> QForm:
     den = math.lcm(a.rational.denominator, a.tau.denominator)
     scales = (c.numerator * (den // c.denominator) for c in (a.rational, a.tau))
     return QForm._integral(rd, *([[c * x for x in row] for row in k.data] for c in scales), den)
-
-
-def component_killing_value(rd: RootDatum, component_index, lam):
-    """Q_i(lam) = (1/2) sum over component roots of <beta, lam>^2."""
-    k = killing_matrix(rd, component_index)
-    val = Fraction(dot(k.mul_vec(lam), lam), 2)
-    if val.denominator != 1:
-        raise ValueError(f"Q_{component_index}({lam}) = {val} is not an integer")
-    return int(val)
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,12 @@ they are reduced.  A finite-type Cartan matrix is nondegenerate, so R and
 V then have independent rows; their ranks are computed only when the
 matrix fails, to name the dependence.  A failure is never cached.  Each
 datum maps the record by its own R and V into one root table of (root,
-coroot, root coordinates) triples, from which the roots, the heights and
-the highest root are read without a solve.  The per-component Killing
-record needs no root table: its Gram in Cartan coordinates, the dual
-Coxeter number and the short coroot depend on the Cartan matrix alone
-and are kept per matrix in a second bounded cache, filled only when a
-datum asks, and a datum's K is that Gram carried by R.
+coroot, root coordinates) triples, from which the roots and the heights
+are read without a solve.  The per-component Killing record needs no
+root table: its Gram in Cartan coordinates, the dual Coxeter number and
+the short coroot depend on the Cartan matrix alone and are kept per
+matrix in a second bounded cache, filled only when a datum asks, and a
+datum's K is that Gram carried by R.
 pi1 is read off the invariant factors of V, kept on the datum.  A datum
 with a centre (fewer simple roots than its rank) has a basis of X^W, the
 weights every coroot kills: the Hermite basis of the kernel of V, one
@@ -24,18 +24,10 @@ weights every coroot kills: the Hermite basis of the kernel of V, one
 basis] and compares the index |det F| = [X : Z Delta + X^W], kept on the
 datum; a semisimple datum's frame is its simple roots.  The Weyl group is
 enumerated only on demand.
-
-`weight_chamber` and `coweight_chamber` are the one walk to the dominant
-chamber: a vector's labels (its pairings with the simple vectors of the
-other side) change by a row of the Cartan matrix, or of its transpose, per
-simple reflection, so no pairing is recomputed along the way.  They return
-the dominant conjugate, the sign of the Weyl element and the final labels,
-whose zeros are the walls; `antidominant_representative` is the walk of -v.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 import re
@@ -65,13 +57,6 @@ WEYL_BOUND = 1_000_000
 
 class RootDatumError(ValueError):
     """A root datum axiom failed."""
-
-
-class Dominance(enum.Enum):
-    LESS_EQUAL = "less-equal"
-    GREATER_EQUAL = "greater-equal"
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable"
 
 
 def dot(x, y):
@@ -210,30 +195,9 @@ class RootDatum:
             cols=n,
         )
 
-    def reflect_coweight(self, i, v):
-        return vec_sub(v, vec_scale(dot(self.simple_roots.row(i), v),
-                                    self.simple_coroots.row(i)))
-
     def reflect_weight(self, i, v):
         return vec_sub(v, vec_scale(dot(v, self.simple_coroots.row(i)),
                                     self.simple_roots.row(i)))
-
-    # -- the dominant chamber ----------------------------------------------
-
-    def weight_chamber(self, v) -> Chamber:
-        """The dominant conjugate of the weight v, with the sign of the Weyl
-        element and the conjugate's labels <., coroot_i>."""
-        v = self._vector(v)
-        return _chamber_walk(v, self.simple_coroots.mul_vec(v),
-                             self.simple_roots.data, self.cartan_matrix)
-
-    def coweight_chamber(self, v) -> Chamber:
-        """The dominant conjugate of the coweight v, with the sign of the
-        Weyl element and the conjugate's labels <alpha_i, .>."""
-        v = self._vector(v)
-        # row j of the transpose is what s_j does to coweight labels
-        return _chamber_walk(v, self.simple_roots.mul_vec(v),
-                             self.simple_coroots.data, tuple(zip(*self.cartan_matrix)))
 
     @cached_property
     def _weyl(self):
@@ -340,7 +304,7 @@ class RootDatum:
         return FGAbelianGroup.from_factors(
             [*smith_normal_form(self.simple_coroots), *[0] * (self.rank - self.num_simple)])
 
-    # -- dominance ---------------------------------------------------------
+    # -- integer coordinates and dominance ------------------------------------
 
     def _vector(self, v):
         """v as a tuple of ints of length rank, else a ValueError: the check
@@ -351,88 +315,24 @@ class RootDatum:
             raise ValueError(f"vector {v} has length {len(v)}, not the rank {self.rank}")
         return v
 
-    def is_dominant_coweight(self, v):
-        return min(self.simple_roots.mul_vec(self._vector(v)), default=0) >= 0
-
-    def is_dominant_weight(self, v):
-        return min(self.simple_coroots.mul_vec(self._vector(v)), default=0) >= 0
-
-    # -- integer coordinates -------------------------------------------------
-
     @cached_property
     def _root_chart(self):
         return integral_left_inverse(self.simple_roots.data, self.rank)
-
-    @cached_property
-    def _coroot_chart(self):
-        return integral_left_inverse(self.simple_coroots.data, self.rank)
 
     def root_coordinates(self, v):
         """Integer coefficients of v in the simple roots, or None when v is
         outside their span or the coefficients are not integers."""
         return _coordinates(self.simple_roots.data, self._root_chart, self._vector(v))
 
-    def coroot_coordinates(self, v):
-        """Integer coefficients of v in the simple coroots, or None."""
-        return _coordinates(self.simple_coroots.data, self._coroot_chart, self._vector(v))
-
-    @staticmethod
-    def _cone_leq(coeffs):
-        return coeffs is not None and all(c >= 0 for c in coeffs)
-
-    def coweight_leq(self, lam, mu):
-        """lam <= mu iff mu - lam is a nonnegative integer sum of simple coroots."""
-        return self._coweight_leq(self._vector(lam), self._vector(mu))
-
-    def _coweight_leq(self, lam, mu):
-        return self._cone_leq(_coordinates(self.simple_coroots.data, self._coroot_chart,
-                                           vec_sub(mu, lam)))
-
     def weight_leq(self, lam, mu):
-        """Dominance on the weight side, against the simple roots."""
+        """lam <= mu iff mu - lam is a nonnegative integer sum of simple
+        roots; on coweights, against the simple coroots, it is the order of
+        `flip()`."""
         return self._weight_leq(self._vector(lam), self._vector(mu))
 
     def _weight_leq(self, lam, mu):
-        return self._cone_leq(_coordinates(self.simple_roots.data, self._root_chart,
-                                           vec_sub(mu, lam)))
-
-    def dominance(self, lam, mu) -> Dominance:
-        lam, mu = self._vector(lam), self._vector(mu)
-        if lam == mu:
-            return Dominance.EQUAL
-        if self._coweight_leq(lam, mu):
-            return Dominance.LESS_EQUAL
-        if self._coweight_leq(mu, lam):
-            return Dominance.GREATER_EQUAL
-        return Dominance.INCOMPARABLE
-
-    def antidominant_representative(self, v):
-        """w_0 applied to the dominant representative: the antidominant
-        element, -(the dominant conjugate of -v)."""
-        return tuple(map(neg, self.coweight_chamber(map(neg, self._vector(v))).conjugate))
-
-    # -- orbit dimensions ----------------------------------------------------
-
-    def orbit_dim(self, lam):
-        """Dimension <2 rho, lam> of the orbit of a dominant coweight."""
-        lam = self._vector(lam)
-        if not self.is_dominant_coweight(lam):
-            raise ValueError(f"coweight {lam} is not dominant")
-        return dot(self.two_rho, lam)
-
-    def sib_dim(self, lam, mu):
-        """Semi-infinite intersection dimension <rho, lam + mu>."""
-        lam, mu = self._vector(lam), self._vector(mu)
-        if not self.is_dominant_coweight(lam):
-            raise ValueError(f"coweight {lam} is not dominant")
-        w0lam = self.antidominant_representative(lam)
-        if not (self._coweight_leq(w0lam, mu) and self._coweight_leq(mu, lam)):
-            raise ValueError(
-                f"coweight {mu} is outside [w0(lam), lam] for lam={lam}")
-        doubled = dot(self.two_rho, vec_add(lam, mu))
-        if doubled % 2:
-            raise ValueError("<2 rho, lam + mu> is odd")
-        return doubled // 2
+        coeffs = _coordinates(self.simple_roots.data, self._root_chart, vec_sub(mu, lam))
+        return coeffs is not None and min(coeffs, default=0) >= 0
 
     # -- components and Coxeter data ----------------------------------------
 
@@ -443,18 +343,6 @@ class RootDatum:
 
     def is_irreducible(self):
         return len(self.components) == 1
-
-    def highest_root(self):
-        """The root that dominates every other root: the positive root of
-        greatest height, checked coordinate-wise against every positive root
-        (a negative root lies below every positive one)."""
-        if not self.is_irreducible():
-            raise ValueError("highest root requires an irreducible system")
-        table = self.positive_root_table
-        beta, cobeta, top = max(table, key=lambda t: sum(t[2]))
-        if not all(x >= y for _, _, coords in table for x, y in zip(top, coords)):
-            raise RootDatumError("no highest root found")
-        return beta, cobeta
 
     @cached_property
     def killing(self):
@@ -481,11 +369,6 @@ class RootDatum:
             raise ValueError("dual Coxeter data requires an irreducible system")
         k, h, _ = self.killing[0]
         return h, k
-
-    def iota_pairing(self, lam, mu):
-        """The normalized pairing (lam, mu) = <iota(lam), mu> on coweights."""
-        h, k = self.coxeter_killing
-        return Fraction(dot(mu, k.mul_vec(lam)), 2 * h)
 
     # -- plumbing -------------------------------------------------------------
 

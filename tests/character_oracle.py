@@ -85,7 +85,7 @@ def tensor_decompose(c1, c2):
     pieces = {}
     while remaining:
         top = max(remaining, key=lambda w: (dot(w, rho_check), w))
-        if not rd.is_dominant_weight(top):
+        if min(rd.simple_coroots.mul_vec(top), default=0) < 0:
             raise CharacterError(f"maximal weight {top} is not dominant")
         mult = remaining[top]
         if mult < 0:

@@ -11,7 +11,6 @@ from twistdual.characters import (
     CharacterError,
     fiber_dim,
     irreducible_character,
-    kostant_partition,
     satake_prediction,
     tensor_decompose,
     weyl_dim,
@@ -24,7 +23,7 @@ from twistdual.qform import (
     qform_from_gram,
     trivial_qform,
 )
-from twistdual.rootdata import Dominance, RootDatum, dot, standard, vec_add
+from twistdual.rootdata import RootDatum, dot, standard, vec_add
 
 import character_oracle
 import root_oracle
@@ -67,7 +66,9 @@ class TestIrreducibleCharacter:
         assert c.as_dict() == {(0, 0): 1}
 
     def test_sl3_adjoint_zero_weight(self):
-        theta, _ = SL3.highest_root()
+        pairs = SL3.root_pairs
+        theta, _ = root_oracle.highest_root(
+            SL3.simple_coroots.data, pairs, {b: SL3.root_coordinates(b) for b, _ in pairs})
         c = irreducible_character(SL3, theta)
         assert c.as_dict()[(0, 0)] == 2
         assert c.dim() == 8
@@ -104,7 +105,7 @@ class TestIrreducibleCharacter:
         # weight out
         rd = standard(name)
         for hw in itertools.product(range(-3, 4), repeat=rd.rank):
-            if not rd.is_dominant_weight(hw):
+            if min(rd.simple_coroots.mul_vec(hw), default=0) < 0:
                 continue
             c = irreducible_character(rd, hw)
             for w, m in c.multiplicities:
@@ -117,7 +118,7 @@ class TestIrreducibleCharacter:
         # simple roots only; above that, this test compares the two
         rd = standard(name)
         for hw in itertools.product(range(-2, 3), repeat=rd.rank):
-            if not rd.is_dominant_weight(hw):
+            if min(rd.simple_coroots.mul_vec(hw), default=0) < 0:
                 continue
             c = irreducible_character(rd, hw)
             for w, m in c.multiplicities:
@@ -127,7 +128,7 @@ class TestIrreducibleCharacter:
     def test_integer_freudenthal_matches_weyl_dim(self, name):
         rd = standard(name)
         for hw in itertools.product(range(-2, 3), repeat=rd.rank):
-            if rd.is_dominant_weight(hw):
+            if min(rd.simple_coroots.mul_vec(hw), default=0) >= 0:
                 assert irreducible_character(rd, hw).dim() == weyl_dim(rd, hw), hw
 
     def test_sl5_two_rho(self):
@@ -321,7 +322,7 @@ class TestCharacterMemo:
             rd = q.rd
             dual = twisted_dual(rd, q, "full")
             for lam in itertools.product(range(13), repeat=rd.rank):
-                if (not rd.is_dominant_coweight(lam)
+                if (min(rd.simple_roots.mul_vec(lam), default=0) < 0
                         or not dual.weight_sublattice.contains(lam)
                         or dot(rd.two_rho, lam) > 16):
                     continue
@@ -339,24 +340,29 @@ class TestCharacterMemo:
 
 
 class TestKostant:
+    """The Kostant counter takes root coordinates c >= 0."""
+
     def test_zero(self):
-        assert kostant_partition(SL3, (0, 0)) == 1
+        assert characters._kostant_count(SL3.cartan_matrix)((0, 0), 0) == 1
 
     def test_simple_root(self):
-        assert kostant_partition(SL3, tuple(SL3.simple_roots.row(0))) == 1
+        assert characters._kostant_count(SL3.cartan_matrix)((1, 0), 0) == 1
 
     def test_sum_of_simples(self):
-        theta, _ = SL3.highest_root()
-        # theta = alpha_1 + alpha_2 and both orderings plus theta itself
-        assert kostant_partition(SL3, theta) == 2
+        # theta = alpha_1 + alpha_2 is theta itself or the sum of the simples
+        assert characters._kostant_count(SL3.cartan_matrix)((1, 1), 0) == 2
 
     def test_outside_cone(self):
-        assert kostant_partition(SL3, (-2, 1)) == 0
+        # the Weyl sum counts no weight whose depth below the highest
+        # weight is not a nonnegative integer combination of simple roots
+        for weight in ((3, 0), (0, 1), (2, 2)):
+            assert weyl_multiplicity(SL3, (1, 1), weight) == 0
 
     def test_counts_do_not_hold_the_datum(self):
         # the counter is built from the Cartan matrix and holds no datum
         rd = standard("G2")
-        assert kostant_partition(rd, rd.two_rho) > 0
+        depth = rd.root_coordinates(rd.two_rho)
+        assert characters._kostant_count(rd.cartan_matrix)(depth, 0) > 0
         ref = weakref.ref(rd)
         del rd
         gc.collect()
@@ -457,7 +463,7 @@ class TestTensor:
         # odd
         rd = SO4 if name == "SO4" else standard(name)
         hws = [h for h in itertools.product(range(-1, 3), repeat=rd.rank)
-               if rd.is_dominant_weight(h) and weyl_dim(rd, h) <= 15]
+               if min(rd.simple_coroots.mul_vec(h), default=0) >= 0 and weyl_dim(rd, h) <= 15]
         chars = [irreducible_character(rd, h) for h in hws]
         walls = 0
         for c in chars:
@@ -483,7 +489,7 @@ class TestTensor:
         # that carries the roots to R U
         rd = SO4 if name == "SO4" else standard(name)
         hws = [h for h in itertools.product(range(-1, 3), repeat=rd.rank)
-               if rd.is_dominant_weight(h) and weyl_dim(rd, h) <= 15]
+               if min(rd.simple_coroots.mul_vec(h), default=0) >= 0 and weyl_dim(rd, h) <= 15]
         rng = random.Random(113)
         for _ in range(3):
             moves = [(rng.randrange(3), rng.randrange(3), rng.randint(-2, 2))
@@ -645,17 +651,13 @@ class TestBraidingWellDefined:
      (((0,), 1), ((1,), 1), ((2,), 1))),
     (lambda x: satake_prediction(trivial_qform(SL2), (1,), (x,)).decomposition,
      (((0,), 1), ((1,), 1), ((2,), 1))),
-    (lambda x: SL2.orbit_dim((x,)), 2),
-    (lambda x: SL2.sib_dim((x,), (1,)), 2),
-    (lambda x: SL2.dominance((x,), (3,)), Dominance.LESS_EQUAL),
     (lambda x: braiding_signs(qform_from_gram(SL2, [[Fraction(2, 5)]]), (x,), (1,)),
      (1, Exponent.of(Fraction(2, 5)))),
     (lambda x: fiber_dim(SL2, (x,), (1,), (1,)), 1),
 ], ids=["irreducible_character", "weyl_multiplicity-highest",
         "weyl_multiplicity-weight", "weyl_dim", "tensor_decompose",
         "satake_prediction-lam",
-        "satake_prediction-mu", "orbit_dim", "sib_dim", "dominance",
-        "braiding_signs", "fiber_dim"])
+        "satake_prediction-mu", "braiding_signs", "fiber_dim"])
 def test_integer_arguments(call, expected, bad):
     with pytest.raises(ValueError, match="not an integer"):
         call(bad)
@@ -665,11 +667,10 @@ def test_integer_arguments(call, expected, bad):
 @pytest.mark.parametrize("call", [
     lambda: weyl_multiplicity(SL3, (1, 1), (0, 0, 5)),
     lambda: weyl_multiplicity(SL3, (1,), (0, 0)),
-    lambda: kostant_partition(SL3, (0,)),
     lambda: irreducible_character(SL3, (1, 1, 0)),
     lambda: weyl_dim(SL3, (1,)),
     lambda: tensor_decompose(irreducible_character(SL3, (1, 0)), (1, 0, 0)),
-], ids=["weyl_multiplicity-weight", "weyl_multiplicity-highest", "kostant_partition",
+], ids=["weyl_multiplicity-weight", "weyl_multiplicity-highest",
         "irreducible_character", "weyl_dim", "tensor_decompose"])
 def test_wrong_lengths_rejected(call):
     with pytest.raises(ValueError, match="not the rank 2"):
@@ -678,6 +679,7 @@ def test_wrong_lengths_rejected(call):
 
 def test_integral_floats_are_read_as_ints():
     # an integral value of another type is accepted, and the answer is an int
-    for got, want in ((SL2.sib_dim((2,), (0.0,)), 2), (SL2.orbit_dim((1.0,)), 2),
+    for got, want in ((weyl_dim(SL3, (1.0, 1)), 8),
+                      (weyl_multiplicity(SL3, (1, 1), (0.0, 0)), 2),
                       (fiber_dim(SL2, (1.0,), (1,), (0,)), Fraction(2))):
         assert got == want and type(got) is type(want)

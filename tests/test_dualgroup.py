@@ -122,16 +122,18 @@ class TestTwistedDual:
                 g0 = [[sum(c * b[i][j] for c, b in zip(coeffs, basis))
                        for j in range(rd.rank)] for i in range(rd.rank)]
                 q = QForm(rd, g0)
-                orders = {cb: q.q(cb).order() for _, cb in rd.root_pairs}
+                orders = {cb: q.q(cb).rational.denominator for _, cb in rd.root_pairs}
+                flipped = rd.flip()
                 for beta, cobeta in rd.root_pairs:
                     for i in range(rd.num_simple):
-                        image = rd.reflect_coweight(i, cobeta)
+                        image = flipped.reflect_weight(i, cobeta)
                         assert orders[image] == orders[cobeta]
 
     def test_integer_multipliers_are_orders_of_q(self):
         # each multiplier, read off the integer numerators of Q(coroot), is
-        # the order of the Exponent Q(coroot), on forms with tau parts, in
-        # the standard basis and in others
+        # the order of the value Q(coroot) (the denominator of its rational
+        # part, infinite with a tau part), on forms with tau parts, in the
+        # standard basis and in others
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         data = {rd.name: rd for rd in (SL2, PGL2, GL2, SL3, SP4, G2, standard("SL2xSL2"),
@@ -153,8 +155,9 @@ class TestTwistedDual:
                          for j in range(n)] for i in range(n)]
 
             q = QForm(rd, gram(), gram())
+            values = [q.q(c) for c in rd.simple_coroots.data]
             assert twisted_dual(rd, q, mode).multipliers == tuple(
-                q.q(c).order() for c in rd.simple_coroots.data)
+                None if e.tau else e.rational.denominator for e in values)
 
         check()
 
@@ -168,7 +171,7 @@ class TestTwistedDual:
                 return super()._numerators(lam, mu)
 
         bad = Doctored(PGL2, [[Fraction(2, 3)]])
-        assert bad.q((2,)).order() == 2 and bad.n0.data == ((2,),) and bad.den == 3
+        assert bad.q((2,)).rational == Fraction(1, 2) and bad.n0.data == ((2,),) and bad.den == 3
         with pytest.raises(PaperContractViolation):
             twisted_dual(PGL2, bad)
 

@@ -116,3 +116,25 @@ def test_two_reductions_in_lattice():
             if "_hermite_rows" not in calls[name]] == []
     assert [p.name for p in SOURCES if p.name != "lattice.py"
             and "_eliminate" in dict(_names(_parse(p)))] == []
+
+
+def test_every_root_datum_member_is_read():
+    # each public method and property of RootDatum is read by name in the
+    # library or the benchmark harness (whose tracer names what it patches
+    # in strings), outside its own definition
+    root = Path(twistdual.__file__).parent
+    bench = root.parents[1] / "perfbench"
+    methods = {node.name: node
+               for node in _function(root / "rootdata.py", "RootDatum").body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    reads = {}
+    for path in SOURCES + sorted(bench.glob("*.py")):
+        tree = _parse(path)
+        names = [name for name, _ in _names(tree)]
+        names += [node.value for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+        for name in names:
+            reads[name] = reads.get(name, 0) + 1
+    own = {name: sum(n == name for n, _ in _names(node)) for name, node in methods.items()}
+    assert methods
+    assert sorted(name for name in methods if reads.get(name, 0) <= own[name]) == []
