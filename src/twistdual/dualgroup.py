@@ -11,15 +11,23 @@ kernel, one Hermite reduction (`lattice.kernel_mod`), so building a dual
 takes no Smith form; on the whole lattice (the zero form, Langlands
 duals, every integral form) the dual roots are the scaled coroots as
 they stand and the pairings are the simple roots, so no coordinates are
-solved for either.  `isomorphic` certifies agreement between any
-two root data.  Equal data, which two constructions that reduce to one
-Hermite basis give, are answered at once with the identity; otherwise
-each datum is framed by its simple roots and a basis of X^W, the
-weights every coroot kills; the frame's index [X : Z Delta + X^W] is
-an invariant, compared first, and per matching of simple indices that
-keeps the Cartan matrix the one inverse of the first frame gives the only
-candidate maps in closed form, one product each: exactly one when the
-datum is semisimple or the index is 1, two when X^W has rank 1.  For a
+solved for either.  The constructions agree, so an agreement check builds
+one dual twice from one datum: the kernel memo of `kernel_mod` (keyed by
+the congruence reduced by its gcd with the modulus) serves the second
+kernel, and `_assemble_dual` keeps on each datum the validated dual data
+of its last DUAL_MEMO_SIZE (weight-lattice basis, multipliers) pairs,
+everything the assembly reads, so the second assembly is a lookup that
+returns the dual under the caller's own name.
+
+`isomorphic` certifies agreement between any two root data.  Equal data,
+which two constructions that reduce to one Hermite basis give, are
+answered at once with the identity; otherwise each datum is framed by
+its simple roots and a basis of X^W, the weights every coroot kills;
+the frame's index [X : Z Delta + X^W] is an invariant, compared first,
+and per matching of simple indices that keeps the Cartan matrix the one
+inverse of the first frame gives the only candidate maps in closed
+form, one product each: exactly one when the datum is semisimple or the
+index is 1, two when X^W has rank 1.  For a
 glued centre (X^W of rank k >= 2 and index > 1) integrality is a linear
 congruence modulo the exponent of X / (Z Delta + X^W), one `kernel_mod`
 per matching, and a witness is a solution of unit determinant, lifted to
@@ -91,10 +99,37 @@ class TwistedDual:
         return self.weight_sublattice.member_from_coefficients(self.datum.simple_roots.row(i))
 
 
+# the most duals `_assemble_dual` keeps per source datum
+DUAL_MEMO_SIZE = 8
+
+
 def _assemble_dual(rd: RootDatum, weight_lattice: Sublattice, multipliers,
                    name=None) -> TwistedDual:
     """Common assembly: scale the surviving coroots into the weight lattice
     and the corresponding roots into its dual, then validate.
+
+    The assembly reads rd, the lattice's Hermite basis and the multipliers
+    and nothing else, so its validated datum is kept on rd under that pair,
+    for at most DUAL_MEMO_SIZE pairs (the oldest goes first), and a second
+    construction of the same dual over rd, as each agreement check makes,
+    is a lookup.  A hit returns that datum under the caller's name; every
+    `PaperContractViolation` check ran on the same input when the entry was
+    made, and a failed assembly is not kept."""
+    multipliers = tuple(multipliers)
+    key = (weight_lattice.basis.data, multipliers)
+    memo = rd._assembled
+    datum = memo.get(key)
+    if datum is None:
+        datum = memo[key] = _validated_dual(rd, weight_lattice, multipliers, name)
+        if len(memo) > DUAL_MEMO_SIZE:
+            del memo[next(iter(memo))]
+    elif datum.name != name:
+        datum = datum._renamed(name)
+    return TwistedDual(rd, weight_lattice, multipliers, datum)
+
+
+def _validated_dual(rd, weight_lattice, multipliers, name) -> RootDatum:
+    """The dual datum of `_assemble_dual`, built and validated.
 
     On the whole lattice (basis the identity: the zero form, Langlands
     duals, every integral form) a vector is its own coordinates and
@@ -123,9 +158,8 @@ def _assemble_dual(rd: RootDatum, weight_lattice: Sublattice, multipliers,
             raise PaperContractViolation(
                 f"alpha_{i}/{r} is not integral on the dual weight lattice")
         new_coroots.append([x // r for x in pairings])
-    datum = RootDatum(_computed_matrix(new_roots, k), _computed_matrix(new_coroots, k),
-                      rank=k, name=name)
-    return TwistedDual(rd, weight_lattice, tuple(multipliers), datum)
+    return RootDatum(_computed_matrix(new_roots, k), _computed_matrix(new_coroots, k),
+                     rank=k, name=name)
 
 
 def twisted_dual(rd: RootDatum, q: QForm, mode="full") -> TwistedDual:

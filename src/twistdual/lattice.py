@@ -12,7 +12,11 @@ matrix over an explicit denominator, so no Fraction is built here.
 
 Every kernel, exact or modulo N, is one row Hermite reduction
 (`kernel_mod`), and so is every dual's weight lattice, a datum's basis of
-X^W, a saturation (the kernel of a kernel) and an intersection.
+X^W, a saturation (the kernel of a kernel) and an intersection.  A
+kernel's input is first divided by the gcd of the modulus and the
+entries, which keeps its solutions, and the reduction is memoised by that
+reduced input in a bounded LRU cache of 64 kernels, so that two
+constructions of one dual reach one congruence and pay for it once.
 `smith_normal_form` returns the invariant factors alone, which `pi1` and
 `quotient_group` read, from Hermite reductions of the rows and the
 columns in turn; no Smith transform is built anywhere.  Identity and zero
@@ -396,6 +400,15 @@ def kernel_mod(m: IntMatrix, modulus=None) -> Sublattice:
     N (column i of m | e_i) - sum_k N m_ki e_k = (0 | N e_i).  So the
     reduction may run modulo N, with N e_c as each pivot's partner.
 
+    m and N are first divided by g = gcd(N, every entry of m) (the content
+    of m for the exact kernel, N taken as 0): N | m x if and only if
+    (N / g) | (m / g) x, so the solutions, and with them the canonical
+    Hermite basis, are the same; g = N means m = 0 mod N, which kills
+    everything.  The reduced input is the key of a bounded memo
+    (`_kernel`, 64 kernels), so that two constructions that reach one
+    congruence by different scalings, such as the FL dual's d K mod 2hN
+    and the lowest-terms Gram of d iota / N, share one reduction.
+
     The exact kernel is saturated; the modular kernel has full rank.
     """
     if modulus is not None:
@@ -403,8 +416,22 @@ def kernel_mod(m: IntMatrix, modulus=None) -> Sublattice:
     if not any(map(any, m.data)):
         # the zero matrix kills everything, modulo anything
         return Sublattice.full(m.cols)
-    rows = [col + e for col, e in zip(m._columns(), _identity_rows(m.cols))]
-    return Sublattice._hermite(m.cols, _hermite_rows(rows, m.rows + m.cols, modulus, m.rows))
+    g = math.gcd(modulus or 0, *(math.gcd(*row) for row in m.data))
+    if g == modulus:
+        # so does m = 0 mod N
+        return Sublattice.full(m.cols)
+    rows = m.data if g == 1 else tuple(tuple(x // g for x in row) for row in m.data)
+    return _kernel(rows, m.cols, modulus and modulus // g)
+
+
+@lru_cache(maxsize=64)
+def _kernel(rows, cols, modulus):
+    """`kernel_mod`'s reduction of [m^T | I] for m on `rows`, a nonzero
+    tuple of int tuples already divided by the gcd with the modulus (None
+    for the exact kernel), memoised by that reduced input: a pure function
+    of its key, whose result, a frozen `Sublattice`, every caller shares."""
+    cat = [col + e for col, e in zip(zip(*rows), _identity_rows(cols))]
+    return Sublattice._hermite(cols, _hermite_rows(cat, len(rows) + cols, modulus, len(rows)))
 
 
 def saturation(s: Sublattice) -> Sublattice:

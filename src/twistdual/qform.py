@@ -107,13 +107,15 @@ class Exponent:
 
 def _as_gram(rows, rank, what):
     """A symmetric rational Gram as integer numerators over their lcd; None
-    and 1 for no Gram.  TypeError for a bool entry: a Gram holds numbers."""
+    and 1 for no Gram.  TypeError for a bool entry: a Gram holds numbers.
+    An int or a Fraction is read by its numerator and denominator as it
+    stands; only another numeric type goes through `Fraction(x)`."""
     if rows is None:
         return None, 1
     rows = [list(row) for row in rows]
     if any(type(x) is bool for row in rows for x in row):
         raise TypeError(f"{what} has a boolean entry, not a number")
-    mat = [[Fraction(x) for x in row] for row in rows]
+    mat = [[x if type(x) in (int, Fraction) else Fraction(x) for x in row] for row in rows]
     if len(mat) != rank or any(len(r) != rank for r in mat):
         raise ShapeError(f"{what} must be {rank}x{rank}")
     den = common_denominator(x for row in mat for x in row)

@@ -139,6 +139,9 @@ class RootDatum:
         self.simple_coroots = simple_coroots
         self.rank = simple_roots.cols
         self.name = name
+        # (weight-lattice basis, multipliers) -> dual datum, kept and
+        # bounded by dualgroup._assemble_dual
+        self._assembled = {}
         self._validate_cartan()
         try:
             # one record per Cartan matrix; raises unless it is of finite type
@@ -376,6 +379,15 @@ class RootDatum:
         """Exchange the weight and coweight sides (roots <-> coroots)."""
         return RootDatum(self.simple_coroots, self.simple_roots, rank=self.rank,
                          name=f"flip({self.name})" if self.name else None)
+
+    def _renamed(self, name):
+        """This datum under another name, without a second validation: the
+        copy shares the checked matrices and every fact already cached,
+        all of which read the roots and coroots alone, but starts its own
+        dual memo."""
+        out = object.__new__(RootDatum)
+        out.__dict__.update(self.__dict__, name=name, _assembled={})
+        return out
 
     def to_dict(self):
         return {

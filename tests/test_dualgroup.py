@@ -279,6 +279,96 @@ class TestDualMemo:
             "dropped": []}
 
 
+class TestSharedConstructions:
+    """Kernels are memoised by their reduced congruence (`lattice._kernel`)
+    and each datum keeps the duals it assembled (`_assemble_dual`), so the
+    second of two agreeing constructions is a lookup; neither memo may
+    change an answer or a name."""
+
+    LABELS = ("SL2", "PGL2", "SL3", "PGL3", "Sp4", "G2", "SL4")
+    LEVELS = range(1, 13)
+
+    @staticmethod
+    def _constructions(rd, level):
+        """Every dual construction at one level: the FL dual and the twisted
+        dual of its form, Lusztig's and the twisted dual of the Cartan
+        form, both sides of a quantum pair and the Langlands dual."""
+        j = normalized_killing_gram(rd)
+        out = []
+        for d in (1, 2, 3):
+            g0 = [[x * Fraction(d, level) for x in row] for row in j]
+            out += [(f"fl{d}", lambda rd, d=d: fl_dual(rd, d, level)),
+                    (f"fl{d}-twisted", lambda rd, g0=g0: twisted_dual(rd, QForm(rd, g0)))]
+        for scale in (1, 2):
+            def cartan(rd, scale=scale):
+                return CartanDatum(rd, [scale * x for x in CartanDatum.standard(rd).f])
+            out += [(f"lusztig{scale}", lambda rd, c=cartan: lusztig_dual(c(rd), level)),
+                    (f"lusztig{scale}-twisted",
+                     lambda rd, c=cartan: twisted_dual(rd, cartan_qform(c(rd), level), "coroot"))]
+        b = [[x / level for x in row] for row in j]
+        out += [("quantum-left", lambda rd: quantum_dual_pair(rd, b).left),
+                ("quantum-right", lambda rd: quantum_dual_pair(rd, b).right),
+                ("langlands", langlands_dual)]
+        return out
+
+    def test_warm_duals_equal_cold_ones(self):
+        # per label, the standard basis and two rebases; cold builds each
+        # dual on a fresh datum with the kernel memo cleared, warm runs every
+        # construction twice on one datum, so that all but the first of each
+        # agreeing group are served by a memo
+        rng = random.Random(30)
+        for label in self.LABELS:
+            base = standard(label)
+            for moves in ([], *([(rng.randrange(base.rank), rng.randrange(base.rank),
+                                  rng.choice((-1, 1))) for _ in range(3)] for _ in range(2))):
+                data = _rebased(base, moves).to_dict()
+                for level in self.LEVELS:
+                    cold = {}
+                    for name, build in self._constructions(RootDatum.from_dict(data), level):
+                        lattice._kernel.cache_clear()
+                        cold[name] = build(RootDatum.from_dict(data)).to_dict()
+                    rd = RootDatum.from_dict(data)
+                    for _ in range(2):
+                        warm = {name: build(rd).to_dict()
+                                for name, build in self._constructions(rd, level)}
+                        assert warm == cold, (label, moves, level)
+                    assert len(rd._assembled) <= dualgroup.DUAL_MEMO_SIZE
+
+    def test_memo_served_dual_keeps_its_name(self, monkeypatch):
+        rd = standard("G2")
+        g0 = [[x * Fraction(2, 5) for x in row] for row in normalized_killing_gram(rd)]
+        built = []
+        validated = dualgroup._validated_dual
+        monkeypatch.setattr(dualgroup, "_validated_dual",
+                            lambda *args: built.append(args[3]) or validated(*args))
+        fl = fl_dual(rd, 2, 5)
+        tw = twisted_dual(rd, QForm(rd, g0))
+        again = fl_dual(rd, 2, 5)
+        assert built == ["fl(G2,2,5)"]
+        monkeypatch.undo()
+        assert (fl.datum.name, tw.datum.name, again.datum.name) == \
+            ("fl(G2,2,5)", "dual(G2)", "fl(G2,2,5)")
+        assert tw.source is rd and tw.weight_sublattice == fl.weight_sublattice
+        lattice._kernel.cache_clear()
+        fresh_rd = standard("G2")
+        fresh = twisted_dual(fresh_rd, QForm(fresh_rd, g0))
+        assert tw.datum == fresh.datum and tw.to_dict() == fresh.to_dict()
+        res = isomorphic(fl.datum, tw.datum)
+        assert res.status == "iso"
+        assert res.weight_map == IntMatrix.identity(2) and res.permutation == (0, 1)
+        # a renamed copy starts a memo of its own
+        assert tw.datum._assembled is not fl.datum._assembled
+
+    def test_failed_assembly_is_not_kept(self):
+        rd = standard("PGL2")
+        lat = kernel_mod(IntMatrix([[2]]), 3)
+        for _ in range(2):
+            with pytest.raises(PaperContractViolation):
+                dualgroup._assemble_dual(rd, lat, (2,))
+        assert rd._assembled == {}
+        assert dualgroup._assemble_dual(rd, lat, (3,)).multipliers == (3,)
+
+
 class TestRank1Table:
     def test_odd_example(self):
         t = rank1_table(3)

@@ -206,6 +206,22 @@ class TestHermiteKernel:
             assert kernel_mod(m, modulus).basis.data == kernel_oracle.smith_kernel(m, modulus)
         check()
 
+    def test_common_factor_of_matrix_and_modulus_keeps_the_kernel(self, props):
+        # N | m x iff (N/g) | (m/g) x, so kernel_mod divides a common factor
+        # out before its memo; scaling both by g must give the same basis,
+        # exact kernels included, with the memo cleared and warm alike
+        @props.settings
+        @props.given(self._sized(props, (0, 5), (0, 5)),
+                     props.st.sampled_from((None, 1, 2, 6, 12)), props.st.integers(1, 30))
+        def check(m, modulus, g):
+            scaled = IntMatrix([[g * x for x in row] for row in m.data], cols=m.cols)
+            oracle = kernel_oracle.smith_kernel(m, modulus)
+            lattice._kernel.cache_clear()
+            assert kernel_mod(scaled, modulus and g * modulus).basis.data == oracle
+            assert kernel_mod(m, modulus).basis.data == oracle
+            assert kernel_mod(scaled, modulus and g * modulus).basis.data == oracle
+        check()
+
     def test_exact_kernel_killed_of_corank_and_saturated(self, props):
         @props.settings
         @props.given(self._sized(props, (0, 6), (0, 7)))

@@ -1,9 +1,14 @@
 """Checks on the library source itself."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import twistdual
+from twistdual import dualgroup
+from twistdual.dualgroup import lusztig_dual, twisted_dual
+from twistdual.qform import CartanDatum, QForm
+from twistdual.rootdata import standard
 
 SOURCES = sorted(Path(twistdual.__file__).parent.glob("*.py"))
 
@@ -138,3 +143,29 @@ def test_every_root_datum_member_is_read():
     own = {name: sum(n == name for n, _ in _names(node)) for name, node in methods.items()}
     assert methods
     assert sorted(name for name in methods if reads.get(name, 0) <= own[name]) == []
+
+
+def test_every_memo_is_bounded():
+    # a long-lived process meets unboundedly many inputs, so every
+    # functools cache in the library names an int bound, and the per-datum
+    # dual memo keeps at most DUAL_MEMO_SIZE duals however many forms one
+    # datum is swept over
+    caches = []
+    for p in SOURCES:
+        tree = _parse(p)
+        assert "cache" not in dict(_names(tree)), p.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "lru_cache":
+                bound = {kw.arg: kw.value for kw in node.keywords}.get("maxsize")
+                caches.append((p.name, node.lineno, isinstance(bound, ast.Constant)
+                               and type(bound.value) is int))
+            elif isinstance(node, ast.FunctionDef):
+                assert not [d for d in node.decorator_list
+                            if getattr(d, "id", None) == "lru_cache"], (p.name, node.name)
+    assert caches and [c for c in caches if not c[2]] == []
+    rd = standard("SL2xT1")
+    for n in range(1, 40):
+        for gram in ([[Fraction(1, n), 0], [0, 0]], [[Fraction(2, n), 0], [0, Fraction(1, n)]]):
+            twisted_dual(rd, QForm(rd, gram))
+        lusztig_dual(CartanDatum.standard(rd), n)
+    assert len(rd._assembled) == dualgroup.DUAL_MEMO_SIZE
