@@ -13,10 +13,12 @@ simple roots against the Weyl alternating sum of Kostant partition counts
 over the orbit of the labels of lam + rho.  The tests compare the tables
 with Freudenthal's recursion, kept as their reference in
 `tests/character_oracle.py`.  A `Character` reads its weights off its
-datum's simple roots only when they are asked for.  Tensor decomposition
-by the Brauer-Klimyk rule walks labels over the depths of one factor;
-also the numeric predictions for convolution: highest-weight multiplicity
-one, the dominance bound, and fiber-dimension arithmetic.
+datum's simple roots only when they are asked for.  The constituents of
+V(a) tensor V(b), as depths below the top weight, are a table per (Cartan
+matrix, unordered pair of labels) in a second LRU cache, built by the
+Brauer-Klimyk rule over the smaller factor and checked once; also the
+numeric predictions for convolution: highest-weight multiplicity one, the
+dominance bound, and fiber-dimension arithmetic.
 """
 
 from __future__ import annotations
@@ -251,48 +253,55 @@ def _dimension(system, shifted):
 
 def tensor_decompose(c: Character, highest):
     """Constituents of c tensor V(highest), as a dict highest weight ->
-    multiplicity, by the Brauer-Klimyk rule (Klimyk 1968; Humphreys,
-    *Introduction to Lie Algebras*, 24 ex. 9): each weight w of c adds its
-    multiplicity, with the sign of the Weyl element, at the weight whose
-    shift by rho is the dominant conjugate of w + highest + rho, and
-    nothing when that conjugate lies on a wall.
-
-    The walk runs on the labels of w + highest + rho, which are integers
-    although rho need not be a weight (PGL2), and on w's depth below
-    c.highest, where alpha_j is -e_j: it ends at the constituent's depth
-    below c.highest + highest.  Only the depths of c are needed: the other
-    factor enters through its highest weight alone.
-    """
+    multiplicity, from the table of the Cartan matrix and both labels."""
     rd = c.rd
     highest = rd._vector(highest)
-    labels = _labels(rd, highest)
-    cartan = rd.cartan_matrix
+    top = vec_add(c.highest, highest)
+    pair = sorted((_labels(rd, c.highest), _labels(rd, highest)))
+    return {_lower(rd, top, depth): m for depth, m in _tensor_table(rd.cartan_matrix, *pair)}
+
+
+@lru_cache(maxsize=128)
+def _tensor_table(cartan, a, b):
+    """((depth, multiplicity), ...) of V(a) tensor V(b) for dominant labels
+    a and b (callers sort them: the product is symmetric), the depths below
+    the top weight, by the Brauer-Klimyk rule (Klimyk 1968; Humphreys,
+    *Introduction to Lie Algebras*, 24 ex. 9): each weight w of the factor
+    of smaller Weyl dimension adds its multiplicity, with the sign of the
+    Weyl element, at the weight whose shift by rho is the dominant
+    conjugate of w + (the other highest weight) + rho, and nothing when
+    that conjugate lies on a wall.
+
+    The walk runs on the labels of that sum, integers although rho need not
+    be a weight (PGL2), and on w's depth, alpha_j being -e_j.  No
+    multiplicity may be negative and the constituents' dimensions must add
+    up to the product; a failure is never cached.
+    """
+    system = _cartan_system(cartan)
+    dims = [_dimension(system, [x + 1 for x in v]) for v in (a, b)]
+    if dims[1] < dims[0]:
+        a, b = b, a
     cols = tuple(zip(*cartan))
-    shift = tuple(a + b + 1 for a, b in zip(rd.simple_coroots.mul_vec(c.highest), labels))
+    shift = tuple(x + y + 1 for x, y in zip(a, b))
     minus = [tuple(-int(i == j) for j in range(len(cartan))) for i in range(len(cartan))]
     net = {}
     final = {}      # constituent depth -> its labels <nu + rho, coroot_i>
-    for depth, m in c.depths:
+    for depth, m in _character_table(cartan, a):
         nu, sign, ends = _chamber_walk(
             depth, [x - sum(map(mul, depth, col)) for x, col in zip(shift, cols)], minus, cartan)
         if 0 in ends:
             continue   # fixed by a reflection: the alternating sum cancels
         net[nu] = net.get(nu, 0) + sign * m
         final[nu] = ends
-    top = vec_add(c.highest, highest)
-    out = {}
     total = 0
     for depth, m in net.items():
-        if m:
-            nu = _lower(rd, top, depth)
-            if m < 0:
-                raise CharacterError(f"negative multiplicity {m} at {nu}")
-            out[nu] = m
-            total += m * _dimension(rd._cartan, final[depth])
+        if m < 0:
+            raise CharacterError(f"negative multiplicity {m} at depth {depth}")
+        total += m * _dimension(system, final[depth])
     # the constituents must account for the whole product
-    if total != c.dim() * _dimension(rd._cartan, [x + 1 for x in labels]):
+    if total != dims[0] * dims[1]:
         raise CharacterError("constituent dimensions do not add up to the product")
-    return out
+    return tuple((depth, m) for depth, m in net.items() if m)
 
 
 def fiber_dim(rd: RootDatum, lam, mu, nu) -> Fraction:
@@ -333,15 +342,12 @@ def satake_prediction(q: QForm, lam, mu) -> SatakeReport:
         if v_c is None:
             raise CharacterError(f"{v} is outside the dual weight lattice")
         # the vectors here are checked or built by the library, so the
-        # dominance, dimension and order tests go around the public checks
+        # dominance and order tests go around the public checks
         if min(rd.simple_roots.mul_vec(v), default=0) < 0:
             raise CharacterError(f"{v} is not dominant")
         coeffs.append(v_c)
     lam_c, mu_c = coeffs
-    # the weights of the smaller factor, the highest weight of the other
-    small, large = sorted(coeffs, key=lambda v: _dimension(
-        dual.datum._cartan, [x + 1 for x in _labels(dual.datum, v)]))
-    pieces = tensor_decompose(irreducible_character(dual.datum, small), large)
+    pieces = tensor_decompose(irreducible_character(dual.datum, lam_c), mu_c)
     top_c = vec_add(lam_c, mu_c)
     top_mult = pieces.get(tuple(top_c), 0)
     all_below = all(dual.datum._weight_leq(nu_c, top_c) for nu_c in pieces)

@@ -18,6 +18,7 @@ from twistdual.characters import (
 )
 from twistdual.qform import (
     Exponent,
+    QForm,
     braiding_signs,
     killing_qform,
     qform_from_gram,
@@ -27,7 +28,7 @@ from twistdual.rootdata import RootDatum, dot, standard, vec_add
 
 import character_oracle
 import root_oracle
-from fraction_oracle import solve_left_rational
+from fraction_oracle import inverse_unimodular, solve_left_rational
 from test_rootdata import _rebased, _transvections
 from twistdual import characters
 from twistdual.dualgroup import twisted_dual
@@ -43,6 +44,12 @@ RANK_ONE = ("SL2", "PGL2", "GL1", "T1")
 RANK_AT_MOST_TWO = (RANK_ONE + ("SL3", "PGL3", "GL2", "Sp4", "G2", "T2")
                     + tuple(f"{a}x{b}" for i, a in enumerate(RANK_ONE)
                             for b in RANK_ONE[i:]))
+
+
+def _small_dominant(rd):
+    """The dominant weights with entries in [-1, 2] of Weyl dimension <= 15."""
+    return [h for h in itertools.product(range(-1, 3), repeat=rd.rank)
+            if min(rd.simple_coroots.mul_vec(h), default=0) >= 0 and weyl_dim(rd, h) <= 15]
 
 
 def _dynkin(n, *bonds, chain=None):
@@ -99,7 +106,7 @@ class TestIrreducibleCharacter:
                 assert weyl_multiplicity(rd, hw, w) == m
 
     @pytest.mark.parametrize("name", RANK_AT_MOST_TWO)
-    def test_integer_freudenthal_matches_weyl_sum(self, name):
+    def test_demazure_matches_weyl_sum_low_rank(self, name):
         # every dominant highest weight with entries in [-3, 3]; equal
         # multiplicities on the support and equal dimensions leave no
         # weight out
@@ -113,7 +120,7 @@ class TestIrreducibleCharacter:
             assert c.dim() == weyl_dim(rd, hw)
 
     @pytest.mark.parametrize("name", ["SL4", "GL3", "Sp4xSL2"])
-    def test_freudenthal_matches_weyl_sum_in_rank_three(self, name):
+    def test_demazure_matches_weyl_sum_rank_three(self, name):
         # the tables are checked against the Weyl sum with at most two
         # simple roots only; above that, this test compares the two
         rd = standard(name)
@@ -125,7 +132,7 @@ class TestIrreducibleCharacter:
                 assert weyl_multiplicity(rd, hw, w) == m, (name, hw, w)
 
     @pytest.mark.parametrize("name", ["SL4", "GL3", "PGL4", "SL3xSL2"])
-    def test_integer_freudenthal_matches_weyl_dim(self, name):
+    def test_demazure_matches_weyl_dim_rank_three(self, name):
         rd = standard(name)
         for hw in itertools.product(range(-2, 3), repeat=rd.rank):
             if min(rd.simple_coroots.mul_vec(hw), default=0) >= 0:
@@ -462,8 +469,7 @@ class TestTensor:
         # on PGL2, where rho is not a weight and <w + lam + rho, coroot> is
         # odd
         rd = SO4 if name == "SO4" else standard(name)
-        hws = [h for h in itertools.product(range(-1, 3), repeat=rd.rank)
-               if min(rd.simple_coroots.mul_vec(h), default=0) >= 0 and weyl_dim(rd, h) <= 15]
+        hws = _small_dominant(rd)
         chars = [irreducible_character(rd, h) for h in hws]
         walls = 0
         for c in chars:
@@ -483,13 +489,84 @@ class TestTensor:
         with pytest.raises(CharacterError):
             tensor_decompose(irreducible_character(SL3, (1, 0)), (-1, 1))
 
+    # the twisted duals of the benchmark's satake forms, and two data of
+    # their own
+    TABLE_DATA = {
+        "SL2": lambda: twisted_dual(SL2, trivial_qform(SL2), "full").datum,
+        "SL2-2/5": lambda: twisted_dual(SL2, qform_from_gram(SL2, [[Fraction(2, 5)]]),
+                                        "full").datum,
+        "PGL2-2/3": lambda: twisted_dual(PGL2, qform_from_gram(PGL2, [[Fraction(2, 3)]]),
+                                         "full").datum,
+        "SL3": lambda: twisted_dual(SL3, trivial_qform(SL3), "full").datum,
+        "Sp4": lambda: twisted_dual(SP4, trivial_qform(SP4), "full").datum,
+        "G2": lambda: twisted_dual(standard("G2"), trivial_qform(standard("G2")), "full").datum,
+        "SL2xG2": lambda: standard("SL2xG2"),
+        "GL3": lambda: standard("GL3"),
+    }
+
+    @pytest.mark.parametrize("label", sorted(TABLE_DATA))
+    def test_tensor_table_cold_warm_and_oracle(self, label):
+        # a table built cold, read warm and read in the other order gives
+        # the extraction oracle's constituents, from one entry
+        rd = self.TABLE_DATA[label]()
+        hws = _small_dominant(rd)
+        assert len(hws) > 1
+        table = characters._tensor_table
+        for a in hws:
+            c = irreducible_character(rd, a)
+            for b in hws:
+                table.cache_clear()
+                cold = tensor_decompose(c, b)
+                assert table.cache_info().currsize == 1
+                warm = tensor_decompose(c, b)
+                assert table.cache_info().hits == 1
+                want = character_oracle.tensor_decompose(c, irreducible_character(rd, b))
+                assert cold == warm == want, (label, a, b)
+                assert tensor_decompose(irreducible_character(rd, b), a) == want
+                assert table.cache_info().currsize == 1 and table.cache_info().hits == 2
+
+    def test_tensor_table_expands_the_smaller_factor(self, monkeypatch):
+        # the labels (0, 2) of the larger factor sort first
+        big, small = (irreducible_character(SL3, hw) for hw in ((0, 2), (1, 0)))
+        asked = []
+        inner = characters._character_table
+        monkeypatch.setattr(characters, "_character_table",
+                            lambda cartan, labels: asked.append(labels) or inner(cartan, labels))
+        for c, other in ((big, small), (small, big)):
+            characters._tensor_table.cache_clear()
+            assert tensor_decompose(c, other.highest) == {(1, 2): 1, (0, 1): 1}
+        assert asked == [SL3.simple_coroots.mul_vec((1, 0))] * 2
+
+    @pytest.mark.parametrize("corrupt, error", [
+        # the expanded factor's table without its top depth: the top
+        # constituent is lost, and the dimensions fall short
+        (lambda table: tuple((d, m) for d, m in table if any(d)), "do not add up"),
+        # a stray weight below the table, which walks to the other side
+        # of a wall with a sign of -1
+        (lambda table: table + (((3, 0), 1),), "negative multiplicity"),
+    ], ids=["missing-depth", "stray-depth"])
+    def test_failed_tensor_table_is_not_kept(self, monkeypatch, corrupt, error):
+        rd = standard("G2")
+        c = irreducible_character(rd, (1, 0))
+        table = characters._tensor_table
+        table.cache_clear()
+        inner = characters._character_table
+        monkeypatch.setattr(characters, "_character_table",
+                            lambda cartan, labels: corrupt(inner(cartan, labels)))
+        for _ in range(2):
+            with pytest.raises(CharacterError, match=error):
+                tensor_decompose(c, (0, 1))
+            assert table.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert tensor_decompose(c, (0, 1)) == {(1, 0): 1, (1, 1): 1, (2, 0): 1}
+        assert table.cache_info().currsize == 1
+
     @pytest.mark.parametrize("name", ["SL3", "Sp4", "G2", "GL2", "SO4", "SL2xG2"])
     def test_rebased_basis_gives_the_image(self, name):
         # weights transform as row vectors: lam -> lam U for the basis U
         # that carries the roots to R U
         rd = SO4 if name == "SO4" else standard(name)
-        hws = [h for h in itertools.product(range(-1, 3), repeat=rd.rank)
-               if min(rd.simple_coroots.mul_vec(h), default=0) >= 0 and weyl_dim(rd, h) <= 15]
+        hws = _small_dominant(rd)
         rng = random.Random(113)
         for _ in range(3):
             moves = [(rng.randrange(3), rng.randrange(3), rng.randint(-2, 2))
@@ -593,6 +670,52 @@ class TestSatakePrediction:
         rep = satake_prediction(q, (1, 0), (1, 1))
         for _, f in rep.fiber_dims:
             assert f.denominator == 1 and f >= 0
+
+    @pytest.mark.parametrize("label", ["SL3", "Sp4-1/8", "G2-1/3", "GL2-1/2"])
+    def test_rebased_form_gives_the_image(self, label):
+        # (datum, form) in the basis U: coweights U^-1 lam and Grams U^T g U,
+        # so the report in the new basis is the image of the old one
+        q = {
+            "SL3": lambda: trivial_qform(SL3),
+            "Sp4-1/8": lambda: killing_qform(SP4, 0, Exponent.of(Fraction(1, 8))),
+            "G2-1/3": lambda: killing_qform(standard("G2"), 0, Exponent.of(Fraction(1, 3))),
+            "GL2-1/2": lambda: qform_from_gram(standard("GL2"), [[Fraction(1, 2), 0],
+                                                                 [0, Fraction(1, 2)]]),
+        }[label]()
+        rd, n = q.rd, q.rd.rank
+        lattice = twisted_dual(rd, q, "full").weight_sublattice
+        # the five lowest dominant coweights of the dual weight lattice in a box
+        coweights = sorted((lam for lam in itertools.product(range(-2, 10), repeat=n)
+                            if min(rd.simple_roots.mul_vec(lam)) >= 0 and lattice.contains(lam)),
+                           key=lambda lam: (dot(rd.two_rho, lam), lam))[:5]
+        assert len(coweights) == 5
+        rng = random.Random(127)
+        for _ in range(3):
+            moves = [(rng.randrange(3), rng.randrange(3), rng.randint(-2, 2))
+                     for _ in range(4)]
+            u = _transvections(n, moves)
+            inv = inverse_unimodular(u).data
+
+            def move(g):
+                return [[sum(u.data[a][i] * g[a][b] * u.data[b][j]
+                             for a in range(n) for b in range(n)) for j in range(n)]
+                        for i in range(n)]
+
+            def image(v):
+                return tuple(dot(row, v) for row in inv)
+
+            moved = QForm(_rebased(rd, moves), move(q.g0), move(q.g1))
+            for lam in coweights:
+                for mu in coweights:
+                    rep = satake_prediction(q, lam, mu)
+                    got = satake_prediction(moved, image(lam), image(mu))
+                    assert dict(got.decomposition) == {
+                        image(nu): m for nu, m in rep.decomposition}, (label, moves, lam, mu)
+                    assert dict(got.fiber_dims) == {image(nu): f for nu, f in rep.fiber_dims}
+                    assert (got.geometric_sign, got.twisted_factor) == (
+                        rep.geometric_sign, rep.twisted_factor)
+                    assert (got.highest_multiplicity, got.all_below_highest, got.ok) == (
+                        rep.highest_multiplicity, rep.all_below_highest, rep.ok)
 
 
 class TestBraidingWellDefined:
