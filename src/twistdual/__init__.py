@@ -8,7 +8,6 @@ from .lattice import (
     intersect,
     kernel_mod,
     quotient_group,
-    saturation,
     smith_normal_form,
 )
 from .rootdata import RootDatum, RootDatumError, WeylGroup, standard
@@ -16,11 +15,9 @@ from .qform import (
     CartanDatum,
     DetForm,
     Exponent,
-    GerbeClass,
     QForm,
     braiding_signs,
     cartan_qform,
-    decompose_integer_form,
     det_form,
     epsilon_defect,
     half_forms_qform,
@@ -40,11 +37,9 @@ from .divisor_calc import (
 )
 from .grcomb import (
     ComponentIndex,
-    fact_sections,
     factorizable_function,
     incident,
     is_factorizable,
-    meets_over,
     reconstruct_homomorphism,
 )
 from .dualgroup import (

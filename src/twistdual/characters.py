@@ -52,9 +52,6 @@ class Character:
         """Sorted ((weight, multiplicity), ...)."""
         return tuple(sorted((_lower(self.rd, self.highest, c), m) for c, m in self.depths))
 
-    def as_dict(self):
-        return dict(self.multiplicities)
-
     def dim(self):
         return sum(m for _, m in self.depths)
 

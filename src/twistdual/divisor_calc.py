@@ -32,10 +32,6 @@ class Partition:
         return cls(n, norm)
 
     @classmethod
-    def discrete(cls, n):
-        return cls.of(n, [(i,) for i in range(n)])
-
-    @classmethod
     def full(cls, n):
         return cls.of(n, [tuple(range(n))])
 
@@ -48,9 +44,6 @@ class Partition:
             for x in p:
                 where[x] = k
         return all(len({where[x] for x in p}) == 1 for p in self.parts)
-
-    def num_parts(self):
-        return len(self.parts)
 
     def __str__(self):
         return "|".join("{" + ",".join(str(i + 1) for i in p) + "}"
@@ -80,14 +73,6 @@ class DivisorLedger:
 
     def live(self):
         return tuple(i for i, _ in self.tangents)
-
-    def total_mass(self) -> Exponent:
-        acc = Exponent.zero()
-        for _, e in self.pairwise:
-            acc = acc + e
-        for _, e in self.tangents:
-            acc = acc + e
-        return acc
 
     def with_pairwise(self, i, j, exponent):
         """Copy with one pairwise entry replaced (test hook for tampering)."""

@@ -57,15 +57,6 @@ def _check_same_shape(a: ComponentIndex, b: ComponentIndex):
         raise ValueError("component indices have different rank")
 
 
-def meets_over(a: ComponentIndex, b: ComponentIndex, p: Partition) -> bool:
-    """Whether the two components intersect over the diagonal of p: every
-    part must have equal coordinate sums."""
-    _check_same_shape(a, b)
-    if p.n != a.n:
-        raise ValueError("partition size mismatch")
-    return all(a.part_sum(part) == b.part_sum(part) for part in p.parts)
-
-
 def incident(a: ComponentIndex, b: ComponentIndex):
     """The canonical finest partition over whose diagonal the components
     meet, or None when even the full diagonal fails.
@@ -160,15 +151,3 @@ def reconstruct_homomorphism(mapping, n, rank, target: FGAbelianGroup, bound=3):
             return None
     return hom
 
-
-def fact_sections(group: FGAbelianGroup, n, p: Partition) -> FGAbelianGroup:
-    """Sections of the factorizable version of a group over an open set
-    meeting exactly the diagonals refining p: tuples constant on each part,
-    so a copy of the group per part."""
-    if p.n != n:
-        raise ValueError("partition size mismatch")
-    k = p.num_parts()
-    factors = []
-    for f in group.invariant_factors:
-        factors.extend([f] * k)
-    return FGAbelianGroup.from_factors(factors)

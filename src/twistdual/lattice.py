@@ -12,15 +12,15 @@ matrix over an explicit denominator, so no Fraction is built here.
 
 Every kernel, exact or modulo N, is one row Hermite reduction
 (`kernel_mod`), and so is every dual's weight lattice, a datum's basis of
-X^W, a saturation (the kernel of a kernel) and an intersection.  A
-kernel's input is first divided by the gcd of the modulus and the
-entries, which keeps its solutions, and the reduction is memoised by that
-reduced input in a bounded LRU cache of 64 kernels, so that two
-constructions of one dual reach one congruence and pay for it once.
-`smith_normal_form` returns the invariant factors alone, which `pi1` and
-`quotient_group` read, from Hermite reductions of the rows and the
-columns in turn; no Smith transform is built anywhere.  Identity and zero
-rows are built once per size and shared, as tuples are immutable.
+X^W and an intersection.  A kernel's input is first divided by the gcd
+of the modulus and the entries, which keeps its solutions, and the
+reduction is memoised by that reduced input in a bounded LRU cache of 64
+kernels, so that two constructions of one dual reach one congruence and
+pay for it once.  `smith_normal_form` returns the invariant factors
+alone, which `pi1` and `quotient_group` read, from Hermite reductions of
+the rows and the columns in turn; no Smith transform is built anywhere.
+Identity and zero rows are built once per size and shared, as tuples are
+immutable.
 
 A matrix is checked once, where it enters the library.  The entries are
 the public `IntMatrix` constructor and `Sublattice.from_rows` (and
@@ -91,9 +91,6 @@ class IntMatrix:
 
     def row(self, i):
         return self.data[i]
-
-    def column(self, j):
-        return tuple(r[j] for r in self.data)
 
     def _columns(self):
         """The columns as a tuple of tuples, also when there is no row."""
@@ -434,13 +431,6 @@ def _kernel(rows, cols, modulus):
     return Sublattice._hermite(cols, _hermite_rows(cat, len(rows) + cols, modulus, len(rows)))
 
 
-def saturation(s: Sublattice) -> Sublattice:
-    """The smallest saturated sublattice containing s (ambient meet Q.s):
-    the kernel of the kernel of s's basis, all of Z^n when the first
-    kernel is 0."""
-    return kernel_mod(kernel_mod(s.basis).basis)
-
-
 def quotient_group(s: Sublattice) -> "FGAbelianGroup":
     """Invariant factors of Z^ambient / s."""
     free = s.ambient_rank - s.rank
@@ -491,10 +481,6 @@ class FGAbelianGroup:
         return cls(tuple(torsion) + (0,) * free)
 
     @classmethod
-    def trivial(cls):
-        return cls(())
-
-    @classmethod
     def free(cls, rank):
         return cls((0,) * rank)
 
@@ -525,18 +511,6 @@ class FGAbelianGroup:
 
     def add(self, v, w):
         return self.reduce_element([a + b for a, b in zip(v, w)])
-
-    def scale(self, k, v):
-        return self.reduce_element([k * a for a in v])
-
-    def elements(self):
-        """All elements; only valid for finite groups."""
-        if self.free_rank:
-            raise ValueError("infinite group")
-        out = [()]
-        for f in self.invariant_factors:
-            out = [e + (x,) for e in out for x in range(f)]
-        return out
 
     def describe(self):
         if not self.invariant_factors:

@@ -13,12 +13,12 @@ as integer Grams over one denominator, G0 = N0 / den and G1 = N1 / den
 with den the least common denominator of both, so that invariance, the
 values and the kernel are all computed on integers.  A value Q(lam) is
 the Exponent (lam^T N0 lam + tau lam^T N1 lam) / 2den, reduced as it is
-built; product, inverse and Killing forms are made from integer Grams
-over their denominator.  A zero Gram is invariant, so only a nonzero one
-is checked.  The Gram parse checks the given data (its shape, symmetry and
-that no entry is a bool); the integer Grams made from it, or by the
-library's own arithmetic, are stored through `lattice._computed_matrix`
-without a second entry check, and an absent Gram is the zero matrix that
+built; Killing and Cartan forms are made from integer Grams over their
+denominator.  A zero Gram is invariant, so only a nonzero one is checked.
+The Gram parse checks the given data (its shape, symmetry and that no
+entry is a bool); the integer Grams made from it, or by the library's own
+arithmetic, are stored through `lattice._computed_matrix` without a
+second entry check, and an absent Gram is the zero matrix that
 `IntMatrix.zero` shares per size.
 """
 
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import (
-    FGAbelianGroup,
     IntMatrix,
     Sublattice,
     _check_int,
@@ -41,7 +40,6 @@ from .lattice import (
     intersect,
     kernel_mod,
     outer_sum,
-    saturation,
 )
 from .rootdata import RootDatum, dot
 
@@ -208,22 +206,6 @@ class QForm:
         """kappa(lam, mu) as an Exponent."""
         return Exponent._from_ints(*self._numerators(lam, mu), self.den)
 
-    def tensor(self, other: "QForm") -> "QForm":
-        if other.rd is not self.rd and other.rd != self.rd:
-            raise ValueError("forms live on different root data")
-        den = math.lcm(self.den, other.den)
-        s, t = den // self.den, den // other.den
-        return QForm._integral(
-            self.rd, *([[s * x + t * y for x, y in zip(r1, r2)] for r1, r2 in zip(g.data, h.data)]
-                       for g, h in ((self.n0, other.n0), (self.n1, other.n1))), den)
-
-    def inverse(self) -> "QForm":
-        return QForm._integral(self.rd, *([[-x for x in r] for r in n.data]
-                                          for n in (self.n0, self.n1)), self.den)
-
-    def is_gram_zero(self):
-        return not any(self._nonzero)
-
     def to_dict(self):
         enc = lambda g: [[[x.numerator, x.denominator] for x in row] for row in g]
         return {"gram_rational": enc(self.g0), "gram_transcendental": enc(self.g1)}
@@ -333,68 +315,6 @@ def killing_qform(rd: RootDatum, component_index, a: Exponent) -> QForm:
     return QForm._integral(rd, *([[c * x for x in row] for row in k.data] for c in scales), den)
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Result of factoring a form into Killing parts and a residual that
-    vanishes on the saturated coroot lattice."""
-
-    success: bool
-    coefficients: tuple  # one Exponent per irreducible component (when found)
-    residual: QForm | None
-    detail: str = ""
-
-
-def decompose_integer_form(q: QForm) -> Decomposition:
-    """Write q as a product of component Killing forms and a residual form
-    whose Q and kappa vanish on the saturated coroot lattice.
-
-    Per component the Killing coefficient is an m-th root of Q on the short
-    simple coroot of `rd.killing` (m = 2h, Q_i of that coroot); all m
-    candidate roots are tried and the one with the smallest nonnegative
-    rational part that makes the residual conditions hold is kept.  Failure
-    is reported, not raised: forms not liftable to integer-valued forms have none.
-    """
-    rd = q.rd
-    sat = saturation(rd.coroot_lattice())
-    coeffs = []
-    residual = q
-    for ci, (kmat, h, short) in enumerate(rd.killing):
-        m, cor = 2 * h, rd.simple_coroots.row(short)
-        target = q.q(cor)
-        # saturated basis vectors meeting this component
-        comp_vectors = [v for v in sat.basis.data if any(kmat.mul_vec(v))]
-        roots = (Exponent((target.rational + kk) / m, target.tau / m) for kk in range(m))
-        for a in roots:
-            less = killing_qform(rd, ci, a).inverse()
-            if not _vanishing_failure(q.tensor(less), comp_vectors):
-                break
-        else:
-            return Decomposition(
-                False, (), None,
-                f"no Killing coefficient fits component {ci} "
-                f"(short coroot {cor}, Q value {target})")
-        coeffs.append(a)
-        residual = residual.tensor(less)
-    # residual must be trivial on the saturated coroot lattice, against
-    # everything for kappa and on itself for Q
-    why = _vanishing_failure(residual, sat.basis.data)
-    if why:
-        return Decomposition(False, tuple(coeffs), residual, f"residual {why}")
-    return Decomposition(True, tuple(coeffs), residual)
-
-
-def _vanishing_failure(q: QForm, vectors):
-    """Why Q or kappa(v, .) of q does not vanish on some v of `vectors`;
-    None when both vanish on all of them."""
-    for v in vectors:
-        if not q.q(v).is_zero():
-            return f"Q is nonzero on {v}"
-        for j, (x0, x1) in enumerate(zip(q.n0.mul_vec(v), q.n1.mul_vec(v))):
-            if x0 % q.den or x1:
-                return f"kappa is nonzero on ({v}, e_{j})"
-    return None
-
-
 # -- defect, half-forms, braiding ---------------------------------------------
 
 
@@ -430,49 +350,6 @@ def braiding_signs(q: QForm, lam, mu):
     sign = -1 if (dot(rd.two_rho, lam) * dot(rd.two_rho, mu)) % 2 else 1
     (a0, a1), (b0, b1) = q._numerators(lam, lam), q._numerators(mu, mu)
     return sign, Exponent._from_ints(a0 + b0, a1 + b1, 2 * q.den)
-
-
-# -- classifying data for factorizable gerbes ---------------------------------
-
-
-@dataclass(frozen=True)
-class GerbeClass:
-    """Classifying pair of a symmetric factorizable gerbe: a liftable
-    invariant form plus a homomorphism from pi1 into an abstract group of
-    curve classes."""
-
-    form: QForm
-    target: FGAbelianGroup
-    mult_part: tuple  # image of each pi1 generator, as elements of target
-
-    def __post_init__(self):
-        pi1 = self.form.rd.pi1()
-        if len(self.mult_part) != pi1.num_generators:
-            raise ValueError("need one image per pi1 generator")
-        for im in self.mult_part:
-            if len(im) != self.target.num_generators:
-                raise ValueError("mult_part image has wrong length")
-
-    def tensor(self, other: "GerbeClass") -> "GerbeClass":
-        if self.form.rd != other.form.rd:
-            raise ValueError("gerbe classes live on different root data")
-        if self.target != other.target:
-            raise ValueError("gerbe classes have different coefficient groups")
-        images = tuple(self.target.add(a, b)
-                       for a, b in zip(self.mult_part, other.mult_part))
-        return GerbeClass(self.form.tensor(other.form), self.target, images)
-
-    def validate(self):
-        """Liftability of the form and well-definedness of mult_part."""
-        dec = decompose_integer_form(self.form)
-        if not dec.success:
-            raise ValueError(f"form is not liftable: {dec.detail}")
-        pi1 = self.form.rd.pi1()
-        for factor, image in zip(pi1.invariant_factors, self.mult_part):
-            if factor and any(x != 0 for x in self.target.scale(factor, image)):
-                raise ValueError(
-                    f"mult_part image {image} is not killed by factor {factor}")
-        return True
 
 
 # -- Cartan data ----------------------------------------------------------------

@@ -41,7 +41,6 @@ from typing import NamedTuple
 from .lattice import (
     FGAbelianGroup,
     IntMatrix,
-    Sublattice,
     _computed_matrix,
     _int_row,
     integral_left_inverse,
@@ -278,9 +277,6 @@ class RootDatum:
         for beta, _ in self.positive_root_pairs:
             acc = vec_add(acc, beta)
         return acc
-
-    def coroot_lattice(self) -> Sublattice:
-        return Sublattice.from_rows(self.rank, self.simple_coroots.data)
 
     def pi1(self) -> FGAbelianGroup:
         """Component group of the grassmannian: coweights modulo coroots."""

@@ -1,11 +1,8 @@
 """The W-invariant Grams as the fixed points of conjugation by the simple
 reflection matrices, kept apart from the library's linear equations
 2 g cov = (cov^T g cov) alpha so that the tests check `invariant_gram_basis`
-against an independent routine.  Likewise a form less a multiple of a
-Killing Gram in integer numerators over one denominator, for the residual
-that `decompose_integer_form` builds from `QForm` values."""
+against an independent routine."""
 
-import math
 from fractions import Fraction
 
 from twistdual.lattice import IntMatrix, kernel_mod
@@ -40,12 +37,3 @@ def invariant_gram_basis(rd):
         out.append(tuple(tuple(Fraction(x) for x in row) for row in g))
     return out
 
-
-def less_killing(form, a, kmat):
-    """The form (n0 + tau n1) / den, given as (n0, n1, den), less a times
-    the Killing Gram kmat, in the same format."""
-    n0, n1, den = form
-    s = math.lcm(a.rational.denominator, a.tau.denominator)
-    return tuple([[s * x - c.numerator * (s // c.denominator) * den * k
-                   for x, k in zip(row, krow)] for row, krow in zip(n, kmat.data)]
-                 for n, c in ((n0, a.rational), (n1, a.tau))) + (den * s,)

@@ -5,11 +5,9 @@ import pytest
 from twistdual.divisor_calc import Partition
 from twistdual.grcomb import (
     ComponentIndex,
-    fact_sections,
     factorizable_function,
     incident,
     is_factorizable,
-    meets_over,
     reconstruct_homomorphism,
 )
 from twistdual.lattice import FGAbelianGroup, LatticeHom
@@ -33,7 +31,7 @@ class TestIncident:
 
     def test_equal_components_discrete(self):
         a = idx(3, -1, 2)
-        assert incident(a, a) == Partition.discrete(3)
+        assert incident(a, a) == Partition.of(3, [(0,), (1,), (2,)])
 
     def test_disjoint(self):
         assert incident(idx(0, 0), idx(1, 0)) is None
@@ -54,17 +52,17 @@ class TestIncident:
             b = idx(*[rng.randint(-2, 2) for _ in range(n)])
             p = incident(a, b)
             if p is None:
-                assert not meets_over(a, b, Partition.full(n))
+                assert not _meet_over(a, b, Partition.full(n))
                 continue
-            assert meets_over(a, b, p)
+            assert _meet_over(a, b, p)
             # meeting over p implies meeting over every coarsening
             for parts in _all_partitions(n):
                 q = Partition.of(n, parts)
                 if p.refines(q):
-                    assert meets_over(a, b, q)
+                    assert _meet_over(a, b, q)
 
     def test_mismatched_lengths(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="different n"):
             incident(idx(1), idx(1, 2))
 
     # zip cut the longer coweights short: incident said {1}|{2}
@@ -73,11 +71,18 @@ class TestIncident:
         with pytest.raises(ValueError, match="different rank"):
             incident(a, b)
 
-    # and meets_over said False
+    # whether two components meet over a diagonal is read off incident, so
+    # the rank check must hold with the longer coweights first as well
     def test_meets_over_rejects_indices_of_different_rank(self):
-        a, b = ComponentIndex.of([(1,), (2,)]), ComponentIndex.of([(1, 5), (2, 7)])
+        a, b = ComponentIndex.of([(1, 5), (2, 7)]), ComponentIndex.of([(1,), (2,)])
         with pytest.raises(ValueError, match="different rank"):
-            meets_over(a, b, Partition.discrete(2))
+            incident(a, b)
+
+
+def _meet_over(a, b, p):
+    """Whether components a and b meet over the diagonal of p: every part
+    has equal coordinate sums."""
+    return all(a.part_sum(part) == b.part_sum(part) for part in p.parts)
 
 
 def _all_partitions(n):
@@ -156,35 +161,6 @@ class TestFactorizableFunctions:
             return ((lam * lam + mu * mu) % 5,)
 
         assert reconstruct_homomorphism(m, 2, 1, target, bound=3) is None
-
-
-class TestFactSections:
-    def test_two_one_split(self):
-        g = FGAbelianGroup.from_factors([2])
-        out = fact_sections(g, 3, Partition.of(3, [(0, 1), (2,)]))
-        assert out.invariant_factors == (2, 2)
-
-    def test_discrete(self):
-        g = FGAbelianGroup.from_factors([4])
-        out = fact_sections(g, 3, Partition.discrete(3))
-        assert out.invariant_factors == (4, 4, 4)
-
-    def test_full_diagonal(self):
-        g = FGAbelianGroup.from_factors([2, 4])
-        out = fact_sections(g, 3, Partition.full(3))
-        assert out == g
-
-    def test_cardinality(self):
-        g = FGAbelianGroup.from_factors([2, 2])
-        for parts, count in [([(0,), (1,), (2,)], 3), ([(0, 1), (2,)], 2),
-                             ([(0, 1, 2)], 1)]:
-            out = fact_sections(g, 3, Partition.of(3, parts))
-            assert out.order() == g.order() ** count
-
-    def test_free_group(self):
-        g = FGAbelianGroup.free(1)
-        out = fact_sections(g, 2, Partition.discrete(2))
-        assert out.invariant_factors == (0, 0)
 
 
 @pytest.mark.parametrize("bad", [1.5, True], ids=["float", "bool"])

@@ -6,17 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from twistdual.lattice import FGAbelianGroup, IntMatrix, Sublattice, kernel_mod
+from twistdual.lattice import IntMatrix, Sublattice, kernel_mod
 from twistdual.qform import (
     CartanDatum,
     Exponent,
-    GerbeClass,
     InvarianceError,
     QForm,
     ShapeError,
     braiding_signs,
     cartan_qform,
-    decompose_integer_form,
     det_form,
     epsilon_defect,
     half_forms_qform,
@@ -161,7 +159,7 @@ class TestIntegerValues:
             QForm(GL2, zero, [[1, 0], [0, 0]])
         with pytest.raises(InvarianceError, match="rational Gram .* reflection 0"):
             QForm(GL2, [[1, 0], [0, 0]], zero)
-        assert QForm(GL2, zero, [[1, 0], [0, 1]]).is_gram_zero() is False
+        assert QForm(GL2, zero, [[1, 0], [0, 1]]) != QForm(GL2)
         assert QForm(GL2, zero, zero) == trivial_qform(GL2)
 
     @pytest.mark.parametrize("tau", [None, [[1, 0], [0, 1]]], ids=["zero", "tau"])
@@ -182,23 +180,15 @@ class TestIntegerValues:
         rng = random.Random(59)
         for rd in (SL2, PGL2, GL2, SL3, SP4, G2):
             for _ in range(8):
-                q, r = (random_invariant_form(rd, rng, with_tau=True) for _ in range(2))
-                plus = [[[a + b for a, b in zip(x, y)] for x, y in zip(g, h)]
-                        for g, h in ((q.g0, r.g0), (q.g1, r.g1))]
-                del checks[:]
-                assert q.tensor(r) == QForm(rd, *plus)
-                assert checks   # the sum is checked for invariance like any form
-                assert q.inverse() == QForm(rd, *([[-x for x in row] for row in g]
-                                                  for g in (q.g0, q.g1)))
-                assert q.tensor(q.inverse()) == trivial_qform(rd)
                 a = Exponent.of(Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
                                 Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
                 k = killing_matrix(rd, 0)
-                assert killing_qform(rd, 0, a) == QForm(rd, *(
+                del checks[:]
+                form = killing_qform(rd, 0, a)
+                # a nonzero derived form is checked for invariance like any form
+                assert bool(checks) == (not a.is_zero())
+                assert form == QForm(rd, *(
                     [[c * x for x in row] for row in k.data] for c in (a.rational, a.tau)))
-        # lowest terms: 1/2 + 1/2 is over 1
-        half = qform_from_gram(SL2, [[Fraction(1, 2)]])
-        assert half.tensor(half).den == 1 and half.tensor(half).n0 == IntMatrix([[1]])
 
 
 def _conjugate(g, w):
@@ -460,7 +450,7 @@ class TestKilling:
 
     def test_trivial_coefficient(self):
         q = killing_qform(SL3, 0, Exponent.zero())
-        assert q.is_gram_zero()
+        assert q == QForm(SL3)
 
     def test_sl3_short_coroot_value(self):
         # (1/2) sum over all six roots of <beta, coroot_1>^2 = 6
@@ -482,86 +472,6 @@ class TestKilling:
 def test_component_index_checked(call):
     with pytest.raises(ValueError, match="component index .* is not in range"):
         call()
-
-
-class TestDecompose:
-    def test_sl2_integral_gram(self):
-        dec = decompose_integer_form(qform_from_gram(SL2, [[2]]))
-        assert dec.success
-        # the product of the Killing parts and the residual rebuilds q
-        assert dec.residual.q((1,)).is_zero()
-
-    def test_trivial_form(self):
-        dec = decompose_integer_form(trivial_qform(SP4))
-        assert dec.success
-        assert all(c.is_zero() for c in dec.coefficients)
-        assert dec.residual.is_gram_zero()
-
-    def test_gl2_center_supported(self):
-        g0 = [[Fraction(1, 5), Fraction(1, 5)], [Fraction(1, 5), Fraction(1, 5)]]
-        q = qform_from_gram(GL2, g0)
-        dec = decompose_integer_form(q)
-        assert dec.success
-        assert dec.coefficients[0].is_zero()
-        assert dec.residual.g0 == q.g0
-
-    def test_pgl2_fractional(self):
-        dec = decompose_integer_form(qform_from_gram(PGL2, [[Fraction(2, 3)]]))
-        assert dec.success
-        assert dec.coefficients[0] == Exponent.of(Fraction(1, 3))
-        assert dec.residual.is_gram_zero()
-
-    def test_reconstruction_random(self):
-        rng = random.Random(43)
-        for rd in (SL2, PGL2, GL2, SL3, SP4):
-            for _ in range(10):
-                q = random_invariant_form(rd, rng, with_tau=True)
-                dec = decompose_integer_form(q)
-                assert dec.success, dec.detail
-                rebuilt = dec.residual
-                for ci, a in enumerate(dec.coefficients):
-                    rebuilt = rebuilt.tensor(killing_qform(rd, ci, a))
-                for _ in range(8):
-                    lam = tuple(rng.randint(-4, 4) for _ in range(rd.rank))
-                    mu = tuple(rng.randint(-4, 4) for _ in range(rd.rank))
-                    assert rebuilt.q(lam) == q.q(lam)
-                    assert rebuilt.kappa(lam, mu) == q.kappa(lam, mu)
-
-    @pytest.mark.parametrize("label", ["SL2", "PGL2", "GL2", "SL3", "Sp4", "G2",
-                                       "SL2xSL3", "Sp4xG2xSL2", "PGL3xSp4", "GL2xT1"])
-    def test_residual_matches_integer_arithmetic(self, label):
-        # the residual built from QForm values equals q less each coefficient
-        # times its Killing Gram, in integer numerators over one denominator
-        rng = random.Random(f"residual/{label}")
-        for b in range(3):
-            rd = standard(label) if b == 0 else _rebased(
-                standard(label), [(rng.randrange(6), rng.randrange(6), rng.randint(-2, 2))
-                                  for _ in range(5)])
-            for _ in range(6):
-                q = random_invariant_form(rd, rng, with_tau=rng.random() < 0.5)
-                dec = decompose_integer_form(q)
-                if dec.residual is None:
-                    continue
-                form = (q.n0.data, q.n1.data, q.den)
-                for ci, a in enumerate(dec.coefficients):
-                    form = form_oracle.less_killing(form, a, killing_matrix(rd, ci))
-                n0, n1, den = form
-                assert dec.residual.g0 == tuple(tuple(Fraction(x, den) for x in r) for r in n0)
-                assert dec.residual.g1 == tuple(tuple(Fraction(x, den) for x in r) for r in n1)
-
-    def test_synthetic_failure(self):
-        # a fake form whose claimed values cannot come from any integral
-        # decomposition: Gram reads as zero but Q on the coroot is -1
-        class NotLiftable(QForm):
-            def q(self, lam):
-                if lam == (1,):
-                    return Exponent.of(Fraction(1, 2))
-                return super().q(lam)
-
-        q = NotLiftable(SL2, None, None)
-        dec = decompose_integer_form(q)
-        assert not dec.success
-        assert "no Killing coefficient" in dec.detail
 
 
 class TestEpsilonDefect:
@@ -631,49 +541,6 @@ class TestBraiding:
     def test_sl2_coroot(self):
         sign, _ = braiding_signs(trivial_qform(SL2), (1,), (1,))
         assert sign == 1
-
-
-class TestGerbeClass:
-    def _class(self, form, images, target=None):
-        target = target or FGAbelianGroup.from_factors([4])
-        return GerbeClass(form, target, images)
-
-    def test_tensor_unit(self):
-        target = FGAbelianGroup.from_factors([4])
-        q = qform_from_gram(PGL2, [[Fraction(2, 3)]])
-        c = GerbeClass(q, target, ((2,),))
-        unit = GerbeClass(trivial_qform(PGL2), target, ((0,),))
-        out = unit.tensor(c)
-        assert out.form.g0 == q.g0
-        assert out.mult_part == ((2,),)
-
-    def test_tensor_inverse_gram(self):
-        target = FGAbelianGroup.from_factors([4])
-        q = qform_from_gram(PGL2, [[Fraction(2, 3)]])
-        c = GerbeClass(q, target, ((1,),))
-        inv = GerbeClass(q.inverse(), target, ((3,),))
-        out = c.tensor(inv)
-        assert out.form.is_gram_zero()
-        assert out.mult_part == ((0,),)
-
-    def test_validate_half_forms(self):
-        target = FGAbelianGroup.from_factors([4])
-        c = GerbeClass(half_forms_qform(PGL2), target, ((0,),))
-        assert c.validate()
-
-    def test_mismatched_composition(self):
-        target = FGAbelianGroup.from_factors([4])
-        c1 = GerbeClass(trivial_qform(PGL2), target, ((0,),))
-        c2 = GerbeClass(trivial_qform(SL2), FGAbelianGroup.from_factors([4]), ())
-        with pytest.raises(ValueError):
-            c1.tensor(c2)
-
-    def test_ill_defined_mult_part(self):
-        target = FGAbelianGroup.from_factors([4])
-        c = GerbeClass(trivial_qform(PGL2), target, ((1,),))
-        # pi1(PGL2) = Z/2 but 2 * 1 != 0 in Z/4
-        with pytest.raises(ValueError):
-            c.validate()
 
 
 class TestCartanDatum:
@@ -746,7 +613,7 @@ class TestCartanDatum:
             q = cartan_qform(cd, order)
             expected = QForm(cd.rd, [[x / order for x in row] for row in cd.bilinear_gram()])
             assert (q.n0, q.n1, q.den) == (expected.n0, expected.n1, expected.den)
-            assert q == expected and q.is_gram_zero() is False
+            assert q == expected != QForm(cd.rd)
 
     def test_cartan_qform_orders(self):
         import math

@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -123,26 +124,85 @@ def test_two_reductions_in_lattice():
             and "_eliminate" in dict(_names(_parse(p)))] == []
 
 
+def _mentions(tree):
+    """Every identifier (`_names`) and every string constant in a syntax
+    tree: the benchmark's tracer names what it patches in strings."""
+    yield from (name for name, _ in _names(tree))
+    yield from (node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str))
+
+
+def _reads():
+    """How often each name is mentioned in the library and the benchmark
+    harness, leaving out the package's re-export imports; the harness is
+    found beside this file, so a run against an installed copy of the
+    library fails here instead of judging on partial reads."""
+    bench = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+    assert SOURCES and bench
+    reads = Counter()
+    for path in SOURCES + bench:
+        tree = _parse(path)
+        if path.name == "__init__.py":
+            tree.body = [node for node in tree.body if not isinstance(node, ast.ImportFrom)]
+        reads.update(_mentions(tree))
+    return reads
+
+
+def _unread(definitions, reads):
+    """The dotted names of `definitions` (dotted name -> syntax tree) whose
+    own name is mentioned nowhere outside its own definition."""
+    return sorted(qualname for qualname, node in definitions.items()
+                  if reads[node.name] <= sum(n == node.name for n in _mentions(node)))
+
+
+def _public_methods(cls):
+    return {f"{cls.name}.{node.name}": node for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
 def test_every_root_datum_member_is_read():
     # each public method and property of RootDatum is read by name in the
-    # library or the benchmark harness (whose tracer names what it patches
-    # in strings), outside its own definition
-    root = Path(twistdual.__file__).parent
-    bench = root.parents[1] / "perfbench"
-    methods = {node.name: node
-               for node in _function(root / "rootdata.py", "RootDatum").body
-               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
-    reads = {}
-    for path in SOURCES + sorted(bench.glob("*.py")):
-        tree = _parse(path)
-        names = [name for name, _ in _names(tree)]
-        names += [node.value for node in ast.walk(tree)
-                  if isinstance(node, ast.Constant) and isinstance(node.value, str)]
-        for name in names:
-            reads[name] = reads.get(name, 0) + 1
-    own = {name: sum(n == name for n, _ in _names(node)) for name, node in methods.items()}
+    # library or the benchmark harness, outside its own definition
+    methods = _public_methods(_function(Path(twistdual.__file__).parent / "rootdata.py",
+                                        "RootDatum"))
     assert methods
-    assert sorted(name for name in methods if reads.get(name, 0) <= own[name]) == []
+    assert _unread(methods, _reads()) == []
+
+
+# Exports that only tests read, kept until those tests are rewritten:
+# `quotient_group` is what the pi1 tests compare against, and `weyl_dim`
+# what the character tables' dimensions are checked by
+DEFERRED = (
+    "CartanDatum.bilinear_gram",
+    "Partition.refines",
+    "TwistedDual.root_in_source",
+    "fiber_dim",
+    "quotient_group",
+    "weyl_dim",
+)
+
+
+def test_every_export_is_read():
+    # each name the package exports, and each public method of an exported
+    # class, is read in the library or the benchmark harness outside its own
+    # definition, or is read by an acceptance criterion; the unread rest is
+    # exactly DEFERRED, so a new unread name fails here, and so does a
+    # deferred one that gains a reader or goes
+    modules = {p.stem: _parse(p) for p in SOURCES}
+    definitions = {}
+    for node in modules["__init__"].body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            tops = {n.name: n for n in modules[node.module].body
+                    if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+            for alias in node.names:
+                top = tops[alias.name]
+                definitions[alias.name] = top
+                if isinstance(top, ast.ClassDef):
+                    definitions.update(_public_methods(top))
+    pinned = {name for name, _ in _names(_parse(Path(__file__).parent / "test_acceptance.py"))}
+    assert definitions
+    assert [q for q in _unread(definitions, _reads())
+            if q.rsplit(".", 1)[-1] not in pinned] == sorted(DEFERRED)
 
 
 def test_every_memo_is_bounded():
