@@ -18,7 +18,9 @@ V(a) tensor V(b), as depths below the top weight, are a table per (Cartan
 matrix, unordered pair of labels) in a second LRU cache, built by the
 Brauer-Klimyk rule over the smaller factor and checked once; also the
 numeric predictions for convolution: highest-weight multiplicity one, the
-dominance bound, and fiber-dimension arithmetic.
+dominance bound, and fiber-dimension arithmetic, read off that table's
+depths in the source's coweights, as a depth d is the constituent
+lam + mu - sum_i d_i r_i coroot_i over the coroots the dual keeps.
 """
 
 from __future__ import annotations
@@ -254,8 +256,14 @@ def tensor_decompose(c: Character, highest):
     rd = c.rd
     highest = rd._vector(highest)
     top = vec_add(c.highest, highest)
-    pair = sorted((_labels(rd, c.highest), _labels(rd, highest)))
-    return {_lower(rd, top, depth): m for depth, m in _tensor_table(rd.cartan_matrix, *pair)}
+    return {_lower(rd, top, depth): m for depth, m in _constituent_depths(c, highest)}
+
+
+def _constituent_depths(c, highest):
+    """The table of c tensor V(highest), read under the sorted pair of
+    Dynkin labels: ((depth below the top weight, multiplicity), ...)."""
+    rd = c.rd
+    return _tensor_table(rd.cartan_matrix, *sorted((_labels(rd, c.highest), _labels(rd, highest))))
 
 
 @lru_cache(maxsize=128)
@@ -328,7 +336,37 @@ class SatakeReport:
 def satake_prediction(q: QForm, lam, mu) -> SatakeReport:
     """Decompose the product of the twisted-dual simples indexed by two
     dominant coweights in the dual weight lattice and check the
-    convolution predictions."""
+    convolution predictions.
+
+    After the membership solve and the dominance test, each constituent,
+    its dominance bound and its fiber come from the tensor table of the
+    dual's Cartan matrix and the two label vectors, in the source's
+    coweights.  No coordinate solve runs, and nothing is mapped back from
+    the dual lattice.  Let b_k be the Hermite basis rows of the dual
+    weight lattice, so lam = sum_k lam_c[k] b_k, and likewise mu.
+
+    - The dual simple roots in the source are beta_i = r_i coroot_i, over
+      the kept indices in order (`TwistedDual._source_roots`).
+      `_validated_dual` makes dual root i the coordinates of r_i coroot_i
+      in the b_k, and c -> sum_k c_k b_k takes them back.
+    - A table entry (d, m) is the constituent nu = lam + mu - sum_i d_i
+      beta_i.  In the dual it is lam_c + mu_c - sum_i d_i (dual root i),
+      and the linear map c -> sum_k c_k b_k takes lam_c, mu_c and dual
+      root i to lam, mu and beta_i.
+    - nu lies below lam + mu in the dual's root order iff every d_i >= 0.
+      The order asks for integers x_i >= 0 with lam_c + mu_c - nu_c =
+      sum_i x_i (dual root i).  The dual roots are linearly independent,
+      so x = d is the only solution.  For the same reason d = 0 is the
+      only depth at lam + mu, so the highest multiplicity is its entry.
+    - Sorting by nu sorts by nu_c.  The b_k are in Hermite form: the
+      pivot column p_k of b_k lies past those of the rows above it, and
+      its entry is positive.  If c and c' first differ at k, the images
+      agree before column p_k and differ at p_k by (c_k - c'_k) times
+      that entry, so the images compare as c and c' do.
+
+    The fiber over nu is (<2 rho, lam + mu> - <2 rho, nu>) / 2, which is
+    sum_i r_i d_i as <2 rho, coroot_i> = 2; it is still computed from
+    2 rho and checked to be a nonnegative integer."""
     rd = q.rd
     lam, mu = rd._vector(lam), rd._vector(mu)
     dual = twisted_dual(rd, q, "full")
@@ -339,24 +377,27 @@ def satake_prediction(q: QForm, lam, mu) -> SatakeReport:
         if v_c is None:
             raise CharacterError(f"{v} is outside the dual weight lattice")
         # the vectors here are checked or built by the library, so the
-        # dominance and order tests go around the public checks
+        # dominance test goes around the public checks
         if min(rd.simple_roots.mul_vec(v), default=0) < 0:
             raise CharacterError(f"{v} is not dominant")
         coeffs.append(v_c)
     lam_c, mu_c = coeffs
-    pieces = tensor_decompose(irreducible_character(dual.datum, lam_c), mu_c)
-    top_c = vec_add(lam_c, mu_c)
-    top_mult = pieces.get(tuple(top_c), 0)
-    all_below = all(dual.datum._weight_leq(nu_c, top_c) for nu_c in pieces)
+    table = _constituent_depths(irreducible_character(dual.datum, lam_c), mu_c)
+    top = vec_add(lam, mu)
+    pieces = []
+    for depth, m in table:
+        nu = top
+        for d, beta in zip(depth, dual._source_roots):
+            if d:
+                nu = tuple(x - d * b for x, b in zip(nu, beta))
+        pieces.append((nu, m))
+    pieces.sort()
+    top_mult = next((m for depth, m in table if not any(depth)), 0)
+    all_below = all(min(depth, default=0) >= 0 for depth, _ in table)
     two_rho = rd.two_rho
     # twice the fiber dimension over nu is this less <2 rho, nu>
     top_height = dot(two_rho, lam) + dot(two_rho, mu)
-    decomposition = []
-    fibers = []
-    for nu_c, m in sorted(pieces.items()):
-        nu = dual.weight_sublattice.member_from_coefficients(nu_c)
-        decomposition.append((nu, m))
-        fibers.append((nu, Fraction(top_height - dot(two_rho, nu), 2)))
+    fibers = tuple((nu, Fraction(top_height - dot(two_rho, nu), 2)) for nu, _ in pieces)
     sign, factor = braiding_signs(q, lam, mu)
     ok = top_mult == 1 and all_below and all(
         f.denominator == 1 and f >= 0 for _, f in fibers)
@@ -364,10 +405,10 @@ def satake_prediction(q: QForm, lam, mu) -> SatakeReport:
         dual=dual,
         lam=lam,
         mu=mu,
-        decomposition=tuple(decomposition),
+        decomposition=tuple(pieces),
         highest_multiplicity=top_mult,
         all_below_highest=all_below,
-        fiber_dims=tuple(fibers),
+        fiber_dims=fibers,
         geometric_sign=sign,
         twisted_factor=factor,
         ok=ok,

@@ -50,6 +50,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .lattice import (
     IntMatrix,
@@ -82,6 +83,16 @@ class TwistedDual:
     def dropped(self):
         """Indices with infinite multiplier."""
         return tuple(i for i, r in enumerate(self.multipliers) if r is None)
+
+    @cached_property
+    def _source_roots(self):
+        """The dual simple roots in the source coweights, beta_i = r_i
+        coroot_i over the kept indices in order, built when first read:
+        `_validated_dual` makes root i of `datum` the coordinates of that
+        vector in the weight lattice's basis."""
+        return tuple(vec_scale(r, c) for r, c in zip(self.multipliers,
+                                                     self.source.simple_coroots.data)
+                     if r is not None)
 
     def to_dict(self):
         d = self.datum.to_dict()

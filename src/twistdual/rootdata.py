@@ -327,10 +327,7 @@ class RootDatum:
         """lam <= mu iff mu - lam is a nonnegative integer sum of simple
         roots; on coweights, against the simple coroots, it is the order of
         `flip()`."""
-        return self._weight_leq(self._vector(lam), self._vector(mu))
-
-    def _weight_leq(self, lam, mu):
-        coeffs = _coordinates(self.simple_roots.data, self._root_chart, vec_sub(mu, lam))
+        coeffs = self.root_coordinates(vec_sub(self._vector(mu), self._vector(lam)))
         return coeffs is not None and min(coeffs, default=0) >= 0
 
     # -- components and Coxeter data ----------------------------------------

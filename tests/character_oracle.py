@@ -3,12 +3,18 @@ its answers are checked against independent code: Freudenthal's
 recursion, against the Demazure product that builds the character
 tables, and tensor decomposition by repeated extraction of a maximal
 weight, which multiplies both characters out and peels irreducibles off
-the product, against the Brauer-Klimyk rule."""
+the product, against the Brauer-Klimyk rule; and the convolution
+predictions by the route that maps each constituent back from the dual
+lattice, against the one that reads them off the tensor table in the
+source's coweights."""
 
 from fractions import Fraction
 from operator import mul
 
-from twistdual.characters import CharacterError, irreducible_character
+from twistdual import characters
+from twistdual.characters import CharacterError, SatakeReport, irreducible_character
+from twistdual.dualgroup import twisted_dual
+from twistdual.qform import braiding_signs
 from twistdual.rootdata import _cartan_system, dot, vec_add
 
 
@@ -107,3 +113,40 @@ def tensor_decompose(c1, c2):
             rebuilt[w] = rebuilt.get(w, 0) + mult * m
     assert rebuilt == product
     return out
+
+
+def satake_reference(q, lam, mu):
+    """`satake_prediction` through the dual lattice: the constituents of
+    the product as dual weights (`characters.tensor_decompose`), each
+    checked below the top weight by a coordinate solve in the dual's
+    simple roots and mapped back to source coweights by the lattice
+    basis, sorted by their dual coordinates."""
+    rd = q.rd
+    lam, mu = rd._vector(lam), rd._vector(mu)
+    dual = twisted_dual(rd, q, "full")
+    coeffs = []
+    for v in (lam, mu):
+        v_c = dual.weight_sublattice.coefficients(v)
+        if v_c is None:
+            raise CharacterError(f"{v} is outside the dual weight lattice")
+        if min(rd.simple_roots.mul_vec(v), default=0) < 0:
+            raise CharacterError(f"{v} is not dominant")
+        coeffs.append(v_c)
+    lam_c, mu_c = coeffs
+    pieces = characters.tensor_decompose(irreducible_character(dual.datum, lam_c), mu_c)
+    top_c = vec_add(lam_c, mu_c)
+    top_mult = pieces.get(tuple(top_c), 0)
+    all_below = all(dual.datum.weight_leq(nu_c, top_c) for nu_c in pieces)
+    two_rho = rd.two_rho
+    top_height = dot(two_rho, lam) + dot(two_rho, mu)
+    decomposition = []
+    fibers = []
+    for nu_c, m in sorted(pieces.items()):
+        nu = dual.weight_sublattice.member_from_coefficients(nu_c)
+        decomposition.append((nu, m))
+        fibers.append((nu, Fraction(top_height - dot(two_rho, nu), 2)))
+    sign, factor = braiding_signs(q, lam, mu)
+    ok = top_mult == 1 and all_below and all(
+        f.denominator == 1 and f >= 0 for _, f in fibers)
+    return SatakeReport(dual, lam, mu, tuple(decomposition), top_mult, all_below,
+                        tuple(fibers), sign, factor, ok)

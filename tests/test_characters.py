@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import random
@@ -99,7 +100,7 @@ class TestIrreducibleCharacter:
         c = irreducible_character(rd, hw)
         assert c.dim() == weyl_dim(rd, hw) == dim
 
-    def test_freudenthal_matches_weyl_sum(self):
+    def test_demazure_matches_weyl_sum(self):
         for rd, hw in [(SL3, (2, 2)), (SP4, (2, 1)), (standard("G2"), (1, 0))]:
             c = irreducible_character(rd, hw)
             for w, m in c.multiplicities:
@@ -717,6 +718,60 @@ class TestSatakePrediction:
                         rep.geometric_sign, rep.twisted_factor)
                     assert (got.highest_multiplicity, got.all_below_highest, got.ok) == (
                         rep.highest_multiplicity, rep.all_below_highest, rep.ok)
+
+    def test_matches_the_dual_lattice_route(self):
+        # every report field, tuple order included, equals the route that
+        # maps each constituent back from the dual lattice; on rebased forms
+        # and on two SL2xSL2 forms whose tau part drops coroot 1, then 0
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        third, half = Fraction(1, 3), Fraction(1, 2)
+        forms = [
+            qform_from_gram(SL2, [[Fraction(2, 5)]]),
+            qform_from_gram(PGL2, [[Fraction(2, 3)]]),
+            trivial_qform(SL3),
+            killing_qform(SP4, 0, Exponent.of(Fraction(1, 8))),
+            killing_qform(standard("G2"), 0, Exponent.of(third)),
+            qform_from_gram(standard("GL2"), [[half, 0], [0, half]]),
+            qform_from_gram(standard("SL2xSL2"), [[2 * third, 0], [0, 0]], [[0, 0], [0, 1]]),
+            qform_from_gram(standard("SL2xSL2"), [[0, 0], [0, 2 * third]], [[1, 0], [0, 0]]),
+        ]
+        assert [twisted_dual(q.rd, q).dropped for q in forms[-2:]] == [(1,), (0,)]
+        # the six lowest dominant coweights of each dual weight lattice in a box
+        coweights = []
+        for q in forms:
+            rd, lattice = q.rd, twisted_dual(q.rd, q).weight_sublattice
+            coweights.append(sorted(
+                (lam for lam in itertools.product(range(-2, 10), repeat=rd.rank)
+                 if min(rd.simple_roots.mul_vec(lam)) >= 0 and lattice.contains(lam)),
+                key=lambda lam: (dot(rd.two_rho, lam), lam))[:6])
+        moves = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(-2, 2)),
+                         max_size=4)
+        fields = [f.name for f in dataclasses.fields(characters.SatakeReport)]
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(st.integers(0, len(forms) - 1), moves, st.data())
+        def check(k, moves, draw):
+            q, n = forms[k], forms[k].rd.rank
+            u = _transvections(n, moves)
+            inv = inverse_unimodular(u).data
+
+            def move(g):
+                return [[sum(u.data[a][i] * g[a][b] * u.data[b][j]
+                             for a in range(n) for b in range(n)) for j in range(n)]
+                        for i in range(n)]
+
+            def image(v):
+                return tuple(dot(row, v) for row in inv)
+
+            moved = QForm(_rebased(q.rd, moves), move(q.g0), move(q.g1))
+            lam, mu = (image(draw.draw(st.sampled_from(coweights[k]))) for _ in range(2))
+            got = satake_prediction(moved, lam, mu)
+            want = character_oracle.satake_reference(moved, lam, mu)
+            assert got.ok
+            assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+
+        check()
 
 
 class TestBraidingWellDefined:
