@@ -300,7 +300,7 @@ def _build_for_compare(kind, rd, params):
 @click.option("--q-exp")
 @click.option("--q-tau")
 def compare(first, second, group, rd_file, d, big_n, order, q_exp, q_tau):
-    """Build two dual constructions and report AGREE / DISAGREE / UNDECIDED."""
+    """Build two dual constructions and report AGREE / DISAGREE."""
     rd = _load_datum(group, rd_file)
     params = {"d": d, "big_n": big_n, "order": order,
               "q_exp": q_exp, "q_tau": q_tau, "other": second}
@@ -311,13 +311,10 @@ def compare(first, second, group, rd_file, d, big_n, order, q_exp, q_tau):
     if result.status == "iso":
         click.echo("AGREE")
         click.echo("witness: " + json.dumps([list(r) for r in result.weight_map.data]))
-    elif result.status == "none":
+    else:
         click.echo("DISAGREE")
         click.echo("first:  " + json.dumps(left.datum.to_dict(), sort_keys=True))
         click.echo("second: " + json.dumps(right.datum.to_dict(), sort_keys=True))
-        raise SystemExit(1)
-    else:
-        click.echo("UNDECIDED")
         raise SystemExit(1)
 
 

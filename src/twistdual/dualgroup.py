@@ -29,16 +29,16 @@ inverse of the first frame gives the only candidate maps in closed
 form, one product each: exactly one when the datum is semisimple or the
 index is 1, two when X^W has rank 1.  For a
 glued centre (X^W of rank k >= 2 and index > 1) integrality is a linear
-congruence modulo the exponent of X / (Z Delta + X^W), one `kernel_mod`
-per matching, and a witness is a solution of unit determinant, lifted to
-GL_k(Z); only a coset of solutions larger than SEARCH_BUDGET leaves the
-answer undecided.  An integral candidate whose frame block is unimodular
-is a witness, as it conjugates the Weyl groups.  The pi1 of both data,
-the invariant factors of each datum's coroots, is compared only once a
-matching has failed to give a witness, before a "none" or an
-"undecided": an isomorphism found at the first matching reads no pi1,
-and a semisimple pair that is isomorphic at the first matching computes
-no Smith form at all.
+congruence modulo the exponent e of X / (Z Delta + X^W), one `kernel_mod`
+per matching and one more per pair, and a witness is a solution of unit
+determinant mod e, lifted to GL_k(Z); whether one exists is a Hermite
+form and a determinant, and the witness is built, not searched for.  An
+integral candidate whose frame block is unimodular is a witness, as it
+conjugates the Weyl groups.  The pi1 of both data, the invariant factors
+of each datum's coroots, is compared only once a matching has failed to
+give a witness, before a "none": an isomorphism found at the first
+matching reads no pi1, and a semisimple pair that is isomorphic at the
+first matching computes no Smith form at all.
 
 Every matrix `isomorphic` and the dual constructions build from checked
 data goes through `lattice._computed_matrix`, not through the entry check.
@@ -57,6 +57,7 @@ from .lattice import (
     Sublattice,
     _check_int,
     _computed_matrix,
+    _hermite_rows,
     _identity_rows,
     integral_left_inverse,
     kernel_mod,
@@ -100,14 +101,6 @@ class TwistedDual:
         d["multipliers"] = list(self.multipliers)
         d["dropped"] = list(self.dropped)
         return d
-
-    def root_in_source(self, i):
-        """The i-th dual simple root as a vector in the source coweights;
-        ValueError unless i is an int, not a bool, in range(datum.num_simple)."""
-        n = self.datum.num_simple
-        if type(i) is not int or not 0 <= i < n:
-            raise ValueError(f"simple root index {i!r} is not in range({n})")
-        return self.weight_sublattice.member_from_coefficients(self.datum.simple_roots.row(i))
 
 
 # the most duals `_assemble_dual` keeps per source datum
@@ -334,13 +327,9 @@ def quantum_dual_pair(rd: RootDatum, b) -> QuantumPair:
 
 # -- isomorphism search ---------------------------------------------------------
 
-# the most weight maps `isomorphic` tries per matching when the centre is glued
-SEARCH_BUDGET = 20000
-
-
 @dataclass(frozen=True)
 class IsoResult:
-    status: str                    # "iso" | "none" | "undecided"
+    status: str                    # "iso" | "none"
     weight_map: IntMatrix | None   # columns act on weight vectors of d1
     permutation: tuple | None      # simple index i of d1 -> permutation[i] of d2
 
@@ -395,7 +384,7 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
     unimodular, so every P is integral), N = +-1 are all there is when
     k = 1, and the answer is exact in each case.
 
-    A glued centre (k >= 2, index > 1) leaves N to `_glued_search`.  Let
+    A glued centre (k >= 2, index > 1) leaves N to `_glued_witness`.  Let
     e be the exponent of X / (Z Delta + X^W), the least e with G = e F1^-T
     integral, and G_top, G_bot its first s and last k rows; then P =
     F2pi(N)^T G / e is integral exactly when R_pi^T G_top + K2^T M G_bot =
@@ -403,16 +392,31 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
     congruence in (1, M), whose n^2 x (1 + k^2) matrix [c | L] (c the
     entries of R_pi^T G_top, L the coefficients of M) has one
     `kernel_mod(., e)`: a solution exists exactly when its Hermite basis
-    starts with a row (1, x0), so with none pi has no witness, and then
-    the solutions mod e are the residues x0 + span(the other rows).  As
-    integrality reads N mod e only and |det P| = |det N|, pi has a witness
-    exactly when one residue has det = +-1 mod e, and such a residue lifts
-    to an N in GL_k(Z) with N^T = M mod e (`_unimodular_lift`; SL_k(Z) ->
-    SL_k(Z/e) is onto), whose P is one.  At most SEARCH_BUDGET residues
-    are walked per matching, and only a coset left unfinished makes the
-    answer "undecided".  The closed form is the same congruence where it
-    is trivial: modulo e = 1 every N solves it, and when k = 1 the units
-    +-1 are all the N there are.
+    starts with a row (1, M0), so with none pi has no witness.  K2 spans a
+    saturated lattice, so K2^T has an integral left inverse and K2^T D
+    G_bot = 0 exactly when D G_bot = 0 mod e: the solutions are M0 + D for
+    the D whose rows lie in W = {w : w G_bot = 0 mod e}, one `kernel_mod`
+    per pair of data, and det is constant mod g, the gcd of W's entries.
+    As integrality reads N mod e only and |det P| = |det N|, pi has a
+    witness exactly when a solution has det = +-1 mod e, and that lifts to
+    an N in GL_k(Z) with N^T = M mod e (`_unimodular_lift`; SL_k(Z) ->
+    SL_k(Z/e) is onto), whose P is one.  Such a solution exists exactly
+    when (i) the rows of M0 and W span Z^k and (ii) det M0 = +-1 mod g.
+    They are needed: a solution invertible mod every prime p | e has rows
+    that span Z^k mod each p, inside the span of M0's rows and W, which
+    holds e Z^k, so that span is Z^k; and det M0 = det M mod g.  They
+    suffice (`_unit_residue`), one prime power q = p^a of e at a time.  A
+    row of M0 in the span mod p of the rows before it takes a row of W
+    outside that span; if W lay inside it, M0's rows and W would span
+    fewer than k dimensions mod p, against (i).  Now M is invertible mod
+    p.  For b in W with gcd(q, b) = gcd(q, g) (W's basis has one) and u =
+    det(M with row i replaced by b), row i += c b adds c u to det; b adj
+    M has b's content mod q, as adj M is invertible mod p, so some i has
+    gcd(u, q) = gcd(q, g), and c u reaches every multiple of gcd(q, g),
+    which by (ii) sets det = the sign mod q.  The Chinese remainder
+    theorem joins the prime powers.  The closed form is the same
+    congruence where it is trivial: modulo e = 1 every N solves it, and
+    when k = 1 the units +-1 are all the N there are.
 
     A witness carries every root.  s2_pi(i) P = P s_i for s_i x = x -
     <x, coroot1_i> alpha1_i, so P W1 P^-1 = W2; every root is W-conjugate
@@ -421,10 +425,9 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
 
     pi1 (coweights modulo coroots) is an invariant, so data whose pi1
     differ have no witness at any matching.  It is compared only when a
-    matching gives no witness, before a walk the budget cuts short, and
-    before a "none" or an "undecided"; so
-    an "iso" at the first matching reads no invariant factors of d1's
-    coroots, and differing pi1 give "none" after at most one matching."""
+    matching gives no witness, before a "none"; so an "iso" at the first
+    matching reads no invariant factors of d1's coroots, and differing pi1
+    give "none" after at most one matching."""
     # two tori of one rank are equal data
     if d1 == d2:
         return IsoResult("iso", IntMatrix.identity(d1.rank), tuple(range(d1.num_simple)))
@@ -442,7 +445,7 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
         return IsoResult("none", None, None)
     matchings = _matchings(d1, d2, gcds1, gcds2)
     if k >= 2 and index > 1:
-        return _glued_search(d1, d2, matchings, inv_cols, den)
+        return _glued_witness(d1, d2, matchings, inv_cols, den)
     # den F1^-T: its rows are the columns of den F1^-1
     inv_t = _computed_matrix(inv_cols, n)
     fixed2 = _computed_matrix(d2._fixed_weights, n)
@@ -468,7 +471,7 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
     return IsoResult("none", None, None)
 
 
-def _glued_search(d1: RootDatum, d2: RootDatum, matchings, inv_cols, den) -> IsoResult:
+def _glued_witness(d1: RootDatum, d2: RootDatum, matchings, inv_cols, den) -> IsoResult:
     """`isomorphic` for a glued centre: k = rank - #simple >= 2 and equal
     indices [X : Z Delta + X^W] > 1.  `inv_cols` / den is F1^-1 by
     columns; the proof is in `isomorphic`'s docstring."""
@@ -482,40 +485,70 @@ def _glued_search(d1: RootDatum, d2: RootDatum, matchings, inv_cols, den) -> Iso
     # row (a, b): the coefficients of M = N^T in (K2^T M G_bot)_ab
     lin = [[fixed2[i][a] * big_g[s + j][b] for i in range(k) for j in range(k)]
            for a in range(n) for b in range(n)]
-    undecided = False
+    # W: the rows w with w G_bot = 0 mod e, by which a solution's rows move,
+    # and g of `isomorphic`, the gcd of W's entries
+    free = kernel_mod(_computed_matrix(list(zip(*big_g[s:])), k), e).basis.data
+    content = math.gcd(*(x for row in free for x in row))
     for perm in matchings:
         roots = [d2.simple_roots.data[j] for j in perm]
         # (1, M) with (R_pi^T G_top)_ab + (K2^T M G_bot)_ab = 0 mod e for all a, b
         system = [[sum(r[a] * t[b] for r, t in zip(roots, big_g)), *row]
                   for (a, b), row in zip(itertools.product(range(n), repeat=2), lin)]
-        top, *rest = kernel_mod(_computed_matrix(system, 1 + k * k), e).basis.data
-        if top[0] == 1:
-            # the residues top + span(rest) mod e, one per coefficient vector
-            steps = [(e // row[j], row) for j, row in enumerate(rest, 1) if row[j] < e]
-            if math.prod(size for size, _ in steps) > SEARCH_BUDGET:
-                # a walk the budget cuts short runs only on data whose pi1 agree
-                if d1.pi1() != d2.pi1():
-                    return IsoResult("none", None, None)
-                undecided = True
-            for coeffs in itertools.islice(
-                    itertools.product(*(range(size) for size, _ in steps)), SEARCH_BUDGET):
-                m = top
-                for c, (_, row) in zip(coeffs, steps):
-                    m = [x + c * y for x, y in zip(m, row)]
-                # the residue of N = M^T
-                residue = [[x % e for x in m[1 + j::k]] for j in range(k)]
-                if _computed_matrix(residue, k).det() % e in (1, e - 1):
-                    big_n = _computed_matrix(_unimodular_lift(residue, e), k)
-                    frame = roots + list((big_n @ _computed_matrix(fixed2, n)).data)
-                    # P = F2pi(N)^T G / e, integral as N^T solves the system
-                    p = (_computed_matrix(frame, n).transpose() @ _computed_matrix(big_g, n))
-                    return IsoResult(
-                        "iso", _computed_matrix([[x // e for x in row] for row in p.data], n),
-                        perm)
+        top = kernel_mod(_computed_matrix(system, 1 + k * k), e).basis.data[0]
+        m0 = [top[1 + i * k:1 + (i + 1) * k] for i in range(k)]
+        # a solution M0, and (i): M0's rows and W span Z^k
+        if top[0] == 1 and _hermite_rows(m0 + list(free), k) == _identity_rows(k):
+            det0 = _computed_matrix(m0, k).det()
+            sign = 1 if (det0 - 1) % content == 0 else -1
+            # (ii): det M0 = sign mod the gcd of W's entries
+            if (det0 - sign) % content == 0:
+                m = _unit_residue(m0, free, content, e, sign)
+                big_n = _computed_matrix(_unimodular_lift(list(zip(*m)), e), k)
+                frame = roots + list((big_n @ _computed_matrix(fixed2, n)).data)
+                # P = F2pi(N)^T G / e, integral as N^T solves the system
+                p = (_computed_matrix(frame, n).transpose() @ _computed_matrix(big_g, n))
+                return IsoResult(
+                    "iso", _computed_matrix([[x // e for x in row] for row in p.data], n), perm)
         # this matching has no witness; differing pi1 rule out every other
         if d1.pi1() != d2.pi1():
             return IsoResult("none", None, None)
-    return IsoResult("undecided" if undecided else "none", None, None)
+    return IsoResult("none", None, None)
+
+
+def _unit_residue(m0, free, content, e, sign):
+    """An M = m0 mod e plus integer combinations of the rows of `free` (W)
+    with det M = sign mod e, for m0 and W that pass (i) and (ii) of
+    `isomorphic`, with `content` the gcd of W's entries; the steps are
+    proved there."""
+    k = len(m0)
+
+    def rank(rows, p):
+        # the diagonal of the Hermite form mod p is 1 on the rank's columns, else p
+        return sum(h[c] == 1 for c, h in enumerate(_hermite_rows(rows, k, p)))
+
+    total, rest = [[0] * k for _ in range(k)], e
+    for p in range(2, e + 1):
+        if rest % p:
+            continue
+        q = 1
+        while rest % p == 0:
+            rest, q = rest // p, q * p
+        m = [list(row) for row in m0]
+        for i in range(k):
+            if rank(m[:i + 1], p) <= i:
+                b = next(b for b in free if rank(m[:i] + [b], p) > i)
+                m[i] = [x + y for x, y in zip(m[i], b)]
+        d, gq = _computed_matrix(m, k).det(), math.gcd(q, content)
+        if (d - sign) % q:
+            swaps = ((i, b, _computed_matrix(m[:i] + [b] + m[i + 1:], k).det())
+                     for b in free for i in range(k))
+            i, b, u = next(t for t in swaps if math.gcd(t[2], q) == gq)
+            c = (sign - d) // gq * pow(u // gq, -1, q // gq)
+            m[i] = [x + c * y for x, y in zip(m[i], b)]
+        # the idempotent of q in Z/e: 1 mod q, 0 mod e / q
+        unit = e // q * pow(e // q, -1, q)
+        total = [[(x + unit * y) % e for x, y in zip(tr, mr)] for tr, mr in zip(total, m)]
+    return total
 
 
 def _unimodular_lift(a, e):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import glued_oracle
 import kernel_oracle
 import root_oracle
 from test_rootdata import _rebased, _transvections
@@ -46,6 +47,11 @@ ALL_SIX = (SL2, PGL2, GL2, SL3, SP4, G2)
 
 def _simple(d):
     return d.simple_roots.data, d.simple_coroots.data
+
+
+def _root_in_source(td, i):
+    """Dual simple root i of a `TwistedDual` in the source coweights."""
+    return td.weight_sublattice.member_from_coefficients(td.datum.simple_roots.row(i))
 
 
 def _assert_pair(pair):
@@ -99,18 +105,7 @@ class TestTwistedDual:
             "rank": 1, "simple_roots": [[1]], "simple_coroots": [[2]],
             "name": "dual(SL2xSL2)", "weight_sublattice": [[3, 0]],
             "multipliers": [3, None], "dropped": [1]}
-        assert td.root_in_source(0) == (3, 0)
-
-    # an index outside range(datum.num_simple) read another root: -1 on
-    # PGL2 gave root 0, and True and -2 on SL3 gave roots 1 and 0
-    @pytest.mark.parametrize("dual,index", [
-        (lambda: twisted_dual(PGL2, qform_from_gram(PGL2, [[Fraction(2, 3)]])), -1),
-        (lambda: langlands_dual(SL3), True),
-        (lambda: langlands_dual(SL3), -2),
-    ], ids=["pgl2-minus-one", "sl3-true", "sl3-minus-two"])
-    def test_root_in_source_rejects_other_indices(self, dual, index):
-        with pytest.raises(ValueError, match=f"index {index!r} is not in range"):
-            dual().root_in_source(index)
+        assert _root_in_source(td, 0) == (3, 0)
 
     def test_multipliers_constant_on_weyl_orbits(self):
         rng = random.Random(97)
@@ -429,7 +424,7 @@ class TestFLDual:
         td = fl_dual(SL2, 1, 3)
         assert td.weight_sublattice.basis.data == ((3,),)
         assert td.multipliers == (3,)
-        assert td.root_in_source(0) == (3,)
+        assert _root_in_source(td, 0) == (3,)
 
     def test_sl2_level_one_langlands(self):
         td = fl_dual(SL2, 1, 1)
@@ -440,7 +435,7 @@ class TestFLDual:
         td = fl_dual(SL3, 1, 2)
         assert td.multipliers == (2, 2)
         for i in range(2):
-            assert td.root_in_source(i) == tuple(
+            assert _root_in_source(td, i) == tuple(
                 2 * x for x in SL3.simple_coroots.row(i))
 
     def test_reducible_rejected(self):
@@ -479,7 +474,7 @@ class TestLusztigDual:
         td = lusztig_dual(cd, 5)
         assert td.weight_sublattice.basis.data == ((5,),)
         assert td.multipliers == (5,)
-        assert td.root_in_source(0) == (5,)
+        assert _root_in_source(td, 0) == (5,)
 
     def test_order_one_langlands(self):
         for rd in (SL2, SL3, SP4):
@@ -616,18 +611,6 @@ class TestIsomorphic:
             td = twisted_dual(rd, half_forms_qform(rd))
             assert td.multipliers == (1,) * rd.num_simple
             assert isomorphic(td.datum, langlands_dual(rd).datum).agrees()
-
-    def test_budget_exhaustion_is_undecided(self, monkeypatch):
-        # GL2 x T1 glues its centre (index 2 with k = 2), so its witness is
-        # sought among residues; against a rebase of itself, which is not
-        # equal to it, equality does not answer first.  With no budget the
-        # coset of residues is left unwalked
-        gl2t1 = standard("GL2xT1")
-        rebased = _rebased(gl2t1, [(0, 2, 1)])
-        assert rebased != gl2t1
-        _assert_witness(isomorphic(gl2t1, rebased), gl2t1, rebased)
-        monkeypatch.setattr(dualgroup, "SEARCH_BUDGET", 0)
-        assert isomorphic(gl2t1, rebased).status == "undecided"
 
     @pytest.mark.parametrize("label", ["SL3", "G2", "GL2", "GL2xT1", "GL2xT2", "T2"])
     def test_equal_data_answer_by_equality(self, label, monkeypatch):
@@ -892,25 +875,42 @@ class TestIsomorphicUnderRebasing:
 
         check()
 
-    @pytest.mark.parametrize("j", [0, 1, 2])
-    def test_glued_copy_is_not_isomorphic(self, j):
+    @pytest.mark.parametrize("j", [0, 1, 2, 3, 4])
+    def test_glued_copy_is_not_isomorphic(self, j, monkeypatch):
         # k = 2 + j and the same frame index 4, so both orders take the
-        # glued route; [Q Delta meet X : Z Delta], an invariant the search
-        # does not read, is 1 against 2
+        # glued route; [Q Delta meet X : Z Delta], an invariant the glued
+        # test does not read, is 1 against 2
         plain, glued = _glued_gl2_pair(j)
         assert plain._frame_index == glued._frame_index == 4
         roots = [Sublattice.from_rows(rd.rank, rd.simple_roots.data) for rd in (plain, glued)]
         # Q Delta meet X is the kernel of the kernel of the roots
         assert [kernel_oracle.lattice_index(kernel_mod(kernel_mod(r.basis).basis), r)
                 for r in roots] == [1, 2]
-        assert isomorphic(plain, glued).status == "none"
-        assert isomorphic(glued, plain).status == "none"
-        rebased = _rebased(glued, [(0, 2, 1), (3, 1, -2), (1, 0, 3)])
-        _assert_witness(isomorphic(glued, rebased), glued, rebased)
+        moves = [(0, 2, 1), (3, 1, -2), (1, 0, 3)]
+        pairs = [(plain, glued), (glued, plain), (glued, _rebased(glued, moves)),
+                 (plain, _rebased(plain, moves))]
+        kernels = []
+        monkeypatch.setattr(dualgroup, "kernel_mod",
+                            lambda *args: kernels.append(args) or kernel_mod(*args))
+        results, counts = [], []
+        for d1, d2 in pairs:
+            kernels.clear()
+            results.append(isomorphic(d1, d2))
+            counts.append(len(kernels))
+        monkeypatch.undo()
+        # W, then one congruence per matching tried: both of A1 x A1's two
+        # before a "none", the first before an "iso"
+        assert counts == [3, 3, 2, 2]
+        assert [res.status for res in results[:2]] == ["none", "none"]
+        for res, (d1, d2) in zip(results[2:], pairs[2:]):
+            _assert_witness(res, d1, d2)
 
     def test_closed_forms_never_search(self, monkeypatch):
-        # k = 1 for each: N = E +- 1/det X is pinned, so no budget is needed
-        monkeypatch.setattr(dualgroup, "SEARCH_BUDGET", 0)
+        # k = 1 for each: N = +-1 is pinned, so the glued test never runs
+        def glued(*args):
+            raise AssertionError("a closed form took the glued route")
+
+        monkeypatch.setattr(dualgroup, "_glued_witness", glued)
         rng = random.Random(23)
         for label in ("GL2", "SL2xT1", "Sp4xT1"):
             rd = standard(label)
@@ -919,3 +919,69 @@ class TestIsomorphicUnderRebasing:
                           rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(12)]
                 rebased = _rebased(rd, moves)
                 _assert_witness(isomorphic(rd, rebased), rd, rebased)
+
+
+def _overlattice(rd, vectors, q):
+    """rd on X + sum Z w / q for the w in `vectors`, each with <w, coroot>
+    = 0 mod q for every coroot, written in the Hermite basis of q Z^n +
+    sum Z w: a root a has the coordinates of q a, and a coroot pairs with
+    basis vector v as <v, coroot> / q."""
+    n = rd.rank
+    over = Sublattice.from_rows(n, [*vectors, *([q * (i == j) for j in range(n)]
+                                                for i in range(n))])
+    basis = over.basis.data
+    roots = [over.coefficients([q * x for x in a]) for a in rd.simple_roots.data]
+    coroots = [[dot(v, c) // q for v in basis] for c in rd.simple_coroots.data]
+    return RootDatum(roots, coroots, rank=n)
+
+
+class TestGluedCentres:
+    """`isomorphic` on glued centres (X^W of rank >= 2 and frame index >
+    1) against the residue walk of `glued_oracle`, on products of GL_n and
+    tori and on their overlattices X + Z w / q, rebased.  Their exponents
+    e are 2, 3, 4 and 6, whose units are +-1 alone, so there test (ii) of
+    `isomorphic` follows from (i); A4 x A4 glued to a rank-2 torus by a
+    map of determinant a b mod 5 (e = 5) has two isomorphism classes, det
+    +-1 and det +-2, which (ii) alone tells apart."""
+
+    LABELS = ("GL2xT1", "GL2xT2", "GL2xT3", "GL3xT1", "GL3xT2", "GL4xT1", "GL2xGL3", "A4xA4")
+    A4xA4 = standard("PGL5xT1xPGL5xT1")
+
+    @classmethod
+    def _side(cls, label, q, coeffs):
+        if label == "A4xA4":
+            # omega_1 of A4 is (4, 3, 2, 1) / 5 in root coordinates
+            a, b = ((1, 2, 3, 4)[c % 4] for c in coeffs[:2])
+            return _overlattice(cls.A4xA4, [[4, 3, 2, 1, a] + [0] * 5,
+                                            [0] * 5 + [4, 3, 2, 1, b]], 5)
+        rd = standard(label)
+        solutions = kernel_mod(rd.simple_coroots, q).basis.data
+        w = [sum(c * row[j] for c, row in zip(coeffs, solutions)) for j in range(rd.rank)]
+        return _overlattice(rd, [w], q)
+
+    def test_agrees_with_the_walk(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        pytest.importorskip("sympy")
+        st = hypothesis.strategies
+        side = st.tuples(st.sampled_from((1, 2, 3, 4, 6, 8, 12)),
+                         st.lists(st.integers(0, 11), min_size=8, max_size=8))
+        moves = TestIsomorphicUnderRebasing._moves(st, 10)
+
+        @hypothesis.settings(max_examples=80, deadline=None)
+        @hypothesis.given(st.sampled_from(self.LABELS), side, side, moves, moves)
+        # GL3xT1 against an overlattice of it: a solution, but (i) fails
+        @hypothesis.example("GL3xT1", (1, [0] * 8), (3, [1] + [0] * 7), [(0, 3, 2)], [])
+        # determinants 1 against 2: not isomorphic, by (ii) alone
+        @hypothesis.example("A4xA4", (5, [0] * 8), (5, [0, 1] + [0] * 6), [(0, 9, 1)], [])
+        # 2 against 2, by the swap of the factors
+        @hypothesis.example("A4xA4", (5, [0, 1] + [0] * 6), (5, [1, 0] + [0] * 6), [], [(9, 0, -1)])
+        def check(label, side1, side2, moves1, moves2):
+            d1, d2 = (_rebased(self._side(label, *side), m)
+                      for side, m in ((side1, moves1), (side2, moves2)))
+            res = isomorphic(d1, d2)
+            if res.status == "iso":
+                _assert_witness(res, d1, d2)
+            if d1._frame_index == d2._frame_index > 1 and d1.rank - d1.num_simple >= 2:
+                assert glued_oracle.walk(d1, d2) in (res.status, None)
+
+        check()
