@@ -220,12 +220,13 @@ def _count(pos, memo, remaining, idx):
 def weyl_multiplicity(rd: RootDatum, highest, weight) -> int:
     """Multiplicity by the Weyl character formula's alternating sum over
     the Weyl group of Kostant partition counts, walked as the orbit of the
-    labels of highest + rho."""
+    labels of highest + rho; CharacterError unless highest is dominant."""
     highest, weight = rd._vector(highest), rd._vector(weight)
+    labels = _labels(rd, highest)
     depth = rd.root_coordinates(tuple(map(sub, highest, weight)))
     if depth is None:
         return 0
-    shifted = tuple(x + 1 for x in rd.simple_coroots.mul_vec(highest))
+    shifted = tuple(x + 1 for x in labels)
     cartan = rd.cartan_matrix
     return _weyl_sum(_kostant_count(cartan), _weyl_orbit(cartan, shifted), depth)
 

@@ -35,16 +35,6 @@ class Partition:
     def full(cls, n):
         return cls.of(n, [tuple(range(n))])
 
-    def refines(self, other):
-        """Whether every part of self sits inside a part of other."""
-        if self.n != other.n:
-            return False
-        where = {}
-        for k, p in enumerate(other.parts):
-            for x in p:
-                where[x] = k
-        return all(len({where[x] for x in p}) == 1 for p in self.parts)
-
     def __str__(self):
         return "|".join("{" + ",".join(str(i + 1) for i in p) + "}"
                         for p in self.parts)

@@ -22,23 +22,24 @@ returns the dual under the caller's own name.
 `isomorphic` certifies agreement between any two root data.  Equal data,
 which two constructions that reduce to one Hermite basis give, are
 answered at once with the identity; otherwise each datum is framed by
-its simple roots and a basis of X^W, the weights every coroot kills;
-the frame's index [X : Z Delta + X^W] is an invariant, compared first,
-and per matching of simple indices that keeps the Cartan matrix the one
-inverse of the first frame gives the only candidate maps in closed
-form, one product each: exactly one when the datum is semisimple or the
-index is 1, two when X^W has rank 1.  For a
-glued centre (X^W of rank k >= 2 and index > 1) integrality is a linear
-congruence modulo the exponent e of X / (Z Delta + X^W), one `kernel_mod`
-per matching and one more per pair, and a witness is a solution of unit
-determinant mod e, lifted to GL_k(Z); whether one exists is a Hermite
-form and a determinant, and the witness is built, not searched for.  An
-integral candidate whose frame block is unimodular is a witness, as it
-conjugates the Weyl groups.  The pi1 of both data, the invariant factors
-of each datum's coroots, is compared only once a matching has failed to
-give a witness, before a "none": an isomorphism found at the first
-matching reads no pi1, and a semisimple pair that is isomorphic at the
-first matching computes no Smith form at all.
+its simple roots and a basis of X^W, the weights every coroot kills,
+and the frame's index [X : Z Delta + X^W], an invariant, is compared
+first.  Then one loop runs over the matchings of simple indices that
+keep the Cartan matrix, and each matching's candidates N for the X^W
+block give one map each, one product with the one inverse of the first
+frame: N = I when the datum is semisimple or the index is 1, N = +-1
+when X^W has rank 1, and for a glued centre (X^W of rank k >= 2 and
+index > 1) the one N, or none, that a linear congruence modulo the
+exponent e of X / (Z Delta + X^W) gives, one `kernel_mod` per matching
+and one more per pair: a solution of unit determinant mod e, lifted to
+GL_k(Z), whose existence is a Hermite form and a determinant, so the
+witness is built, not searched for.  An integral map from a unimodular
+N is a witness, as it conjugates the Weyl groups.  The pi1 of both
+data, the invariant factors of each datum's coroots, is compared only
+once a matching has failed to give a witness, before a "none": an
+isomorphism found at the first matching reads no pi1, and a semisimple
+pair that is isomorphic at the first matching computes no Smith form at
+all.
 
 Every matrix `isomorphic` and the dual constructions build from checked
 data goes through `lattice._computed_matrix`, not through the entry check.
@@ -370,24 +371,27 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
     Z Delta' and, as <P x, coroot2_pi(i)> = <x, coroot1_i>, X^W onto X'^W;
     so it carries the one sum onto the other, and the index is an
     invariant, compared before any matching (d2's kept on d2, d1's read
-    off the one inverse of F1, which both routes below share).  As P
+    off the one inverse of F1, from which the loop below reads G).  As P
     restricts to an isomorphism of the X^W, a witness at pi has P K1^T =
     K2^T N^T for an N in GL_k(Z), k = rank - #simple: P F1^T = F2pi(N)^T
-    for F2pi(N) = [alpha2_pi(i); N K2], so P = F2pi(N)^T F1^-T, one
-    product over den = det F1.  Conversely
+    for F2pi(N) = [alpha2_pi(i); N K2], so P = F2pi(N)^T F1^-T.  Conversely
     such a P takes alpha1_i to alpha2_pi(i), and P^T coroot2_pi(i) pairs
     with F1's rows as coroot1_i does: with alpha1_j by the Cartan
     matrices, which agree under pi, and with K1 by 0, as N K2 lies in
     X2^W.  det P = +-det N det F2 / det F1, so with equal indices |det P| =
     |det N|: P is a witness exactly when it is integral and N unimodular.
-    Hence N = I serves when k = 0 or the index is 1 (F1 is then
-    unimodular, so every P is integral), N = +-1 are all there is when
-    k = 1, and the answer is exact in each case.
 
-    A glued centre (k >= 2, index > 1) leaves N to `_glued_witness`.  Let
-    e be the exponent of X / (Z Delta + X^W), the least e with G = e F1^-T
-    integral, and G_top, G_bot its first s and last k rows; then P =
-    F2pi(N)^T G / e is integral exactly when R_pi^T G_top + K2^T M G_bot =
+    One loop decides every pair.  Per matching pi it tries the candidates
+    N in turn: a unimodular one gives e P = F2pi(N)^T G for G = e F1^-T,
+    integral with e > 0, one product, and is a witness when e divides
+    every entry.  With e = |det F1|, N = I serves when k = 0 or the index
+    is 1 (F1 is then unimodular, so every P is integral), and N = +-1 are
+    all there is when k = 1; the answer is exact in each case.
+
+    A glued centre (k >= 2, index > 1) takes one candidate per matching,
+    or none, from `_glued_witness`.  Let e be the exponent of X / (Z Delta
+    + X^W), the least e with G integral, and G_top, G_bot its first s and
+    last k rows; P is integral exactly when R_pi^T G_top + K2^T M G_bot =
     0 mod e, for M = N^T and R_pi the rows alpha2_pi(i).  That is a linear
     congruence in (1, M), whose n^2 x (1 + k^2) matrix [c | L] (c the
     entries of R_pi^T G_top, L the coefficients of M) has one
@@ -443,27 +447,30 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
     _, inv_cols, den = integral_left_inverse(d1.simple_roots.data + d1._fixed_weights, n)
     if abs(den) != index:
         return IsoResult("none", None, None)
-    matchings = _matchings(d1, d2, gcds1, gcds2)
-    if k >= 2 and index > 1:
-        return _glued_witness(d1, d2, matchings, inv_cols, den)
-    # den F1^-T: its rows are the columns of den F1^-1
-    inv_t = _computed_matrix(inv_cols, n)
+    glued = k >= 2 and index > 1
+    # G = e F1^-T: row r is column r of den F1^-1 over g = +-1, or over
+    # +-gcd(den, den F1^-1) on a glued centre, signed so that e > 0
+    g = math.gcd(den, *(x for col in inv_cols for x in col)) if glued else 1
+    g = g if den > 0 else -g
+    e = den // g
+    big_g = _computed_matrix([[x // g for x in col] for col in inv_cols], n)
+    if glued:
+        candidates = _glued_witness(d2, big_g, e)
+    else:
+        units = tuple(_computed_matrix([[u * (r == c) for c in range(k)] for r in range(k)], k)
+                      for u in ((1,) if k == 0 or index == 1 else (1, -1)))
+        candidates = lambda roots: units
     fixed2 = _computed_matrix(d2._fixed_weights, n)
-    # N = I, and N = -1 as well when k = 1 and the index is not 1, each
-    # with its rows N K2 of the frame
-    candidates = [(big_n, (big_n @ fixed2).data) for big_n in (
-        _computed_matrix([[e * (r == c) for c in range(k)] for r in range(k)], k)
-        for e in ((1,) if k == 0 or index == 1 else (1, -1)))]
-    for perm in matchings:
+    for perm in _matchings(d1, d2, gcds1, gcds2):
         roots = tuple(d2.simple_roots.data[j] for j in perm)
-        for big_n, fixed in candidates:
+        for big_n in candidates(roots):
             # |det P| = |det N|, as the indices agree
             if not big_n.is_unimodular():
                 continue
-            # den P = F2pi(N)^T (den F1^-T)
-            p = (_computed_matrix(roots + fixed, n).transpose() @ inv_t).data
-            if not any(x % den for row in p for x in row):
-                return IsoResult("iso", _computed_matrix([[x // den for x in row] for row in p], n),
+            # e P = F2pi(N)^T G
+            p = (_computed_matrix(roots + (big_n @ fixed2).data, n).transpose() @ big_g).data
+            if not any(x % e for row in p for x in row):
+                return IsoResult("iso", _computed_matrix([[x // e for x in row] for row in p], n),
                                  perm)
         # this matching has no witness; differing pi1 rule out every other
         if d1.pi1() != d2.pi1():
@@ -471,48 +478,43 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
     return IsoResult("none", None, None)
 
 
-def _glued_witness(d1: RootDatum, d2: RootDatum, matchings, inv_cols, den) -> IsoResult:
-    """`isomorphic` for a glued centre: k = rank - #simple >= 2 and equal
-    indices [X : Z Delta + X^W] > 1.  `inv_cols` / den is F1^-1 by
-    columns; the proof is in `isomorphic`'s docstring."""
-    n, s = d1.rank, d1.num_simple
+def _glued_witness(d2: RootDatum, big_g: IntMatrix, e):
+    """The candidates of `isomorphic` for a glued centre, k = rank -
+    #simple >= 2 and equal indices [X : Z Delta + X^W] > 1, with G = e
+    F1^-T for the exponent e: a function of the rows R_pi that returns
+    (N,) for the one N the congruence of pi gives, or ().  The
+    congruence's coefficients and W are built once per pair of data; the
+    proof is in `isomorphic`'s docstring."""
+    n, s = d2.rank, d2.num_simple
     k = n - s
-    g = math.gcd(den, *(x for col in inv_cols for x in col))
-    e = abs(den) // g
-    # G = e F1^-T: row r is column r of (den / g) F1^-1, signed as e > 0
-    big_g = [[(x if den > 0 else -x) // g for x in col] for col in inv_cols]
+    rows = big_g.data
     fixed2 = d2._fixed_weights
     # row (a, b): the coefficients of M = N^T in (K2^T M G_bot)_ab
-    lin = [[fixed2[i][a] * big_g[s + j][b] for i in range(k) for j in range(k)]
+    lin = [[fixed2[i][a] * rows[s + j][b] for i in range(k) for j in range(k)]
            for a in range(n) for b in range(n)]
     # W: the rows w with w G_bot = 0 mod e, by which a solution's rows move,
     # and g of `isomorphic`, the gcd of W's entries
-    free = kernel_mod(_computed_matrix(list(zip(*big_g[s:])), k), e).basis.data
+    free = kernel_mod(_computed_matrix(list(zip(*rows[s:])), k), e).basis.data
     content = math.gcd(*(x for row in free for x in row))
-    for perm in matchings:
-        roots = [d2.simple_roots.data[j] for j in perm]
+
+    def solve(roots):
         # (1, M) with (R_pi^T G_top)_ab + (K2^T M G_bot)_ab = 0 mod e for all a, b
-        system = [[sum(r[a] * t[b] for r, t in zip(roots, big_g)), *row]
+        system = [[sum(r[a] * t[b] for r, t in zip(roots, rows)), *row]
                   for (a, b), row in zip(itertools.product(range(n), repeat=2), lin)]
         top = kernel_mod(_computed_matrix(system, 1 + k * k), e).basis.data[0]
         m0 = [top[1 + i * k:1 + (i + 1) * k] for i in range(k)]
         # a solution M0, and (i): M0's rows and W span Z^k
-        if top[0] == 1 and _hermite_rows(m0 + list(free), k) == _identity_rows(k):
-            det0 = _computed_matrix(m0, k).det()
-            sign = 1 if (det0 - 1) % content == 0 else -1
-            # (ii): det M0 = sign mod the gcd of W's entries
-            if (det0 - sign) % content == 0:
-                m = _unit_residue(m0, free, content, e, sign)
-                big_n = _computed_matrix(_unimodular_lift(list(zip(*m)), e), k)
-                frame = roots + list((big_n @ _computed_matrix(fixed2, n)).data)
-                # P = F2pi(N)^T G / e, integral as N^T solves the system
-                p = (_computed_matrix(frame, n).transpose() @ _computed_matrix(big_g, n))
-                return IsoResult(
-                    "iso", _computed_matrix([[x // e for x in row] for row in p.data], n), perm)
-        # this matching has no witness; differing pi1 rule out every other
-        if d1.pi1() != d2.pi1():
-            return IsoResult("none", None, None)
-    return IsoResult("none", None, None)
+        if top[0] != 1 or _hermite_rows(m0 + list(free), k) != _identity_rows(k):
+            return ()
+        det0 = _computed_matrix(m0, k).det()
+        sign = 1 if (det0 - 1) % content == 0 else -1
+        # (ii): det M0 = sign mod the gcd of W's entries
+        if (det0 - sign) % content:
+            return ()
+        m = _unit_residue(m0, free, content, e, sign)
+        return (_computed_matrix(_unimodular_lift(list(zip(*m)), e), k),)
+
+    return solve
 
 
 def _unit_residue(m0, free, content, e, sign):

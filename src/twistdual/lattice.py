@@ -373,14 +373,6 @@ class Sublattice:
     def contains(self, v):
         return self.coefficients(v) is not None
 
-    def member_from_coefficients(self, coeffs):
-        if len(coeffs) != self.rank:
-            raise ValueError("coefficient vector length mismatch")
-        return tuple(
-            sum(c * row[j] for c, row in zip(coeffs, self.basis.data))
-            for j in range(self.ambient_rank)
-        )
-
 
 def kernel_mod(m: IntMatrix, modulus=None) -> Sublattice:
     """All x with m x == 0 modulo `modulus` (exact kernel for modulus None).

@@ -5,12 +5,13 @@ tables, and tensor decomposition by repeated extraction of a maximal
 weight, which multiplies both characters out and peels irreducibles off
 the product, against the Brauer-Klimyk rule; and the convolution
 predictions by the route that maps each constituent back from the dual
-lattice, against the one that reads them off the tensor table in the
-source's coweights."""
+lattice (`kernel_oracle.member`), against the one that reads them off
+the tensor table in the source's coweights."""
 
 from fractions import Fraction
 from operator import mul
 
+import kernel_oracle
 from twistdual import characters
 from twistdual.characters import CharacterError, SatakeReport, irreducible_character
 from twistdual.dualgroup import twisted_dual
@@ -142,7 +143,7 @@ def satake_reference(q, lam, mu):
     decomposition = []
     fibers = []
     for nu_c, m in sorted(pieces.items()):
-        nu = dual.weight_sublattice.member_from_coefficients(nu_c)
+        nu = kernel_oracle.member(dual.weight_sublattice, nu_c)
         decomposition.append((nu, m))
         fibers.append((nu, Fraction(top_height - dot(two_rho, nu), 2)))
     sign, factor = braiding_signs(q, lam, mu)

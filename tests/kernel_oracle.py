@@ -5,7 +5,8 @@ kernel through sympy's Smith decomposition, and the kernel modulo N by
 enumeration.  The same decomposition gives the invariant factors that
 `smith_normal_form` is checked against.  `lattice_index`, the index of a
 sublattice by the determinant of its coordinates, serves the tests that
-compare lattices."""
+compare lattices, and `member` maps coordinates back into the ambient
+lattice."""
 
 import itertools
 import math
@@ -101,3 +102,9 @@ def lattice_index(outer, inner):
     if inner.rank < outer.rank:
         return None
     return abs(IntMatrix(coeff_rows, cols=outer.rank).det())
+
+
+def member(sublattice, coeffs):
+    """The vector with coordinates `coeffs` in the sublattice's basis."""
+    return tuple(sum(c * row[j] for c, row in zip(coeffs, sublattice.basis.data))
+                 for j in range(sublattice.ambient_rank))

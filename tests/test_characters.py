@@ -82,8 +82,15 @@ class TestIrreducibleCharacter:
         assert c.dim() == 8
 
     def test_non_dominant_rejected(self):
-        with pytest.raises(CharacterError):
-            irreducible_character(SL2, (-1,))
+        # weyl_multiplicity read the labels unchecked: -1 on SL2 at (-3,),
+        # and 1 on SL3 at (-3, 0)
+        for rd, highest, weight in ((SL2, (-1,), (-1,)), (SL2, (-3,), (-1,)),
+                                    (SL3, (-3, 0), (0, 0))):
+            for build in (irreducible_character, weyl_dim):
+                with pytest.raises(CharacterError):
+                    build(rd, highest)
+            with pytest.raises(CharacterError):
+                weyl_multiplicity(rd, highest, weight)
 
     @pytest.mark.parametrize("rd,hw,dim", [
         (SL2, (3,), 4),

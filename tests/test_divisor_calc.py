@@ -48,13 +48,6 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition.of(2, [(0,), (0, 1)])
 
-    def test_refines(self):
-        fine = Partition.of(3, [(0,), (1,), (2,)])
-        coarse = Partition.full(3)
-        mid = Partition.of(3, [(0, 1), (2,)])
-        assert fine.refines(mid) and mid.refines(coarse)
-        assert not coarse.refines(mid)
-
 
 class TestLedger:
     def test_two_point_ledger(self):

@@ -51,7 +51,7 @@ def _simple(d):
 
 def _root_in_source(td, i):
     """Dual simple root i of a `TwistedDual` in the source coweights."""
-    return td.weight_sublattice.member_from_coefficients(td.datum.simple_roots.row(i))
+    return kernel_oracle.member(td.weight_sublattice, td.datum.simple_roots.row(i))
 
 
 def _assert_pair(pair):
@@ -919,6 +919,51 @@ class TestIsomorphicUnderRebasing:
                           rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(12)]
                 rebased = _rebased(rd, moves)
                 _assert_witness(isomorphic(rd, rebased), rd, rebased)
+
+    def test_congruence_agrees_with_the_closed_forms(self):
+        # where both apply, k = 1 with index > 1 and k >= 2 with index 1,
+        # the congruence forced over every matching finds its first witness
+        # at the matching the closed form finds its own at, and for k = 1
+        # the same one.  GL3 (index 3) needs N = -1 at the first matching
+        # of some rebasings; at index 2 both signs are automorphisms
+        rng = random.Random(31)
+        for label in ("SL2xT1", "Sp4xT1", "GL2", "GL3", "PGL2xT2", "PGL3xT2"):
+            rd = standard(label)
+            for _ in range(6):
+                d1, d2 = (_rebased(rd, [(rng.randrange(rd.rank), rng.randrange(rd.rank),
+                                         rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(8)])
+                          for _ in range(2))
+                res, forced = isomorphic(d1, d2), _forced_congruence(d1, d2)
+                assert (forced.status, forced.permutation) == (res.status, res.permutation)
+                if rd.rank - rd.num_simple == 1:
+                    assert forced.weight_map == res.weight_map
+                _assert_witness(forced, d1, d2)
+
+
+def _forced_congruence(d1, d2):
+    """`isomorphic`'s loop with every candidate N taken from the congruence
+    of `_glued_witness`, whatever k >= 1 and the frame index: G = e F1^-T
+    for the exponent e, and P = F2pi(N)^T G / e at the first matching
+    whose congruence gives an N."""
+    n = d1.rank
+    _, inv_cols, den = lattice.integral_left_inverse(
+        d1.simple_roots.data + d1._fixed_weights, n)
+    g = math.gcd(den, *(x for col in inv_cols for x in col)) * (1 if den > 0 else -1)
+    e, big_g = den // g, IntMatrix([[x // g for x in col] for col in inv_cols], cols=n)
+    candidates = dualgroup._glued_witness(d2, big_g, e)
+    gcds = [[(math.gcd(*a), math.gcd(*c)) for a, c in zip(d.simple_roots.data,
+                                                         d.simple_coroots.data)]
+            for d in (d1, d2)]
+    for perm in dualgroup._matchings(d1, d2, *gcds):
+        roots = [d2.simple_roots.data[j] for j in perm]
+        for big_n in candidates(roots):
+            fixed = (big_n @ IntMatrix(d2._fixed_weights, cols=n)).data
+            p = (IntMatrix(roots + list(fixed), cols=n).transpose() @ big_g).data
+            # the congruence promises an integral P
+            assert not any(x % e for row in p for x in row)
+            return dualgroup.IsoResult("iso", IntMatrix([[x // e for x in row] for row in p]),
+                                       perm)
+    return dualgroup.IsoResult("none", None, None)
 
 
 def _overlattice(rd, vectors, q):

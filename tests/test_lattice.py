@@ -710,13 +710,6 @@ class TestLatticeResults:
             Sublattice.from_rows(2, [(1, 0, 0)])
         assert Sublattice.from_rows(2, [(2.0, 0)]).basis.data == ((2, 0),)
 
-    def test_member_from_coefficients_length_checked(self):
-        s = Sublattice.from_rows(2, [(2, 0), (0, 3)])
-        assert s.member_from_coefficients((1, 1)) == (2, 3)
-        for coeffs in [(1,), (1, 1, 5)]:
-            with pytest.raises(ValueError, match="length mismatch"):
-                s.member_from_coefficients(coeffs)
-
     @pytest.mark.parametrize("modulus", [True, False, 2.5, 6.0, "6", 0, -2])
     def test_kernel_mod_modulus_is_a_positive_int(self, modulus):
         with pytest.raises(ValueError, match="not a positive integer"):
