@@ -54,9 +54,6 @@ class Character:
         """Sorted ((weight, multiplicity), ...)."""
         return tuple(sorted((_lower(self.rd, self.highest, c), m) for c, m in self.depths))
 
-    def dim(self):
-        return sum(m for _, m in self.depths)
-
     def table(self):
         """Sorted 'weight: multiplicity' lines for golden-file output."""
         return "\n".join(f"{','.join(str(x) for x in w)}: {m}"

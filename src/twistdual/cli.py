@@ -67,6 +67,8 @@ def _load_datum(group, rd_file):
 
 def _load_form(rd, q_exp, q_tau, form_file):
     if form_file is not None:
+        if (q_exp, q_tau) != (None, None):
+            raise click.UsageError("give --form-file or --q-exp/--q-tau, not both")
         try:
             raw = json.loads(Path(form_file).read_text())
         except (OSError, json.JSONDecodeError) as exc:

@@ -472,10 +472,6 @@ class FGAbelianGroup:
                 raise ValueError(f"factors {torsion} do not form a divisibility chain")
         return cls(tuple(torsion) + (0,) * free)
 
-    @classmethod
-    def free(cls, rank):
-        return cls((0,) * rank)
-
     @property
     def free_rank(self):
         return sum(1 for f in self.invariant_factors if f == 0)

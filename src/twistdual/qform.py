@@ -399,14 +399,10 @@ class CartanDatum:
                 f[i] = top // d[i] * scale
         return cls(rd, tuple(f))
 
-    def bilinear_gram(self):
-        """Rational Gram B on coweights with coroot_i^T B coroot_j = i.j;
-        needs the coroots to span, i.e. a semisimple datum."""
-        return _over(*self._bilinear_numerators())
-
     def _bilinear_numerators(self):
-        """(B den^2, den^2) for the Gram B of `bilinear_gram`, as an integer
-        matrix over a positive integer.
+        """(B den^2, den^2) for the rational Gram B on coweights with
+        coroot_i^T B coroot_j = i.j, as an integer matrix over a positive
+        integer; needs the coroots to span, i.e. a semisimple datum.
 
         For C the matrix of coroot rows, B = C^-1 T C^-T with T the pairing
         matrix; the elimination gives den C^-T as an integer matrix, so B

@@ -6,17 +6,16 @@ root / simple coroot matrices R and V.  Each axiom is decided once, where
 it is cheapest.  A datum checks the signs of its Cartan matrix R V^T.
 `_cartan_system` decides the rest once per Cartan matrix, memoised for the
 process in a bounded LRU cache: finite type, exactly and before any walk
-starts; one walk of the positive roots in Cartan coordinates; and that
-they are reduced.  A finite-type Cartan matrix is nondegenerate, so R and
-V then have independent rows; their ranks are computed only when the
-matrix fails, to name the dependence.  A failure is never cached.  Each
-datum maps the record by its own R and V into one root table of (root,
-coroot, root coordinates) triples, from which the roots and the heights
-are read without a solve.  The per-component Killing record needs no
-root table: its Gram in Cartan coordinates, the dual Coxeter number and
-the short coroot depend on the Cartan matrix alone and are kept per
-matrix in a second bounded cache, filled only when a datum asks, and a
-datum's K is that Gram carried by R.
+starts, then one walk of the positive roots in Cartan coordinates.  A
+finite-type Cartan matrix is nondegenerate, so R and V then have
+independent rows; their ranks are computed only when the matrix fails,
+to name the dependence.  A failure is never cached.  The record also
+holds what the positive roots give, each computed when first asked: the
+per-component Killing record (its Gram in Cartan coordinates, the dual
+Coxeter number and the short coroot), |W| from the heights and 2 rho in
+Cartan coordinates.  A datum carries these by its own R: its K is that
+Gram carried by R and its 2 rho one product; only `root_pairs` maps the
+positive pairs themselves, by R and V.
 pi1 is read off the invariant factors of V, kept on the datum.  A datum
 with a centre (fewer simple roots than its rank) has a basis of X^W, the
 weights every coroot kills: the Hermite basis of the kernel of V, one
@@ -227,56 +226,29 @@ class RootDatum:
         return self._weyl
 
     def weyl_order(self):
-        """|W| from the root heights, without enumerating W.
-
-        |W| is the product of (e + 1) over the exponents e, and by Kostant
-        the number of exponents >= k is the number of positive roots of
-        height k; both hold component by component, so for any datum.
-        """
-        heights = Counter(sum(coords) for _, _, coords in self.positive_root_table)
-        order = 1
-        for k, n in heights.items():
-            order *= (k + 1) ** (n - heights[k + 1])
-        return order
-
-    @cached_property
-    def _root_table(self):
-        """(root, coroot, root coordinates) for every root, sorted by root:
-        each positive pair (c, c') of the Cartan matrix's walk, mapped to
-        beta = sum_i c_i alpha_i and beta^v = sum_i c'_i coroot_i, and its
-        negative."""
-        root_cols = tuple(zip(*self.simple_roots.data))
-        coroot_cols = tuple(zip(*self.simple_coroots.data))
-        table = []
-        for c, cv in self._cartan.positive:
-            beta = tuple(sum(map(mul, c, col)) for col in root_cols)
-            cobeta = tuple(sum(map(mul, cv, col)) for col in coroot_cols)
-            table.append((beta, cobeta, c))
-            table.append(tuple(tuple(map(neg, v)) for v in (beta, cobeta, c)))
-        return tuple(sorted(table))
+        """|W| from the root heights, without enumerating W (see
+        `_CartanSystem.weyl_order`)."""
+        return self._cartan.weyl_order
 
     @cached_property
     def root_pairs(self):
-        """All (root, coroot) pairs, sorted by root."""
-        return tuple((beta, cobeta) for beta, cobeta, _ in self._root_table)
-
-    @cached_property
-    def positive_root_table(self):
-        """(root, coroot, root coordinates) for each positive root, in the
-        order of `root_pairs`."""
-        return tuple(t for t in self._root_table if sum(t[2]) > 0)
-
-    @cached_property
-    def positive_root_pairs(self):
-        return tuple((beta, cobeta) for beta, cobeta, _ in self.positive_root_table)
+        """All (root, coroot) pairs, sorted by root: each positive pair
+        (c, c') of the Cartan matrix's walk, mapped to beta = sum_i c_i
+        alpha_i and beta^v = sum_i c'_i coroot_i, and its negative."""
+        root_cols = tuple(zip(*self.simple_roots.data))
+        coroot_cols = tuple(zip(*self.simple_coroots.data))
+        pairs = []
+        for c, cv in self._cartan.positive:
+            beta = tuple(sum(map(mul, c, col)) for col in root_cols)
+            cobeta = tuple(sum(map(mul, cv, col)) for col in coroot_cols)
+            pairs += ((beta, cobeta), (tuple(map(neg, beta)), tuple(map(neg, cobeta))))
+        return tuple(sorted(pairs))
 
     @cached_property
     def two_rho(self):
-        """Sum of the positive roots."""
-        acc = (0,) * self.rank
-        for beta, _ in self.positive_root_pairs:
-            acc = vec_add(acc, beta)
-        return acc
+        """Sum of the positive roots: R^T times their sum in Cartan
+        coordinates."""
+        return self.simple_roots.transpose().mul_vec(self._cartan.two_rho)
 
     def pi1(self) -> FGAbelianGroup:
         """Component group of the grassmannian: coweights modulo coroots."""
@@ -351,11 +323,11 @@ class RootDatum:
         A root is R^T c for its Cartan coordinates c, so K = R^T G R with G
         the sum of c c^T over the component's roots, and the K-length of
         coroot j is col_j^T G col_j for column j of the Cartan matrix: G, h
-        and i come from `_cartan_killing`, once per Cartan matrix, and the
-        datum pays one product for K, without its root table."""
+        and i come from the Cartan record (`_CartanSystem.killing`), and the
+        datum pays one product for K, without its root pairs."""
         r = self.simple_roots
         r_t = r.transpose()
-        return tuple((r_t @ g @ r, h, i) for g, h, i in _cartan_killing(self.cartan_matrix))
+        return tuple((r_t @ g @ r, h, i) for g, h, i in self._cartan.killing)
 
     @property
     def coxeter_killing(self):
@@ -433,61 +405,74 @@ def _coordinates(rows, chart, v):
     return tuple(out)
 
 
-class _CartanSystem(NamedTuple):
-    """What a root datum owes to its Cartan matrix alone."""
+@dataclass(frozen=True, eq=False)
+class _CartanSystem:
+    """What a root datum owes to its Cartan matrix alone: the fields, built
+    and checked by `_cartan_system`, and what the positive roots give, each
+    computed when first asked."""
 
+    cartan: tuple
     symmetrizer: tuple
     components: tuple
     # (c, c'): each positive root and its coroot, in simple coordinates
     positive: tuple
 
+    @cached_property
+    def killing(self):
+        """(G, h, i) per component, in `components` order: G the s x s sum
+        of c c^T over the component's roots c in simple coordinates, each
+        positive root with its negative, i the first simple index of least
+        length col_i^T G col_i, for column i of the Cartan matrix, and h
+        that length / 4; a failure is not cached."""
+        cols = tuple(zip(*self.cartan))
+        records = []
+        for comp in self.components:
+            g = outer_sum((v for c, _ in self.positive if any(c[i] for i in comp)
+                           for v in (c, tuple(map(neg, c)))), len(self.cartan))
+            length, i = min((dot(cols[j], g.mul_vec(cols[j])), j) for j in comp)
+            if length % 4:
+                raise RootDatumError(f"short coroot {i} has Killing length {length}, not 4h")
+            records.append((g, length // 4, i))
+        return tuple(records)
+
+    @cached_property
+    def weyl_order(self):
+        """|W| from the heights of the positive roots.
+
+        |W| is the product of (e + 1) over the exponents e, and by Kostant
+        the number of exponents >= k is the number of positive roots of
+        height k; both hold component by component, so for any datum.
+        """
+        heights = Counter(sum(c) for c, _ in self.positive)
+        order = 1
+        for k, n in heights.items():
+            order *= (k + 1) ** (n - heights[k + 1])
+        return order
+
+    @cached_property
+    def two_rho(self):
+        """Sum of the positive roots, in simple coordinates."""
+        return tuple(map(sum, zip(*(c for c, _ in self.positive))))
+
 
 @lru_cache(maxsize=128)
 def _cartan_system(cartan) -> _CartanSystem:
-    """The symmetrizer, the components and the positive (root, coroot)
-    pairs of a Cartan matrix, raising `RootDatumError` unless it is of
-    finite type and its roots are reduced.  Memoised by the matrix, as a
-    tuple of rows: a sweep over the forms of one group, or over its changes
-    of basis, meets few Cartan matrices.  A failure is not cached.
+    """The record of a Cartan matrix, raising `RootDatumError` unless it
+    is of finite type.  Memoised by the matrix, as a tuple of rows: a sweep
+    over the forms of one group, or over its changes of basis, meets few
+    Cartan matrices.  A failure is not cached.
 
-    The reduced test holds for every datum of the matrix, as c -> sum_i
-    c_i alpha_i is injective (a finite-type matrix makes the simple roots
-    independent); so the walk's coordinates, distinct dict keys, give
-    distinct roots too."""
+    The roots are reduced, with no test: the walk yields W Pi, the orbit
+    of the simple roots, and every root of a finite-type matrix is real,
+    so its only multiples that are roots are itself and its negative
+    (Kac, *Infinite-dimensional Lie algebras*, Prop. 5.1).  That holds for
+    every datum of the matrix, as c -> sum_i c_i alpha_i is linear and
+    injective (a finite-type matrix makes the simple roots independent)."""
     d, comps = _symmetrize(cartan)
     # the finite-type test bounds the root walk that follows, so an
     # infinite-type Cartan matrix never starts it
     _check_finite_type(cartan, d)
-    coroot_of = _positive_walk(cartan)
-    # a multiple of a positive root is positive, so the positive half decides
-    for c in coroot_of:
-        for k in (2, 3):
-            if vec_scale(k, c) in coroot_of:
-                raise RootDatumError(f"non-reduced system: {c} and {k}*{c}")
-    return _CartanSystem(d, comps, tuple(coroot_of.items()))
-
-
-@lru_cache(maxsize=128)
-def _cartan_killing(cartan):
-    """(G, h, i) per component of a Cartan matrix, in `components` order:
-    G the s x s sum of c c^T over the component's roots c in simple
-    coordinates, each positive root with its negative, i the first simple
-    index of least length col_i^T G col_i, for column i of the Cartan
-    matrix, and h that length / 4.  Memoised like `_cartan_system`, and
-    built only when a datum asks for its Killing record; a failure is not
-    cached."""
-    system = _cartan_system(cartan)
-    s = len(cartan)
-    cols = tuple(zip(*cartan))
-    records = []
-    for comp in system.components:
-        g = outer_sum((v for c, _ in system.positive if any(c[i] for i in comp)
-                       for v in (c, tuple(map(neg, c)))), s)
-        length, i = min((dot(cols[j], g.mul_vec(cols[j])), j) for j in comp)
-        if length % 4:
-            raise RootDatumError(f"short coroot {i} has Killing length {length}, not 4h")
-        records.append((g, length // 4, i))
-    return tuple(records)
+    return _CartanSystem(cartan, d, comps, tuple(_positive_walk(cartan).items()))
 
 
 def _symmetrize(cartan):

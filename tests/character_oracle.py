@@ -19,6 +19,11 @@ from twistdual.qform import braiding_signs
 from twistdual.rootdata import _cartan_system, dot, vec_add
 
 
+def dim(c):
+    """The dimension of a `Character`: the sum of its multiplicities."""
+    return sum(m for _, m in c.depths)
+
+
 def depth_multiplicities(cartan, labels):
     """Freudenthal's recursion in integers, on depths:
 
@@ -84,10 +89,12 @@ def tensor_decompose(c1, c2):
             w = vec_add(w1, w2)
             product[w] = product.get(w, 0) + m1 * m2
     remaining = dict(product)
-    # strictly positive height functional on the positive cone
+    # strictly positive height functional on the positive cone: the sum of
+    # the coroots of the roots with nonnegative coordinates
     rho_check = [0] * rd.rank
-    for _, cobeta in rd.positive_root_pairs:
-        rho_check = [a + b for a, b in zip(rho_check, cobeta)]
+    for beta, cobeta in rd.root_pairs:
+        if min(rd.root_coordinates(beta)) >= 0:
+            rho_check = [a + b for a, b in zip(rho_check, cobeta)]
     out = {}
     pieces = {}
     while remaining:

@@ -79,7 +79,7 @@ class TestIrreducibleCharacter:
             SL3.simple_coroots.data, pairs, {b: SL3.root_coordinates(b) for b, _ in pairs})
         c = irreducible_character(SL3, theta)
         assert dict(c.multiplicities)[(0, 0)] == 2
-        assert c.dim() == 8
+        assert character_oracle.dim(c) == 8
 
     def test_non_dominant_rejected(self):
         # weyl_multiplicity read the labels unchecked: -1 on SL2 at (-3,),
@@ -105,7 +105,7 @@ class TestIrreducibleCharacter:
     ])
     def test_dim_matches_weyl_formula(self, rd, hw, dim):
         c = irreducible_character(rd, hw)
-        assert c.dim() == weyl_dim(rd, hw) == dim
+        assert character_oracle.dim(c) == weyl_dim(rd, hw) == dim
 
     def test_demazure_matches_weyl_sum(self):
         for rd, hw in [(SL3, (2, 2)), (SP4, (2, 1)), (standard("G2"), (1, 0))]:
@@ -125,7 +125,7 @@ class TestIrreducibleCharacter:
             c = irreducible_character(rd, hw)
             for w, m in c.multiplicities:
                 assert weyl_multiplicity(rd, hw, w) == m, (name, hw, w)
-            assert c.dim() == weyl_dim(rd, hw)
+            assert character_oracle.dim(c) == weyl_dim(rd, hw)
 
     @pytest.mark.parametrize("name", ["SL4", "GL3", "Sp4xSL2"])
     def test_demazure_matches_weyl_sum_rank_three(self, name):
@@ -144,12 +144,13 @@ class TestIrreducibleCharacter:
         rd = standard(name)
         for hw in itertools.product(range(-2, 3), repeat=rd.rank):
             if min(rd.simple_coroots.mul_vec(hw), default=0) >= 0:
-                assert irreducible_character(rd, hw).dim() == weyl_dim(rd, hw), hw
+                c = irreducible_character(rd, hw)
+                assert character_oracle.dim(c) == weyl_dim(rd, hw), hw
 
     def test_sl5_two_rho(self):
         rd = standard("SL5")
         c = irreducible_character(rd, rd.two_rho)
-        assert c.dim() == weyl_dim(rd, rd.two_rho) == 3 ** 10
+        assert character_oracle.dim(c) == weyl_dim(rd, rd.two_rho) == 3 ** 10
         assert dict(c.multiplicities)[(0, 0, 0, 0)] == 219
 
     def test_invariants_enforced(self, monkeypatch):
@@ -273,7 +274,7 @@ class TestCharacterMemo:
         irreducible_character(RootDatum.from_dict(rd.to_dict()), (2, 1))
         assert len(calls) == len(c.depths)
         # never with three simple roots
-        assert irreducible_character(standard("SL4"), (1, 0, 1)).dim() == 15
+        assert character_oracle.dim(irreducible_character(standard("SL4"), (1, 0, 1))) == 15
         assert len(calls) == len(c.depths)
 
     def test_failed_crosscheck_is_not_kept(self, monkeypatch):
@@ -468,7 +469,7 @@ class TestTensor:
             c2 = irreducible_character(SP4, h2)
             pieces = tensor_decompose(c1, c2.highest)
             assert sum(m * weyl_dim(SP4, hw) for hw, m in pieces.items()) \
-                == c1.dim() * c2.dim()
+                == character_oracle.dim(c1) * character_oracle.dim(c2)
 
     @pytest.mark.parametrize("name", ["SL2", "PGL2", "SL3", "PGL3", "Sp4", "G2",
                                       "GL3", "SO4", "SL2xG2"])
@@ -486,8 +487,9 @@ class TestTensor:
                 assert tensor_decompose(c, mu) == character_oracle.tensor_decompose(
                     c, irreducible_character(rd, mu)), (name, c.highest, mu)
                 shift = tuple(2 * h + r for h, r in zip(mu, rd.two_rho))
+                # a wall of a coroot is one of its negative too
                 walls += sum(any(dot(vec_add(vec_add(w, w), shift), cobeta) == 0
-                                 for _, cobeta in rd.positive_root_pairs)
+                                 for _, cobeta in rd.root_pairs)
                              for w, _ in c.multiplicities)
         if name == "PGL2":
             assert rd.two_rho == (1,) and not walls

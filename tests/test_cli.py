@@ -271,6 +271,18 @@ class TestMalformedInput:
         self.assert_usage_error(res)
         assert "gram_transcendental" in res.output
 
+    @pytest.mark.parametrize("flag", ["--q-exp", "--q-tau"])
+    def test_form_file_beside_a_q_exponent(self, tmp_path, flag):
+        # the file's form Q = 2/3 would be used and the flag dropped
+        (tmp_path / "sl2.json").write_text(json.dumps({
+            "rank": 1, "simple_roots": [[2]], "simple_coroots": [[1]]}))
+        form = tmp_path / "form.json"
+        form.write_text(json.dumps({"root_datum": "sl2.json", "gram_rational": [[[2, 3]]],
+                                    "gram_transcendental": [[[0, 1]]]}))
+        res = run("dual", "--form-file", str(form), flag, "1/2")
+        self.assert_usage_error(res)
+        assert "--form-file" in res.output and flag in res.output
+
     def test_incidence_vector_length_must_match_rank(self):
         res = run("incidence", "--rank", "2", "--a", "1", "--b", "1")
         self.assert_usage_error(res)

@@ -650,10 +650,10 @@ class TestIsomorphic:
         # the simple pairs decide a witness: neither root table is built
         d1, d2 = (_rebased(standard("Sp4xT1"), moves) for moves in ([(0, 2, 1)], [(2, 1, -2)]))
         res = isomorphic(d1, d2)
-        assert "_root_table" not in d1.__dict__ and "_root_table" not in d2.__dict__
+        assert "root_pairs" not in d1.__dict__ and "root_pairs" not in d2.__dict__
         _assert_witness(res, d1, d2)
         pair = quantum_dual_pair(SL3, [[x / 2 for x in row] for row in normalized_killing_gram(SL3)])
-        assert all("_root_table" not in td.datum.__dict__ for td in (pair.left, pair.right))
+        assert all("root_pairs" not in td.datum.__dict__ for td in (pair.left, pair.right))
 
     def test_iso_at_the_first_matching_reads_no_pi1(self):
         # pi1 needs the invariant factors of d1's coroots; an "iso" found at

@@ -103,7 +103,7 @@ def _all_partitions(n):
 
 class TestFactorizableFunctions:
     def test_identity_hom_passes(self):
-        target = FGAbelianGroup.free(1)
+        target = FGAbelianGroup((0,))
         h = LatticeHom(1, target, ((1,),))
         f = factorizable_function(h, 2)
         assert f(ComponentIndex.of([(2,), (3,)])) == (5,)

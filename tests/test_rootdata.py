@@ -157,6 +157,7 @@ def test_finite_type_test_matches_weyl_closure_exhaustively():
                 rd = RootDatum(roots, coroots)
                 assert rd.cartan_matrix == tuple(map(tuple, cartan))
                 assert rd.weyl_group().order == order
+                _assert_reduced(rd)
                 accepted += 1
     assert checked == 10 + 1000
     assert 0 < accepted < checked
@@ -398,9 +399,22 @@ def _assert_table_matches_oracle(rd):
     pairs = root_oracle.root_pairs(roots, coroots)
     coords = {b: root_oracle.root_coordinates(roots, b) for b, _ in pairs}
     assert rd.root_pairs == pairs
-    assert rd.positive_root_pairs == root_oracle.positive_root_pairs(pairs, coords)
-    for beta, _, coords in rd._root_table:
-        assert coords == rd.root_coordinates(beta)
+    for beta, _ in pairs:
+        assert coords[beta] == rd.root_coordinates(beta)
+    # the record's positive pairs are the oracle's, in simple coordinates
+    positive = root_oracle.positive_root_pairs(pairs, coords)
+    assert sorted(rd._cartan.positive) == sorted(
+        (coords[beta], root_oracle.root_coordinates(coroots, cobeta))
+        for beta, cobeta in positive)
+    assert rd.two_rho == tuple(sum(b[x] for b, _ in positive) for x in range(rd.rank))
+
+
+def _assert_reduced(rd):
+    """No root is 2 or 3 times another (Kac, Prop. 5.1): the evidence for
+    `_cartan_system` keeping no test of it."""
+    roots = {beta for beta, _ in rd.root_pairs}
+    assert [(k, beta) for beta in roots for k in (2, 3)
+            if tuple(k * x for x in beta) in roots] == []
 
 
 class TestRootTable:
@@ -433,6 +447,7 @@ class TestRootTable:
         assert len(rd.root_pairs) == roots
         assert rd.weyl_order() == order
         _assert_table_matches_oracle(rd)
+        _assert_reduced(rd)
 
     def test_rebased(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -514,7 +529,7 @@ class TestChamber:
                                     rd.cartan_matrix)
             assert chamber.conjugate == rd.two_rho
             assert chamber.labels == (2,) * rd.num_simple
-            assert chamber.sign == (-1) ** len(rd.positive_root_pairs)
+            assert chamber.sign == (-1) ** (len(rd.root_pairs) // 2)
 
 
 class TestPi1:
@@ -762,7 +777,8 @@ class TestCoxeterData:
 class TestKillingGram:
     """`killing` reads G, h and the short coroot off the Cartan matrix and
     sets K = R^T G R: against the sum of beta beta^T over the oracle's own
-    closure of each component, and without the datum's root table."""
+    closure of each component, and, like `weyl_order()` and `two_rho`,
+    without the datum's root pairs."""
 
     # Bourbaki's F4, B3 and C3, and E8 from `_cartan_rows`
     ROWS = {
@@ -775,7 +791,8 @@ class TestKillingGram:
     @staticmethod
     def _check(rd):
         grams = [k.data for k, _, _ in rd.killing]
-        assert "_root_table" not in rd.__dict__
+        assert rd.weyl_order() > 0 and len(rd.two_rho) == rd.rank
+        assert "root_pairs" not in rd.__dict__
         assert grams == [root_oracle.killing_gram([rd.simple_roots.row(i) for i in comp],
                                                   [rd.simple_coroots.row(i) for i in comp])
                          for comp in rd.components]
