@@ -80,6 +80,9 @@ def _load_form(rd, q_exp, q_tau, form_file):
             if not isinstance(ref, str):
                 raise click.UsageError("form file does not name a root_datum")
             rd = _load_datum(None, str(Path(form_file).parent / ref))
+        elif "root_datum" in raw:
+            raise click.UsageError(
+                "the form file names its root_datum; give it without --group or --rd-file")
         try:
             return rd, QForm.from_dict(rd, raw)
         except KeyError as exc:

@@ -26,20 +26,21 @@ its simple roots and a basis of X^W, the weights every coroot kills,
 and the frame's index [X : Z Delta + X^W], an invariant, is compared
 first.  Then one loop runs over the matchings of simple indices that
 keep the Cartan matrix, and each matching's candidates N for the X^W
-block give one map each, one product with the one inverse of the first
-frame: N = I when the datum is semisimple or the index is 1, N = +-1
-when X^W has rank 1, and for a glued centre (X^W of rank k >= 2 and
-index > 1) the one N, or none, that a linear congruence modulo the
-exponent e of X / (Z Delta + X^W) gives, one `kernel_mod` per matching
-and one more per pair: a solution of unit determinant mod e, lifted to
-GL_k(Z), whose existence is a Hermite form and a determinant, so the
-witness is built, not searched for.  An integral map from a unimodular
-N is a witness, as it conjugates the Weyl groups.  The pi1 of both
-data, the invariant factors of each datum's coroots, is compared only
-once a matching has failed to give a witness, before a "none": an
+block give one map each, one product with the inverse of the first
+frame, computed once and kept on that datum (`RootDatum._frame`, which
+also gives both indices): N = I when the datum is semisimple or the
+index is 1, N = +-1 when X^W has rank 1, and for a glued centre (X^W of
+rank k >= 2 and index > 1) the one N, or none, that a linear congruence
+modulo the exponent e of X / (Z Delta + X^W) gives, one `kernel_mod`
+per matching and one more per pair: a solution of unit determinant mod
+e, lifted to GL_k(Z), whose existence is a Hermite form and a
+determinant, so the witness is built, not searched for.  An integral
+map from a unimodular N is a witness, as it conjugates the Weyl groups.
+The pi1 of both data, Z^rank modulo each datum's coroots, is compared
+only once a matching has failed to give a witness, before a "none": an
 isomorphism found at the first matching reads no pi1, and a semisimple
-pair that is isomorphic at the first matching computes no Smith form at
-all.
+pair that is isomorphic at the first matching computes no Smith form
+at all.
 
 Every matrix `isomorphic` and the dual constructions build from checked
 data goes through `lattice._computed_matrix`, not through the entry check.
@@ -60,7 +61,7 @@ from .lattice import (
     _computed_matrix,
     _hermite_rows,
     _identity_rows,
-    integral_left_inverse,
+    integral_inverse,
     kernel_mod,
 )
 from .qform import CartanDatum, QForm, ShapeError, kernel, trivial_qform
@@ -304,10 +305,9 @@ def quantum_dual_pair(rd: RootDatum, b) -> QuantumPair:
     left_form = QForm(rd, b)                       # validates shape and W-invariance
     n0, den = left_form.n0, left_form.den
     try:
-        _, inv, det = integral_left_inverse(n0.data, rd.rank)
+        inv, det = integral_inverse(n0.data)           # det n0^-1, for det = |det n0|
     except ValueError:
         raise ValueError("the Gram form is degenerate") from None
-    # inv is det n0^-1 by columns, which n0's symmetry makes its rows
     l_rd = rd.flip()
     right_form = QForm(l_rd, [[Fraction(den * x, det) for x in row] for row in inv])
     left = twisted_dual(rd, left_form, "full")
@@ -370,11 +370,12 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
     [X : Z Delta + X^W], the index.  An isomorphism carries Z Delta onto
     Z Delta' and, as <P x, coroot2_pi(i)> = <x, coroot1_i>, X^W onto X'^W;
     so it carries the one sum onto the other, and the index is an
-    invariant, compared before any matching (d2's kept on d2, d1's read
-    off the one inverse of F1, from which the loop below reads G).  As P
-    restricts to an isomorphism of the X^W, a witness at pi has P K1^T =
-    K2^T N^T for an N in GL_k(Z), k = rank - #simple: P F1^T = F2pi(N)^T
-    for F2pi(N) = [alpha2_pi(i); N K2], so P = F2pi(N)^T F1^-T.  Conversely
+    invariant, compared before any matching (each read off its datum's
+    `_frame`, the one inverse of its frame, from which the loop below
+    also reads d1's G and e).  As P restricts to an isomorphism of the
+    X^W, a witness at pi has P K1^T = K2^T N^T for an N in GL_k(Z), k =
+    rank - #simple: P F1^T = F2pi(N)^T for F2pi(N) = [alpha2_pi(i); N
+    K2], so P = F2pi(N)^T F1^-T.  Conversely
     such a P takes alpha1_i to alpha2_pi(i), and P^T coroot2_pi(i) pairs
     with F1's rows as coroot1_i does: with alpha1_j by the Cartan
     matrices, which agree under pi, and with K1 by 0, as N K2 lies in
@@ -383,18 +384,18 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
 
     One loop decides every pair.  Per matching pi it tries the candidates
     N in turn: a unimodular one gives e P = F2pi(N)^T G for G = e F1^-T,
-    integral with e > 0, one product, and is a witness when e divides
-    every entry.  With e = |det F1|, N = I serves when k = 0 or the index
-    is 1 (F1 is then unimodular, so every P is integral), and N = +-1 are
-    all there is when k = 1; the answer is exact in each case.
+    integral for e the exponent of X / (Z Delta + X^W), the least e >= 1
+    that makes it so; that is one product, and a witness when e divides
+    every entry.  N = I serves when k = 0 or the index is 1 (F1 is then
+    unimodular, so e = 1 and every P is integral), and N = +-1 are all
+    there is when k = 1; the answer is exact in each case.
 
     A glued centre (k >= 2, index > 1) takes one candidate per matching,
-    or none, from `_glued_witness`.  Let e be the exponent of X / (Z Delta
-    + X^W), the least e with G integral, and G_top, G_bot its first s and
-    last k rows; P is integral exactly when R_pi^T G_top + K2^T M G_bot =
-    0 mod e, for M = N^T and R_pi the rows alpha2_pi(i).  That is a linear
-    congruence in (1, M), whose n^2 x (1 + k^2) matrix [c | L] (c the
-    entries of R_pi^T G_top, L the coefficients of M) has one
+    or none, from `_glued_witness`.  Let G_top and G_bot be G's first s
+    and last k rows; P is integral exactly when R_pi^T G_top + K2^T M
+    G_bot = 0 mod e, for M = N^T and R_pi the rows alpha2_pi(i).  That
+    is a linear congruence in (1, M), whose n^2 x (1 + k^2) matrix [c |
+    L] (c the entries of R_pi^T G_top, L the coefficients of M) has one
     `kernel_mod(., e)`: a solution exists exactly when its Hermite basis
     starts with a row (1, M0), so with none pi has no witness.  K2 spans a
     saturated lattice, so K2^T has an integral left inverse and K2^T D
@@ -443,18 +444,10 @@ def isomorphic(d1: RootDatum, d2: RootDatum) -> IsoResult:
                      zip(d.simple_roots.data, d.simple_coroots.data)] for d in (d1, d2))
     if sorted(gcds1) != sorted(gcds2):
         return IsoResult("none", None, None)
-    index = d2._frame_index
-    _, inv_cols, den = integral_left_inverse(d1.simple_roots.data + d1._fixed_weights, n)
-    if abs(den) != index:
+    big_g, e, index = d1._frame
+    if d2._frame_index != index:
         return IsoResult("none", None, None)
-    glued = k >= 2 and index > 1
-    # G = e F1^-T: row r is column r of den F1^-1 over g = +-1, or over
-    # +-gcd(den, den F1^-1) on a glued centre, signed so that e > 0
-    g = math.gcd(den, *(x for col in inv_cols for x in col)) if glued else 1
-    g = g if den > 0 else -g
-    e = den // g
-    big_g = _computed_matrix([[x // g for x in col] for col in inv_cols], n)
-    if glued:
+    if k >= 2 and index > 1:
         candidates = _glued_witness(d2, big_g, e)
     else:
         units = tuple(_computed_matrix([[u * (r == c) for c in range(k)] for r in range(k)], k)

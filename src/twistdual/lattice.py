@@ -7,8 +7,9 @@ normal form, answers every integer lattice question: sublattices are kept
 in that form, so that equality of sublattices is equality of data, and
 ranks, kernels, intersections and invariant factors come from it.
 `_eliminate`, Bareiss's fraction-free elimination, answers only the
-rational ones: `IntMatrix.det`, and `integral_left_inverse`, an integer
-matrix over an explicit denominator, so no Fraction is built here.
+rational ones: `IntMatrix.det`, and `integral_inverse`, the inverse of a
+square matrix as an integer matrix over an explicit denominator, so no
+Fraction is built here.
 
 Every kernel, exact or modulo N, is one row Hermite reduction
 (`kernel_mod`), and so is every dual's weight lattice, a datum's basis of
@@ -17,8 +18,9 @@ of the modulus and the entries, which keeps its solutions, and the
 reduction is memoised by that reduced input in a bounded LRU cache of 64
 kernels, so that two constructions of one dual reach one congruence and
 pay for it once.  `smith_normal_form` returns the invariant factors
-alone, which `pi1` and `quotient_group` read, from Hermite reductions of
-the rows and the columns in turn; no Smith transform is built anywhere.
+alone, which `quotient_group` reads, and through it `pi1`, from Hermite
+reductions of the rows and the columns in turn; no Smith transform is
+built anywhere.
 Identity and zero rows are built once per size and shared, as tuples are
 immutable.
 
@@ -202,7 +204,7 @@ def _zero_rows(rows, cols):
 def smith_normal_form(m: IntMatrix) -> tuple:
     """The invariant factors d1 | d2 | ... of m: the diagonal of its Smith
     form U m V, min(rows, cols) entries >= 0 with the zeros last.  No
-    transform is kept; `quotient_group` and `RootDatum.pi1` read these.
+    transform is kept; `quotient_group` reads these.
 
     Hermite reductions of the rows and of the columns alternate until
     each row has one nonzero entry (Kannan & Bachem, SIAM J. Comput. 8,
@@ -571,12 +573,6 @@ def _eliminate(rows, width):
     return rows, pivots, sign, prev
 
 
-def _augment(rows):
-    """[rows | I] as lists of ints."""
-    return [list(row) + [int(i == j) for j in range(len(rows))]
-            for i, row in enumerate(rows)]
-
-
 def outer_sum(vectors, dim) -> IntMatrix:
     """The Gram matrix sum of v v^T over integer vectors of length dim."""
     k = [[0] * dim for _ in range(dim)]
@@ -589,21 +585,21 @@ def outer_sum(vectors, dim) -> IntMatrix:
     return IntMatrix(k, cols=dim)
 
 
-def integral_left_inverse(rows, width):
-    """Integer coordinates against linearly independent integer rows.
+def integral_inverse(rows):
+    """The inverse of a square integer matrix over an explicit denominator.
 
-    Returns (pivots, inverse, den): the pivot columns P of the rows, and
-    the integer matrix `inverse` with inverse / den the inverse of the
-    minor rows[:, P], stored by columns, so that the coefficients of a
-    vector v in the span are x_i = (v[P] . inverse[i]) / den.
+    Returns (inverse, den): den = |det rows| > 0 and the integer matrix
+    inverse = den rows^-1, as a tuple of rows; a ValueError when the rows
+    are linearly dependent.  The row operations that reduce [rows | I] to
+    the identity on the left invert the rows on the right.
     """
-    s = len(rows)
-    work, pivots, _, den = _eliminate(_augment(rows), width)
-    if len(pivots) < s:
+    n = len(rows)
+    work, pivots, _, den = _eliminate(
+        [[*row, *unit] for row, unit in zip(rows, _identity_rows(n))], n)
+    if len(pivots) < n:
         raise ValueError("rows are linearly dependent")
-    # the row operations that reduce the rows invert their pivot minor
-    cols = tuple(tuple(work[j][width + i] for j in range(s)) for i in range(s))
-    return tuple(pivots), cols, den
+    sign = 1 if den > 0 else -1
+    return tuple(tuple(sign * x for x in row[n:]) for row in work), sign * den
 
 
 def common_denominator(fractions):

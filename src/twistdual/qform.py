@@ -36,7 +36,7 @@ from .lattice import (
     _computed_matrix,
     _int_row,
     common_denominator,
-    integral_left_inverse,
+    integral_inverse,
     intersect,
     kernel_mod,
     outer_sum,
@@ -405,16 +405,16 @@ class CartanDatum:
         integer; needs the coroots to span, i.e. a semisimple datum.
 
         For C the matrix of coroot rows, B = C^-1 T C^-T with T the pairing
-        matrix; the elimination gives den C^-T as an integer matrix, so B
+        matrix; the elimination gives den C^-1 as an integer matrix, so B
         den^2 is one integer product."""
         rd = self.rd
         if rd.num_simple != rd.rank:
             raise ValueError("Cartan-datum Gram needs a semisimple root datum")
         n = rd.rank
-        _, m, den = integral_left_inverse(rd.simple_coroots.data, n)
-        m = _computed_matrix(m, n)  # den C^-T
+        m, den = integral_inverse(rd.simple_coroots.data)
+        m = _computed_matrix(m, n)  # den C^-1
         t = _computed_matrix([[self.pairing(i, j) for j in range(n)] for i in range(n)], n)
-        return m.transpose() @ t @ m, den * den
+        return m @ t @ m.transpose(), den * den
 
 
 def cartan_qform(cd: CartanDatum, order) -> QForm:
@@ -431,8 +431,8 @@ def cartan_qform(cd: CartanDatum, order) -> QForm:
 
 
 def _killing_sum(rd: RootDatum, scale):
-    """The sum of scale(h) K over the `rd.killing` records (K, h, _)."""
-    grams = [(scale(h), k.data) for k, h, _ in rd.killing]
+    """The sum of scale(h) K over the `rd.killing` records (K, h)."""
+    grams = [(scale(h), k.data) for k, h in rd.killing]
     return tuple(tuple(sum((s * g[a][b] for s, g in grams), Fraction(0))
                        for b in range(rd.rank)) for a in range(rd.rank))
 

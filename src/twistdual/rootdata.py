@@ -11,18 +11,20 @@ finite-type Cartan matrix is nondegenerate, so R and V then have
 independent rows; their ranks are computed only when the matrix fails,
 to name the dependence.  A failure is never cached.  The record also
 holds what the positive roots give, each computed when first asked: the
-per-component Killing record (its Gram in Cartan coordinates, the dual
-Coxeter number and the short coroot), |W| from the heights and 2 rho in
-Cartan coordinates.  A datum carries these by its own R: its K is that
-Gram carried by R and its 2 rho one product; only `root_pairs` maps the
-positive pairs themselves, by R and V.
-pi1 is read off the invariant factors of V, kept on the datum.  A datum
-with a centre (fewer simple roots than its rank) has a basis of X^W, the
-weights every coroot kills: the Hermite basis of the kernel of V, one
-`kernel_mod`.  `isomorphic` frames the datum by F = [simple roots; that
-basis] and compares the index |det F| = [X : Z Delta + X^W], kept on the
-datum; a semisimple datum's frame is its simple roots.  The Weyl group is
-enumerated only on demand.
+per-component Killing record (its Gram in Cartan coordinates and the dual
+Coxeter number), |W| from the heights and 2 rho in Cartan coordinates.
+A datum carries these by its own R: its K is that Gram carried by R and
+its 2 rho one product; only `root_pairs` maps the positive pairs
+themselves, by R and V.
+pi1 is Z^rank modulo the coroots, `quotient_group` of V, kept on the
+datum.  A datum with a centre (fewer simple roots than its rank) has a
+basis of X^W, the weights every coroot kills: the Hermite basis of the
+kernel of V, one `kernel_mod`.  Its frame F = [simple roots; that basis]
+(a semisimple datum's is its simple roots) is inverted once, when first
+read, into the record `_frame`: G = e F^-T for the exponent e of
+X / (Z Delta + X^W), and the index |det F| = [X : Z Delta + X^W].
+`root_coordinates`, `weight_leq` and `isomorphic` all read it.  The Weyl
+group is enumerated only on demand.
 """
 
 from __future__ import annotations
@@ -40,12 +42,13 @@ from typing import NamedTuple
 from .lattice import (
     FGAbelianGroup,
     IntMatrix,
+    Sublattice,
     _computed_matrix,
     _int_row,
-    integral_left_inverse,
+    integral_inverse,
     kernel_mod,
     outer_sum,
-    smith_normal_form,
+    quotient_group,
 )
 
 
@@ -110,6 +113,17 @@ def _chamber_walk(v, labels, simple, cartan_rows) -> Chamber:
         if c:
             v = tuple(x - c * a for x, a in zip(v, row))
     return Chamber(v, sign, tuple(labels))
+
+
+class _Frame(NamedTuple):
+    """A datum's frame F = [simple roots; a basis of X^W], inverted once:
+    G = e F^-T over the least e >= 1 that makes it integral, the exponent
+    of X / (Z Delta + X^W), and the index |det F| = [X : Z Delta + X^W];
+    the sum is direct, as the Cartan matrix is nondegenerate."""
+
+    inverse: IntMatrix
+    exponent: int
+    index: int
 
 
 @dataclass(frozen=True)
@@ -262,18 +276,23 @@ class RootDatum:
         return () if s == self.rank else kernel_mod(self.simple_coroots).basis.data
 
     @cached_property
+    def _frame(self) -> _Frame:
+        """The frame [simple roots; `_fixed_weights`], inverted by one
+        `integral_inverse`: den F^-1 by rows, whose columns are the rows of
+        den F^-T for den = |det F|, divided by their gcd with den."""
+        inverse, index = integral_inverse(self.simple_roots.data + self._fixed_weights)
+        g = math.gcd(index, *(x for row in inverse for x in row))
+        big_g = [[x // g for x in col] for col in zip(*inverse)]
+        return _Frame(_computed_matrix(big_g, self.rank), index // g, index)
+
+    @property
     def _frame_index(self):
-        """[X : Z Delta + X^W] = |det F| for the frame F = [simple roots;
-        `_fixed_weights`]; the sum is direct, as the Cartan matrix is
-        nondegenerate.  An isomorphism invariant (see `isomorphic`)."""
-        return abs(_computed_matrix(self.simple_roots.data + self._fixed_weights,
-                                    self.rank).det())
+        """[X : Z Delta + X^W], an isomorphism invariant (see `isomorphic`)."""
+        return self._frame.index
 
     @cached_property
     def _pi1(self):
-        # the coroots are independent: num_simple invariant factors
-        return FGAbelianGroup.from_factors(
-            [*smith_normal_form(self.simple_coroots), *[0] * (self.rank - self.num_simple)])
+        return quotient_group(Sublattice(self.rank, self.simple_coroots))
 
     # -- integer coordinates and dominance ------------------------------------
 
@@ -286,14 +305,20 @@ class RootDatum:
             raise ValueError(f"vector {v} has length {len(v)}, not the rank {self.rank}")
         return v
 
-    @cached_property
-    def _root_chart(self):
-        return integral_left_inverse(self.simple_roots.data, self.rank)
-
     def root_coordinates(self, v):
         """Integer coefficients of v in the simple roots, or None when v is
-        outside their span or the coefficients are not integers."""
-        return _coordinates(self.simple_roots.data, self._root_chart, self._vector(v))
+        outside their span or the coefficients are not integers.
+
+        v = x F for the frame F, with e x_r = v . G_r (`_frame`): v is in
+        the span of the simple roots when x vanishes on the rows of X^W, and
+        then an integer sum of them when e divides its first s entries."""
+        v = self._vector(v)
+        big_g, e, _ = self._frame
+        s = self.num_simple
+        ex = [sum(map(mul, v, row)) for row in big_g.data]
+        if any(ex[s:]) or any(c % e for c in ex[:s]):
+            return None
+        return tuple(c // e for c in ex[:s])
 
     def weight_leq(self, lam, mu):
         """lam <= mu iff mu - lam is a nonnegative integer sum of simple
@@ -314,20 +339,20 @@ class RootDatum:
 
     @cached_property
     def killing(self):
-        """(K, h, i) per component, in `components` order: K = sum of beta
-        beta^T over the component's roots, i the index of the first simple
-        coroot of least K-length, and h that length / 4, the dual Coxeter
-        number, since sum_beta <beta, a^v>^2 = 4h for a short coroot a^v
-        (Kac, *Infinite-dimensional Lie algebras*, Ch. 6).
+        """(K, h) per component, in `components` order: K = sum of beta
+        beta^T over the component's roots, and h the dual Coxeter number,
+        a quarter of the least K-length of the component's simple coroots,
+        since sum_beta <beta, a^v>^2 = 4h for a short coroot a^v (Kac,
+        *Infinite-dimensional Lie algebras*, Ch. 6).
 
         A root is R^T c for its Cartan coordinates c, so K = R^T G R with G
         the sum of c c^T over the component's roots, and the K-length of
-        coroot j is col_j^T G col_j for column j of the Cartan matrix: G, h
-        and i come from the Cartan record (`_CartanSystem.killing`), and the
+        coroot j is col_j^T G col_j for column j of the Cartan matrix: G and
+        h come from the Cartan record (`_CartanSystem.killing`), and the
         datum pays one product for K, without its root pairs."""
         r = self.simple_roots
         r_t = r.transpose()
-        return tuple((r_t @ g @ r, h, i) for g, h, i in self._cartan.killing)
+        return tuple((r_t @ g @ r, h) for g, h in self._cartan.killing)
 
     @property
     def coxeter_killing(self):
@@ -335,7 +360,7 @@ class RootDatum:
         ValueError on a reducible datum or a torus."""
         if not self.is_irreducible():
             raise ValueError("dual Coxeter data requires an irreducible system")
-        k, h, _ = self.killing[0]
+        k, h = self.killing[0]
         return h, k
 
     # -- plumbing -------------------------------------------------------------
@@ -387,24 +412,6 @@ class RootDatum:
         return f"RootDatum({label})"
 
 
-def _coordinates(rows, chart, v):
-    """Integer x with sum_i x_i rows[i] = v, or None; `chart` is the
-    rows' `integral_left_inverse`."""
-    pivots, inverse, den = chart
-    vp = [v[p] for p in pivots]
-    out = []
-    for col in inverse:
-        x, r = divmod(sum(a * b for a, b in zip(vp, col)), den)
-        if r:
-            return None
-        out.append(x)
-    # x matches v on the pivot columns; the others decide whether v is in the span
-    for j, vj in enumerate(v):
-        if j not in pivots and sum(x * row[j] for x, row in zip(out, rows)) != vj:
-            return None
-    return tuple(out)
-
-
 @dataclass(frozen=True, eq=False)
 class _CartanSystem:
     """What a root datum owes to its Cartan matrix alone: the fields, built
@@ -419,20 +426,17 @@ class _CartanSystem:
 
     @cached_property
     def killing(self):
-        """(G, h, i) per component, in `components` order: G the s x s sum
-        of c c^T over the component's roots c in simple coordinates, each
-        positive root with its negative, i the first simple index of least
-        length col_i^T G col_i, for column i of the Cartan matrix, and h
-        that length / 4; a failure is not cached."""
+        """(G, h) per component, in `components` order: G the s x s sum of
+        c c^T over the component's roots c in simple coordinates, each
+        positive root with its negative, and h a quarter of the least
+        length col_j^T G col_j over the component's columns j of the Cartan
+        matrix."""
         cols = tuple(zip(*self.cartan))
         records = []
         for comp in self.components:
             g = outer_sum((v for c, _ in self.positive if any(c[i] for i in comp)
                            for v in (c, tuple(map(neg, c)))), len(self.cartan))
-            length, i = min((dot(cols[j], g.mul_vec(cols[j])), j) for j in comp)
-            if length % 4:
-                raise RootDatumError(f"short coroot {i} has Killing length {length}, not 4h")
-            records.append((g, length // 4, i))
+            records.append((g, min(dot(cols[j], g.mul_vec(cols[j])) for j in comp) // 4))
         return tuple(records)
 
     @cached_property

@@ -283,6 +283,20 @@ class TestMalformedInput:
         self.assert_usage_error(res)
         assert "--form-file" in res.output and flag in res.output
 
+    @pytest.mark.parametrize("datum", [("--group", "PGL2"), ("--rd-file", "sl2.json")])
+    def test_form_file_naming_a_datum_beside_a_datum(self, tmp_path, datum):
+        # the file's SL2 would be dropped for the given datum, with no word
+        (tmp_path / "sl2.json").write_text(json.dumps({
+            "rank": 1, "simple_roots": [[2]], "simple_coroots": [[1]]}))
+        form = tmp_path / "form.json"
+        form.write_text(json.dumps({"root_datum": "sl2.json", "gram_rational": [[[2, 3]]],
+                                    "gram_transcendental": [[[0, 1]]]}))
+        flag, value = datum
+        value = str(tmp_path / value) if flag == "--rd-file" else value
+        res = run("dual", flag, value, "--form-file", str(form))
+        self.assert_usage_error(res)
+        assert "root_datum" in res.output
+
     def test_incidence_vector_length_must_match_rank(self):
         res = run("incidence", "--rank", "2", "--a", "1", "--b", "1")
         self.assert_usage_error(res)

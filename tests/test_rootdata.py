@@ -158,6 +158,11 @@ def test_finite_type_test_matches_weyl_closure_exhaustively():
                 assert rd.cartan_matrix == tuple(map(tuple, cartan))
                 assert rd.weyl_group().order == order
                 _assert_reduced(rd)
+                # each component's least coroot K-length is 4h, a multiple
+                # of 4, so the Killing record needs no divisibility check
+                for comp, (k, _) in zip(rd.components, rd.killing):
+                    assert min(dot(c, k.mul_vec(c)) for c in
+                               (rd.simple_coroots.row(j) for j in comp)) % 4 == 0
                 accepted += 1
     assert checked == 10 + 1000
     assert 0 < accepted < checked
@@ -728,16 +733,15 @@ class TestCoxeterData:
         def check(name, basis_moves):
             rd = _rebased(data[name], basis_moves)
             self._check_record(rd)
-            # h and the short coroot's index do not depend on the basis
-            assert [h for _, h, _ in rd.killing] == [h for _, h, _ in data[name].killing]
-            assert [i for *_, i in rd.killing] == [i for *_, i in data[name].killing]
+            # h does not depend on the basis
+            assert [h for _, h in rd.killing] == [h for _, h in data[name].killing]
 
         check()
 
     @staticmethod
     def _check_record(rd):
         assert len(rd.killing) == len(rd.components)
-        for comp, (k, h, i) in zip(rd.components, rd.killing):
+        for comp, (k, h) in zip(rd.components, rd.killing):
             assert h == _oracle_dual_coxeter(rd, comp)
             # K is the sum of beta beta^T over the component's roots
             members = [b for b, _ in root_oracle.root_pairs(
@@ -745,10 +749,9 @@ class TestCoxeterData:
                 [rd.simple_coroots.row(j) for j in comp])]
             assert k.data == tuple(tuple(sum(b[x] * b[y] for b in members)
                                          for y in range(rd.rank)) for x in range(rd.rank))
-            # i is the first simple coroot of least K-length, and that length is 4h
+            # the least K-length of a simple coroot is 4h
             lengths = [dot(rd.simple_coroots.row(j), k.mul_vec(rd.simple_coroots.row(j)))
                        for j in comp]
-            assert i == comp[lengths.index(min(lengths))]
             assert min(lengths) == 4 * h
 
     def test_sl2_iota_of_coroot_is_root(self):
@@ -790,7 +793,7 @@ class TestKillingGram:
 
     @staticmethod
     def _check(rd):
-        grams = [k.data for k, _, _ in rd.killing]
+        grams = [k.data for k, _ in rd.killing]
         assert rd.weyl_order() > 0 and len(rd.two_rho) == rd.rank
         assert "root_pairs" not in rd.__dict__
         assert grams == [root_oracle.killing_gram([rd.simple_roots.row(i) for i in comp],

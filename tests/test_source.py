@@ -117,7 +117,7 @@ def test_two_reductions_in_lattice():
                     call.func.id for call in ast.walk(fn)
                     if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
     assert {name for name, called in calls.items() if "_eliminate" in called} \
-        == {"IntMatrix.det", "integral_left_inverse"}
+        == {"IntMatrix.det", "integral_inverse"}
     assert [name for name in ("smith_normal_form", "intersect", "IntMatrix.rank")
             if "_hermite_rows" not in calls[name]] == []
     assert [p.name for p in SOURCES if p.name != "lattice.py"
@@ -185,11 +185,9 @@ def test_every_root_datum_member_is_read():
 
 
 # Exports that only tests read, kept until those tests are rewritten:
-# `quotient_group` is what the pi1 tests compare against, and `weyl_dim`
-# what the character tables' dimensions are checked by
+# `weyl_dim` is what the character tables' dimensions are checked by
 DEFERRED = (
     "fiber_dim",
-    "quotient_group",
     "weyl_dim",
 )
 
