@@ -12,15 +12,17 @@ dimension and closure under the simple reflections, and with at most two
 simple roots against the Weyl alternating sum of Kostant partition counts
 over the orbit of the labels of lam + rho.  The tests compare the tables
 with Freudenthal's recursion, kept as their reference in
-`tests/character_oracle.py`.  A `Character` reads its weights off its
-datum's simple roots only when they are asked for.  The constituents of
-V(a) tensor V(b), as depths below the top weight, are a table per (Cartan
-matrix, unordered pair of labels) in a second LRU cache, built by the
-Brauer-Klimyk rule over the smaller factor and checked once; also the
-numeric predictions for convolution: highest-weight multiplicity one, the
-dominance bound, and fiber-dimension arithmetic, read off that table's
-depths in the source's coweights, as a depth d is the constituent
-lam + mu - sum_i d_i r_i coroot_i over the coroots the dual keeps.
+`tests/character_oracle.py`.  A `Character` keeps the labels its table
+was read under, computed once by `irreducible_character`, and reads its
+weights off its datum's simple roots only when they are asked for.  The
+constituents of V(a) tensor V(b), as depths below the top weight, are a
+table per (Cartan matrix, unordered pair of labels) in a second LRU
+cache, built by the Brauer-Klimyk rule over the smaller factor and
+checked once; also the numeric predictions for convolution:
+highest-weight multiplicity one, the dominance bound, and
+fiber-dimension arithmetic, read off that table's depths in the source's
+coweights, as a depth d is the constituent lam + mu - sum_i d_i r_i
+coroot_i over the coroots the dual keeps.
 """
 
 from __future__ import annotations
@@ -43,11 +45,13 @@ class CharacterError(ValueError):
 class Character:
     """The irreducible character of `rd` with a dominant highest weight, as
     its table of depths: ((c, multiplicity), ...), c the coordinates of
-    highest - weight in the simple roots."""
+    highest - weight in the simple roots, and the highest weight's Dynkin
+    labels, which the table is a function of."""
 
     rd: RootDatum
     highest: tuple
     depths: tuple
+    labels: tuple = field(compare=False)
 
     @cached_property
     def multiplicities(self):
@@ -82,7 +86,8 @@ def irreducible_character(rd: RootDatum, highest) -> Character:
     weight, from the checked table of its Cartan matrix and labels.  The
     dominance check runs on every call."""
     highest = rd._vector(highest)
-    return Character(rd, highest, _character_table(rd.cartan_matrix, _labels(rd, highest)))
+    labels = _labels(rd, highest)
+    return Character(rd, highest, _character_table(rd.cartan_matrix, labels), labels)
 
 
 @lru_cache(maxsize=128)
@@ -250,18 +255,13 @@ def _dimension(system, shifted):
 
 def tensor_decompose(c: Character, highest):
     """Constituents of c tensor V(highest), as a dict highest weight ->
-    multiplicity, from the table of the Cartan matrix and both labels."""
+    multiplicity, from the table of the Cartan matrix and both labels,
+    read under the sorted pair."""
     rd = c.rd
     highest = rd._vector(highest)
     top = vec_add(c.highest, highest)
-    return {_lower(rd, top, depth): m for depth, m in _constituent_depths(c, highest)}
-
-
-def _constituent_depths(c, highest):
-    """The table of c tensor V(highest), read under the sorted pair of
-    Dynkin labels: ((depth below the top weight, multiplicity), ...)."""
-    rd = c.rd
-    return _tensor_table(rd.cartan_matrix, *sorted((_labels(rd, c.highest), _labels(rd, highest))))
+    table = _tensor_table(rd.cartan_matrix, *sorted((c.labels, _labels(rd, highest))))
+    return {_lower(rd, top, depth): m for depth, m in table}
 
 
 @lru_cache(maxsize=128)
@@ -362,13 +362,17 @@ def satake_prediction(q: QForm, lam, mu) -> SatakeReport:
       agree before column p_k and differ at p_k by (c_k - c'_k) times
       that entry, so the images compare as c and c' do.
 
+    mu_c's labels are <mu, alpha_i> / r_i over the kept i, read off the
+    dominance test's pairings: dual coroot i pairs with b_k as alpha_i / r_i
+    does, and `_validated_dual` checked that r_i divides those pairings.
+
     The fiber over nu is (<2 rho, lam + mu> - <2 rho, nu>) / 2, which is
     sum_i r_i d_i as <2 rho, coroot_i> = 2; it is still computed from
     2 rho and checked to be a nonnegative integer."""
     rd = q.rd
     lam, mu = rd._vector(lam), rd._vector(mu)
     dual = twisted_dual(rd, q, "full")
-    coeffs = []
+    found = []
     for v in (lam, mu):
         # one solve decides membership and gives the coefficients
         v_c = dual.weight_sublattice.coefficients(v)
@@ -376,11 +380,14 @@ def satake_prediction(q: QForm, lam, mu) -> SatakeReport:
             raise CharacterError(f"{v} is outside the dual weight lattice")
         # the vectors here are checked or built by the library, so the
         # dominance test goes around the public checks
-        if min(rd.simple_roots.mul_vec(v), default=0) < 0:
+        pairings = rd.simple_roots.mul_vec(v)
+        if min(pairings, default=0) < 0:
             raise CharacterError(f"{v} is not dominant")
-        coeffs.append(v_c)
-    lam_c, mu_c = coeffs
-    table = _constituent_depths(irreducible_character(dual.datum, lam_c), mu_c)
+        found.append((v_c, pairings))
+    (lam_c, _), (_, mu_pairings) = found
+    mu_labels = tuple(p // r for p, r in zip(mu_pairings, dual.multipliers) if r is not None)
+    c = irreducible_character(dual.datum, lam_c)
+    table = _tensor_table(dual.datum.cartan_matrix, *sorted((c.labels, mu_labels)))
     top = vec_add(lam, mu)
     pieces = []
     for depth, m in table:

@@ -252,7 +252,7 @@ def fl_dual(rd: RootDatum, d: int, big_n: int) -> TwistedDual:
         raise ValueError("this comparison is defined for irreducible root systems")
     _check_int(d, "d")
     _check_int(big_n, "N")
-    h, k = rd.coxeter_killing
+    (k, h), = rd.killing
     m = 4 * h * big_n
     lattice = kernel_mod(_computed_matrix([[d * x for x in row] for row in k.data], rd.rank),
                          m // 2)
@@ -267,13 +267,10 @@ def lusztig_dual(cd: CartanDatum, order: int) -> TwistedDual:
     _check_int(order, "the order")
     rd = cd.rd
     l_i = [order // math.gcd(order, fi) for fi in cd.f]
-    if rd.num_simple:
-        big_l = math.lcm(*l_i)
-        rows = [vec_scale(big_l // l_i[i], rd.simple_roots.row(i))
-                for i in range(rd.num_simple)]
-        lattice = kernel_mod(_computed_matrix(rows, rd.rank), big_l)
-    else:
-        lattice = Sublattice.full(rd.rank)
+    # on a torus L = lcm() = 1 and the kernel of no rows is the whole lattice
+    big_l = math.lcm(*l_i)
+    rows = [vec_scale(big_l // li, root) for li, root in zip(l_i, rd.simple_roots.data)]
+    lattice = kernel_mod(_computed_matrix(rows, rd.rank), big_l)
     label = f"lusztig({rd.name},{order})" if rd.name else None
     return _assemble_dual(rd, lattice, l_i, name=label)
 

@@ -360,7 +360,11 @@ class CartanDatum:
     """A base together with a positive integer symmetrizer f on the simple
     coroots (the lattice the attached form Q = q^f lives on); the symmetric
     pairing is i.j = f(i) <alpha_i, coroot_j>, so 2(i.j)/(j.j) is the
-    Cartan integer <alpha_j, coroot_i>."""
+    Cartan integer <alpha_j, coroot_i>.
+
+    f_i a_ij = f_j a_ji holds exactly when f_i d_i is constant on each
+    component, for the datum's symmetrizer d, because (a_ij d_j) is
+    symmetric."""
 
     rd: RootDatum
     f: tuple
@@ -371,12 +375,11 @@ class CartanDatum:
             raise ValueError("need one f value per simple root")
         if any(x <= 0 for x in self.f):
             raise ValueError("f must be positive")
-        s = self.rd.num_simple
-        for i in range(s):
-            for j in range(s):
-                if self.pairing(i, j) != self.pairing(j, i):
-                    raise ValueError(
-                        f"f does not symmetrize the Cartan matrix at ({i},{j})")
+        d = self.rd.symmetrizer
+        for comp in self.rd.components:
+            if len({self.f[i] * d[i] for i in comp}) > 1:
+                raise ValueError(
+                    f"f does not symmetrize the Cartan matrix on simples {comp}")
 
     def pairing(self, i, j):
         """i.j = f(i) <alpha_i, coroot_j>; diagonal is 2 f(i)."""

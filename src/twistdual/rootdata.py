@@ -3,13 +3,13 @@
 A root datum is realized concretely: weights and coweights both live in
 Z^rank with the standard dot pairing, and the datum is the pair of simple
 root / simple coroot matrices R and V.  Each axiom is decided once, where
-it is cheapest.  A datum checks the signs of its Cartan matrix R V^T.
-`_cartan_system` decides the rest once per Cartan matrix, memoised for the
-process in a bounded LRU cache: finite type, exactly and before any walk
-starts, then one walk of the positive roots in Cartan coordinates.  A
-finite-type Cartan matrix is nondegenerate, so R and V then have
-independent rows; their ranks are computed only when the matrix fails,
-to name the dependence.  A failure is never cached.  The record also
+it is cheapest.  The Cartan matrix R V^T is read off the rows, and its
+record, `_cartan_system`, decides everything about it once per matrix,
+memoised for the process in a bounded LRU cache: the record checks the
+signs, then finite type, exactly and before any walk starts, then walks
+the positive roots once in Cartan coordinates.  A finite-type Cartan
+matrix is nondegenerate, so R and V then have independent rows; their
+ranks are computed only when the matrix fails, to name the dependence.  A failure is never cached.  The record also
 holds what the positive roots give, each computed when first asked: the
 per-component Killing record (its Gram in Cartan coordinates and the dual
 Coxeter number), |W| from the heights and 2 rho in Cartan coordinates.
@@ -29,7 +29,6 @@ group is enumerated only on demand.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from collections import Counter
@@ -154,9 +153,9 @@ class RootDatum:
         # (weight-lattice basis, multipliers) -> dual datum, kept and
         # bounded by dualgroup._assemble_dual
         self._assembled = {}
-        self._validate_cartan()
         try:
-            # one record per Cartan matrix; raises unless it is of finite type
+            # one record per Cartan matrix; raises unless its signs hold and
+            # it is of finite type
             self._cartan = _cartan_system(self.cartan_matrix)
         except RootDatumError:
             # a finite-type Cartan matrix R V^T is nondegenerate, so R and V
@@ -166,22 +165,6 @@ class RootDatum:
                     raise RootDatumError(f"simple {side} are linearly dependent") from None
             raise
 
-    # -- construction-time validation ------------------------------------
-
-    def _validate_cartan(self):
-        s = self.num_simple
-        cartan = self.cartan_matrix
-        for i in range(s):
-            if cartan[i][i] != 2:
-                raise RootDatumError(
-                    f"<alpha_{i}, coroot_{i}> = {cartan[i][i]}, expected 2")
-        for i, j in itertools.permutations(range(s), 2):
-            if cartan[i][j] > 0:
-                raise RootDatumError(f"<alpha_{i}, coroot_{j}> = {cartan[i][j]} > 0")
-            if (cartan[i][j] == 0) != (cartan[j][i] == 0):
-                raise RootDatumError(
-                    f"asymmetric orthogonality between simples {i} and {j}")
-
     # -- basic structure ---------------------------------------------------
 
     @property
@@ -190,8 +173,11 @@ class RootDatum:
 
     @cached_property
     def cartan_matrix(self):
-        """Entry [i][j] = <alpha_i, coroot_j>: the rows of R V^T."""
-        return (self.simple_roots @ self.simple_coroots.transpose()).data
+        """Entry [i][j] = <alpha_i, coroot_j>: the rows of R V^T, each the
+        dot of a root row with every coroot row."""
+        coroots = self.simple_coroots.data
+        return tuple(tuple(sum(map(mul, r, c)) for c in coroots)
+                     for r in self.simple_roots.data)
 
     @property
     def symmetrizer(self):
@@ -354,15 +340,6 @@ class RootDatum:
         r_t = r.transpose()
         return tuple((r_t @ g @ r, h) for g, h in self._cartan.killing)
 
-    @property
-    def coxeter_killing(self):
-        """(h, K) of an irreducible datum, so that iota = K / 2h; a
-        ValueError on a reducible datum or a torus."""
-        if not self.is_irreducible():
-            raise ValueError("dual Coxeter data requires an irreducible system")
-        k, h = self.killing[0]
-        return h, k
-
     # -- plumbing -------------------------------------------------------------
 
     def flip(self):
@@ -461,10 +438,11 @@ class _CartanSystem:
 
 @lru_cache(maxsize=128)
 def _cartan_system(cartan) -> _CartanSystem:
-    """The record of a Cartan matrix, raising `RootDatumError` unless it
-    is of finite type.  Memoised by the matrix, as a tuple of rows: a sweep
-    over the forms of one group, or over its changes of basis, meets few
-    Cartan matrices.  A failure is not cached.
+    """The record of a Cartan matrix, raising `RootDatumError` unless its
+    signs hold (2 on the diagonal, nonpositive entries off it, symmetric
+    zeros) and it is of finite type.  Memoised by the matrix, as a tuple of
+    rows: a sweep over the forms of one group, or over its changes of
+    basis, meets few Cartan matrices.  A failure is not cached.
 
     The roots are reduced, with no test: the walk yields W Pi, the orbit
     of the simple roots, and every root of a finite-type matrix is real,
@@ -472,6 +450,16 @@ def _cartan_system(cartan) -> _CartanSystem:
     (Kac, *Infinite-dimensional Lie algebras*, Prop. 5.1).  That holds for
     every datum of the matrix, as c -> sum_i c_i alpha_i is linear and
     injective (a finite-type matrix makes the simple roots independent)."""
+    for i, row in enumerate(cartan):
+        if row[i] != 2:
+            raise RootDatumError(f"<alpha_{i}, coroot_{i}> = {row[i]}, expected 2")
+    for i, row in enumerate(cartan):
+        for j, a in enumerate(row):
+            if a > 0 and j != i:
+                raise RootDatumError(f"<alpha_{i}, coroot_{j}> = {a} > 0")
+            if (a == 0) != (cartan[j][i] == 0):
+                raise RootDatumError(
+                    f"asymmetric orthogonality between simples {i} and {j}")
     d, comps = _symmetrize(cartan)
     # the finite-type test bounds the root walk that follows, so an
     # infinite-type Cartan matrix never starts it

@@ -728,6 +728,28 @@ class TestSatakePrediction:
                     assert (got.highest_multiplicity, got.all_below_highest, got.ok) == (
                         rep.highest_multiplicity, rep.all_below_highest, rep.ok)
 
+    def test_labels_computed_once(self, monkeypatch):
+        # lam's dual labels are read once, by irreducible_character, and
+        # mu's come from the dominance test's pairings divided by r_i: on a
+        # scaled multiplier (PGL2 at 2/3, r = 3) and on a dropped coroot
+        third = Fraction(1, 3)
+        cases = [
+            (qform_from_gram(PGL2, [[2 * third]]), (3,), (6,)),
+            (trivial_qform(SP4), (1, 0), (1, 1)),
+            (qform_from_gram(standard("SL2xSL2"), [[2 * third, 0], [0, 0]],
+                             [[0, 0], [0, 1]]), (3, 0), (6, 0)),
+        ]
+        want = [character_oracle.satake_reference(*case) for case in cases]
+        calls = []
+        labels = characters._labels
+        monkeypatch.setattr(characters, "_labels",
+                            lambda rd, v: calls.append(v) or labels(rd, v))
+        for case, ref in zip(cases, want):
+            del calls[:]
+            rep = satake_prediction(*case)
+            assert rep.ok and len(calls) == 1
+            assert rep == ref
+
     def test_matches_the_dual_lattice_route(self):
         # every report field, tuple order included, equals the route that
         # maps each constituent back from the dual lattice; on rebased forms

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -481,6 +482,18 @@ class TestLusztigDual:
             td = lusztig_dual(CartanDatum.standard(rd), 1)
             assert td.multipliers == (1,) * rd.num_simple
 
+    @pytest.mark.parametrize("name", ["T1", "T2", "GL2xT1"])
+    def test_centre_is_unconstrained(self, name):
+        # with f = 1 a weight is dual iff it pairs with each simple root in
+        # lZ, so a torus keeps its whole lattice
+        rd = standard(name)
+        box = list(itertools.product(range(-3, 4), repeat=rd.rank))
+        for order in (1, 2, 3, 6):
+            td = lusztig_dual(CartanDatum.standard(rd), order)
+            assert td.multipliers == (order,) * rd.num_simple
+            assert [td.weight_sublattice.contains(x) for x in box] == [
+                all(dot(a, x) % order == 0 for a in rd.simple_roots.data) for x in box]
+
     def test_a2_order_three_lattice(self):
         cd = CartanDatum.standard(SL3)
         td = lusztig_dual(cd, 3)
@@ -716,6 +729,30 @@ class TestIsomorphic:
         assert isomorphic(_rebased(d1, [(0, 3, 1)]), d2).status == "none"
         assert len(consumed) <= 1
 
+    def test_differing_pi1_exit_after_one_matching(self, monkeypatch):
+        # SL4xSL4 over the weights with c1 = c2 mod 4, and over those with
+        # both classes even, for c(x) = x1 + 2 x2 + 3 x3 on each factor:
+        # equal Cartan matrices, gcd pairs and frame indices (4), so only
+        # pi1, Z/4 against Z/2 x Z/2, ends the search before every matching
+        sl4 = standard("SL4xSL4")
+        d1 = _sublattice_datum(sl4, kernel_mod(IntMatrix([[1, 2, 3, -1, -2, -3]]), 4))
+        d2 = _sublattice_datum(sl4, kernel_mod(IntMatrix([[1, 2, 3, 0, 0, 0],
+                                                          [0, 0, 0, 1, 2, 3]]), 2))
+        assert d1.cartan_matrix == d2.cartan_matrix
+        assert d1._frame_index == d2._frame_index == 4
+        assert d1.pi1() != d2.pi1()
+        consumed = []
+        matchings = dualgroup._matchings
+
+        def counted(*args):
+            for perm in matchings(*args):
+                consumed.append(perm)
+                yield perm
+
+        monkeypatch.setattr(dualgroup, "_matchings", counted)
+        assert isomorphic(d1, d2).status == "none"
+        assert len(consumed) == 1
+
 
 class TestUnimodularLift:
     def test_lift_keeps_the_residue_and_has_unit_determinant(self):
@@ -748,6 +785,15 @@ def _a1_power_mod(n, gens):
     roots = [weights.coefficients([2 * (i == j) for j in range(n)]) for i in range(n)]
     coroots = [[b[i] for b in weights.basis.data] for i in range(n)]
     return RootDatum(roots, coroots, rank=n)
+
+
+def _sublattice_datum(rd, weights):
+    """rd's roots and coroots over a full-rank sublattice of its weights
+    that holds the roots, written in the sublattice's Hermite basis."""
+    basis = weights.basis.data
+    roots = [weights.coefficients(a) for a in rd.simple_roots.data]
+    coroots = [[dot(c, b) for b in basis] for c in rd.simple_coroots.data]
+    return RootDatum(roots, coroots, rank=rd.rank)
 
 
 def _so4_power(k):

@@ -610,6 +610,16 @@ class TestCartanDatum:
         with pytest.raises(ValueError):
             CartanDatum(SP4, (1, 1))
 
+    def test_symmetrizer_is_checked_per_component(self):
+        # f d is constant on each component, with its own constant: 2 * 1 =
+        # 1 * 2 on Sp4 and 5 on SL2, so one check across all simples would
+        # reject f = (2, 1, 5)
+        rd = standard("Sp4xSL2")
+        assert CartanDatum(rd, (2, 1, 5)).f == (2, 1, 5)
+        with pytest.raises(ValueError) as info:
+            CartanDatum(rd, (1, 1, 1))
+        assert str(info.value) == "f does not symmetrize the Cartan matrix on simples (0, 1)"
+
     @pytest.mark.parametrize("label", ["SL2", "SL3", "PGL3", "Sp4", "G2", "SL2xG2", "SL4"])
     @pytest.mark.parametrize("scale", [1, 2])
     def test_cartan_qform_in_integers(self, label, scale):
@@ -651,7 +661,7 @@ class TestGramHelpers:
                            for c in map(rd.simple_coroots.row, comp)]
                 assert min(lengths) == 2
             if rd.is_irreducible():
-                h, k = rd.coxeter_killing
+                (k, h), = rd.killing
                 assert g == tuple(tuple(Fraction(x, 2 * h) for x in r) for r in k.data)
 
     @pytest.mark.parametrize("label", ["SL2xG2", "SL3xSp4", "GL3"])

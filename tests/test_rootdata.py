@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistdual.dualgroup import isomorphic
+from twistdual.dualgroup import fl_dual, isomorphic
 from twistdual.lattice import IntMatrix, Sublattice, kernel_mod, quotient_group
 from twistdual.rootdata import (
     RootDatum,
@@ -89,8 +89,11 @@ class TestValidation:
             RootDatum(roots, coroots, rank=2)
 
     def test_dependent_roots(self):
-        with pytest.raises(RootDatumError):
+        # the Cartan matrix [[2, 2], [2, 2]] fails its record's sign check,
+        # and that failure leads to the rank check that names the dependence
+        with pytest.raises(RootDatumError) as info:
             RootDatum([[2, 0], [2, 0]], [[1, 0], [1, 0]], rank=2)
+        assert str(info.value) == "simple roots are linearly dependent"
 
     # Each datum below passes the Cartan-matrix checks and must be rejected
     # by the finite-type test, before any closure starts.
@@ -631,12 +634,14 @@ class TestCartanMemo:
         # coroot_1 is orthogonal to alpha_0, but alpha_1 is not to coroot_0
         ([[2, 0], [-1, 2]], [[1, 0], [0, 1]],
          "asymmetric orthogonality between simples 0 and 1"),
+        ([[2, 1], [1, 2]], [[1, 0], [0, 1]], "<alpha_0, coroot_1> = 1 > 0"),
+        ([[2, 0], [-1, 1]], [[1, 0], [0, 1]], "<alpha_1, coroot_1> = 1, expected 2"),
         # the Cartan matrix of affine A1 on dependent roots (and coroots),
         # then on independent roots and dependent coroots
         ([[2], [-2]], [[1], [-1]], "simple roots are linearly dependent"),
         ([[1, 0], [0, 1]], [[2, -2], [-2, 2]], "simple coroots are linearly dependent"),
-    ], ids=["affine-A1", "non-symmetrizable", "inconsistent-coroot", "dependent-roots",
-            "dependent-coroots"])
+    ], ids=["affine-A1", "non-symmetrizable", "inconsistent-coroot", "positive-entry",
+            "diagonal", "dependent-roots", "dependent-coroots"])
     def test_invalid_rejected_every_time(self, roots, coroots, message):
         size = _cartan_system.cache_info().currsize
         for _ in range(2):
@@ -701,16 +706,17 @@ def _oracle_dual_coxeter(rd, comp):
 
 
 class TestCoxeterData:
-    """`coxeter_killing` and the `killing` record it reads: h is 1/4 of the
-    least Killing length of a simple coroot, checked against the oracle's
-    1 + <rho, theta^v> from the highest root."""
+    """The `killing` record: h is 1/4 of the least Killing length of a
+    simple coroot, checked against the oracle's 1 + <rho, theta^v> from the
+    highest root."""
 
     @pytest.mark.parametrize("name,h", [
         ("SL2", 2), ("PGL2", 2), ("SL3", 3), ("SL4", 4), ("Sp4", 3), ("G2", 4),
     ])
     def test_dual_coxeter_numbers(self, name, h):
         rd = standard(name)
-        assert rd.coxeter_killing[0] == h == _oracle_dual_coxeter(rd, rd.components[0])
+        (_, got), = rd.killing
+        assert got == h == _oracle_dual_coxeter(rd, rd.components[0])
 
     LABELS = TestRootTable.LABELS + ("SL2xSL3", "Sp4xG2xSL2", "G2xG2", "PGL3xSp4")
 
@@ -755,25 +761,28 @@ class TestCoxeterData:
             assert min(lengths) == 4 * h
 
     def test_sl2_iota_of_coroot_is_root(self):
-        h, k = standard("SL2").coxeter_killing
+        (k, h), = standard("SL2").killing
         # iota(coroot) = (1/4)(2*alpha + 2*alpha) = alpha = (2)
         assert [Fraction(x, 2 * h) for x in k.mul_vec((1,))] == [2]
 
     def test_computed_once_per_datum(self):
         rd = standard("G2")
         assert rd.killing is rd.killing
-        assert rd.coxeter_killing[1] is rd.killing[0][0]
+        # and its Gram in Cartan coordinates once per Cartan matrix
+        assert standard("G2")._cartan.killing is rd._cartan.killing
 
+    # the FL dual reads the one component's record, after its own
+    # irreducibility check
     def test_reducible_rejected(self):
         rd = standard("SL2xSL2")
         with pytest.raises(ValueError, match="irreducible"):
-            rd.coxeter_killing
+            fl_dual(rd, 1, 2)
         assert len(rd.killing) == 2
 
     def test_torus_rejected(self):
         rd = standard("torus2")
         with pytest.raises(ValueError, match="irreducible"):
-            rd.coxeter_killing
+            fl_dual(rd, 1, 2)
         assert rd.killing == ()
 
 
