@@ -1,12 +1,17 @@
 """Command-line surface: load root data and forms, run the dual
 constructions and comparisons, emit deterministic text reports.
 
+Each kind of input has one reader: `_json_object` for every JSON file,
+`_with_datum` for --group or --rd-file, and `_form_file` or `_q_form` for
+a form from a file or from --q-exp/--q-tau.
+
 Exit status 0 on success, 1 on domain errors, 2 on usage errors.  All
 numbers are printed in exact integer / fraction notation.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from fractions import Fraction
@@ -50,53 +55,60 @@ def _weight(rd, text, flag):
     return v
 
 
+def _json_object(path, what):
+    """The JSON object in the file at `path`, `what` naming the file in a
+    usage error when it cannot be read or parsed or holds something else."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise click.UsageError(f"cannot load {what}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise click.UsageError(f"{what} must hold a JSON object")
+    return raw
+
+
 def _load_datum(group, rd_file):
     if (group is None) == (rd_file is None):
         raise click.UsageError("give exactly one of --group or --rd-file")
+    if group is not None:
+        return rdmod.standard(group)
+    raw = _json_object(rd_file, "root datum file")
     try:
-        if group is not None:
-            return rdmod.standard(group)
-        raw = json.loads(Path(rd_file).read_text())
-        if not isinstance(raw, dict):
-            raise click.UsageError("root datum file must hold a JSON object")
         return rdmod.RootDatum.from_dict(raw)
-    except (OSError, KeyError, TypeError, MalformedMatrixError,
-            json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, MalformedMatrixError) as exc:
         raise click.UsageError(f"cannot load root datum: {exc}") from None
 
 
-def _load_form(rd, q_exp, q_tau, form_file):
-    if form_file is not None:
-        if (q_exp, q_tau) != (None, None):
-            raise click.UsageError("give --form-file or --q-exp/--q-tau, not both")
-        try:
-            raw = json.loads(Path(form_file).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise click.UsageError(f"cannot load form file: {exc}") from None
-        if not isinstance(raw, dict):
-            raise click.UsageError("form file must hold a JSON object")
-        if rd is None:
-            ref = raw.get("root_datum")
-            if not isinstance(ref, str):
-                raise click.UsageError("form file does not name a root_datum")
-            rd = _load_datum(None, str(Path(form_file).parent / ref))
-        elif "root_datum" in raw:
-            raise click.UsageError(
-                "the form file names its root_datum; give it without --group or --rd-file")
-        try:
-            return rd, QForm.from_dict(rd, raw)
-        except KeyError as exc:
-            raise click.UsageError(f"form file lacks {exc}") from None
-        except TypeError as exc:
-            raise click.UsageError(f"bad form file: {exc}") from None
-    if rd is None:
-        raise click.UsageError("a root datum is required")
-    a = _fraction(q_exp) if q_exp else Fraction(0)
-    b = _fraction(q_tau) if q_tau else Fraction(0)
+def _scaled(gram, c):
+    """A library Gram, rows of Fractions, times the rational c."""
+    return [[x * c for x in row] for row in gram]
+
+
+def _q_form(rd, q_exp, q_tau):
+    """The minimal even Gram times a (--q-exp) and times b (--q-tau), each 0
+    when not given."""
     gram, _ = qf.minimal_even_gram(rd)
-    g0 = [[x * a for x in row] for row in gram]
-    g1 = [[x * b for x in row] for row in gram]
-    return rd, QForm(rd, g0, g1)
+    return QForm(rd, *(_scaled(gram, _fraction(t) if t else 0) for t in (q_exp, q_tau)))
+
+
+def _form_file(rd, path):
+    """The datum and the form of a form file, which names its datum, by a
+    path relative to itself, exactly when `rd` is None."""
+    raw = _json_object(path, "form file")
+    if rd is None:
+        ref = raw.get("root_datum")
+        if not isinstance(ref, str):
+            raise click.UsageError("form file does not name a root_datum")
+        rd = _load_datum(None, str(Path(path).parent / ref))
+    elif "root_datum" in raw:
+        raise click.UsageError(
+            "the form file names its root_datum; give it without --group or --rd-file")
+    try:
+        return rd, QForm.from_dict(rd, raw)
+    except KeyError as exc:
+        raise click.UsageError(f"form file lacks {exc}") from None
+    except TypeError as exc:
+        raise click.UsageError(f"bad form file: {exc}") from None
 
 
 def _lattice_str(lat: Sublattice):
@@ -156,29 +168,38 @@ def main():
 # orders, levels and twisting integers
 _POSITIVE = click.IntRange(min=1)
 
-_group_opts = [
-    click.option("--group", help="standard group label, e.g. SL2, PGL3, Sp4, G2"),
-    click.option("--rd-file", type=click.Path(), help="root datum JSON file"),
-]
 
-
-def _with_group(fn):
-    for opt in reversed(_group_opts):
-        fn = opt(fn)
-    return fn
+def _with_datum(optional=False):
+    """Adds --group and --rd-file to a command and calls it with `rd`, the
+    datum they name; when `optional`, None if neither is given."""
+    def decorate(fn):
+        @click.option("--group", help="standard group label, e.g. SL2, PGL3, Sp4, G2")
+        @click.option("--rd-file", type=click.Path(), help="root datum JSON file")
+        @functools.wraps(fn)
+        def command(group, rd_file, **kwargs):
+            none = optional and group is None and rd_file is None
+            return fn(rd=None if none else _load_datum(group, rd_file), **kwargs)
+        return command
+    return decorate
 
 
 @main.command()
-@_with_group
+@_with_datum(optional=True)
 @click.option("--q-exp", help="rational a/b: form q0^f with q0 = e^(2 pi i a/b)")
 @click.option("--q-tau", help="rational coefficient of the formal irrational part")
 @click.option("--form-file", type=click.Path(), help="explicit Gram form JSON")
 @click.option("--mode", type=click.Choice(["full", "coroot"]), default="full")
 @click.option("--emit", type=click.Path(), help="write the dual datum as JSON")
-def dual(group, rd_file, q_exp, q_tau, form_file, mode, emit):
+def dual(rd, q_exp, q_tau, form_file, mode, emit):
     """Twisted dual of an invariant form."""
-    rd = _load_datum(group, rd_file) if (group or rd_file) else None
-    rd, form = _load_form(rd, q_exp, q_tau, form_file)
+    if form_file is not None:
+        if (q_exp, q_tau) != (None, None):
+            raise click.UsageError("give --form-file or --q-exp/--q-tau, not both")
+        rd, form = _form_file(rd, form_file)
+    elif rd is None:
+        raise click.UsageError("a root datum is required")
+    else:
+        form = _q_form(rd, q_exp, q_tau)
     td = dg.twisted_dual(rd, form, mode)
     click.echo(f"group: {rd.name or 'custom'}")
     click.echo(f"mode: {mode}")
@@ -191,34 +212,31 @@ def dual(group, rd_file, q_exp, q_tau, form_file, mode, emit):
 
 
 @main.command("langlands")
-@_with_group
-def langlands_cmd(group, rd_file):
+@_with_datum()
+def langlands_cmd(rd):
     """Langlands dual (trivial form)."""
-    rd = _load_datum(group, rd_file)
     td = dg.langlands_dual(rd)
     click.echo(f"group: {rd.name or 'custom'}")
     _echo_dual(td)
 
 
 @main.command("fl-dual")
-@_with_group
+@_with_datum()
 @click.option("--d", type=_POSITIVE, required=True)
 @click.option("--n", "big_n", type=_POSITIVE, required=True, help="the level N")
-def fl_dual_cmd(group, rd_file, d, big_n):
+def fl_dual_cmd(rd, d, big_n):
     """Finkelberg-Lysenko dual at level N with twisting integer d."""
-    rd = _load_datum(group, rd_file)
     td = dg.fl_dual(rd, d, big_n)
     click.echo(f"group: {rd.name or 'custom'}  d: {d}  N: {big_n}")
     _echo_dual(td)
 
 
 @main.command("lusztig-dual")
-@_with_group
+@_with_datum()
 @click.option("--l", "order", type=_POSITIVE, required=True)
 @click.option("--f", "f_values", help="comma list overriding the standard symmetrizers")
-def lusztig_dual_cmd(group, rd_file, order, f_values):
+def lusztig_dual_cmd(rd, order, f_values):
     """Lusztig's dual datum at a root of unity of order l."""
-    rd = _load_datum(group, rd_file)
     if f_values:
         f = _vector(f_values)
         if len(f) != rd.num_simple or min(f) < 1:
@@ -233,21 +251,20 @@ def lusztig_dual_cmd(group, rd_file, order, f_values):
 
 
 @main.command("quantum-pair")
-@_with_group
+@_with_datum()
 @click.option("--n", "level", type=_POSITIVE, help="b = (1/N) normalized Killing")
 @click.option("--gram-file", type=click.Path(), help="explicit rational Gram JSON")
-def quantum_pair_cmd(group, rd_file, level, gram_file):
+def quantum_pair_cmd(rd, level, gram_file):
     """Both sides of the quantum-Langlands comparison, with the lattice map."""
-    rd = _load_datum(group, rd_file)
     if (level is None) == (gram_file is None):
         raise click.UsageError("give exactly one of --n or --gram-file")
     if level is not None:
-        b = [[x / level for x in row] for row in qf.normalized_killing_gram(rd)]
+        b = _scaled(qf.normalized_killing_gram(rd), Fraction(1, level))
     else:
+        raw = _json_object(gram_file, "gram file")
         try:
-            raw = json.loads(Path(gram_file).read_text())
             b = qf.decode_gram(raw["gram"])
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise click.UsageError(f"cannot load gram file: {exc}") from None
     pair = dg.quantum_dual_pair(rd, b)
     click.echo(f"group: {rd.name or 'custom'}")
@@ -264,54 +281,42 @@ def quantum_pair_cmd(group, rd_file, level, gram_file):
 _KINDS = ("twisted", "fl", "lusztig", "langlands", "half-forms")
 
 
-def _build_for_compare(kind, rd, params):
-    if kind == "fl":
-        if params["d"] is None or params["big_n"] is None:
-            raise click.UsageError("fl needs --d and --n")
-        return dg.fl_dual(rd, params["d"], params["big_n"])
-    if kind == "lusztig":
-        if params["order"] is None:
-            raise click.UsageError("lusztig needs --l")
-        cd = qf.CartanDatum.standard(rd)
-        return dg.lusztig_dual(cd, params["order"])
-    if kind == "langlands":
-        return dg.langlands_dual(rd)
-    if kind == "half-forms":
-        return dg.twisted_dual(rd, qf.half_forms_qform(rd), "full")
-    # twisted: an explicit form wins, else mirror the other construction
-    if params["q_exp"] is not None or params["q_tau"] is not None:
-        _, form = _load_form(rd, params["q_exp"], params["q_tau"], None)
-        return dg.twisted_dual(rd, form, "full")
-    other = params["other"]
-    if other == "fl":
-        scale = Fraction(params["d"], params["big_n"])
-        g0 = [[x * scale for x in row] for row in qf.normalized_killing_gram(rd)]
-        return dg.twisted_dual(rd, QForm(rd, g0), "full")
-    if other == "lusztig":
-        cd = qf.CartanDatum.standard(rd)
-        return dg.twisted_dual(rd, qf.cartan_qform(cd, params["order"]), "coroot")
-    if other in ("langlands", "half-forms"):
-        return dg.langlands_dual(rd)
-    raise click.UsageError("twisted vs twisted needs --q-exp")
-
-
 @main.command()
 @click.argument("first", type=click.Choice(_KINDS))
 @click.argument("second", type=click.Choice(_KINDS))
-@_with_group
+@_with_datum()
 @click.option("--d", type=_POSITIVE)
 @click.option("--n", "big_n", type=_POSITIVE)
 @click.option("--l", "order", type=_POSITIVE)
 @click.option("--q-exp")
 @click.option("--q-tau")
-def compare(first, second, group, rd_file, d, big_n, order, q_exp, q_tau):
+def compare(first, second, rd, d, big_n, order, q_exp, q_tau):
     """Build two dual constructions and report AGREE / DISAGREE."""
-    rd = _load_datum(group, rd_file)
-    params = {"d": d, "big_n": big_n, "order": order,
-              "q_exp": q_exp, "q_tau": q_tau, "other": second}
-    left = _build_for_compare(first, rd, params)
-    params["other"] = first
-    right = _build_for_compare(second, rd, params)
+    # both sides' flags are checked before either side is built
+    for kind in (first, second):
+        if kind == "fl" and None in (d, big_n):
+            raise click.UsageError("fl needs --d and --n")
+        if kind == "lusztig" and order is None:
+            raise click.UsageError("lusztig needs --l")
+    explicit = q_exp is not None or q_tau is not None
+    if first == second == "twisted" and not explicit:
+        raise click.UsageError("twisted vs twisted needs --q-exp")
+    cartan = lambda: qf.CartanDatum.standard(rd)
+    fl_gram = lambda: _scaled(qf.normalized_killing_gram(rd), Fraction(d, big_n))
+    # kind -> (its dual, the twisted dual that mirrors it)
+    table = {
+        "twisted": (lambda: dg.twisted_dual(rd, _q_form(rd, q_exp, q_tau)), None),
+        "fl": (lambda: dg.fl_dual(rd, d, big_n),
+               lambda: dg.twisted_dual(rd, QForm(rd, fl_gram()))),
+        "lusztig": (lambda: dg.lusztig_dual(cartan(), order),
+                    lambda: dg.twisted_dual(rd, qf.cartan_qform(cartan(), order), "coroot")),
+        "langlands": (lambda: dg.langlands_dual(rd),) * 2,
+        "half-forms": (lambda: dg.twisted_dual(rd, qf.half_forms_qform(rd)),
+                       lambda: dg.langlands_dual(rd)),
+    }
+    # an explicit form wins, else the twisted side mirrors the other side
+    left, right = ((table[other][1] if kind == "twisted" and not explicit else table[kind][0])()
+                   for kind, other in ((first, second), (second, first)))
     result = dg.isomorphic(left.datum, right.datum)
     if result.status == "iso":
         click.echo("AGREE")
@@ -324,21 +329,19 @@ def compare(first, second, group, rd_file, d, big_n, order, q_exp, q_tau):
 
 
 @main.command()
-@_with_group
+@_with_datum()
 @click.option("--hw", required=True, help="dominant weight, comma separated")
-def weights(group, rd_file, hw):
+def weights(rd, hw):
     """Weight multiplicities of an irreducible, as a sorted table."""
-    rd = _load_datum(group, rd_file)
     click.echo(ch.irreducible_character(rd, _weight(rd, hw, "--hw")).table())
 
 
 @main.command()
-@_with_group
+@_with_datum()
 @click.option("--a", "hw1", required=True)
 @click.option("--b", "hw2", required=True)
-def tensor(group, rd_file, hw1, hw2):
+def tensor(rd, hw1, hw2):
     """Tensor decomposition of two irreducibles."""
-    rd = _load_datum(group, rd_file)
     pieces = ch.tensor_decompose(ch.irreducible_character(rd, _weight(rd, hw1, "--a")),
                                  _weight(rd, hw2, "--b"))
     for w, m in sorted(pieces.items()):
@@ -365,8 +368,6 @@ def incidence(rank, a_text, b_text):
         b = gc.ComponentIndex.of(parse(b_text))
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
-    if a.n != b.n:
-        raise DomainError("component indices have different lengths")
     p = gc.incident(a, b)
     if p is None:
         click.echo("disjoint over every diagonal")
@@ -386,13 +387,12 @@ def rank1_table_cmd(r0, p):
 
 
 @main.command()
-@_with_group
+@_with_datum()
 @click.option("--component", type=int, default=0, show_default=True)
 @click.option("--a-exp", default="0", show_default=True)
 @click.option("--a-tau", default="0", show_default=True)
-def killing(group, rd_file, component, a_exp, a_tau):
+def killing(rd, component, a_exp, a_tau):
     """Killing-type form of one irreducible component at a given value."""
-    rd = _load_datum(group, rd_file)
     a = Exponent(_fraction(a_exp), _fraction(a_tau))
     form = qf.killing_qform(rd, component, a)
     click.echo(f"group: {rd.name or 'custom'}  component: {component}  a: {a}")
@@ -404,10 +404,9 @@ def killing(group, rd_file, component, a_exp, a_tau):
 
 
 @main.command()
-@_with_group
-def validate(group, rd_file):
+@_with_datum()
+def validate(rd):
     """Full root-datum validation with a structural summary."""
-    rd = _load_datum(group, rd_file)
     click.echo(f"group: {rd.name or 'custom'}")
     click.echo(f"rank: {rd.rank}")
     click.echo(f"simple roots: {rd.num_simple}")
@@ -418,13 +417,12 @@ def validate(group, rd_file):
 
 
 @main.command("verify-forms")
-@_with_group
+@_with_datum()
 @click.option("--samples", type=click.IntRange(min=0), default=25, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--coord-bound", type=click.IntRange(min=0), default=5, show_default=True)
-def verify_forms(group, rd_file, samples, seed, coord_bound):
+def verify_forms(rd, samples, seed, coord_bound):
     """Spot-check the form laws and the divisor ledger on random forms."""
-    rd = _load_datum(group, rd_file)
     if rd.rank == 0:
         raise click.UsageError("verify-forms needs a datum of rank >= 1")
     basis = qf.invariant_gram_basis(rd)

@@ -51,7 +51,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .lattice import (
@@ -306,7 +305,7 @@ def quantum_dual_pair(rd: RootDatum, b) -> QuantumPair:
     except ValueError:
         raise ValueError("the Gram form is degenerate") from None
     l_rd = rd.flip()
-    right_form = QForm(l_rd, [[Fraction(den * x, det) for x in row] for row in inv])
+    right_form = QForm._integral(l_rd, [[den * x for x in row] for row in inv], None, det)
     left = twisted_dual(rd, left_form, "full")
     right = twisted_dual(l_rd, right_form, "full")
     rows = []

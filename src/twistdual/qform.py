@@ -334,12 +334,13 @@ def epsilon_defect(q: QForm, coroot, lam) -> Exponent:
 
 def half_forms_qform(rd: RootDatum) -> QForm:
     """The parity form Q(lam) = (-1)^{<2 rho, lam>}, realized by half the
-    adjoint Killing Gram; its bilinear form is trivial."""
-    form = QForm(rd, _killing_sum(rd, lambda h: Fraction(1, 2)))
-    # adjoint K is even, so kappa is integral
-    if any(x % form.den for row in form.n0.data for x in row):
-        raise ValueError("half the adjoint Killing form has a non-integral kappa")
-    return form
+    adjoint Killing Gram, the sum of the components' K over 2; its bilinear
+    form is trivial.  Each entry of K sums beta_a beta_b over beta and
+    -beta, which add the same term, so K is even and K / 2 is an integer
+    Gram: kappa is integral, and `QForm._integral` reduces den to 1."""
+    n = [[sum(k.data[a][b] for k, _ in rd.killing) for b in range(rd.rank)]
+         for a in range(rd.rank)]
+    return QForm._integral(rd, n, None, 2)
 
 
 def braiding_signs(q: QForm, lam, mu):
@@ -433,18 +434,13 @@ def cartan_qform(cd: CartanDatum, order) -> QForm:
 # -- standard Gram helpers -----------------------------------------------------
 
 
-def _killing_sum(rd: RootDatum, scale):
-    """The sum of scale(h) K over the `rd.killing` records (K, h)."""
-    grams = [(scale(h), k.data) for k, h in rd.killing]
+def normalized_killing_gram(rd: RootDatum):
+    """W-invariant rational Gram, the sum of K / 2h over the `rd.killing`
+    records (K, h), so that each component's short coroots have squared
+    length 2: Finkelberg-Lysenko's iota on an irreducible datum."""
+    grams = [(Fraction(1, 2 * h), k.data) for k, h in rd.killing]
     return tuple(tuple(sum((s * g[a][b] for s, g in grams), Fraction(0))
                        for b in range(rd.rank)) for a in range(rd.rank))
-
-
-def normalized_killing_gram(rd: RootDatum):
-    """W-invariant rational Gram, the sum of K / 2h over the components, so
-    that each component's short coroots have squared length 2: Finkelberg-
-    Lysenko's iota on an irreducible datum."""
-    return _killing_sum(rd, lambda h: Fraction(1, 2 * h))
 
 
 def invariant_gram_basis(rd: RootDatum):

@@ -43,6 +43,7 @@ from .lattice import (
     IntMatrix,
     Sublattice,
     _computed_matrix,
+    _identity_rows,
     _int_row,
     integral_inverse,
     kernel_mod,
@@ -558,68 +559,43 @@ def _check_finite_type(cartan, d):
 # -- standard groups ----------------------------------------------------------
 
 
-def _sl_data(n):
-    """SL(n): coweight lattice = coroot lattice, coroots are unit vectors."""
-    r = n - 1
-    coroots = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    roots = []
-    for i in range(r):
-        row = [0] * r
-        row[i] = 2
-        if i > 0:
-            row[i - 1] = -1
-        if i + 1 < r:
-            row[i + 1] = -1
-        roots.append(row)
-    return roots, coroots
+def _a_rows(r):
+    """The Cartan rows of A_r: 2 on the diagonal, -1 beside it."""
+    return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(r)]
+            for i in range(r)]
 
 
 def _standard_single(token):
-    token = token.strip()
-    m = re.fullmatch(r"SL(\d+)", token)
+    """(roots, coroots, rank) of one label token."""
+    m = re.fullmatch(r"(SL|PGL|GL)(\d+)", token)
     if m:
-        n = int(m.group(1))
-        if n < 2:
-            raise ValueError("SL(n) needs n >= 2")
-        roots, coroots = _sl_data(n)
-        return roots, coroots, n - 1
-    m = re.fullmatch(r"PGL(\d+)", token)
-    if m:
-        n = int(m.group(1))
-        if n < 2:
-            raise ValueError("PGL(n) needs n >= 2")
-        coroots, roots = _sl_data(n)  # adjoint: roots are unit vectors
-        return roots, coroots, n - 1
-    m = re.fullmatch(r"GL(\d+)", token)
-    if m:
-        n = int(m.group(1))
-        if n < 1:
-            raise ValueError("GL(n) needs n >= 1")
-        roots = []
-        for i in range(n - 1):
-            row = [0] * n
-            row[i], row[i + 1] = 1, -1
-            roots.append(row)
-        return roots, [list(r) for r in roots], n
+        kind, n = m.group(1), int(m.group(2))
+        least = 1 if kind == "GL" else 2
+        if n < least:
+            raise ValueError(f"{kind}(n) needs n >= {least}")
+        if kind == "GL":
+            roots = [[1 if j == i else -1 if j == i + 1 else 0 for j in range(n)]
+                     for i in range(n - 1)]
+            return roots, roots, n
+        rows, unit = _a_rows(n - 1), _identity_rows(n - 1)
+        return (rows, unit, n - 1) if kind == "SL" else (unit, rows, n - 1)
     if token == "Sp4":
-        roots = [[1, -1], [0, 2]]
-        coroots = [[1, -1], [0, 1]]
-        return roots, coroots, 2
+        # on the weights of the standard representation
+        return [[1, -1], [0, 2]], [[1, -1], [0, 1]], 2
     if token == "G2":
-        # short root first: Cartan matrix [[2, -3], [-1, 2]] in this basis
-        roots = [[2, -1], [-3, 2]]
-        coroots = [[1, 0], [0, 1]]
-        return roots, coroots, 2
+        # the short root first: <alpha_1, coroot_0> = -3
+        return [[2, -1], [-3, 2]], _identity_rows(2), 2
     m = re.fullmatch(r"(?:torus|T)(\d+)", token)
     if m:
-        r = int(m.group(1))
-        return [], [], r
+        return [], [], int(m.group(1))
     raise ValueError(f"unknown group label {token!r}")
 
 
 def standard(name) -> RootDatum:
     """Standard root data: SL(n), PGL(n), GL(n), Sp4, G2, torus(r), and
-    products of these joined by 'x' or '*'."""
+    products of these joined by 'x' or '*'.  SL(n) and G2 are their Cartan
+    rows over unit coroots, and PGL(n) is SL(n)'s flip; GL(n), Sp4 (on its
+    standard representation's weights) and tori are explicit rows."""
     tokens = [t.strip() for t in re.split(r"[x*]", name)]
     if not any(tokens):
         raise ValueError("empty group label")
@@ -627,17 +603,11 @@ def standard(name) -> RootDatum:
         raise ValueError(f"empty factor in group label {name!r}")
     blocks = [_standard_single(t) for t in tokens]
     total = sum(b[2] for b in blocks)
-    roots, coroots = [], []
-    offset = 0
+    roots, coroots, offset = [], [], 0
     for broots, bcoroots, brank in blocks:
-        for row in broots:
-            roots.append([0] * offset + list(row) + [0] * (total - offset - brank))
-        for row in bcoroots:
-            coroots.append([0] * offset + list(row) + [0] * (total - offset - brank))
+        pad = [0] * (total - offset - brank)
+        roots += [[0] * offset + list(row) + pad for row in broots]
+        coroots += [[0] * offset + list(row) + pad for row in bcoroots]
         offset += brank
-    return RootDatum(
-        IntMatrix(roots, cols=total),
-        IntMatrix(coroots, cols=total),
-        rank=total,
-        name=name,
-    )
+    return RootDatum(IntMatrix(roots, cols=total), IntMatrix(coroots, cols=total),
+                     rank=total, name=name)

@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from twistdual.cli import main
+from twistdual.rootdata import standard
 
 
 def run(*args):
@@ -111,6 +112,17 @@ class TestCompare:
         res = run("compare", "fl", "twisted", "--group", "SL2")
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("first, second", [("fl", "twisted"), ("twisted", "fl"),
+                                               ("lusztig", "twisted"), ("twisted", "lusztig")])
+    def test_missing_params_in_either_order(self, first, second):
+        # both sides' flags are checked before either side is built
+        res = run("compare", first, second, "--group", "SL2")
+        assert res.exit_code == 2
+        assert isinstance(res.exception, (SystemExit, type(None)))
+        errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+        assert errors == ["Error: fl needs --d and --n" if "fl" in (first, second)
+                          else "Error: lusztig needs --l"]
+
 
 class TestIncidence:
     def test_divisor_example(self):
@@ -131,6 +143,12 @@ class TestIncidence:
         res = run("incidence", "--rank", "2", "--a", "1,0;0,1", "--b", "0,1;1,0")
         assert res.exit_code == 0
         assert res.output.strip() == "meet over {1,2}"
+
+    def test_different_lengths_domain_error(self):
+        # the library's shape check, reported as a domain error
+        res = run("incidence", "--a", "1,1", "--b", "2,2,-1")
+        assert res.exit_code == 1
+        assert res.output == "Error: component indices have different n\n"
 
 
 class TestOtherVerbs:
@@ -399,6 +417,23 @@ class TestMalformedInput:
         self.assert_usage_error(res)
         assert "boolean" in res.output
 
+    @pytest.mark.parametrize("args", [("validate", "--rd-file"), ("dual", "--form-file"),
+                                      ("quantum-pair", "--group", "SL2", "--gram-file")],
+                             ids=["rd-file", "form-file", "gram-file"])
+    def test_file_that_is_not_utf8(self, tmp_path, args):
+        f = tmp_path / "latin1.json"
+        f.write_bytes(b'{"name": "caf\xe9"}')
+        res = run(*args, str(f))
+        self.assert_usage_error(res)
+        assert "cannot load" in res.output and "utf-8" in res.output
+
+    def test_gram_file_holding_a_list(self, tmp_path):
+        f = tmp_path / "gram.json"
+        f.write_text("[[[2, 3]]]")
+        res = run("quantum-pair", "--group", "SL2", "--gram-file", str(f))
+        self.assert_usage_error(res)
+        assert "gram file must hold a JSON object" in res.output
+
     def test_gram_file_with_a_boolean_numerator(self, tmp_path):
         f = tmp_path / "gram.json"
         f.write_text(json.dumps({"gram": [[[True, 1]]]}))
@@ -427,3 +462,42 @@ class TestMalformedInput:
         res = run("verify-forms", "--group", "SL2", option, value)
         self.assert_usage_error(res)
         assert option in res.output
+
+
+
+# each command that takes --group, with arguments for a datum of rank r
+_DATUM_COMMANDS = {
+    "dual": lambda r: ["--q-exp", "1/3"],
+    "langlands": lambda r: [],
+    "fl-dual": lambda r: ["--d", "1", "--n", "3"],
+    "lusztig-dual": lambda r: ["--l", "4"],
+    "quantum-pair": lambda r: ["--n", "2"],
+    "compare": lambda r: ["fl", "twisted", "--d", "2", "--n", "5"],
+    "weights": lambda r: ["--hw", ",".join("1" * r)],
+    "tensor": lambda r: ["--a", ",".join("1" * r), "--b", ",".join("0" * r)],
+    "killing": lambda r: ["--a-exp", "1/5"],
+    "validate": lambda r: [],
+    "verify-forms": lambda r: ["--samples", "3"],
+}
+
+
+def test_datum_commands_are_listed():
+    assert {name for name, cmd in main.commands.items()
+            if any(p.name == "group" for p in cmd.params)} == set(_DATUM_COMMANDS)
+
+
+@pytest.mark.parametrize("label", ["SL3", "Sp4xT1"])
+@pytest.mark.parametrize("command", sorted(_DATUM_COMMANDS))
+def test_group_and_rd_file_print_the_same(tmp_path, command, label):
+    # one decorator loads the datum for both options, so a label and the
+    # file of its datum give the same output, line for line
+    rd = standard(label)
+    f = tmp_path / "rd.json"
+    f.write_text(json.dumps(rd.to_dict()))
+    args = _DATUM_COMMANDS[command](rd.rank)
+    by_label = run(command, "--group", label, *args)
+    by_file = run(command, "--rd-file", str(f), *args)
+    assert by_label.exception is None or isinstance(by_label.exception, SystemExit)
+    assert (by_label.exit_code, by_label.output) == (by_file.exit_code, by_file.output)
+    # the normalized Killing Gram of Sp4xT1 is degenerate on its torus
+    assert by_label.exit_code == (1 if (command, label) == ("quantum-pair", "Sp4xT1") else 0)

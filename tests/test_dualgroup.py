@@ -8,6 +8,7 @@ import pytest
 import glued_oracle
 import kernel_oracle
 import root_oracle
+from fraction_oracle import solve_left_rational
 from test_rootdata import _rebased, _transvections
 from twistdual import dualgroup, lattice, rootdata
 from twistdual.lattice import IntMatrix, Sublattice, kernel_mod
@@ -551,6 +552,32 @@ class TestQuantumPair:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             quantum_dual_pair(GL2, [[1, 1], [1, 1]])
+
+    @pytest.mark.parametrize("label", ["SL2", "PGL2", "SL3", "PGL3", "Sp4", "G2", "SL4",
+                                       "GL1", "GL2", "GL3", "SL2xG2", "GL2xSp4", "T2"])
+    def test_right_form_matches_fraction_route(self, label, monkeypatch):
+        # the right form, den n0^-1 over det in integers, is the form of
+        # b^-1 found by a Fraction Gauss-Jordan solve, row by row
+        rd = standard(label)
+        basis = invariant_gram_basis(rd)
+        rng = random.Random(label)
+        forms, real = [], dualgroup.twisted_dual
+        monkeypatch.setattr(dualgroup, "twisted_dual",
+                            lambda r, q, mode="full": forms.append(q) or real(r, q, mode))
+        checked = 0
+        while checked < 3:
+            coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 6)) for _ in basis]
+            b = [[sum(c * g[i][j] for c, g in zip(coeffs, basis)) for j in range(rd.rank)]
+                 for i in range(rd.rank)]
+            inv = [solve_left_rational(b, [int(i == j) for i in range(rd.rank)])
+                   for j in range(rd.rank)]
+            if None in inv:
+                continue
+            quantum_dual_pair(rd, b)
+            right, ref = forms[-1], QForm(rd.flip(), inv)
+            assert right.rd.simple_roots == rd.simple_coroots
+            assert (right.n0, right.n1, right.den) == (ref.n0, ref.n1, ref.den)
+            checked += 1
 
     @pytest.mark.parametrize("name", ["SL2", "PGL2", "SL3"])
     def test_killing_over_n(self, name):

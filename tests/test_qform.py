@@ -516,6 +516,19 @@ class TestHalfForms:
                 expected = Fraction(dot(rd.two_rho, lam), 2)
                 assert q.q(lam) == Exponent(expected)
 
+    @pytest.mark.parametrize("label", TestInvarianceAgainstConjugation.LABELS)
+    def test_integer_route_matches_fraction_route(self, label):
+        # K summed over every root pair, halved in Fractions, gives the form
+        # that the integer Gram sum K over 2 gives; K is even, so den is 1
+        rd = standard(label)
+        n = rd.rank
+        k = [[sum(beta[a] * beta[b] for beta, _ in rd.root_pairs) for b in range(n)]
+             for a in range(n)]
+        ref = QForm(rd, [[Fraction(x, 2) for x in row] for row in k])
+        q = half_forms_qform(rd)
+        assert (q.n0, q.n1, q.den) == (ref.n0, ref.n1, ref.den)
+        assert q.den == 1
+
     def test_bilinear_form_trivial(self):
         rng = random.Random(59)
         for rd in (SL2, PGL2, SL3, SP4, G2, GL2):

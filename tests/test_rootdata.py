@@ -1,8 +1,12 @@
+import ast
+import functools
+import importlib.util
 import itertools
 import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,19 @@ from twistdual.rootdata import (
 
 import root_oracle
 from fraction_oracle import inverse_unimodular, solve_left_rational
+
+
+@functools.cache
+def _bench_oracle():
+    """perfbench/oracle.py, which imports nothing from the library."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    imports = [ast.unparse(node) for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports and not any("twistdual" in line for line in imports)
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestStandard:
@@ -53,6 +70,32 @@ class TestStandard:
     def test_unknown_label(self):
         with pytest.raises(ValueError):
             standard("E8")
+
+    @pytest.mark.parametrize("label, message", [
+        ("SL1", "SL(n) needs n >= 2"), ("SL0", "SL(n) needs n >= 2"),
+        ("PGL1", "PGL(n) needs n >= 2"), ("PGL0", "PGL(n) needs n >= 2"),
+        ("GL0", "GL(n) needs n >= 1"), ("SL2xGL0", "GL(n) needs n >= 1"),
+        ("E8", "unknown group label 'E8'"), ("SL", "unknown group label 'SL'"),
+        ("SO4", "unknown group label 'SO4'"),
+    ])
+    def test_label_messages(self, label, message):
+        with pytest.raises(ValueError) as info:
+            standard(label)
+        assert str(info.value) == message
+
+    # the benchmark's oracle builds each label from its own table
+    ORACLE_SINGLES = ([f"SL{n}" for n in range(2, 10)] + [f"PGL{n}" for n in range(2, 10)]
+                      + [f"GL{n}" for n in range(1, 7)] + ["Sp4", "G2"]
+                      + [f"T{r}" for r in range(4)])
+
+    @pytest.mark.parametrize("label", ORACLE_SINGLES + [
+        "x".join(p) for p in itertools.product(("SL2", "PGL3", "GL2", "Sp4", "G2", "T1"), repeat=2)
+    ] + ["SL3xPGL2xT2", "Sp4xG2xPGL2xT1", "GL3xSL4xT0", "PGL4xGL1xG2"])
+    def test_matches_the_benchmark_oracle(self, label):
+        rd, d = standard(label), _bench_oracle().datum(label)
+        assert rd.rank == d["rank"]
+        assert rd.simple_roots.data == tuple(map(tuple, d["simple_roots"]))
+        assert rd.simple_coroots.data == tuple(map(tuple, d["simple_coroots"]))
 
     @pytest.mark.parametrize("label", ["SL2xx", "xSL2", "SL2**PGL2", "SL2x x"])
     def test_empty_factor_rejected(self, label):
