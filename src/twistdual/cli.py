@@ -272,10 +272,7 @@ def quantum_pair_cmd(rd, level, gram_file):
     _echo_dual(pair.left)
     click.echo("right:")
     _echo_dual(pair.right)
-    if pair.ok:
-        click.echo("iso: " + json.dumps([list(r) for r in pair.iso.data]))
-    else:
-        raise DomainError("no connecting isomorphism found")
+    click.echo("iso: " + json.dumps([list(r) for r in pair.iso.data]))
 
 
 _KINDS = ("twisted", "fl", "lusztig", "langlands", "half-forms")

@@ -8,11 +8,17 @@ Langlands dual side.  The twisted dual's multipliers are read off the
 integer numerators of Q on each coroot, by the gcd rule `fl_dual` uses,
 with no `Exponent` built.  Each construction's weight lattice is a
 kernel, one Hermite reduction (`lattice.kernel_mod`), so building a dual
-takes no Smith form; on the whole lattice (the zero form, Langlands
-duals, every integral form) the dual roots are the scaled coroots as
-they stand and the pairings are the simple roots, so no coordinates are
-solved for either.  The constructions agree, so an agreement check builds
-one dual twice from one datum: the kernel memo of `kernel_mod` (keyed by
+takes no Smith form; the zero form's is the whole lattice, taken as it
+is.  On the whole lattice (every integral form) the dual roots are the
+scaled coroots as they stand and the pairings are the simple roots, so
+no coordinates are solved for either.  Every dual datum is made by the
+trusted `RootDatum._trusted`, with its Cartan matrix in closed form, r_i
+a_ji / r_j over the kept indices (proved at `_validated_dual`), not
+recomputed from its rows.  Over the whole lattice with every multiplier
+1 it is the source's flip under the caller's name: so the dual of the
+zero form, the Langlands dual, computes no kernel and no value of Q.  The
+constructions agree, so an agreement check builds one dual twice from
+one datum: the kernel memo of `kernel_mod` (keyed by
 the congruence reduced by its gcd with the modulus) serves the second
 kernel, and `_assemble_dual` keeps on each datum the validated dual data
 of its last DUAL_MEMO_SIZE (weight-lattice basis, multipliers) pairs,
@@ -63,13 +69,13 @@ from .lattice import (
     integral_inverse,
     kernel_mod,
 )
-from .qform import CartanDatum, QForm, ShapeError, kernel, trivial_qform
+from .qform import CartanDatum, QForm, ShapeError, _check_mode, kernel, trivial_qform
 from .rootdata import RootDatum, dot, vec_scale
 
 
 class PaperContractViolation(RuntimeError):
-    """An integrality guarantee of the dual construction failed; this must
-    not happen for valid invariant forms."""
+    """An integrality guarantee of a dual construction, or of the quantum
+    pair's map, failed; this must not happen for valid invariant forms."""
 
 
 @dataclass(frozen=True)
@@ -134,24 +140,34 @@ def _assemble_dual(rd: RootDatum, weight_lattice: Sublattice, multipliers,
 
 
 def _validated_dual(rd, weight_lattice, multipliers, name) -> RootDatum:
-    """The dual datum of `_assemble_dual`, built and validated.
+    """The dual datum of `_assemble_dual`, built and validated, and made by
+    `RootDatum._trusted` with its Cartan matrix in closed form.
+
+    Over the kept indices, dual root i is r_i coroot_i and dual coroot j
+    is alpha_j / r_j, both read on the weight lattice, so its Cartan entry
+    is <r_i coroot_i, alpha_j / r_j> = r_i a_ji / r_j for the source's
+    a_ji = <alpha_j, coroot_i>: the source's Cartan matrix, transposed and
+    rescaled.  The two checks below make both vectors integral on the
+    lattice, so r_j divides r_i a_ji.
 
     On the whole lattice (basis the identity: the zero form, Langlands
     duals, every integral form) a vector is its own coordinates and
     alpha_i pairs with the basis as alpha_i itself, so neither a
     coordinate solve nor a product is made; the divisibility check runs
-    all the same."""
-    k = weight_lattice.rank
+    all the same.  With every multiplier 1 as well, both checks hold (a
+    coroot is its own coordinates and 1 divides every pairing), and the
+    dual is rd's flip under the caller's name."""
     whole = weight_lattice.basis.data == _identity_rows(rd.rank)
+    if whole and all(r == 1 for r in multipliers):
+        return rd._flipped(name)
+    k = weight_lattice.rank
     # row i: alpha_i paired with each basis weight
     pairing_rows = (rd.simple_roots.data if whole
                     else (rd.simple_roots @ weight_lattice.basis.transpose()).data)
+    kept = [(i, r) for i, r in enumerate(multipliers) if r is not None]
     new_roots = []
     new_coroots = []
-    for i in range(rd.num_simple):
-        r = multipliers[i]
-        if r is None:
-            continue
+    for i, r in kept:
         scaled = vec_scale(r, rd.simple_coroots.row(i))
         coords = scaled if whole else weight_lattice.coefficients(scaled)
         if coords is None:
@@ -163,8 +179,10 @@ def _validated_dual(rd, weight_lattice, multipliers, name) -> RootDatum:
             raise PaperContractViolation(
                 f"alpha_{i}/{r} is not integral on the dual weight lattice")
         new_coroots.append([x // r for x in pairings])
-    return RootDatum(_computed_matrix(new_roots, k), _computed_matrix(new_coroots, k),
-                     rank=k, name=name)
+    a = rd.cartan_matrix
+    cartan = tuple(tuple(ri * a[j][i] // rj for j, rj in kept) for i, ri in kept)
+    return RootDatum._trusted(_computed_matrix(new_roots, k), _computed_matrix(new_coroots, k),
+                              cartan, name)
 
 
 def twisted_dual(rd: RootDatum, q: QForm, mode="full") -> TwistedDual:
@@ -194,11 +212,16 @@ def twisted_dual(rd: RootDatum, q: QForm, mode="full") -> TwistedDual:
 
 
 def _twisted_dual(rd: RootDatum, q: QForm, mode) -> TwistedDual:
+    label = f"dual({rd.name})" if rd.name else None
+    if not any(q._nonzero):
+        # Q = 0 kills every coweight and has value 0, of order 1, on every
+        # coroot: the dual is the flip, with no kernel and no value read
+        _check_mode(mode)
+        return _assemble_dual(rd, Sublattice.full(rd.rank), (1,) * rd.num_simple, name=label)
     lattice = kernel(q, mode)
     m = 2 * q.den
     multipliers = [None if b else m // math.gcd(a, m)
                    for a, b in (q._numerators(c, c) for c in rd.simple_coroots.data)]
-    label = f"dual({rd.name})" if rd.name else None
     return _assemble_dual(rd, lattice, multipliers, name=label)
 
 
@@ -281,8 +304,8 @@ class QuantumPair:
 
     left: TwistedDual
     right: TwistedDual
-    iso: IntMatrix | None   # basis coordinates, left weights -> right weights
-    ok: bool
+    iso: IntMatrix   # basis coordinates, left weights -> right weights
+    ok: bool         # always True: a map that fails its checks raises
 
 
 def quantum_dual_pair(rd: RootDatum, b) -> QuantumPair:
@@ -297,7 +320,13 @@ def quantum_dual_pair(rd: RootDatum, b) -> QuantumPair:
     b(a^v, .) = (b(a^v, a^v) / 2) a; with b(a^v, a^v) = 2p/r in lowest
     terms (p != 0: b is nondegenerate), the left pair (r a^v, a/r) goes to
     sign(p) times the right pair (|p| a, a^v/|p|), the coroot by pullback.
-    As s_-a = s_a, `isomorphic`'s argument applies."""
+    As s_-a = s_a, `isomorphic`'s argument applies.
+
+    Neither check can fail for a nondegenerate invariant b: the left
+    weights are the lam in X^v with b lam in X, the right ones the mu in X
+    with b^-1 mu in X^v, so lam -> b lam maps one onto the other.  A
+    failure is therefore a `PaperContractViolation`, as in the dual's
+    assembly, and `ok` is always True."""
     left_form = QForm(rd, b)                       # validates shape and W-invariance
     n0, den = left_form.n0, left_form.den
     try:
@@ -314,11 +343,12 @@ def quantum_dual_pair(rd: RootDatum, b) -> QuantumPair:
         coords = (None if any(x % den for x in img)
                   else right.weight_sublattice.coefficients([x // den for x in img]))
         if coords is None:
-            return QuantumPair(left, right, None, False)
+            raise PaperContractViolation(
+                f"b maps the left weight {u} outside the right weight lattice")
         rows.append(coords)
     iso = _computed_matrix(rows, right.weight_sublattice.rank)
     if not iso.is_unimodular():
-        return QuantumPair(left, right, None, False)
+        raise PaperContractViolation("b does not map the left weights onto the right ones")
     return QuantumPair(left, right, iso, True)
 
 

@@ -245,15 +245,20 @@ def trivial_qform(rd) -> QForm:
     return QForm(rd)
 
 
+def _check_mode(mode):
+    """Raise a ValueError unless `mode` is a kernel mode of `kernel`."""
+    if mode not in ("full", "coroot"):
+        raise ValueError(f"unknown kernel mode {mode!r}")
+
+
 def kernel(q: QForm, mode="full") -> Sublattice:
     """Kernel of kappa: coweights pairing trivially with the whole lattice
     ("full") or with every coroot ("coroot")."""
+    _check_mode(mode)
     if mode == "full":
         m0, m1 = q.n0, q.n1
-    elif mode == "coroot":
-        m0, m1 = q.rd.simple_coroots @ q.n0, q.rd.simple_coroots @ q.n1
     else:
-        raise ValueError(f"unknown kernel mode {mode!r}")
+        m0, m1 = q.rd.simple_coroots @ q.n0, q.rd.simple_coroots @ q.n1
     return intersect(kernel_mod(m0, q.den), kernel_mod(m1, None))
 
 

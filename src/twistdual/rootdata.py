@@ -3,13 +3,20 @@
 A root datum is realized concretely: weights and coweights both live in
 Z^rank with the standard dot pairing, and the datum is the pair of simple
 root / simple coroot matrices R and V.  Each axiom is decided once, where
-it is cheapest.  The Cartan matrix R V^T is read off the rows, and its
-record, `_cartan_system`, decides everything about it once per matrix,
+it is cheapest.  A datum has two constructors with one body, `_set`.
+The checked `__init__`, the route of all input from outside, computes
+the Cartan matrix R V^T off the rows.  The trusted `_trusted` takes
+matrices the library built from checked data together with their Cartan
+matrix in closed form: `flip` passes the transpose, and
+`dualgroup._validated_dual` the source's, transposed and rescaled.
+Either way the matrix is looked up in its record, `_cartan_system`,
+which decides everything about it once per matrix,
 memoised for the process in a bounded LRU cache: the record checks the
 signs, then finite type, exactly and before any walk starts, then walks
 the positive roots once in Cartan coordinates.  A finite-type Cartan
 matrix is nondegenerate, so R and V then have independent rows; their
-ranks are computed only when the matrix fails, to name the dependence.  A failure is never cached.  The record also
+ranks are computed only when the matrix fails `__init__`, to name the
+dependence.  A failure is never cached.  The record also
 holds what the positive roots give, each computed when first asked: the
 per-component Killing record (its Gram in Cartan coordinates and the dual
 Coxeter number), |W| from the heights and 2 rho in Cartan coordinates.
@@ -147,17 +154,13 @@ class RootDatum:
             raise RootDatumError("simple roots and coroots must come in pairs")
         if simple_roots.cols != simple_coroots.cols:
             raise RootDatumError("simple roots and coroots live in dual lattices of equal rank")
-        self.simple_roots = simple_roots
-        self.simple_coroots = simple_coroots
-        self.rank = simple_roots.cols
-        self.name = name
-        # (weight-lattice basis, multipliers) -> dual datum, kept and
-        # bounded by dualgroup._assemble_dual
-        self._assembled = {}
+        # entry [i][j] = <alpha_i, coroot_j>: each root row dotted with
+        # every coroot row
+        coroots = simple_coroots.data
+        cartan = tuple(tuple(sum(map(mul, r, c)) for c in coroots)
+                       for r in simple_roots.data)
         try:
-            # one record per Cartan matrix; raises unless its signs hold and
-            # it is of finite type
-            self._cartan = _cartan_system(self.cartan_matrix)
+            self._set(simple_roots, simple_coroots, cartan, name)
         except RootDatumError:
             # a finite-type Cartan matrix R V^T is nondegenerate, so R and V
             # have full row rank: only a failing matrix needs the ranks
@@ -166,19 +169,40 @@ class RootDatum:
                     raise RootDatumError(f"simple {side} are linearly dependent") from None
             raise
 
+    @classmethod
+    def _trusted(cls, simple_roots, simple_coroots, cartan, name):
+        """The datum on matrices the library built from checked data, with
+        their Cartan matrix R V^T given, not computed: the caller proves it
+        (`flip`, `dualgroup._validated_dual`).  Input from outside goes
+        through `__init__`."""
+        out = object.__new__(cls)
+        out._set(simple_roots, simple_coroots, cartan, name)
+        return out
+
+    def _set(self, simple_roots, simple_coroots, cartan, name):
+        """The one body of both constructors: store the matrices and look
+        the Cartan matrix up in its record, which raises unless its signs
+        hold and it is of finite type."""
+        self.simple_roots = simple_roots
+        self.simple_coroots = simple_coroots
+        self.rank = simple_roots.cols
+        self.name = name
+        # (weight-lattice basis, multipliers) -> dual datum, kept and
+        # bounded by dualgroup._assemble_dual
+        self._assembled = {}
+        self._cartan = _cartan_system(cartan)
+
     # -- basic structure ---------------------------------------------------
 
     @property
     def num_simple(self):
         return self.simple_roots.rows
 
-    @cached_property
+    @property
     def cartan_matrix(self):
-        """Entry [i][j] = <alpha_i, coroot_j>: the rows of R V^T, each the
-        dot of a root row with every coroot row."""
-        coroots = self.simple_coroots.data
-        return tuple(tuple(sum(map(mul, r, c)) for c in coroots)
-                     for r in self.simple_roots.data)
+        """Entry [i][j] = <alpha_i, coroot_j>, the rows of R V^T, as the
+        Cartan record keeps them."""
+        return self._cartan.cartan
 
     @property
     def symmetrizer(self):
@@ -345,8 +369,13 @@ class RootDatum:
 
     def flip(self):
         """Exchange the weight and coweight sides (roots <-> coroots)."""
-        return RootDatum(self.simple_coroots, self.simple_roots, rank=self.rank,
-                         name=f"flip({self.name})" if self.name else None)
+        return self._flipped(f"flip({self.name})" if self.name else None)
+
+    def _flipped(self, name):
+        """The flip under `name`, by the trusted route: it shares this
+        datum's matrices, and its Cartan matrix V R^T is the transpose."""
+        return RootDatum._trusted(self.simple_coroots, self.simple_roots,
+                                  tuple(zip(*self.cartan_matrix)), name)
 
     def _renamed(self, name):
         """This datum under another name, without a second validation: the

@@ -22,6 +22,7 @@ from twistdual.qform import (
     invariant_gram_basis,
     kernel,
     killing_matrix,
+    minimal_even_gram,
     normalized_killing_gram,
     qform_from_gram,
     trivial_qform,
@@ -82,6 +83,41 @@ class TestTwistedDual:
             assert td.multipliers == (1,) * rd.num_simple
             assert td.datum.simple_roots == rd.simple_coroots
             assert td.datum.simple_coroots == rd.simple_roots
+
+    def test_langlands_dual_is_the_flip(self, monkeypatch):
+        # the zero form's dual over the whole lattice with multipliers 1 is
+        # the flip itself: it shares the source's matrices, and reads no
+        # coordinates, Hermite form, kernel or value of Q
+        counts = {}
+
+        def counted(owner, attr):
+            real = getattr(owner, attr)
+
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return real(*args, **kwargs)
+            key = f"{owner.__name__}.{attr}"
+            counts[key] = 0
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        for label in ("SL3", "PGL3", "Sp4", "G2", "GL3", "SL2xG2", "T2"):
+            rd = RootDatum.from_dict(standard(label).to_dict())
+            for owner, attr in ((Sublattice, "coefficients"), (lattice, "_hermite_rows"),
+                                (dualgroup, "_hermite_rows"), (QForm, "_numerators"),
+                                (dualgroup, "kernel")):
+                counted(owner, attr)
+            td = langlands_dual(rd)
+            monkeypatch.undo()
+            assert counts == dict.fromkeys(counts, 0), label
+            assert td.datum.simple_roots is rd.simple_coroots
+            assert td.datum.simple_coroots is rd.simple_roots
+            assert td.datum.cartan_matrix == tuple(zip(*rd.cartan_matrix))
+            assert td.datum.name == f"dual({label})"
+            assert td.multipliers == (1,) * rd.num_simple
+            assert td.weight_sublattice == Sublattice.full(rd.rank)
+            # the zero form reads no kernel, but its mode is still checked
+            with pytest.raises(ValueError, match="^unknown kernel mode 'sideways'$"):
+                twisted_dual(rd, trivial_qform(rd), "sideways")
 
     def test_sl2_with_even_gram(self):
         # Q(n) = e^(2 pi i n^2) is valued 1; the dual is the adjoint form
@@ -366,6 +402,82 @@ class TestSharedConstructions:
         assert dualgroup._assemble_dual(rd, lat, (3,)).multipliers == (3,)
 
 
+class TestDualCartanMatrix:
+    """Every dual is built by `RootDatum._trusted` with its Cartan matrix in
+    closed form, r_i a_ji / r_j over the kept indices, and every flip with
+    the transpose; both must be R V^T of the rows it is given."""
+
+    # every one-factor standard label of rank <= 4, and products of rank
+    # <= 4 that mix types, centres and tori
+    LABELS = ("SL2", "SL3", "SL4", "SL5", "PGL2", "PGL3", "PGL4", "PGL5",
+              "GL1", "GL2", "GL3", "GL4", "Sp4", "G2", "T1", "T2", "T3", "T4",
+              "SL2xG2", "Sp4xSL2", "PGL2xSL3", "SL3xSL2", "PGL3xG2", "Sp4xSp4", "G2xSp4",
+              "SL2xSL2xSL2", "GL2xGL2", "GL2xT1", "G2xT2", "SL2xT3")
+    LEVELS = range(1, 13)
+
+    @staticmethod
+    def _check(datum, where):
+        roots, coroots = datum.simple_roots.data, datum.simple_coroots.data
+        product = tuple(tuple(sum(a * b for a, b in zip(r, c)) for c in coroots) for r in roots)
+        assert datum.cartan_matrix == product, where
+        assert datum._cartan is rootdata._cartan_system(product), where
+
+    @staticmethod
+    def _duals(rd, level):
+        """(name, datum) for every dual of rd at one level: the twisted dual
+        in both modes (of a rational form, of the zero form and of a form
+        that drops a component), FL, Lusztig, both sides of a quantum pair,
+        the Langlands dual, double duals and flips."""
+        j = normalized_killing_gram(rd)
+        g0 = [[x / level for x in row] for row in j]
+        g1 = killing_matrix(rd, 0).data if rd.components else None
+        forms = {"killing": QForm(rd, g0), "zero": trivial_qform(rd),
+                 "double": QForm(rd, [[2 * x for x in row] for row in g0]),
+                 "dropping": QForm(rd, g0, g1)}
+        semisimple = rd.num_simple == rd.rank
+        if semisimple:
+            forms["cartan"] = cartan_qform(CartanDatum.standard(rd), level)
+        out = [(f"{name}-{mode}", twisted_dual(rd, q, mode).datum)
+               for name, q in forms.items() for mode in ("full", "coroot")]
+        if rd.is_irreducible():
+            out += [(f"fl{d}", fl_dual(rd, d, level).datum) for d in (1, 2)]
+        out += [(f"lusztig{scale}", lusztig_dual(CartanDatum.standard(rd, scale), level).datum)
+                for scale in (1, 2)]
+        if semisimple:
+            pair = quantum_dual_pair(rd, g0)
+            out += [("quantum-left", pair.left.datum), ("quantum-right", pair.right.datum)]
+        first = twisted_dual(rd, forms["killing"]).datum
+        out += [("langlands", langlands_dual(rd).datum),
+                ("double-langlands", langlands_dual(first).datum),
+                ("double-killing", twisted_dual(
+                    first, QForm(first, [[x / level for x in row]
+                                         for row in normalized_killing_gram(first)])).datum),
+                ("flip", rd.flip()), ("dual-flip", first.flip())]
+        return out
+
+    def test_every_dual_on_the_grid(self):
+        rng = random.Random(40)
+        for label in self.LABELS:
+            base = standard(label)
+            for moves in ([], *([(rng.randrange(base.rank), rng.randrange(base.rank),
+                                  rng.choice((-1, 1))) for _ in range(3)] for _ in range(2))):
+                rd = _rebased(base, moves)
+                for level in self.LEVELS:
+                    for name, datum in self._duals(rd, level):
+                        self._check(datum, (label, moves, level, name))
+
+    def test_g2_at_one_third(self):
+        # multipliers [1, 3] separate the closed form from both of its
+        # halves: without r_i / r_j the matrix is G2's transpose, and
+        # without the transpose it is [2, -1; -9, 2], of no finite type
+        td = twisted_dual(G2, QForm(G2, [[x / 3 for x in row]
+                                         for row in minimal_even_gram(G2)[0]]))
+        assert td.multipliers == (1, 3)
+        assert td.datum.cartan_matrix == ((2, -1), (-3, 2))
+        self._check(td.datum, "G2")
+        assert G2.flip().cartan_matrix == ((2, -3), (-1, 2))
+
+
 class TestRank1Table:
     def test_odd_example(self):
         t = rank1_table(3)
@@ -552,6 +664,18 @@ class TestQuantumPair:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             quantum_dual_pair(GL2, [[1, 1], [1, 1]])
+
+    def test_map_outside_the_right_lattice_raises(self, monkeypatch):
+        # b = 1 on SL2 gives whole lattices on both sides, so the only
+        # coordinates read are the map's; with none found, the pair raises
+        monkeypatch.setattr(Sublattice, "coefficients", lambda self, v: None)
+        with pytest.raises(PaperContractViolation, match="outside the right weight lattice"):
+            quantum_dual_pair(SL2, [[1]])
+
+    def test_map_that_is_not_unimodular_raises(self, monkeypatch):
+        monkeypatch.setattr(IntMatrix, "is_unimodular", lambda self: False)
+        with pytest.raises(PaperContractViolation, match="onto the right ones"):
+            quantum_dual_pair(SL3, [[x / 2 for x in row] for row in normalized_killing_gram(SL3)])
 
     @pytest.mark.parametrize("label", ["SL2", "PGL2", "SL3", "PGL3", "Sp4", "G2", "SL4",
                                        "GL1", "GL2", "GL3", "SL2xG2", "GL2xSp4", "T2"])
