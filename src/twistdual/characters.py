@@ -22,7 +22,13 @@ checked once; also the numeric predictions for convolution:
 highest-weight multiplicity one, the dominance bound, and
 fiber-dimension arithmetic, read off that table's depths in the source's
 coweights, as a depth d is the constituent lam + mu - sum_i d_i r_i
-coroot_i over the coroots the dual keeps.
+coroot_i over the coroots the dual keeps.  A sweep over one form reads
+each coweight and each label pair once: the form's twisted dual keeps
+two memos, one record per checked coweight (lattice coordinates, dual
+labels, <2 rho, v> and Q's numerators) and one plan per sorted label
+pair (the table mapped into source coweights and sorted, with its fibers
+and checks), written only after their checks pass and freed with the
+form.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from functools import cached_property, lru_cache, partial
 from operator import mul, sub
 
 from .dualgroup import TwistedDual, twisted_dual
-from .qform import QForm, braiding_signs
+from .qform import QForm, _braiding
 from .rootdata import RootDatum, _cartan_system, _chamber_walk, dot, vec_add
 
 
@@ -336,11 +342,26 @@ def satake_prediction(q: QForm, lam, mu) -> SatakeReport:
     dominant coweights in the dual weight lattice and check the
     convolution predictions.
 
-    After the membership solve and the dominance test, each constituent,
-    its dominance bound and its fiber come from the tensor table of the
-    dual's Cartan matrix and the two label vectors, in the source's
-    coweights.  No coordinate solve runs, and nothing is mapped back from
-    the dual lattice.  Let b_k be the Hermite basis rows of the dual
+    Each call reads q's dual through `twisted_dual` and lam's character
+    through `irreducible_character`, and the rest from two memos on that
+    dual (`TwistedDual._satake`), which q's dual memo keeps and which are
+    freed with q; a miss computes and checks its entry:
+
+    - per coweight v, once it is in the dual weight lattice and dominant:
+      its coordinates v_c in the lattice's Hermite basis, its dual labels
+      <v, alpha_i> / r_i over the kept i, <2 rho, v> and Q's integer
+      numerators on v, from which `qform._braiding` gives the sign and the
+      factor;
+    - per sorted pair of labels (the product is symmetric): the tensor
+      table of the dual's Cartan matrix mapped into source coweights and
+      sorted, with the fibers, the highest multiplicity, the dominance
+      bound and `ok`, all of which depend on that table alone.
+
+    An entry is written only after its own checks pass, so an input that
+    raises CharacterError leaves nothing behind and raises again.
+
+    No coordinate solve runs on a constituent, and nothing is mapped back
+    from the dual lattice.  Let b_k be the Hermite basis rows of the dual
     weight lattice, so lam = sum_k lam_c[k] b_k, and likewise mu.
 
     - The dual simple roots in the source are beta_i = r_i coroot_i, over
@@ -350,7 +371,8 @@ def satake_prediction(q: QForm, lam, mu) -> SatakeReport:
     - A table entry (d, m) is the constituent nu = lam + mu - sum_i d_i
       beta_i.  In the dual it is lam_c + mu_c - sum_i d_i (dual root i),
       and the linear map c -> sum_k c_k b_k takes lam_c, mu_c and dual
-      root i to lam, mu and beta_i.
+      root i to lam, mu and beta_i.  The plan keeps the shift -sum_i d_i
+      beta_i, and a call adds lam + mu to it.
     - nu lies below lam + mu in the dual's root order iff every d_i >= 0.
       The order asks for integers x_i >= 0 with lam_c + mu_c - nu_c =
       sum_i x_i (dual root i).  The dual roots are linearly independent,
@@ -361,60 +383,81 @@ def satake_prediction(q: QForm, lam, mu) -> SatakeReport:
       its entry is positive.  If c and c' first differ at k, the images
       agree before column p_k and differ at p_k by (c_k - c'_k) times
       that entry, so the images compare as c and c' do.
+    - Sorting by nu = lam + mu + shift sorts by the shift, so the plan is
+      sorted once for every (lam, mu) with its labels.  Two vectors x, y
+      first differ where x + t and y + t do, and there x_k < y_k iff
+      x_k + t_k < y_k + t_k: adding the common t = lam + mu keeps the
+      lexicographic order.
 
     mu_c's labels are <mu, alpha_i> / r_i over the kept i, read off the
     dominance test's pairings: dual coroot i pairs with b_k as alpha_i / r_i
     does, and `_validated_dual` checked that r_i divides those pairings.
 
-    The fiber over nu is (<2 rho, lam + mu> - <2 rho, nu>) / 2, which is
-    sum_i r_i d_i as <2 rho, coroot_i> = 2; it is still computed from
-    2 rho and checked to be a nonnegative integer."""
+    The fiber over nu is (<2 rho, lam + mu> - <2 rho, nu>) / 2 = <2 rho,
+    -shift> / 2, which is sum_i r_i d_i as <2 rho, coroot_i> = 2; it is
+    still computed from 2 rho, and checked to be a nonnegative integer,
+    once per plan."""
     rd = q.rd
     lam, mu = rd._vector(lam), rd._vector(mu)
     dual = twisted_dual(rd, q, "full")
-    found = []
-    for v in (lam, mu):
-        # one solve decides membership and gives the coefficients
-        v_c = dual.weight_sublattice.coefficients(v)
-        if v_c is None:
-            raise CharacterError(f"{v} is outside the dual weight lattice")
-        # the vectors here are checked or built by the library, so the
-        # dominance test goes around the public checks
-        pairings = rd.simple_roots.mul_vec(v)
-        if min(pairings, default=0) < 0:
-            raise CharacterError(f"{v} is not dominant")
-        found.append((v_c, pairings))
-    (lam_c, _), (_, mu_pairings) = found
-    mu_labels = tuple(p // r for p, r in zip(mu_pairings, dual.multipliers) if r is not None)
+    coweights, plans = dual._satake
+    (lam_c, _, lam_height, lam_q), (_, mu_labels, mu_height, mu_q) = (
+        coweights.get(v) or coweights.setdefault(v, _coweight_record(q, dual, v))
+        for v in (lam, mu))
     c = irreducible_character(dual.datum, lam_c)
-    table = _tensor_table(dual.datum.cartan_matrix, *sorted((c.labels, mu_labels)))
+    key = (c.labels, mu_labels) if c.labels <= mu_labels else (mu_labels, c.labels)
+    shifts, fibers, top_mult, all_below, ok = (
+        plans.get(key) or plans.setdefault(key, _plan(dual, key)))
     top = vec_add(lam, mu)
-    pieces = []
-    for depth, m in table:
-        nu = top
-        for d, beta in zip(depth, dual._source_roots):
-            if d:
-                nu = tuple(x - d * b for x, b in zip(nu, beta))
-        pieces.append((nu, m))
-    pieces.sort()
-    top_mult = next((m for depth, m in table if not any(depth)), 0)
-    all_below = all(min(depth, default=0) >= 0 for depth, _ in table)
-    two_rho = rd.two_rho
-    # twice the fiber dimension over nu is this less <2 rho, nu>
-    top_height = dot(two_rho, lam) + dot(two_rho, mu)
-    fibers = tuple((nu, Fraction(top_height - dot(two_rho, nu), 2)) for nu, _ in pieces)
-    sign, factor = braiding_signs(q, lam, mu)
-    ok = top_mult == 1 and all_below and all(
-        f.denominator == 1 and f >= 0 for _, f in fibers)
+    decomposition = tuple((vec_add(top, shift), m) for shift, m in shifts)
+    sign, factor = _braiding(q.den, lam_height, mu_height, lam_q, mu_q)
     return SatakeReport(
         dual=dual,
         lam=lam,
         mu=mu,
-        decomposition=tuple(pieces),
+        decomposition=decomposition,
         highest_multiplicity=top_mult,
         all_below_highest=all_below,
-        fiber_dims=fibers,
+        fiber_dims=tuple((nu, f) for (nu, _), f in zip(decomposition, fibers)),
         geometric_sign=sign,
         twisted_factor=factor,
         ok=ok,
     )
+
+
+def _coweight_record(q, dual, v):
+    """(v_c, dual labels, <2 rho, v>, Q's numerators on v) for a coweight
+    v of q's datum; CharacterError unless v is in the dual weight lattice
+    and dominant."""
+    # one solve decides membership and gives the coefficients
+    v_c = dual.weight_sublattice.coefficients(v)
+    if v_c is None:
+        raise CharacterError(f"{v} is outside the dual weight lattice")
+    # the vectors here are checked or built by the library, so the
+    # dominance test goes around the public checks
+    pairings = q.rd.simple_roots.mul_vec(v)
+    if min(pairings, default=0) < 0:
+        raise CharacterError(f"{v} is not dominant")
+    labels = tuple(p // r for p, r in zip(pairings, dual.multipliers) if r is not None)
+    return v_c, labels, dot(q.rd.two_rho, v), q._numerators(v, v)
+
+
+def _plan(dual, key):
+    """(sorted ((shift, multiplicity), ...), fibers, highest multiplicity,
+    all below the top, ok) for the sorted label pair `key`, from the
+    tensor table of `dual`'s Cartan matrix."""
+    table = _tensor_table(dual.datum.cartan_matrix, *key)
+    source = dual.source
+    shifts = []
+    for depth, m in table:
+        shift = (0,) * source.rank
+        for d, beta in zip(depth, dual._source_roots):
+            if d:
+                shift = tuple(x - d * b for x, b in zip(shift, beta))
+        shifts.append((shift, m))
+    shifts.sort()
+    fibers = tuple(Fraction(-dot(source.two_rho, shift), 2) for shift, _ in shifts)
+    top_mult = next((m for depth, m in table if not any(depth)), 0)
+    all_below = all(min(depth, default=0) >= 0 for depth, _ in table)
+    ok = top_mult == 1 and all_below and all(f.denominator == 1 and f >= 0 for f in fibers)
+    return tuple(shifts), fibers, top_mult, all_below, ok

@@ -102,6 +102,14 @@ class TwistedDual:
                                                      self.source.simple_coroots.data)
                      if r is not None)
 
+    @cached_property
+    def _satake(self):
+        """The two memos of `characters.satake_prediction` over this dual,
+        (coweight -> its record, sorted label pair -> its plan), empty until
+        first read.  The form's dual memo keeps the dual, so both are freed
+        with the form."""
+        return {}, {}
+
     def to_dict(self):
         d = self.datum.to_dict()
         d["weight_sublattice"] = [list(r) for r in self.weight_sublattice.basis.data]

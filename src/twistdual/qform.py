@@ -351,11 +351,18 @@ def half_forms_qform(rd: RootDatum) -> QForm:
 def braiding_signs(q: QForm, lam, mu):
     """Geometric commutativity sign and the twisted correction factor
     Q(lam) + Q(mu), built as one Exponent over 2 den."""
-    rd = q.rd
+    two_rho = q.rd.two_rho
     lam, mu = _int_row(lam), _int_row(mu)
-    sign = -1 if (dot(rd.two_rho, lam) * dot(rd.two_rho, mu)) % 2 else 1
-    (a0, a1), (b0, b1) = q._numerators(lam, lam), q._numerators(mu, mu)
-    return sign, Exponent._from_ints(a0 + b0, a1 + b1, 2 * q.den)
+    return _braiding(q.den, dot(two_rho, lam), dot(two_rho, mu),
+                     q._numerators(lam, lam), q._numerators(mu, mu))
+
+
+def _braiding(den, lam_height, mu_height, lam_q, mu_q):
+    """`braiding_signs` from <2 rho, v> and Q's numerators (a, b) on v, for
+    v = lam and v = mu: the sign is -1 iff both heights are odd, and the
+    factor is (a_lam + a_mu + (b_lam + b_mu) tau) / 2 den."""
+    sign = -1 if (lam_height * mu_height) % 2 else 1
+    return sign, Exponent._from_ints(lam_q[0] + mu_q[0], lam_q[1] + mu_q[1], 2 * den)
 
 
 # -- Cartan data ----------------------------------------------------------------

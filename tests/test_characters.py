@@ -25,6 +25,7 @@ from twistdual.qform import (
     qform_from_gram,
     trivial_qform,
 )
+from twistdual.lattice import Sublattice
 from twistdual.rootdata import RootDatum, dot, standard, vec_add
 
 import character_oracle
@@ -648,6 +649,34 @@ class TestFiberDim:
         assert fiber_dim(PGL2, (1,), (0,), (0,)) == Fraction(1, 2)
 
 
+def _satake_forms():
+    """Eight fresh forms for the Satake comparisons, with scaled
+    multipliers, unequal ones (Sp4, G2) and a centre (GL2); the last two
+    are SL2xSL2 forms whose tau part drops coroot 1, then 0."""
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    forms = [
+        qform_from_gram(SL2, [[Fraction(2, 5)]]),
+        qform_from_gram(PGL2, [[2 * third]]),
+        trivial_qform(SL3),
+        killing_qform(SP4, 0, Exponent.of(Fraction(1, 8))),
+        killing_qform(standard("G2"), 0, Exponent.of(third)),
+        qform_from_gram(standard("GL2"), [[half, 0], [0, half]]),
+        qform_from_gram(standard("SL2xSL2"), [[2 * third, 0], [0, 0]], [[0, 0], [0, 1]]),
+        qform_from_gram(standard("SL2xSL2"), [[0, 0], [0, 2 * third]], [[1, 0], [0, 0]]),
+    ]
+    assert [twisted_dual(q.rd, q).dropped for q in forms[-2:]] == [(1,), (0,)]
+    return forms
+
+
+def _lowest_coweights(q):
+    """The six lowest dominant coweights of q's dual weight lattice in a
+    box, by <2 rho, lam> and then lexicographically."""
+    rd, lattice = q.rd, twisted_dual(q.rd, q).weight_sublattice
+    return sorted((lam for lam in itertools.product(range(-2, 26), repeat=rd.rank)
+                   if min(rd.simple_roots.mul_vec(lam)) >= 0 and lattice.contains(lam)),
+                  key=lambda lam: (dot(rd.two_rho, lam), lam))[:6]
+
+
 class TestSatakePrediction:
     def test_highest_multiplicity_one(self):
         q = qform_from_gram(PGL2, [[Fraction(2, 3)]])
@@ -756,26 +785,8 @@ class TestSatakePrediction:
         # and on two SL2xSL2 forms whose tau part drops coroot 1, then 0
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
-        third, half = Fraction(1, 3), Fraction(1, 2)
-        forms = [
-            qform_from_gram(SL2, [[Fraction(2, 5)]]),
-            qform_from_gram(PGL2, [[Fraction(2, 3)]]),
-            trivial_qform(SL3),
-            killing_qform(SP4, 0, Exponent.of(Fraction(1, 8))),
-            killing_qform(standard("G2"), 0, Exponent.of(third)),
-            qform_from_gram(standard("GL2"), [[half, 0], [0, half]]),
-            qform_from_gram(standard("SL2xSL2"), [[2 * third, 0], [0, 0]], [[0, 0], [0, 1]]),
-            qform_from_gram(standard("SL2xSL2"), [[0, 0], [0, 2 * third]], [[1, 0], [0, 0]]),
-        ]
-        assert [twisted_dual(q.rd, q).dropped for q in forms[-2:]] == [(1,), (0,)]
-        # the six lowest dominant coweights of each dual weight lattice in a box
-        coweights = []
-        for q in forms:
-            rd, lattice = q.rd, twisted_dual(q.rd, q).weight_sublattice
-            coweights.append(sorted(
-                (lam for lam in itertools.product(range(-2, 10), repeat=rd.rank)
-                 if min(rd.simple_roots.mul_vec(lam)) >= 0 and lattice.contains(lam)),
-                key=lambda lam: (dot(rd.two_rho, lam), lam))[:6])
+        forms = _satake_forms()
+        coweights = [_lowest_coweights(q) for q in forms]
         moves = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(-2, 2)),
                          max_size=4)
         fields = [f.name for f in dataclasses.fields(characters.SatakeReport)]
@@ -803,6 +814,90 @@ class TestSatakePrediction:
             assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
 
         check()
+
+    def test_warm_memos_match_the_dual_lattice_route(self):
+        # one form object per form, so every sweep after the first pair reads
+        # the memos its dual keeps: each ordered pair of the six lowest
+        # coweights, twice, field for field and tuple order included
+        fields = [f.name for f in dataclasses.fields(characters.SatakeReport)]
+        for q in _satake_forms():
+            low = _lowest_coweights(q)
+            assert len(low) == 6
+            for _ in range(2):
+                for lam in low:
+                    for mu in low:
+                        got = satake_prediction(q, lam, mu)
+                        want = character_oracle.satake_reference(q, lam, mu)
+                        assert [getattr(got, f) for f in fields] == [
+                            getattr(want, f) for f in fields], (q, lam, mu)
+
+    def test_memos_solve_each_coweight_and_build_each_plan_once(self, monkeypatch):
+        # over a sweep each distinct coweight is solved once and each sorted
+        # label pair's plan is built once, while every prediction still makes
+        # one public irreducible_character call and one twisted_dual call
+        forms = _satake_forms()
+        sweeps = []
+        for q in forms:
+            dual = twisted_dual(q.rd, q)
+            low = _lowest_coweights(q)
+            labels = {lam: irreducible_character(
+                dual.datum, dual.weight_sublattice.coefficients(lam)).labels for lam in low}
+            pairs = {tuple(sorted((labels[lam], labels[mu]))) for lam in low for mu in low}
+            sweeps.append((q, low, pairs))
+        solved, tables, chars, duals = [], [], [], []
+        coefficients = Sublattice.coefficients
+        monkeypatch.setattr(Sublattice, "coefficients",
+                            lambda self, v: solved.append(tuple(v)) or coefficients(self, v))
+        table = characters._tensor_table
+        monkeypatch.setattr(characters, "_tensor_table",
+                            lambda cartan, a, b: tables.append((a, b)) or table(cartan, a, b))
+        character = characters.irreducible_character
+        monkeypatch.setattr(characters, "irreducible_character",
+                            lambda rd, v: chars.append(v) or character(rd, v))
+        dual_of = characters.twisted_dual
+        monkeypatch.setattr(characters, "twisted_dual",
+                            lambda rd, q, mode: duals.append(q) or dual_of(rd, q, mode))
+        for q, low, pairs in sweeps:
+            del solved[:], tables[:]
+            for _ in range(2):
+                for lam in low:
+                    for mu in low:
+                        del chars[:], duals[:]
+                        assert satake_prediction(q, lam, mu).ok
+                        assert (len(chars), duals) == (1, [q])
+            assert sorted(solved) == sorted(low)
+            assert sorted(tables) == sorted(pairs)
+
+    def test_failed_inputs_leave_nothing_in_the_memos(self):
+        # a CharacterError raises again on the next call, and the memos still
+        # answer the next valid pair as the reference does
+        q = killing_qform(standard("G2"), 0, Exponent.of(Fraction(1, 3)))
+        rd, lattice = q.rd, twisted_dual(q.rd, q).weight_sublattice
+        low = _lowest_coweights(q)
+        outside = next(v for v in itertools.product(range(4), repeat=2)
+                       if min(rd.simple_roots.mul_vec(v)) >= 0 and not lattice.contains(v))
+        below = tuple(-x for x in low[1])
+        assert lattice.contains(below)
+        for lam in low:
+            satake_prediction(q, lam, low[1])
+        for lam, mu, match in ((low[1], outside, "outside"), (below, low[1], "not dominant"),
+                               (low[1], below, "not dominant")):
+            for _ in range(2):
+                with pytest.raises(CharacterError, match=match):
+                    satake_prediction(q, lam, mu)
+            assert satake_prediction(q, low[2], low[1]) == character_oracle.satake_reference(
+                q, low[2], low[1])
+
+    def test_memos_are_freed_with_the_form(self):
+        q = killing_qform(SP4, 0, Exponent.of(Fraction(1, 8)))
+        low = _lowest_coweights(q)
+        for lam in low:
+            satake_prediction(q, lam, low[-1])
+        ref = weakref.ref(twisted_dual(q.rd, q))
+        assert ref()._satake[0] and ref()._satake[1]
+        del q
+        gc.collect()
+        assert ref() is None
 
 
 class TestBraidingWellDefined:
