@@ -3,7 +3,6 @@
 from .lattice import (
     FGAbelianGroup,
     IntMatrix,
-    LatticeHom,
     Sublattice,
     intersect,
     kernel_mod,
@@ -26,21 +25,6 @@ from .qform import (
     normalized_killing_gram,
     qform_from_gram,
     trivial_qform,
-)
-from .divisor_calc import (
-    DivisorLedger,
-    Partition,
-    ledger_for_components,
-    restrict,
-    verify_bilinearity,
-    verify_quadratic,
-)
-from .grcomb import (
-    ComponentIndex,
-    factorizable_function,
-    incident,
-    is_factorizable,
-    reconstruct_homomorphism,
 )
 from .dualgroup import (
     IsoResult,

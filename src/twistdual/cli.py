@@ -20,9 +20,7 @@ from pathlib import Path
 import click
 
 from . import characters as ch
-from . import divisor_calc as dc
 from . import dualgroup as dg
-from . import grcomb as gc
 from . import qform as qf
 from . import rootdata as rdmod
 from .lattice import MalformedMatrixError, Sublattice
@@ -345,33 +343,6 @@ def tensor(rd, hw1, hw2):
         click.echo(f"{','.join(str(x) for x in w)}: {m}")
 
 
-@main.command()
-@click.option("--rank", type=int, default=1, show_default=True)
-@click.option("--a", "a_text", required=True, help="coweights, ';' between points")
-@click.option("--b", "b_text", required=True)
-def incidence(rank, a_text, b_text):
-    """Finest diagonal over which two components meet."""
-    def parse(text):
-        if rank == 1:
-            return [(int(x),) for x in text.split(",")]
-        points = [_vector(part) for part in text.split(";")]
-        for v in points:
-            if len(v) != rank:
-                raise click.UsageError(
-                    f"coweight {','.join(map(str, v))} has length {len(v)}, not --rank {rank}")
-        return points
-    try:
-        a = gc.ComponentIndex.of(parse(a_text))
-        b = gc.ComponentIndex.of(parse(b_text))
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
-    p = gc.incident(a, b)
-    if p is None:
-        click.echo("disjoint over every diagonal")
-        raise SystemExit(1)
-    click.echo(f"meet over {p}")
-
-
 @main.command("rank1-table")
 @click.option("--r0", type=_POSITIVE, required=True)
 @click.option("--p", type=int, default=1, show_default=True)
@@ -419,7 +390,12 @@ def validate(rd):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--coord-bound", type=click.IntRange(min=0), default=5, show_default=True)
 def verify_forms(rd, samples, seed, coord_bound):
-    """Spot-check the form laws and the divisor ledger on random forms."""
+    """Spot-check the form laws on random forms.
+
+    Each sample draws a form and two coweights and checks the quadratic
+    law, the symmetry of kappa and the epsilon defect on each simple
+    coroot; a failing sample prints one FAIL line, and any failure exits 1.
+    """
     if rd.rank == 0:
         raise click.UsageError("verify-forms needs a datum of rank >= 1")
     basis = qf.invariant_gram_basis(rd)
@@ -439,13 +415,10 @@ def verify_forms(rd, samples, seed, coord_bound):
                      rand_gram() if basis else None)
         lam = tuple(rng.randint(-coord_bound, coord_bound) for _ in range(rd.rank))
         mu = tuple(rng.randint(-coord_bound, coord_bound) for _ in range(rd.rank))
-        nu = tuple(rng.randint(-coord_bound, coord_bound) for _ in range(rd.rank))
         checks = {
             "quadratic-law": (form.q(tuple(a + b for a, b in zip(lam, mu)))
                               == form.q(lam) + form.q(mu) + form.kappa(lam, mu)),
             "kappa-symmetric": form.kappa(lam, mu) == form.kappa(mu, lam),
-            "ledger-bilinear": dc.verify_bilinearity(form, lam, mu, nu),
-            "ledger-quadratic": dc.verify_quadratic(form, lam, mu),
         }
         for i in range(rd.num_simple):
             cor = rd.simple_coroots.row(i)
@@ -454,16 +427,6 @@ def verify_forms(rd, samples, seed, coord_bound):
         if bad:
             failures += 1
             click.echo(f"FAIL sample {k}: {', '.join(bad)}")
-    # tampered ledgers must be detected
-    form = QForm(rd, basis[0] if basis else None)
-    lam = (1,) * rd.rank
-    mu = tuple(range(1, rd.rank + 1))
-    nu = (1,) + (0,) * (rd.rank - 1)
-    ledger = dc.ledger_for_components(form, [lam, mu, nu])
-    tampered = ledger.with_pairwise(0, 1, form.kappa(lam, mu) + Exponent.of(Fraction(1, 2)))
-    if dc.verify_bilinearity(form, lam, mu, nu, tampered):
-        failures += 1
-        click.echo("FAIL tamper: corrupted ledger went undetected")
     if failures:
         raise DomainError(f"{failures} failures")
     click.echo(f"PASS {samples} samples on {rd.name or 'custom'}")

@@ -474,64 +474,14 @@ class FGAbelianGroup:
                 raise ValueError(f"factors {torsion} do not form a divisibility chain")
         return cls(tuple(torsion) + (0,) * free)
 
-    @property
-    def free_rank(self):
-        return sum(1 for f in self.invariant_factors if f == 0)
-
-    @property
-    def num_generators(self):
-        return len(self.invariant_factors)
-
-    def order(self):
-        """Group order, or None when infinite."""
-        if self.free_rank:
-            return None
-        out = 1
-        for f in self.invariant_factors:
-            out *= f
-        return out
-
     def is_trivial(self):
         return not self.invariant_factors
-
-    def reduce_element(self, v):
-        if len(v) != self.num_generators:
-            raise ValueError("element length mismatch")
-        return tuple(x % f if f else x for x, f in zip(v, self.invariant_factors))
-
-    def add(self, v, w):
-        return self.reduce_element([a + b for a, b in zip(v, w)])
 
     def describe(self):
         if not self.invariant_factors:
             return "1"
         parts = [f"Z/{f}" if f else "Z" for f in self.invariant_factors]
         return " x ".join(parts)
-
-
-@dataclass(frozen=True)
-class LatticeHom:
-    """Homomorphism Z^domain_rank -> target, by images of the unit vectors."""
-
-    domain_rank: int
-    target: FGAbelianGroup
-    images: tuple
-
-    def __post_init__(self):
-        if len(self.images) != self.domain_rank:
-            raise ValueError("need one image per basis vector")
-        for im in self.images:
-            if len(im) != self.target.num_generators:
-                raise ValueError("image has wrong length for target group")
-
-    def __call__(self, v):
-        if len(v) != self.domain_rank:
-            raise ValueError("vector length mismatch")
-        acc = [0] * self.target.num_generators
-        for x, im in zip(v, self.images):
-            for k in range(len(acc)):
-                acc[k] += x * im[k]
-        return self.target.reduce_element(acc)
 
 
 # -- elimination -------------------------------------------------------------
@@ -601,9 +551,3 @@ def integral_inverse(rows):
     sign = 1 if den > 0 else -1
     return tuple(tuple(sign * x for x in row[n:]) for row in work), sign * den
 
-
-def common_denominator(fractions):
-    d = 1
-    for f in fractions:
-        d = d * f.denominator // math.gcd(d, f.denominator)
-    return d

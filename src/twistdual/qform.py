@@ -35,7 +35,6 @@ from .lattice import (
     _check_int,
     _computed_matrix,
     _int_row,
-    common_denominator,
     integral_inverse,
     intersect,
     kernel_mod,
@@ -116,7 +115,7 @@ def _as_gram(rows, rank, what):
     mat = [[x if type(x) in (int, Fraction) else Fraction(x) for x in row] for row in rows]
     if len(mat) != rank or any(len(r) != rank for r in mat):
         raise ShapeError(f"{what} must be {rank}x{rank}")
-    den = common_denominator(x for row in mat for x in row)
+    den = math.lcm(*(x.denominator for row in mat for x in row))
     nums = [[x.numerator * (den // x.denominator) for x in row] for row in mat]
     for i in range(rank):
         for j in range(i + 1, rank):
@@ -489,6 +488,6 @@ def minimal_even_gram(rd: RootDatum):
     that is integral with even diagonal (so (1/2) lam^T G lam is an
     integer-valued form)."""
     g = normalized_killing_gram(rd)
-    m = common_denominator([x for row in g for x in row]
-                           + [g[a][a] / 2 for a in range(rd.rank)])
+    m = math.lcm(*(x.denominator for row in g for x in row),
+                 *((g[a][a] / 2).denominator for a in range(rd.rank)))
     return tuple(tuple(x * m for x in row) for row in g), m

@@ -11,15 +11,22 @@ import time
 from fractions import Fraction
 
 import root_oracle
+from replay_oracle import (
+    ComponentIndex,
+    LatticeHom,
+    Partition,
+    factorizable_function,
+    incident,
+    is_factorizable,
+    ledger_for_components,
+    reconstruct_homomorphism,
+    verify_bilinearity,
+    verify_quadratic,
+)
 from twistdual.characters import (
     irreducible_character,
     satake_prediction,
     weyl_multiplicity,
-)
-from twistdual.divisor_calc import (
-    ledger_for_components,
-    verify_bilinearity,
-    verify_quadratic,
 )
 from twistdual.dualgroup import (
     fl_dual,
@@ -30,15 +37,7 @@ from twistdual.dualgroup import (
     rank1_table,
     twisted_dual,
 )
-from twistdual.grcomb import (
-    ComponentIndex,
-    factorizable_function,
-    incident,
-    is_factorizable,
-    reconstruct_homomorphism,
-)
-from twistdual.divisor_calc import Partition
-from twistdual.lattice import FGAbelianGroup, LatticeHom
+from twistdual.lattice import FGAbelianGroup
 from twistdual.qform import (
     CartanDatum,
     Exponent,

@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
 from twistdual.cli import main
+from twistdual.qform import Exponent, QForm
 from twistdual.rootdata import standard
 
 
@@ -124,33 +126,6 @@ class TestCompare:
                           else "Error: lusztig needs --l"]
 
 
-class TestIncidence:
-    def test_divisor_example(self):
-        res = run("incidence", "--a", "0,4,-1", "--b", "2,2,-1")
-        assert res.exit_code == 0
-        assert res.output.strip() == "meet over {1,2}|{3}"
-
-    def test_full_diagonal(self):
-        res = run("incidence", "--a", "1,1,1", "--b", "0,4,-1")
-        assert res.output.strip() == "meet over {1,2,3}"
-
-    def test_disjoint(self):
-        res = run("incidence", "--a", "1", "--b", "2")
-        assert res.exit_code == 1
-        assert "disjoint" in res.output
-
-    def test_rank_two(self):
-        res = run("incidence", "--rank", "2", "--a", "1,0;0,1", "--b", "0,1;1,0")
-        assert res.exit_code == 0
-        assert res.output.strip() == "meet over {1,2}"
-
-    def test_different_lengths_domain_error(self):
-        # the library's shape check, reported as a domain error
-        res = run("incidence", "--a", "1,1", "--b", "2,2,-1")
-        assert res.exit_code == 1
-        assert res.output == "Error: component indices have different n\n"
-
-
 class TestOtherVerbs:
     def test_rank1_table(self):
         res = run("rank1-table", "--r0", "12")
@@ -195,6 +170,20 @@ class TestOtherVerbs:
         res = run("verify-forms", "--group", "GL2", "--samples", "5")
         assert res.exit_code == 0
         assert "PASS" in res.output
+
+    def test_verify_forms_reports_failures(self, monkeypatch):
+        # an asymmetric kappa fails the symmetry check on some sample: one
+        # FAIL line per failing sample, then the count as a domain error
+        kappa = QForm.kappa
+        monkeypatch.setattr(QForm, "kappa",
+                            lambda self, v, w: kappa(self, v, w) + Exponent.of(Fraction(v[0], 7)))
+        res = run("verify-forms", "--group", "GL2", "--samples", "5")
+        assert res.exit_code == 1
+        lines = res.output.splitlines()
+        fails = [line for line in lines if line.startswith("FAIL sample ")]
+        assert fails and len(fails) + 1 == len(lines)
+        assert any("kappa-symmetric" in line for line in fails)
+        assert lines[-1] == f"Error: {len(fails)} failures"
 
     def test_killing(self):
         res = run("killing", "--group", "SL3", "--a-exp", "1/3")
@@ -314,11 +303,6 @@ class TestMalformedInput:
         res = run("dual", flag, value, "--form-file", str(form))
         self.assert_usage_error(res)
         assert "root_datum" in res.output
-
-    def test_incidence_vector_length_must_match_rank(self):
-        res = run("incidence", "--rank", "2", "--a", "1", "--b", "1")
-        self.assert_usage_error(res)
-        assert "--rank 2" in res.output
 
     @pytest.mark.parametrize("args, flag", [
         (("weights", "--group", "SL2", "--hw", "1,2"), "--hw 1,2"),

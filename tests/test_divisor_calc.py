@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistdual.divisor_calc import (
+from replay_oracle import (
     DivisorLedger,
     Partition,
     ledger_for_components,

